@@ -1,8 +1,9 @@
 """Geodesic, forced and controlled dynamics with the fixed-step integrator.
 
 Trajectories live on the total space (base point, fiber coefficients).
-Unforced geodesics conserve the metric energy; drag dissipates it; control
-inputs push along the input sections.
+``spray_field`` builds every field: the geodesic spray alone, with a force,
+or with control inputs.  Unforced geodesics conserve the metric energy; drag
+dissipates it; control inputs push along the input sections.
 """
 
 import numpy as np
@@ -11,9 +12,7 @@ from algmech import (
     ControlSignal,
     ForceField,
     TotalPoint,
-    controlled_field_fn,
     energy,
-    forced_field_fn,
     integrate,
     spray_field,
     suslov,
@@ -31,14 +30,14 @@ traj.to_csv("planar_geodesic.csv")
 print("wrote planar_geodesic.csv with", len(traj), "samples")
 
 drag = ForceField.from_exprs(["-y1", "-y2", "-y3"], body.coords, body.params)
-damped = integrate(forced_field_fn(S, Gm, drag),
+damped = integrate(spray_field(S, Gm, force=drag),
                    TotalPoint([0.0, 0.0, 0.0], [0.4, 0.3, -0.1]), 0.0, 5.0, 1e-2)
 E0 = energy(S, Gm, None, (damped.base[0], damped.fiber[0]))
 E1 = energy(S, Gm, None, (damped.base[-1], damped.fiber[-1]))
 print(f"with quadratic drag: {E0:.4f} -> {E1:.6f}")
 
 push = ControlSignal(["1", "0"], body.coords, body.params)
-driven = integrate(controlled_field_fn(S, Gm, None, list(body.controls.sections), push),
+driven = integrate(spray_field(S, Gm, inputs=body.controls.sections, signal=push),
                    TotalPoint([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 0.0, 1.0, 1e-2)
 print("unit thrust from rest reaches", np.round(driven.base[-1], 4))
 

@@ -13,10 +13,8 @@ from .expr import (
     fd_directional,
     fd_gradient,
     fd_partial,
-    fd_step,
     parse,
     partial,
-    set_fd_step,
 )
 from .algebroid import (
     AlgebroidStructure,
@@ -57,12 +55,7 @@ from .dynamics import (
     ControlSignal,
     TotalPoint,
     base_flow,
-    controlled_field,
-    controlled_field_fn,
     energy,
-    forced_field,
-    forced_field_fn,
-    geodesic_spray,
     integrate,
     lift,
     spray_field,

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _SV_THRESHOLD = 1e-8
+# Mirror entries (metric symmetry, structure antisymmetry) are one function
+# written twice; at a probe point they may differ only by the rounding of a
+# different operation order.
+_MIRROR_RTOL = 1e-9
 
 
 def _parse_all(entries: Iterable) -> list:
@@ -185,35 +189,8 @@ class Section:
         return f"Section({tag}, rank={self.rank})"
 
 
-class OneForm:
+class OneForm(Section):
     """Covector coefficients ``kappa_A(x)`` over the base."""
-
-    def __init__(self, fn: Callable, rank: int, exprs=None, label: str = ""):
-        self._fn = fn
-        self.rank = int(rank)
-        self.exprs = tuple(exprs) if exprs is not None else None
-        self.label = label
-
-    @classmethod
-    def from_exprs(cls, entries: Sequence, coords, params=None, label: str = "") -> "OneForm":
-        exprs = _parse_all(entries)
-        table = _ExprTable(exprs, (len(exprs),), coords, params or {})
-        return cls(table, len(exprs), exprs=exprs, label=label)
-
-    @classmethod
-    def constant(cls, values, label: str = "") -> "OneForm":
-        values = np.asarray(values, dtype=float)
-        return cls(lambda x, v=values: v.copy(), values.size, label=label)
-
-    def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.rank,):
-            raise ValueError(f"one-form returned shape {out.shape}, expected ({self.rank},)")
-        return out
-
-    def pair(self, X: Section, x) -> float:
-        """Natural pairing ``kappa(X)`` at ``x``."""
-        return float(self(x) @ X(x))
 
 
 class AlgebroidStructure:
@@ -381,11 +358,16 @@ def _is_zero(e, coords, params, points) -> bool:
     return True
 
 
+def _agree(a: float, b: float) -> bool:
+    """Equal up to rounding, relative to the larger magnitude."""
+    return abs(a - b) <= _MIRROR_RTOL * max(abs(a), abs(b))
+
+
 def _opposite(e1, e2, coords, params, points) -> bool:
     for p in points:
         env = dict(params)
         env.update(zip(coords, p))
-        if e1.eval(env) != -e2.eval(env):
+        if not _agree(e1.eval(env), -e2.eval(env)):
             return False
     return True
 

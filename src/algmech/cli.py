@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .algebroid import lie_closure_rank
-from .dynamics import ControlSignal, TotalPoint, controlled_field_fn, forced_field_fn, integrate
+from .dynamics import ControlSignal, TotalPoint, integrate, spray_field
 from .expr import ExprError
 from .reduction import (
     Subbundle,
@@ -159,15 +159,12 @@ def _cmd_simulate(args) -> int:
         if args.initial_base else sysdef.center()
     fiber = _parse_point(args.initial_fiber, sysdef.m, "--initial-fiber") \
         if args.initial_fiber else np.full(sysdef.m, 0.1)
+    inputs, signal = (), None
     if args.controls:
-        if sysdef.controls is None:
-            raise UsageError("system has no control sections")
+        inputs = _controls_required(sysdef).sections
         signal = ControlSignal(args.controls.split(";"), sysdef.coords, sysdef.params,
                                mode=args.control_mode)
-        field = controlled_field_fn(sysdef.structure, sysdef.metric, sysdef.force,
-                                    list(sysdef.controls.sections), signal)
-    else:
-        field = forced_field_fn(sysdef.structure, sysdef.metric, sysdef.force)
+    field = spray_field(sysdef.structure, sysdef.metric, sysdef.force, inputs, signal)
     traj = integrate(field, TotalPoint(base, fiber), args.t0, args.t1, args.step,
                      chart=sysdef.chart)
     out = args.out or "trajectory.csv"

@@ -1,4 +1,4 @@
-"""Geodesic spray, forced and controlled vector fields, fixed-step integration.
+"""Geodesic spray with optional force and controls, fixed-step integration.
 
 All integration is classical fixed-step RK4; deterministic goldens matter more
 here than adaptive accuracy.  Fields evaluate on the total space packed as
@@ -15,23 +15,12 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _ExprTable
 from .expr import EvalError, Expr
-from .geometry import (
-    BundleMetric,
-    ForceField,
-    Potential,
-    SingularMetricError,
-    christoffel_field,
-)
+from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, christoffel_field
 
 __all__ = [
     "TotalPoint",
     "ControlSignal",
-    "geodesic_spray",
     "spray_field",
-    "forced_field",
-    "forced_field_fn",
-    "controlled_field",
-    "controlled_field_fn",
     "integrate",
     "base_flow",
     "lift",
@@ -101,20 +90,21 @@ class ControlSignal:
         return self._table(x)
 
 
-def geodesic_spray(S: AlgebroidStructure, Gm: BundleMetric, q) -> np.ndarray:
-    """Tangent of the geodesic field at ``q``: anchored velocity for the base,
-    minus the Christoffel quadratic form for the fiber."""
-    x, y = _unpack(q, S.n, S.m)
-    from .geometry import christoffel
+def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceField] = None,
+                inputs: Sequence[Section] = (), signal: Optional[ControlSignal] = None) -> Callable:
+    """Packed field ``(t, z) -> dz`` on the total space.
 
-    gamma = christoffel(S, Gm, x).gamma
-    dx = S.anchor(x).T @ y if S.n else np.zeros(0)
-    dy = -np.einsum("cab,a,b->c", gamma, y, y)
-    return np.concatenate([dx, dy])
-
-
-def spray_field(S, Gm) -> Callable:
-    """Packed field ``(t, z) -> dz`` for the geodesic spray, with cached coefficients."""
+    The base part is the anchored velocity; the fiber part is minus the
+    Christoffel quadratic form, plus the vertical force term when ``force`` is
+    given, plus ``sum_k u_k(t, x) Y_k(x)`` over the input sections when a
+    control ``signal`` is given.  The signal must have one coefficient per
+    input section.
+    """
+    inputs = tuple(inputs)
+    coefficients = signal.k if signal is not None else 0
+    if coefficients != len(inputs):
+        raise ValueError(f"control signal has {coefficients} coefficient(s) "
+                         f"for {len(inputs)} input section(s)")
     gamma_at = christoffel_field(S, Gm)
     n = S.n
 
@@ -122,56 +112,12 @@ def spray_field(S, Gm) -> Callable:
         x, y = z[:n], z[n:]
         dx = S.anchor(x).T @ y if n else np.zeros(0)
         dy = -np.einsum("cab,a,b->c", gamma_at(x), y, y)
+        if force is not None:
+            dy += force(x, y)
+        if inputs:
+            for c, Y in zip(signal(t, x), inputs):
+                dy += c * Y(x)
         return np.concatenate([dx, dy])
-
-    return field
-
-
-def forced_field(S, Gm, F: Optional[ForceField], q) -> np.ndarray:
-    """Spray plus the vertical force term at ``q``; ``F=None`` means unforced."""
-    x, y = _unpack(q, S.n, S.m)
-    out = geodesic_spray(S, Gm, (x, y))
-    if F is not None:
-        out[S.n:] += F(x, y)
-    return out
-
-
-def forced_field_fn(S, Gm, F: Optional[ForceField]) -> Callable:
-    base = spray_field(S, Gm)
-    if F is None:
-        return base
-    n = S.n
-
-    def field(t, z):
-        out = base(t, z)
-        out[n:] += F(z[:n], z[n:])
-        return out
-
-    return field
-
-
-def controlled_field(S, Gm, F, inputs: Sequence[Section], u: ControlSignal, t, q) -> np.ndarray:
-    """Forced field plus the control combination of the input sections."""
-    x, y = _unpack(q, S.n, S.m)
-    out = forced_field(S, Gm, F, (x, y))
-    coeffs = u(t, x)
-    if len(coeffs) != len(inputs):
-        raise ValueError("control signal rank does not match the input sections")
-    for c, Y in zip(coeffs, inputs):
-        out[S.n:] += c * Y(x)
-    return out
-
-
-def controlled_field_fn(S, Gm, F, inputs: Sequence[Section], u: ControlSignal) -> Callable:
-    base = forced_field_fn(S, Gm, F)
-    n = S.n
-
-    def field(t, z):
-        out = base(t, z)
-        coeffs = u(t, z[:n])
-        for c, Y in zip(coeffs, inputs):
-            out[n:] += c * Y(z[:n])
-        return out
 
     return field
 
@@ -181,9 +127,9 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
     """Classical fixed-step RK4 from ``t0`` to ``t1``.
 
     The interval is split into uniform steps of (approximately) the requested
-    size.  If a sample leaves the chart box or hits an exclusion, or if the
-    field raises an evaluation error, integration stops and the partial
-    trajectory is returned flagged as truncated.
+    size.  If a sample is not finite, leaves the chart box or hits an
+    exclusion, or if the field raises an evaluation error, integration stops
+    and the partial trajectory is returned flagged as truncated.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -217,6 +163,10 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
             truncated, reason = True, f"field evaluation failed: {err}"
             break
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Before the chart test: NaN compares false, so the chart contains it.
+        if not np.all(np.isfinite(z)):
+            truncated, reason = True, f"non-finite state at t={t + h:g}"
+            break
         if chart is not None and not chart.contains(z[:n]):
             truncated, reason = True, "left the chart domain"
             break

@@ -29,8 +29,6 @@ __all__ = [
     "EvalError",
     "parse",
     "partial",
-    "fd_step",
-    "set_fd_step",
     "fd_partial",
     "fd_gradient",
     "fd_directional",
@@ -38,20 +36,8 @@ __all__ = [
 
 Bindings = Mapping[str, float]
 
+# Finite-difference base step, scaled per coordinate by the helpers below.
 _DEFAULT_STEP = 1e-6
-
-
-def fd_step() -> float:
-    """Current global finite-difference base step."""
-    return _DEFAULT_STEP
-
-
-def set_fd_step(step: float) -> None:
-    """Set the global finite-difference base step (scaled per coordinate)."""
-    global _DEFAULT_STEP
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
-    _DEFAULT_STEP = float(step)
 
 
 class ExprError(ValueError):
@@ -383,7 +369,7 @@ def _format(expr: Expr, parent: int) -> str:
 def partial(expr: Union[Expr, str], var: str, bindings: Bindings, step: float = None) -> float:
     """Central-difference partial derivative of ``expr`` with respect to ``var``.
 
-    With ``step`` omitted the global base step is used, scaled by
+    With ``step`` omitted the default base step is used, scaled by
     ``max(1, |x|)`` at the expansion point.
     """
     if isinstance(expr, str):

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .algebroid import AlgebroidStructure, OneForm, Section, Trajectory, _ExprTable
+from .algebroid import AlgebroidStructure, Section, Trajectory, _ExprTable, _agree, _probe_points
 from .expr import Expr, fd_directional, fd_partial
 
 __all__ = [
@@ -56,7 +56,7 @@ class BundleMetric:
 
         Symmetry is enforced by storage: entries below the diagonal may be
         omitted (``None``/``""``), and explicitly supplied mirror pairs must
-        agree exactly at probe points.
+        agree at probe points up to rounding.
         """
         m = len(entries)
         rows = [list(r) for r in entries]
@@ -69,8 +69,6 @@ class BundleMetric:
                 if cell in (None, ""):
                     continue
                 parsed[i][j] = cell if isinstance(cell, Expr) else ex.parse(str(cell))
-        from .algebroid import _probe_points  # shared probe machinery
-
         points = _probe_points(len(coords))
         params = dict(params or {})
         for i in range(m):
@@ -80,7 +78,7 @@ class BundleMetric:
                     for p in points:
                         env = dict(params)
                         env.update(zip(coords, p))
-                        if upper.eval(env) != lower.eval(env):
+                        if not _agree(upper.eval(env), lower.eval(env)):
                             raise ValueError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
                 elif upper is not None:
                     parsed[j][i] = upper
@@ -204,7 +202,7 @@ class ForceField:
 
 
 def _coeffs(X, x) -> np.ndarray:
-    return X(x) if isinstance(X, (Section, OneForm)) else np.asarray(X, dtype=float)
+    return X(x) if isinstance(X, Section) else np.asarray(X, dtype=float)
 
 
 def metric_eval(Gm: BundleMetric, X, Y, p) -> float:
@@ -225,7 +223,7 @@ def sharp(Gm: BundleMetric, kappa, p) -> np.ndarray:
 # --- connection ------------------------------------------------------------------
 
 
-def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p, step=None) -> ChristoffelTensor:
+def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
     """Connection coefficients at ``p`` from the Koszul formula.
 
     Assembles ``2 G(nabla_{e_B} e_C, e_E)`` for all index triples — metric
@@ -239,7 +237,7 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p, step=None) -> Christ
     C = S.structure(p)
 
     if S.n and not Gm.is_constant:
-        dG = np.array([fd_partial(Gm.matrix, p, i, step) for i in range(S.n)])
+        dG = np.array([fd_partial(Gm.matrix, p, i) for i in range(S.n)])
         rhoG = np.einsum("ai,icd->acd", S.anchor(p), dG)  # rho(e_A)(G_CD)
     else:
         rhoG = np.zeros((m, m, m))
@@ -256,37 +254,19 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p, step=None) -> Christ
     return ChristoffelTensor(gamma, p)
 
 
-def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric, step=None,
-                      cache_size: int = 512) -> Callable:
-    """Memoized ``p -> gamma`` evaluator.
+def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
+    """``p -> gamma`` evaluator.
 
     When both the metric and the structure functions are coordinate-free the
-    tensor is computed once; otherwise recent points are cached by value,
-    which pays off in sample-based verification sweeps.
+    tensor is computed once; otherwise each call computes it at ``p``.
     """
     if (Gm.is_constant and S.constant_structure) or S.n == 0:
-        fixed = christoffel(S, Gm, np.zeros(S.n), step).gamma
+        fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
         return lambda p: fixed
-
-    cache = {}
-    order = []
-
-    def evaluate(p):
-        key = np.asarray(p, dtype=float).tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        gamma = christoffel(S, Gm, p, step).gamma
-        cache[key] = gamma
-        order.append(key)
-        if len(order) > cache_size:
-            cache.pop(order.pop(0), None)
-        return gamma
-
-    return evaluate
+    return lambda p: christoffel(S, Gm, p).gamma
 
 
-def covariant_derivative(S, Gm, X: Section, Y: Section, p, step=None, gamma=None) -> np.ndarray:
+def covariant_derivative(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarray:
     """Coefficients of ``nabla_X Y`` at ``p``.
 
     Local form: derivative of the target coefficients along the anchored
@@ -294,21 +274,22 @@ def covariant_derivative(S, Gm, X: Section, Y: Section, p, step=None, gamma=None
     """
     p = S.check_point(p)
     if gamma is None:
-        gamma = christoffel(S, Gm, p, step).gamma
+        gamma = christoffel(S, Gm, p).gamma
     Xp, Yp = X(p), Y(p)
     out = np.einsum("abc,b,c->a", gamma, Xp, Yp)
     if S.n:
-        out = out + fd_directional(Y, p, S.anchor(p).T @ Xp, step)
+        out = out + fd_directional(Y, p, S.anchor(p).T @ Xp)
     return out
 
 
-def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma_field=None) -> np.ndarray:
+def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.ndarray:
     """Covariant derivative of a section-along-curve at sample time ``t``.
 
     ``W`` is either an ``(N, m)`` array of fiber samples aligned with the
     trajectory or a section to evaluate along the base curve.  The time
     derivative is a central difference over neighbouring samples, so ``t``
-    must be an interior sample time.
+    must be an interior sample time.  ``gamma`` is the Christoffel tensor at
+    that sample, computed when omitted.
     """
     if traj.fiber is None:
         raise ValueError("trajectory carries no fiber samples")
@@ -320,21 +301,21 @@ def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma_field=None) 
         raise ValueError("t must be an interior sample")
     dt = traj.times[k + 1] - traj.times[k - 1]
     dW = (W[k + 1] - W[k - 1]) / dt
-    gamma = gamma_field(traj.base[k]) if gamma_field is not None \
-        else christoffel(S, Gm, traj.base[k]).gamma
+    if gamma is None:
+        gamma = christoffel(S, Gm, traj.base[k]).gamma
     return dW + np.einsum("cab,a,b->c", gamma, traj.fiber[k], W[k])
 
 
-def symmetric_product(S, Gm, X: Section, Y: Section, p, step=None, gamma=None) -> np.ndarray:
+def symmetric_product(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarray:
     """``nabla_X Y + nabla_Y X`` at ``p``; symmetric in its arguments by construction."""
     p = S.check_point(p)
     if gamma is None:
-        gamma = christoffel(S, Gm, p, step).gamma
+        gamma = christoffel(S, Gm, p).gamma
     Xp, Yp = X(p), Y(p)
     out = np.einsum("abc,b,c->a", gamma + np.transpose(gamma, (0, 2, 1)), Xp, Yp)
     if S.n:
         R = S.anchor(p)
-        out = out + fd_directional(Y, p, R.T @ Xp, step) + fd_directional(X, p, R.T @ Yp, step)
+        out = out + fd_directional(Y, p, R.T @ Xp) + fd_directional(X, p, R.T @ Yp)
     return out
 
 
@@ -346,7 +327,7 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
     is the vertical lift of the symmetric product (independent of ``y0`` up to
     the difference error).  Serves as an oracle for :func:`symmetric_product`.
     """
-    from .dynamics import geodesic_spray  # deferred: dynamics builds on this module
+    from .dynamics import spray_field  # deferred: dynamics builds on this module
 
     p = S.check_point(p)
     y0 = S.check_fiber(y0)
@@ -360,8 +341,10 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
             return out
         return lifted
 
+    field = spray_field(S, Gm)
+
     def spray(z):
-        return geodesic_spray(S, Gm, (z[:n], z[n:]))
+        return field(0.0, z)
 
     Yv = vertical(Y)
     Xv = vertical(X)
@@ -376,13 +359,13 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
     return outer[n:]
 
 
-def gradient(S, Gm, V, p, step=None) -> np.ndarray:
+def gradient(S, Gm, V, p) -> np.ndarray:
     """Metric gradient of a potential: sharp of its almost differential."""
     from .algebroid import d_function
 
     p = S.check_point(p)
     fn = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
-    return sharp(Gm, d_function(S, fn, p, step), p)
+    return sharp(Gm, d_function(S, fn, p), p)
 
 
 def gradient_section(S, Gm, V) -> Section:

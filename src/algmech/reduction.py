@@ -24,6 +24,7 @@ from .geometry import (
     BundleMetric,
     ForceField,
     Potential,
+    christoffel,
     christoffel_field,
     covariant_derivative,
     covariant_derivative_along,
@@ -227,6 +228,17 @@ def _force_residual(P, force, points, probe_sections=()) -> float:
     return worst
 
 
+def _product_residual(S, Gm, spans, Q, p, gamma) -> float:
+    """Largest complement component ``Q <A : B>`` over the symmetric products of
+    every unordered pair of ``spans``, squares included."""
+    worst = 0.0
+    for i, A in enumerate(spans):
+        for B in spans[i:]:
+            prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
+            worst = max(worst, float(np.max(np.abs(Q @ prod))))
+    return worst
+
+
 def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL,
                   force: Optional[ForceField] = None) -> VerificationReport:
     """Rank-one kinematic-reduction test: the section and its self covariant
@@ -275,13 +287,8 @@ def kinematic_reduction_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points
 
     def residual(p):
         Q = P.q_matrix(p)
-        gamma = gamma_at(p)
         worst = max(float(np.max(np.abs(Q @ X(p)))) for X in spans)
-        for i, A in enumerate(spans):
-            for B in spans[i:]:
-                prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
-                worst = max(worst, float(np.max(np.abs(Q @ prod))))
-        return worst
+        return max(worst, _product_residual(S, Gm, spans, Q, p, gamma_at(p)))
 
     worst, witness = _sweep(points, residual)
     return _report("kinematic_reduction", worst, witness, len(points), tol,
@@ -337,17 +344,8 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     points = np.atleast_2d(points)
     spans = candidate.sections
 
-    def algebraic(p):
-        Q = P.q_matrix(p)
-        gamma = gamma_at(p)
-        worst = 0.0
-        for i, A in enumerate(spans):
-            for B in spans[i:]:
-                prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
-                worst = max(worst, float(np.max(np.abs(Q @ prod))))
-        return worst
-
-    alg_worst, alg_witness = _sweep(points, algebraic)
+    alg_worst, alg_witness = _sweep(
+        points, lambda p: _product_residual(S, Gm, spans, P.q_matrix(p), p, gamma_at(p)))
 
     rng = np.random.default_rng(seed)
     field_fn = spray_field(S, Gm)
@@ -393,29 +391,13 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
         Qd = Pd.q_matrix(p)
         worst = max(float(np.max(np.abs(Qc @ X(p)))) for X in candidate.sections)
         worst = max(worst, max(float(np.max(np.abs(Qd @ Y(p)))) for Y in Dc.sections))
-        gamma = gamma_at(p)
-        spans = Dc.sections
-        for i, A in enumerate(spans):
-            for B in spans[i:]:
-                prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
-                worst = max(worst, float(np.max(np.abs(Qc @ prod))))
-        return worst
+        return max(worst, _product_residual(S, Gm, Dc.sections, Qc, p, gamma_at(p)))
 
     worst, witness = _sweep(points, residual)
     return _report("maximal_reducibility", worst, witness, len(points), tol)
 
 
 # --- Hamilton-Jacobi ---------------------------------------------------------
-
-
-def _covariant_along_vector(S, Gm, y, X: Section, p, gamma) -> np.ndarray:
-    """``nabla_Y X`` for a bare fiber vector ``y`` at ``p`` (tensorial slot)."""
-    out = np.einsum("abc,b,c->a", gamma, y, X(p))
-    if S.n:
-        from .expr import fd_directional
-
-        out = out + fd_directional(X, p, S.anchor(p).T @ y)
-    return out
 
 
 def _complement_rows(S, Gm, Dc: Optional[Subbundle], p) -> np.ndarray:
@@ -441,8 +423,7 @@ def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Secti
     """
     p = S.check_point(p)
     if gamma is None:
-        gamma_at = christoffel_field(S, Gm)
-        gamma = gamma_at(p)
+        gamma = christoffel(S, Gm, p).gamma
     rows = _complement_rows(S, Gm, Dc, p)
     if rows.size == 0:
         return 0.0, 0.0
@@ -460,7 +441,7 @@ def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Secti
     closedness = 0.0
     hj = 0.0
     for y in rows:
-        nablaYX = _covariant_along_vector(S, Gm, y, X, p, gamma)
+        nablaYX = covariant_derivative(S, Gm, Section.constant(y), X, p, gamma=gamma)
         closedness = max(closedness, abs(float(nablaXX @ G @ y) - float(nablaYX @ G @ Xp)))
         direction = anchor.T @ y if S.n else np.zeros(0)
         hj = max(hj, abs(float(direction @ grad_E)) if S.n else 0.0)
@@ -482,6 +463,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     sigma = base_flow(S, X, p0, 0.0, horizon, step, chart=chart)
     gamma_traj = lift(X, sigma)
     gamma_at = christoffel_field(S, Gm)
+    gammas = [gamma_at(x) for x in gamma_traj.base]
 
     grad_V = None
     if V is not None:
@@ -493,7 +475,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     for k in range(1, count - 1):
         t = gamma_traj.times[k]
         value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber, t,
-                                           gamma_field=gamma_at)
+                                           gamma=gammas[k])
         if grad_V is not None:
             value = value + grad_V(gamma_traj.base[k])
         if projector is not None:
@@ -504,7 +486,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
 
     stride = max(1, count // 16)
     closedness = max(
-        hj_residual(S, Gm, V, Dc, X, gamma_traj.base[k], gamma=gamma_at(gamma_traj.base[k]))[0]
+        hj_residual(S, Gm, V, Dc, X, gamma_traj.base[k], gamma=gammas[k])[0]
         for k in range(0, count, stride))
 
     details = {"closedness_residual": closedness, "horizon": horizon,

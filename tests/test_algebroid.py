@@ -35,12 +35,20 @@ class TestStructureConstruction:
             AlgebroidStructure.from_exprs(
                 ("x",), 2, [["1"], ["0"]],
                 {"1,1,2": "x", "1,2,1": "x"})
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            AlgebroidStructure.from_exprs(
+                ("r",), 2, [["1"], ["0"]],
+                {"1,1,2": "0.3*r", "1,2,1": "-(0.31*r)"})
 
     def test_consistent_double_entry_accepted(self):
         S = AlgebroidStructure.from_exprs(
             ("x",), 2, [["1"], ["0"]],
             {"1,1,2": "x", "1,2,1": "-x"})
         assert S.structure(np.array([2.0]))[0, 0, 1] == 2.0
+        # Mirror entries that differ only by rounding are the same function.
+        AlgebroidStructure.from_exprs(
+            ("r",), 2, [["1"], ["0"]],
+            {"1,1,2": "0.1*r*3", "1,2,1": "-(0.3*r)"})
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="antisymmetry"):

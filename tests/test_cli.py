@@ -155,6 +155,13 @@ class TestUsageErrors:
         assert code == 2
         assert "control" in err
 
+    def test_control_rank_mismatch(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--system", "planar_body",
+                           "--controls", "1.0", "--out", str(tmp_path / "traj.csv"))
+        assert code == 2
+        assert "1 coefficient(s) for 2 input section(s)" in err
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_malformed_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

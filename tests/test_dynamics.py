@@ -8,11 +8,7 @@ from algmech import (
     Section,
     TotalPoint,
     base_flow,
-    controlled_field,
     energy,
-    forced_field,
-    forced_field_fn,
-    geodesic_spray,
     gradient_section,
     integrate,
     lift,
@@ -32,15 +28,18 @@ def planar_exact_fiber(t, y0):
     return np.array([a, (u + k) / 2.0, (u - k) / 2.0])
 
 
+def field_at(sysd, q, t=0.0, **terms):
+    """One evaluation of the packed field of ``sysd`` at the total point ``q``."""
+    return spray_field(sysd.structure, sysd.metric, **terms)(t, q.packed())
+
+
 class TestSpray:
     def test_flat_space(self, flat2):
-        out = geodesic_spray(flat2.structure, flat2.metric,
-                             TotalPoint([0.3, 0.4], [1.0, -2.0]))
+        out = field_at(flat2, TotalPoint([0.3, 0.4], [1.0, -2.0]))
         assert out == pytest.approx([1.0, -2.0, 0.0, 0.0])
 
     def test_planar_fiber_acceleration_reads_connection(self, planar):
-        out = geodesic_spray(planar.structure, planar.metric,
-                             TotalPoint([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+        out = field_at(planar, TotalPoint([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
         assert out[3:] == pytest.approx([-1.0, 0.0, 0.0], abs=1e-9)
 
     def test_quadratic_homogeneity_in_fiber(self, planar, board, rng):
@@ -49,8 +48,8 @@ class TestSpray:
             p = sysd.sample(1, seed=3)[0]
             y = rng.uniform(-1, 1, size=sysd.m)
             n = sysd.n
-            one = geodesic_spray(sysd.structure, sysd.metric, TotalPoint(p, y))
-            two = geodesic_spray(sysd.structure, sysd.metric, TotalPoint(p, 2 * y))
+            one = field_at(sysd, TotalPoint(p, y))
+            two = field_at(sysd, TotalPoint(p, 2 * y))
             assert np.max(np.abs(two[:n] - 2 * one[:n])) < 1e-9
             assert np.max(np.abs(two[n:] - 4 * one[n:])) < 1e-9
 
@@ -59,7 +58,7 @@ class TestSpray:
         p = np.array([1.2, 0.4, -0.3])
         n = S.n
         y, z = rng.uniform(-1, 1, size=(2, 3))
-        f = lambda v: geodesic_spray(S, Gm, TotalPoint(p, v))[n:]
+        f = lambda v: field_at(leg, TotalPoint(p, v))[n:]
         polarized = 0.5 * (f(y + z) - f(y) - f(z))
         gamma_term = f(np.zeros(3))  # zero, sanity anchor
         assert np.max(np.abs(gamma_term)) < 1e-12
@@ -74,21 +73,21 @@ class TestSpray:
 class TestForcedField:
     def test_zero_force_reduces_to_spray(self, planar, rng):
         q = TotalPoint([0.1, 0.2, 0.3], rng.uniform(-1, 1, size=3))
-        lhs = forced_field(planar.structure, planar.metric, None, q)
-        rhs = geodesic_spray(planar.structure, planar.metric, q)
+        zero = ForceField.from_exprs(["0", "0", "0"], planar.coords, planar.params)
+        lhs = field_at(planar, q, force=zero)
+        rhs = field_at(planar, q)
         assert np.array_equal(lhs, rhs)
 
     def test_constant_potential_gradient_force(self, flat2):
         V = Potential.from_expr("x1", flat2.coords)
         F = ForceField.from_section(
             gradient_section(flat2.structure, flat2.metric, V).scaled_by(-1.0))
-        out = forced_field(flat2.structure, flat2.metric, F,
-                           TotalPoint([0.0, 0.0], [0.0, 0.0]))
+        out = field_at(flat2, TotalPoint([0.0, 0.0], [0.0, 0.0]), force=F)
         assert out[2:] == pytest.approx([-1.0, 0.0], abs=1e-8)
 
     def test_quadratic_drag_dissipates_energy(self, planar):
         F = ForceField.from_exprs(["-y1", "-y2", "-y3"], planar.coords, planar.params)
-        field = forced_field_fn(planar.structure, planar.metric, F)
+        field = spray_field(planar.structure, planar.metric, force=F)
         traj = integrate(field, TotalPoint([0.0, 0.0, 0.0], [0.6, -0.4, 0.3]), 0.0, 2.0, 1e-2)
         E = [energy(planar.structure, planar.metric, None, (traj.base[k], traj.fiber[k]))
              for k in range(len(traj))]
@@ -99,17 +98,23 @@ class TestControlledField:
     def test_zero_controls_reduce_to_forced(self, planar, rng):
         u = ControlSignal(["0", "0"], planar.coords, planar.params)
         q = TotalPoint([0.1, -0.2, 0.4], rng.uniform(-1, 1, size=3))
-        lhs = controlled_field(planar.structure, planar.metric, None,
-                               list(planar.controls.sections), u, 0.0, q)
-        rhs = forced_field(planar.structure, planar.metric, None, q)
+        lhs = field_at(planar, q, inputs=planar.controls.sections, signal=u)
+        rhs = field_at(planar, q)
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
     def test_unit_control_on_flat_space(self, flat2):
         u = ControlSignal(["1"], flat2.coords)
-        out = controlled_field(flat2.structure, flat2.metric, None,
-                               [Section.constant([1.0, 0.0])], u, 0.0,
-                               TotalPoint([0.0, 0.0], [0.0, 0.0]))
+        out = field_at(flat2, TotalPoint([0.0, 0.0], [0.0, 0.0]),
+                       inputs=[Section.constant([1.0, 0.0])], signal=u)
         assert out == pytest.approx([0.0, 0.0, 1.0, 0.0])
+
+    def test_rank_mismatch_rejected_at_construction(self, planar):
+        one = ControlSignal(["1"], planar.coords, planar.params)
+        with pytest.raises(ValueError, match="1 coefficient"):
+            spray_field(planar.structure, planar.metric,
+                        inputs=planar.controls.sections, signal=one)
+        with pytest.raises(ValueError, match="0 coefficient"):
+            spray_field(planar.structure, planar.metric, inputs=planar.controls.sections)
 
     def test_time_driven_signal(self, flat2):
         u = ControlSignal(["sin(t)"], flat2.coords, mode=ControlSignal.TIME_DRIVEN)
@@ -152,6 +157,19 @@ class TestIntegrate:
         q0 = TotalPoint([0.0, 0.0, 0.0, 0.0, 1.3], [0.0, 0.0, 0.5])
         traj = integrate(field, q0, 0.0, 2.0, 1e-2, chart=board.chart)
         assert traj.truncated
+
+    def test_non_finite_state_truncates(self):
+        """NaN lies inside every chart box, so only a finiteness test stops it."""
+        from algmech import euclidean
+
+        line = euclidean(1)
+        blowup = ForceField.from_exprs(["y1*y1*y1*1e300"], line.coords, line.params)
+        field = spray_field(line.structure, line.metric, force=blowup)
+        traj = integrate(field, TotalPoint([0.0], [10.0]), 0.0, 1.0, 0.1, chart=line.chart)
+        assert traj.truncated
+        assert "non-finite" in traj.reason
+        assert np.all(np.isfinite(traj.fiber))
+        assert len(traj) < 11
 
     def test_invalid_steps_rejected(self, flat2):
         field = spray_field(flat2.structure, flat2.metric)

@@ -146,20 +146,6 @@ class TestPartial:
             assert lhs == pytest.approx(rhs, abs=5e-8)
 
 
-class TestGlobalStep:
-    def test_configurable_default_step(self):
-        from algmech.expr import fd_step, set_fd_step
-
-        original = fd_step()
-        try:
-            set_fd_step(1e-4)
-            assert fd_step() == 1e-4
-            with pytest.raises(ValueError):
-                set_fd_step(0.0)
-        finally:
-            set_fd_step(original)
-
-
 class TestCallableDifferences:
     def test_gradient(self):
         grad = fd_gradient(lambda x: x[0] ** 2 + 3 * x[1], np.array([2.0, 5.0]))

@@ -82,6 +82,12 @@ class TestMetricOps:
                 back = sharp(sysd.metric, flat(sysd.metric, v, p), p)
                 assert np.max(np.abs(back - v)) < 1e-10
 
+    def test_mirror_entries_compared_up_to_rounding(self):
+        Gm = BundleMetric.from_exprs([["2", "0.1*r*3"], ["0.3*r", "2"]], ("r",))
+        assert Gm.matrix([1.0])[1, 0] == pytest.approx(0.3)
+        with pytest.raises(ValueError, match="differ"):
+            BundleMetric.from_exprs([["2", "0.3*r"], ["0.31*r", "2"]], ("r",))
+
     def test_singular_metric_raises(self):
         Gm = BundleMetric.from_callable(lambda x: np.zeros((2, 2)), 2)
         with pytest.raises(SingularMetricError):
@@ -242,11 +248,11 @@ class TestCovariantDerivativeAlong:
     def test_controlled_planar_residual_stays_in_controls(self, planar):
         """Accelerating along the first control keeps the forced residual inside
         the control span."""
-        from algmech import ControlSignal, Projector, controlled_field_fn
+        from algmech import ControlSignal, Projector
 
         S, Gm = planar.structure, planar.metric
         u = ControlSignal(["1", "0"], planar.coords, planar.params)
-        field = controlled_field_fn(S, Gm, None, list(planar.controls.sections), u)
+        field = spray_field(S, Gm, inputs=planar.controls.sections, signal=u)
         traj = integrate(field, TotalPoint([0.0, 0.0, 0.0], [0.05, 0.1, 0.0]), 0.0, 1.0, 1e-3)
         P = Projector(planar.controls, Gm)
         for k in range(1, len(traj) - 1, 101):

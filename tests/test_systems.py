@@ -158,13 +158,13 @@ class TestLoader:
             load_spec(doc)
 
     def test_force_components_load_and_drive_dynamics(self, planar):
-        from algmech import TotalPoint, forced_field
+        from algmech import TotalPoint, spray_field
 
         doc = dump_spec(planar)
         doc["force"] = ["-y1", "0", "0"]
         sysd = load_spec(doc)
-        out = forced_field(sysd.structure, sysd.metric, sysd.force,
-                           TotalPoint([0.0, 0.0, 0.0], [2.0, 0.0, 0.0]))
+        field = spray_field(sysd.structure, sysd.metric, force=sysd.force)
+        out = field(0.0, TotalPoint([0.0, 0.0, 0.0], [2.0, 0.0, 0.0]).packed())
         assert out[3] == pytest.approx(-2.0)
 
     def test_force_dimension_checked(self, planar):
