@@ -14,7 +14,8 @@ print("free variables:", sorted(tree.variables()))
 # printing and re-parsing is stable
 assert parse(str(tree)) == tree
 
-# derivatives are central differences with a per-coordinate scaled step
+# derivatives are central differences under the package's one step rule:
+# a base step of 1e-6 scaled by max(1, |v|) at the expansion point
 energy = parse("0.5*m*v^2 + m*9.81*z")
 print("d/dv at v=3:", partial(energy, "v", {"m": 2.0, "v": 3.0, "z": 0.0}))
 print("d/dz:", partial(energy, "z", {"m": 2.0, "v": 3.0, "z": 0.0}))

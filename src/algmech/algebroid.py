@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import expr as ex
-from .expr import Expr, fd_directional, fd_gradient
+from .expr import Expr, fd_directional
 
 __all__ = [
     "ChartDomain",
@@ -142,17 +142,16 @@ class ChartDomain:
 class Section:
     """Fiber-coefficient functions ``X^A(x)`` over the base, evaluable at points."""
 
-    def __init__(self, fn: Callable, rank: int, exprs=None, label: str = ""):
+    def __init__(self, fn: Callable, rank: int, label: str = ""):
         self._fn = fn
         self.rank = int(rank)
-        self.exprs = tuple(exprs) if exprs is not None else None
         self.label = label
 
     @classmethod
     def from_exprs(cls, entries: Sequence, coords, params=None, label: str = "") -> "Section":
         exprs = _parse_all(entries)
         table = _ExprTable(exprs, (len(exprs),), coords, params or {})
-        return cls(table, len(exprs), exprs=exprs, label=label)
+        return cls(table, len(exprs), label=label)
 
     @classmethod
     def constant(cls, values, label: str = "") -> "Section":
@@ -207,7 +206,6 @@ class AlgebroidStructure:
     """
 
     def __init__(self, coords, rank, anchor_fn, structure_fn, params=None,
-                 anchor_exprs=None, structure_exprs=None,
                  constant_structure: bool = False):
         self.coords = tuple(coords)
         self.n = len(self.coords)
@@ -215,21 +213,22 @@ class AlgebroidStructure:
         self.params = dict(params or {})
         self._anchor_fn = anchor_fn
         self._structure_fn = structure_fn
-        self.anchor_exprs = anchor_exprs
-        self.structure_exprs = structure_exprs
         self.constant_structure = bool(constant_structure)
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_exprs(cls, coords, rank, anchor, structure, params=None) -> "AlgebroidStructure":
+    def from_exprs(cls, coords, rank, anchor, structure, params=None,
+                   probe_points=None) -> "AlgebroidStructure":
         """Build from expression tables.
 
         ``anchor`` is an ``m x n`` nested sequence (row ``A`` holds the
         components of the vector field attached to basis section ``A``).
         ``structure`` maps 1-based index triples ``(c, a, b)`` to expressions
         for the bracket coefficients; missing mirror entries are filled by
-        antisymmetry and conflicting double entries are rejected.
+        antisymmetry and conflicting double entries are rejected.  The
+        antisymmetry checks evaluate at ``probe_points`` (the loader passes
+        chart samples), or at points of ``[-1, 1]^n`` when omitted.
         """
         coords = tuple(coords)
         m = int(rank)
@@ -254,24 +253,18 @@ class AlgebroidStructure:
                 raise ValueError(f"structure entry ({c},{a},{b}) supplied twice")
             table[c - 1][a - 1][b - 1] = e
 
-        cls._enforce_antisymmetry(table, m, coords, params)
+        if probe_points is None:
+            probe_points = _probe_points(n)
+        cls._enforce_antisymmetry(table, m, coords, params, probe_points)
         flat = [table[c][a][b] or Num0 for c in range(m) for a in range(m) for b in range(m)]
         _check_free_variables(flat, coords, params, "structure functions")
         structure_table = _ExprTable(flat, (m, m, m), coords, params)
 
         return cls(coords, m, anchor_table, structure_table, params=params,
-                   anchor_exprs=anchor_exprs, structure_exprs=table,
                    constant_structure=structure_table.is_constant)
 
-    @classmethod
-    def from_callables(cls, coords, rank, anchor_fn, structure_fn, params=None,
-                       constant_structure: bool = False) -> "AlgebroidStructure":
-        return cls(coords, rank, anchor_fn, structure_fn, params=params,
-                   constant_structure=constant_structure)
-
     @staticmethod
-    def _enforce_antisymmetry(table, m, coords, params):
-        points = _probe_points(len(coords), count=8)
+    def _enforce_antisymmetry(table, m, coords, params, points):
         env_base = dict(params)
         for c in range(m):
             for a in range(m):
@@ -457,13 +450,16 @@ def _as_scalar_field(f, S: AlgebroidStructure) -> Callable:
 
 
 def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
-    """Coefficients of the almost differential of a function: ``rho^i_A d_i f``."""
+    """Anchored derivatives ``rho(e_A)(f)`` at ``p``, one row per frame direction.
+
+    For a scalar ``f`` (expression or callable) this is the almost
+    differential ``rho^i_A d_i f``; an array-valued callable gets one array
+    per row.  Each row is one directional difference along the anchor image
+    of ``e_A``, and every frame derivative of a field goes through here.
+    """
     p = S.check_point(p)
-    if S.n == 0:
-        return np.zeros(S.m)
     fn = _as_scalar_field(f, S)
-    grad = fd_gradient(fn, p, step)
-    return S.anchor(p) @ grad
+    return np.array([fd_directional(fn, p, row, step) for row in S.anchor(p)])
 
 
 def d_oneform(S: AlgebroidStructure, kappa: OneForm, X: Section, Y: Section, p, step=None) -> float:

@@ -79,10 +79,6 @@ class ControlSignal:
         self._table = _ExprTable(exprs, (len(exprs),), names, params or {})
         self.k = len(exprs)
 
-    @classmethod
-    def constant(cls, values, coords) -> "ControlSignal":
-        return cls([repr(float(v)) for v in values], coords)
-
     def __call__(self, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.mode == self.TIME_DRIVEN:

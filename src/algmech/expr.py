@@ -36,7 +36,7 @@ __all__ = [
 
 Bindings = Mapping[str, float]
 
-# Finite-difference base step, scaled per coordinate by the helpers below.
+# Finite-difference base step; fd_directional is the only reader.
 _DEFAULT_STEP = 1e-6
 
 
@@ -369,55 +369,46 @@ def _format(expr: Expr, parent: int) -> str:
 def partial(expr: Union[Expr, str], var: str, bindings: Bindings, step: float = None) -> float:
     """Central-difference partial derivative of ``expr`` with respect to ``var``.
 
-    With ``step`` omitted the default base step is used, scaled by
-    ``max(1, |x|)`` at the expansion point.
+    ``step`` (default ``1e-6``) is a base step, scaled by ``max(1, |x|)`` at
+    the expansion point like every other difference in the package.
     """
     if isinstance(expr, str):
         expr = parse(expr)
     if var not in bindings:
         raise EvalError(f"unbound variable '{var}'")
-    x = float(bindings[var])
-    if step is None:
-        h = _DEFAULT_STEP * max(1.0, abs(x))
-    else:
-        if step <= 0:
-            raise ValueError("step must be positive")
-        h = float(step)
-    hi = dict(bindings)
-    lo = dict(bindings)
-    hi[var] = x + h
-    lo[var] = x - h
-    return (expr.eval(hi) - expr.eval(lo)) / (2.0 * h)
+    env = dict(bindings)
+
+    def along(t):
+        env[var] = t[0]
+        return expr.eval(env)
+
+    return float(fd_directional(along, [float(bindings[var])], [1.0], step))
 
 
 def fd_partial(fn: Callable, x: np.ndarray, index: int, step: float = None):
     """Central difference of ``fn`` along coordinate ``index`` at ``x``."""
-    base = _DEFAULT_STEP if step is None else float(step)
-    h = base * max(1.0, abs(float(x[index])))
-    hi = np.array(x, dtype=float)
-    lo = np.array(x, dtype=float)
-    hi[index] += h
-    lo[index] -= h
-    return (np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * h)
+    return fd_directional(fn, x, np.eye(np.size(x))[index], step)
 
 
 def fd_gradient(fn: Callable, x: np.ndarray, step: float = None) -> np.ndarray:
     """All coordinate partials of a scalar function at ``x``."""
-    x = np.asarray(x, dtype=float)
-    return np.array([fd_partial(fn, x, i, step) for i in range(x.size)])
+    return np.array([fd_directional(fn, x, unit, step) for unit in np.eye(np.size(x))])
 
 
 def fd_directional(fn: Callable, x: np.ndarray, direction: np.ndarray, step: float = None):
     """Central-difference directional derivative of ``fn`` along ``direction``.
 
     Equals ``direction . grad fn`` for scalar ``fn`` and the Jacobian-vector
-    product for vector-valued ``fn``; only two evaluations either way.
+    product for array-valued ``fn``; only two evaluations either way.  This is
+    the one step rule of the package: the base step (``step``, default
+    ``1e-6``) is scaled by ``max(1, |x|_inf) / max(1, |direction|_inf)``.
     """
+    base = _DEFAULT_STEP if step is None else float(step)
+    if not base > 0:
+        raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(direction)))) if direction.size else 1.0
-    base = _DEFAULT_STEP if step is None else float(step)
-    h = base * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0) / scale
-    hi = np.asarray(fn(x + h * direction))
-    lo = np.asarray(fn(x - h * direction))
-    return (hi - lo) / (2.0 * h)
+    # Python max: at these few coordinates a numpy reduction costs more.
+    h = base * max([1.0, *np.abs(x).tolist()]) / max([1.0, *np.abs(direction).tolist()])
+    shift = h * direction
+    return (np.asarray(fn(x + shift)) - np.asarray(fn(x - shift))) / (2.0 * h)

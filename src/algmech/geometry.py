@@ -1,21 +1,24 @@
 """Bundle metric, Levi-Civita connection and symmetric product.
 
 The connection is computed pointwise from the Koszul formula in an arbitrary
-basis: the six-term right-hand side is assembled from finite-difference metric
-derivatives and the structure functions, then solved with the inverse metric.
-Orthogonal-basis shortcuts are deliberately not a separate code path.
+basis: the six-term right-hand side is assembled from the anchored metric
+derivatives ``rho(e_A)(G)`` (one ``d_function`` call, a central difference
+along each anchored frame direction) and the structure functions, then solved
+with the inverse metric.  Orthogonal-basis shortcuts are deliberately not a
+separate code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .algebroid import AlgebroidStructure, Section, Trajectory, _ExprTable, _agree, _probe_points
-from .expr import Expr, fd_directional, fd_partial
+from .algebroid import (AlgebroidStructure, Section, Trajectory, _ExprTable, _agree,
+                        _probe_points, d_function)
+from .expr import Expr, fd_directional
 
 __all__ = [
     "BundleMetric",
@@ -44,19 +47,20 @@ class SingularMetricError(ValueError):
 class BundleMetric:
     """Symmetric fiber metric ``G_AB(x)`` on the algebroid."""
 
-    def __init__(self, fn: Callable, rank: int, exprs=None, constant: bool = False):
+    def __init__(self, fn: Callable, rank: int, constant: bool = False):
         self._fn = fn
         self.m = int(rank)
-        self.exprs = exprs
         self.is_constant = bool(constant)
 
     @classmethod
-    def from_exprs(cls, entries: Sequence[Sequence], coords, params=None) -> "BundleMetric":
+    def from_exprs(cls, entries: Sequence[Sequence], coords, params=None,
+                   probe_points=None) -> "BundleMetric":
         """Build from an ``m x m`` table of expressions.
 
         Symmetry is enforced by storage: entries below the diagonal may be
         omitted (``None``/``""``), and explicitly supplied mirror pairs must
-        agree at probe points up to rounding.
+        agree up to rounding at ``probe_points`` (the loader passes chart
+        samples), or at points of ``[-1, 1]^n`` when omitted.
         """
         m = len(entries)
         rows = [list(r) for r in entries]
@@ -69,7 +73,7 @@ class BundleMetric:
                 if cell in (None, ""):
                     continue
                 parsed[i][j] = cell if isinstance(cell, Expr) else ex.parse(str(cell))
-        points = _probe_points(len(coords))
+        points = _probe_points(len(coords)) if probe_points is None else probe_points
         params = dict(params or {})
         for i in range(m):
             for j in range(i + 1, m):
@@ -87,11 +91,7 @@ class BundleMetric:
         zero = ex.Num(0.0)
         flat_exprs = [parsed[i][j] or zero for i in range(m) for j in range(m)]
         table = _ExprTable(flat_exprs, (m, m), coords, params)
-        return cls(table, m, exprs=parsed, constant=table.is_constant)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, rank: int) -> "BundleMetric":
-        return cls(fn, rank)
+        return cls(table, m, constant=table.is_constant)
 
     def matrix(self, x) -> np.ndarray:
         out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
@@ -145,19 +145,14 @@ class ChristoffelTensor:
 class Potential:
     """Scalar potential on the base."""
 
-    def __init__(self, fn: Callable, expr: Optional[Expr] = None):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self.expr = expr
 
     @classmethod
     def from_expr(cls, entry, coords, params=None) -> "Potential":
         e = entry if isinstance(entry, Expr) else ex.parse(str(entry))
         table = _ExprTable([e], (1,), coords, params or {})
-        return cls(lambda x: float(table(x)[0]), expr=e)
-
-    @classmethod
-    def zero(cls) -> "Potential":
-        return cls(lambda x: 0.0, expr=ex.Num(0.0))
+        return cls(lambda x: float(table(x)[0]))
 
     def __call__(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -166,10 +161,9 @@ class Potential:
 class ForceField:
     """Fiber-preserving force map with components over base and fiber coordinates."""
 
-    def __init__(self, fn: Callable, rank: int, exprs=None):
+    def __init__(self, fn: Callable, rank: int):
         self._fn = fn
         self.m = int(rank)
-        self.exprs = exprs
 
     @classmethod
     def from_exprs(cls, entries, coords, params=None, fiber_names=None) -> "ForceField":
@@ -185,7 +179,7 @@ class ForceField:
         def fn(x, y):
             return table(np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
 
-        return cls(fn, m, exprs=table.exprs)
+        return cls(fn, m)
 
     @classmethod
     def from_section(cls, X: Section) -> "ForceField":
@@ -236,11 +230,8 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     m = S.m
     C = S.structure(p)
 
-    if S.n and not Gm.is_constant:
-        dG = np.array([fd_partial(Gm.matrix, p, i) for i in range(S.n)])
-        rhoG = np.einsum("ai,icd->acd", S.anchor(p), dG)  # rho(e_A)(G_CD)
-    else:
-        rhoG = np.zeros((m, m, m))
+    # rho(e_A)(G_CD)
+    rhoG = np.zeros((m, m, m)) if Gm.is_constant else d_function(S, Gm.matrix, p)
 
     K = (
         rhoG
@@ -361,8 +352,6 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
 
 def gradient(S, Gm, V, p) -> np.ndarray:
     """Metric gradient of a potential: sharp of its almost differential."""
-    from .algebroid import d_function
-
     p = S.check_point(p)
     fn = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
     return sharp(Gm, d_function(S, fn, p), p)

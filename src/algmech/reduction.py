@@ -16,10 +16,10 @@ from .algebroid import (
     Section,
     Trajectory,
     _as_scalar_field,
+    d_function,
     span_rank,
 )
-from .dynamics import base_flow, lift, spray_field, integrate, TotalPoint
-from .expr import fd_gradient
+from .dynamics import base_flow, energy, lift, spray_field, integrate, TotalPoint
 from .geometry import (
     BundleMetric,
     ForceField,
@@ -43,6 +43,7 @@ __all__ = [
     "geodesic_invariance_check",
     "maximal_reducibility_check",
     "hj_residual",
+    "hj_algebraic_check",
     "hj_trajectory_equivalence",
     "reparam_admissible",
     "recover_controls",
@@ -435,17 +436,42 @@ def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Secti
         value = 0.5 * float(X(x) @ Gm.matrix(x) @ X(x))
         return value + (V(x) if V is not None else 0.0)
 
-    grad_E = fd_gradient(energy_density, p) if S.n else np.zeros(0)
-    anchor = S.anchor(p)
+    rho_E = d_function(S, energy_density, p)
 
     closedness = 0.0
     hj = 0.0
     for y in rows:
         nablaYX = covariant_derivative(S, Gm, Section.constant(y), X, p, gamma=gamma)
         closedness = max(closedness, abs(float(nablaXX @ G @ y) - float(nablaYX @ G @ Xp)))
-        direction = anchor.T @ y if S.n else np.zeros(0)
-        hj = max(hj, abs(float(direction @ grad_E)) if S.n else 0.0)
+        hj = max(hj, abs(float(y @ rho_E)))
     return closedness, hj
+
+
+def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
+    """Hamilton-Jacobi residual sweep for a candidate section of a system definition.
+
+    The verdict tracks the equation residual itself; the closedness hypothesis
+    residual rides along in the details so a failed hypothesis is visible.
+    Without a control distribution the equation is tested against every frame
+    direction and the spread of the conserved quantity over the samples is
+    reported as well.
+    """
+    S, Gm, V, Dc = sysdef.structure, sysdef.metric, sysdef.potential, sysdef.controls
+    points = np.atleast_2d(points)
+    closedness = []
+
+    def residual(p):
+        closed, hj = hj_residual(S, Gm, V, Dc, X, p)
+        closedness.append(closed)
+        return hj
+
+    worst, witness = _sweep(points, residual)
+    details = {"closedness_residual": max(closedness, default=0.0),
+               "section": getattr(X, "label", "")}
+    if Dc is None:
+        energies = [energy(S, Gm, V, (p, X(p))) for p in points]
+        details["energy_spread"] = float(max(energies) - min(energies))
+    return _report("hj_residual", worst, witness, len(points), tol, details)
 
 
 def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle],
@@ -512,12 +538,8 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
     points = np.atleast_2d(points)
 
     def residual(p):
-        if S.n == 0:
-            return 0.0
-        grad = fd_gradient(fn, p)
-        anchor = S.anchor(p)
-        return max((abs(float((anchor.T @ y) @ grad)) for y in P.complement_basis(p)),
-                   default=0.0)
+        rho_f = d_function(S, fn, p)
+        return max((abs(float(y @ rho_f)) for y in P.complement_basis(p)), default=0.0)
 
     worst, witness = _sweep(points, residual)
     return _report("reparam_admissible", worst, witness, len(points), tol)

@@ -9,9 +9,8 @@ from .geometry import christoffel
 from .reduction import (
     DEFAULT_ALGEBRAIC_TOL,
     DEFAULT_TRAJECTORY_TOL,
-    VerificationReport,
     geodesic_invariance_check,
-    hj_residual,
+    hj_algebraic_check,
     hj_trajectory_equivalence,
     is_decoupling,
     kinematic_reduction_check,
@@ -33,40 +32,6 @@ def christoffel_table(sysdef: SystemDefinition, point=None, threshold: float = 1
         if abs(value) > threshold:
             entries.append({"upper": a + 1, "lower": [b + 1, c + 1], "value": float(value)})
     return {"point": [float(v) for v in p], "entries": entries}
-
-
-def hj_algebraic_check(sysdef: SystemDefinition, X, points,
-                       tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
-    """Hamilton-Jacobi residual sweep for a candidate section.
-
-    The verdict tracks the equation residual itself; the closedness hypothesis
-    residual rides along in the details so a failed hypothesis is visible.
-    Without a control distribution the equation is tested against every frame
-    direction and the spread of the conserved quantity over the samples is
-    reported as well.
-    """
-    points = np.atleast_2d(points)
-    worst_closed = 0.0
-    worst_hj, witness = -1.0, None
-    energies = []
-    for p in points:
-        closed, hj = hj_residual(sysdef.structure, sysdef.metric, sysdef.potential,
-                                 sysdef.controls, X, p)
-        worst_closed = max(worst_closed, closed)
-        if hj > worst_hj:
-            worst_hj, witness = hj, np.asarray(p)
-        if sysdef.controls is None:
-            value = 0.5 * float(X(p) @ sysdef.metric.matrix(p) @ X(p))
-            if sysdef.potential is not None:
-                value += sysdef.potential(p)
-            energies.append(value)
-    verdict = "pass" if worst_hj <= tol else "fail"
-    details = {"closedness_residual": worst_closed, "section": getattr(X, "label", "")}
-    if energies:
-        details["energy_spread"] = float(max(energies) - min(energies))
-    return VerificationReport(
-        "hj_residual", verdict, worst_hj, witness if verdict == "fail" else None,
-        len(points), float(tol), details)
 
 
 def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,

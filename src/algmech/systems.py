@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# Size of the chart sample the loader probes and validates at.
+_VALIDATE_SAMPLES = 16
+
+
 class SpecError(ValueError):
     """Schema violation in a system document, addressed by a JSON-ish path."""
 
@@ -135,9 +139,11 @@ class SystemDefinition:
             return ForceField(lambda x, y: -gradient(S, Gm, V, x), self.rank)
         return None
 
-    def validate(self, samples: int = 16, seed: int = 0, tol: float = 1e-8) -> None:
-        """Load-time invariant checks: sampled, not proofs."""
-        points = self.sample(samples, seed)
+    def validate(self, points=None, tol: float = 1e-8) -> None:
+        """Load-time invariant checks at ``points`` (the seed-0 chart sample
+        when omitted): sampled, not proofs."""
+        if points is None:
+            points = self.sample(_VALIDATE_SAMPLES)
         check = self.document.get("metric_check", "definite")
         if check not in ("definite", "nondegenerate"):
             raise SpecError(f"{self.name}.metric_check", f"unknown mode {check!r}")
@@ -233,6 +239,9 @@ def load_spec(document: dict) -> SystemDefinition:
         raise SpecError("$.mode", f"unknown mode {mode!r}")
 
     chart = _load_chart(document, coords)
+    # The mirror probes of the expression tables run at the validation sample,
+    # where every expression must evaluate anyway.
+    probes = chart.sample(_VALIDATE_SAMPLES)
     embedded_payload = None
 
     if mode == "intrinsic":
@@ -242,14 +251,15 @@ def load_spec(document: dict) -> SystemDefinition:
         anchor_exprs = _expr_rows(anchor_rows, n, "$.anchor")
         structure_map = _require(document, "structure", dict, path, optional=True) or {}
         try:
-            structure = AlgebroidStructure.from_exprs(coords, m, anchor_exprs, structure_map, params)
+            structure = AlgebroidStructure.from_exprs(coords, m, anchor_exprs, structure_map, params,
+                                                      probe_points=probes)
         except ValueError as err:
             raise SpecError("$.structure", str(err)) from None
         metric_rows = _require(document, "metric", list, path)
         if len(metric_rows) != m:
             raise SpecError("$.metric", f"expected {m} rows")
         try:
-            metric = BundleMetric.from_exprs(metric_rows, coords, params)
+            metric = BundleMetric.from_exprs(metric_rows, coords, params, probe_points=probes)
         except ValueError as err:
             raise SpecError("$.metric", str(err)) from None
     else:
@@ -274,15 +284,9 @@ def load_spec(document: dict) -> SystemDefinition:
         comp_fields = [vector_field(row) for row in comp_exprs]
         anchor_fn, structure_fn, gram_fn = induced_algebroid(
             lambda x: ambient_table(x), dist_fields, comp_fields, n)
-        structure = AlgebroidStructure.from_callables(coords, m, anchor_fn, structure_fn,
-                                                      params=params)
-        structure.anchor_exprs = dist_exprs
-        metric = BundleMetric.from_callable(gram_fn, m)
-        embedded_payload = {
-            "ambient_metric": (lambda x: ambient_table(x)),
-            "distribution": dist_fields,
-            "complement": comp_fields,
-        }
+        structure = AlgebroidStructure(coords, m, anchor_fn, structure_fn, params=params)
+        metric = BundleMetric(gram_fn, m)
+        embedded_payload = {"distribution": dist_fields, "complement": comp_fields}
 
     potential = None
     if document.get("potential") is not None:
@@ -307,7 +311,7 @@ def load_spec(document: dict) -> SystemDefinition:
         controls=controls, declared_complement=declared_complement, chart=chart,
         candidates=candidates, reparam_candidates=reparams,
         mode=mode, document=json.loads(json.dumps(document)), embedded=embedded_payload)
-    sysdef.validate()
+    sysdef.validate(points=probes)
     return sysdef
 
 

@@ -12,6 +12,7 @@ from algmech.expr import (
     Var,
     fd_directional,
     fd_gradient,
+    fd_partial,
     parse,
     partial,
 )
@@ -122,6 +123,13 @@ class TestPartial:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             partial(parse("x"), "x", {"x": 1.0}, step=-1e-6)
+        fn, x = (lambda z: z[0] * z[1]), np.array([1.0, 2.0])
+        with pytest.raises(ValueError):
+            fd_partial(fn, x, 0, step=-1e-6)
+        with pytest.raises(ValueError):
+            fd_gradient(fn, x, step=-1e-6)
+        with pytest.raises(ValueError):
+            fd_directional(fn, x, np.array([1.0, 0.0]), step=-1e-6)
 
     def test_linearity(self, rng):
         e1, e2 = parse("sin(x)*x^2"), parse("cos(x) + x^3")

@@ -89,7 +89,7 @@ class TestMetricOps:
             BundleMetric.from_exprs([["2", "0.3*r"], ["0.31*r", "2"]], ("r",))
 
     def test_singular_metric_raises(self):
-        Gm = BundleMetric.from_callable(lambda x: np.zeros((2, 2)), 2)
+        Gm = BundleMetric(lambda x: np.zeros((2, 2)), 2)
         with pytest.raises(SingularMetricError):
             sharp(Gm, np.array([1.0, 0.0]), np.zeros(1))
 
@@ -208,19 +208,25 @@ class TestCovariantDerivative:
                 rhs = bracket(sysd.structure, X, Y, p)
                 assert np.max(np.abs(lhs - rhs)) < 1e-4
 
-    def test_metricity_identity(self, leg, rng):
+    def test_metricity_identity(self, planar, leg, board, rng):
+        """rho(X)(G(Y, Z)) = G(nabla_X Y, Z) + G(Y, nabla_X Z); the snakeboard
+        (n > m) has a configuration-dependent metric on its induced frame."""
         from algmech.expr import fd_directional
 
-        S, Gm = leg.structure, leg.metric
-        X = leg.section_from_exprs(["1", "r", "0"])
-        Y = leg.section_from_exprs(["0", "1", "theta"])
-        Z = leg.section_from_exprs(["r", "0", "1"])
-        for p in leg.sample(5, seed=9):
-            g_YZ = lambda x: float(Y(x) @ Gm.matrix(x) @ Z(x))
-            lhs = fd_directional(g_YZ, p, S.anchor(p).T @ X(p))
-            rhs = (float(covariant_derivative(S, Gm, X, Y, p) @ Gm.matrix(p) @ Z(p))
-                   + float(Y(p) @ Gm.matrix(p) @ covariant_derivative(S, Gm, X, Z, p)))
-            assert abs(lhs - rhs) < 1e-4
+        cases = [
+            (leg, ["1", "r", "0"], ["0", "1", "theta"], ["r", "0", "1"]),
+            (planar, ["1", "x", "0"], ["0", "1", "theta"], ["y", "0", "1"]),
+            (board, ["1", "phi", "0"], ["0", "1", "psi"], ["sin(phi)", "0", "1"]),
+        ]
+        for sysd, x_row, y_row, z_row in cases:
+            S, Gm = sysd.structure, sysd.metric
+            X, Y, Z = (sysd.section_from_exprs(row) for row in (x_row, y_row, z_row))
+            for p in sysd.sample(5, seed=9):
+                g_YZ = lambda x: float(Y(x) @ Gm.matrix(x) @ Z(x))
+                lhs = fd_directional(g_YZ, p, S.anchor(p).T @ X(p))
+                rhs = (float(covariant_derivative(S, Gm, X, Y, p) @ Gm.matrix(p) @ Z(p))
+                       + float(Y(p) @ Gm.matrix(p) @ covariant_derivative(S, Gm, X, Z, p)))
+                assert abs(lhs - rhs) < 1e-4
 
     def test_leg_self_derivative_of_first_control(self, leg):
         p = np.array([1.0, 0.4, -0.2])

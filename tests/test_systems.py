@@ -112,6 +112,26 @@ class TestLoader:
         with pytest.raises(SpecError, match="antisymmetric"):
             load_spec(doc)
 
+    def test_metric_mirror_probes_stay_in_the_chart(self, leg):
+        """sqrt(r) is real on the chart box r in [0.5, 3], not on [-1, 1]."""
+        doc = dump_spec(leg)
+        doc["metric"][0][1] = doc["metric"][1][0] = "0*sqrt(r)"
+        sysd = load_spec(doc)
+        p = np.array([1.3, 0.2, -0.5])
+        assert sysd.metric.matrix(p) == pytest.approx(leg.metric.matrix(p), abs=0.0)
+
+    def test_structure_mirror_probes_stay_in_the_chart(self, leg):
+        from algmech import christoffel
+
+        doc = dump_spec(leg)
+        doc["structure"]["1,1,2"] = "2*J*sqrt(r)/(m*r*sqrt(r)*(J+m*r^2))"
+        doc["structure"]["1,2,1"] = "-2*J*sqrt(r)/(m*r*sqrt(r)*(J+m*r^2))"
+        sysd = load_spec(doc)
+        p = np.array([1.3, 0.2, -0.5])
+        a = christoffel(leg.structure, leg.metric, p).gamma
+        b = christoffel(sysd.structure, sysd.metric, p).gamma
+        assert np.max(np.abs(a - b)) < 1e-12
+
     def test_missing_fields_are_path_addressed(self):
         with pytest.raises(SpecError, match=r"\$\.fiber"):
             load_spec({"name": "x", "base": ["x"], "mode": "intrinsic"})
