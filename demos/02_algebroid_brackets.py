@@ -10,6 +10,7 @@ import numpy as np
 
 from algmech import (
     OneForm,
+    Potential,
     anchor_apply,
     bracket,
     d_function,
@@ -33,8 +34,10 @@ print("anchored first control at heading 0:", anchor_apply(S, e1, [0.0, 0.0, 0.0
 f = parse("x^2 + y")
 print("d f in the frame:", d_function(S, f, p))
 
-# for a tangent-bundle structure the differential squares to zero
-kappa = OneForm(lambda x: d_function(S, f, x), 3)
+# for a tangent-bundle structure the differential squares to zero; a field
+# evaluated at many points is built once, so its table compiles once
+f_field = Potential.from_expr(f, S.coords, S.params)
+kappa = OneForm(lambda x: d_function(S, f_field, x), 3)
 print("d(df)(e1,e2) ~ 0:", d_oneform(S, kappa, e1, e2, p, step=1e-4))
 print("jacobiator ~ 0:", jacobiator(S, e1, e2, e3, p, step=1e-4))
 

@@ -58,7 +58,11 @@ def _check_free_variables(exprs: Iterable[Expr], coords, params, where: str):
 
 
 class _ExprTable:
-    """Callable field backed by a table of expressions over the chart."""
+    """Callable field backed by a table of expressions over the chart.
+
+    The table is compiled (:func:`expr._compile_table`) on its first call:
+    many tables, such as unused candidate sections, are never evaluated.
+    """
 
     def __init__(self, exprs, shape, coords, params):
         self.exprs = exprs  # flat list, row-major over `shape`
@@ -68,12 +72,19 @@ class _ExprTable:
         _check_free_variables(self.exprs, self.coords, self.params, "expression table")
         free = set().union(*(e.variables() for e in self.exprs)) if self.exprs else set()
         self.is_constant = not (free & set(self.coords))
+        self._compiled = None
 
     def __call__(self, x) -> np.ndarray:
-        env = dict(self.params)
-        for name, value in zip(self.coords, np.asarray(x, dtype=float)):
-            env[name] = float(value)
-        return np.array([e.eval(env) for e in self.exprs]).reshape(self.shape)
+        point = np.asarray(x, dtype=float)
+        if point.shape != (len(self.coords),):
+            raise ValueError(f"expression table over {len(self.coords)} coordinate(s) "
+                             f"got a point of shape {point.shape}")
+        compiled = self._compiled
+        if compiled is None:
+            # Threads racing here each compile an equal function and store it;
+            # the last store wins and no caller sees a partial one.
+            compiled = self._compiled = ex._compile_table(self.exprs, self.coords, self.params)
+        return compiled(point.tolist()).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -456,6 +467,8 @@ def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
     differential ``rho^i_A d_i f``; an array-valued callable gets one array
     per row.  Each row is one directional difference along the anchor image
     of ``e_A``, and every frame derivative of a field goes through here.
+    An expression ``f`` is compiled on every call; to evaluate one at many
+    points, build its field once (``Potential.from_expr``) and pass that.
     """
     p = S.check_point(p)
     fn = _as_scalar_field(f, S)

@@ -7,6 +7,7 @@ inconclusive), 2 on usage or load errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -304,6 +305,8 @@ def _cmd_report(args) -> int:
     return 1 if failed else 0
 
 
+# One parser per process: parse_args reads the parser and never mutates it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algmech",

@@ -4,15 +4,18 @@ Expressions are immutable trees over real literals, named variables, the
 arithmetic operators ``+ - * / ^`` (with ``^`` right-associative), unary
 negation and a fixed catalogue of functions.  Evaluation is pure: given a
 binding for every free variable it touches nothing else, so expressions can
-be shared freely across threads.
+be shared freely across threads.  ``Expr.eval`` walks the tree and is the
+reference semantics; :func:`_compile_table` turns a table of expressions into
+one straight-line Python function with bitwise-equal results.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -125,9 +128,7 @@ class BinOp(Expr):
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
+            return _div(a, b)
         if op == "^":
             return _power(a, b)
         raise AssertionError(f"unknown operator {op!r}")
@@ -150,6 +151,12 @@ class Call(Expr):
         for arg in self.args:
             out |= arg.variables()
         return out
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
 
 
 def _power(base: float, exponent: float) -> float:
@@ -361,6 +368,95 @@ def _format(expr: Expr, parent: int) -> str:
             text = f"{left} {expr.op} {right}"
         return f"({text})" if parent > prec else text
     raise AssertionError(f"unknown node {expr!r}")
+
+
+# --- compiled tables ----------------------------------------------------------
+
+# Binary operators as code over two operand names; division and powers go
+# through the tree-walk's helpers, so they raise the same EvalError.
+_OPERATOR_CODE = {
+    "+": "{} + {}",
+    "-": "{} - {}",
+    "*": "{} * {}",
+    "/": "_div({}, {})",
+    "^": "_power({}, {})",
+}
+
+
+def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings) -> Callable:
+    """Compile a table of expressions into one function of a point.
+
+    The function takes one value per name in ``coords`` and returns the
+    entries as a flat array.  The values are bitwise those of
+    :meth:`Expr.eval` with the coordinates bound over ``params``, and an
+    entry that fails raises what the tree-walk raises, at the same entry.
+    The generated code is straight-line, one assignment per distinct node:
+
+    * each subtree free of coordinates is evaluated here, once, with
+      ``Expr.eval``; one that raises stays in the code and raises per call;
+    * a repeated subtree is computed once;
+    * division, ``^`` and the functions call the tree-walk's helpers.
+
+    When every entry folds, no code is generated and the function returns
+    a copy of the folded values.
+    """
+    coord_names = {name: f"c{i}" for i, name in enumerate(coords)}
+    env = dict(params)
+    namespace = {"_div": _div, "_power": _power, "_array": np.array, "_params": env}
+    namespace.update((f"_f_{name}", fn) for name, (_, fn) in _FUNCTIONS.items())
+    constants = {}  # exact key of a value -> its name in `namespace`
+    temporaries = {}  # right-hand side -> the local assigned it
+    lines = []
+
+    def constant(value) -> str:
+        # Bits, not ==, so that 0.0 and -0.0 stay apart (atan2 tells them apart).
+        key = (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+        if key not in constants:
+            constants[key] = f"k{len(constants)}"
+            namespace[constants[key]] = value
+        return constants[key]
+
+    def assign(rhs: str) -> str:
+        if rhs not in temporaries:
+            temporaries[rhs] = f"t{len(temporaries)}"
+            lines.append(f"    {temporaries[rhs]} = {rhs}")
+        return temporaries[rhs]
+
+    def emit(node: Expr) -> str:
+        """The name that holds the value of ``node``, emitting code for it."""
+        if node.variables().isdisjoint(coord_names):
+            try:
+                return constant(node.eval(env))
+            except (ArithmeticError, TypeError, ValueError):
+                pass  # raises at call time, as in the tree-walk
+        if isinstance(node, Var):
+            # A coordinate shadows a parameter of the same name.
+            if node.name in coord_names:
+                return coord_names[node.name]
+            # Unbound, or a parameter float() rejects: raise per call, as the tree-walk does.
+            return assign(f"{constant(node)}.eval(_params)")
+        if isinstance(node, Neg):
+            return assign(f"-{emit(node.arg)}")
+        if isinstance(node, BinOp):
+            left = emit(node.left)
+            return assign(_OPERATOR_CODE[node.op].format(left, emit(node.right)))
+        if isinstance(node, Call):
+            args = [emit(arg) for arg in node.args]
+            return assign(f"_f_{node.func}({', '.join(args)})")
+        raise AssertionError(f"unknown node {node!r}")
+
+    results = [emit(e) for e in exprs]
+    if set(results) <= set(constants.values()):
+        # Copying a stored array is about twice as fast as building one from
+        # the constants, and the snakeboard's structure calls 26 constant
+        # tables per spray evaluation.
+        folded = np.array([namespace[name] for name in results])
+        return lambda point: folded.copy()
+    unpack = [f"    {', '.join(coord_names.values())}, = point"] if coord_names else []
+    source = "\n".join(["def _table(point):", *unpack, *lines,
+                        f"    return _array([{', '.join(results)}])"])
+    exec(compile(source, "<expression table>", "exec"), namespace)
+    return namespace["_table"]
 
 
 # --- finite differences -------------------------------------------------------

@@ -351,7 +351,11 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
 
 
 def gradient(S, Gm, V, p) -> np.ndarray:
-    """Metric gradient of a potential: sharp of its almost differential."""
+    """Metric gradient of a potential: sharp of its almost differential.
+
+    An expression ``V`` is compiled on every call; to evaluate one at many
+    points, pass a ``Potential`` or use :func:`gradient_section`.
+    """
     p = S.check_point(p)
     fn = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
     return sharp(Gm, d_function(S, fn, p), p)
@@ -359,4 +363,5 @@ def gradient(S, Gm, V, p) -> np.ndarray:
 
 def gradient_section(S, Gm, V) -> Section:
     """The gradient as a section, evaluable anywhere on the chart."""
+    V = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
     return Section(lambda x: gradient(S, Gm, V, x), S.m, label="grad")

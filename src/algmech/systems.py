@@ -28,7 +28,7 @@ from .algebroid import (
     vector_field_bracket,
 )
 from .expr import Expr
-from .geometry import BundleMetric, ForceField, Potential, sharp
+from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, sharp
 from .reduction import Projector, Subbundle
 
 __all__ = [
@@ -204,7 +204,10 @@ def induced_algebroid(metric_fn: Callable, distribution: Sequence[Callable],
         for a in range(m):
             for b in range(a + 1, m):
                 lie = vector_field_bracket(fields[a], fields[b], x, step)
-                coeffs = np.linalg.solve(gram, B @ G @ lie)
+                try:
+                    coeffs = np.linalg.solve(gram, B @ G @ lie)
+                except np.linalg.LinAlgError:
+                    raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
                 C[:, a, b] = coeffs
                 C[:, b, a] = -coeffs
         return C
@@ -275,15 +278,10 @@ def load_spec(document: dict) -> SystemDefinition:
         dist_exprs = _expr_rows(dist_rows, n, "$.distribution")
         comp_rows = document.get("complement") or []
         comp_exprs = _expr_rows(comp_rows, n, "$.complement")
-
-        def vector_field(exprs):
-            table = _ExprTable(list(exprs), (n,), coords, params)
-            return lambda x: table(x)
-
-        dist_fields = [vector_field(row) for row in dist_exprs]
-        comp_fields = [vector_field(row) for row in comp_exprs]
+        dist_fields = [_ExprTable(row, (n,), coords, params) for row in dist_exprs]
+        comp_fields = [_ExprTable(row, (n,), coords, params) for row in comp_exprs]
         anchor_fn, structure_fn, gram_fn = induced_algebroid(
-            lambda x: ambient_table(x), dist_fields, comp_fields, n)
+            ambient_table, dist_fields, comp_fields, n)
         structure = AlgebroidStructure(coords, m, anchor_fn, structure_fn, params=params)
         metric = BundleMetric(gram_fn, m)
         embedded_payload = {"distribution": dist_fields, "complement": comp_fields}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from algmech.cli import main
+from algmech.cli import build_parser, main
 from algmech.report import render_text, run_battery
 
 
@@ -167,6 +167,22 @@ class TestUsageErrors:
         bad.write_text("{ not json")
         code, _, err = run(capsys, "christoffel", "--system", str(bad))
         assert code == 2
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ("christoffel", "--system", "planar_body", "--at", "0.1,0.2,0.3", "--format", "json"),
+        ("christoffel", "--system", "planar_body", "--format", "xml"),  # usage error
+        ("closure", "--system", "planar_body", "--at", "0.1,0.2,0.3", "--format", "json"),
+        ("christoffel", "--system", "robotic_leg", "--at", "2,0,0", "--format", "json"),
+    ]
+
+    def test_one_parser_serves_a_sequence_of_commands(self, capsys):
+        in_sequence = [run(capsys, *argv) for argv in self.COMMANDS]
+        assert [code for code, _, _ in in_sequence] == [0, 2, 0, 0]
+        for argv, result in zip(self.COMMANDS, in_sequence):
+            build_parser.cache_clear()
+            assert run(capsys, *argv) == result
 
 
 class TestReportCommand:

@@ -1,12 +1,19 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from algmech import expr as ex
+from algmech.algebroid import _ExprTable
 from algmech.expr import (
     BinOp,
+    Call,
     EvalError,
     Expr,
+    Neg,
     Num,
     ParseError,
     Var,
@@ -170,3 +177,155 @@ class TestCallableDifferences:
         fn = lambda x: np.array([x[0] * x[1], x[1] ** 2])
         out = fd_directional(fn, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         assert out == pytest.approx([2.0, 0.0], abs=1e-8)
+
+
+# --- compiled tables against the tree-walk ------------------------------------
+
+COORDS = ("x", "y", "z")
+PARAMS = {"a": 1.5, "b": -0.0, "y": 7.0}  # "y" is shadowed by the coordinate
+
+# Special values (signed zeros, infinities, NaN) exercise every EvalError path.
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan]
+
+
+def _random_value(rng):
+    return rng.choice(_SPECIAL) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
+
+
+def _random_expr(rng, depth, shared):
+    """A random tree over the whole grammar; some subtrees are reused from ``shared``."""
+    if shared and rng.random() < 0.1:
+        return rng.choice(shared)
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.35:
+            return Num(_random_value(rng))
+        if rng.random() < 0.03:
+            return Var("w")  # unbound
+        return Var(rng.choice(COORDS + tuple(PARAMS)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        node = Neg(_random_expr(rng, depth - 1, shared))
+    elif kind == 1:
+        node = BinOp(rng.choice("+-*/^"), _random_expr(rng, depth - 1, shared),
+                     _random_expr(rng, depth - 1, shared))
+    else:
+        name = rng.choice(sorted(ex._FUNCTIONS))
+        node = Call(name, tuple(_random_expr(rng, depth - 1, shared)
+                                for _ in range(ex._FUNCTIONS[name][0])))
+    shared.append(node)
+    return node
+
+
+def _outcome(thunk):
+    """Bits of the result, or the type and message of what was raised.
+
+    NaNs compare as one value: CPython's float arithmetic does not keep a
+    NaN's sign bit stable, even between two tree-walks of one expression.
+    """
+    try:
+        out = thunk()
+    except Exception as err:  # the comparison is over every failure
+        return type(err), str(err)
+    return out.dtype, out.shape, np.where(np.isnan(out), np.nan, out).tobytes()
+
+
+def _tree_walk(exprs, point, params=PARAMS, coords=COORDS):
+    env = dict(params)
+    env.update(zip(coords, point))
+    return np.array([e.eval(env) for e in exprs])
+
+
+class TestCompiledTable:
+    def test_matches_tree_walk_on_random_tables(self):
+        rng = random.Random(20261018)
+        raised = 0
+        for case in range(2000):
+            shared = []
+            exprs = [_random_expr(rng, 4, shared) for _ in range(rng.randint(1, 4))]
+            point = [_random_value(rng) for _ in COORDS]
+            params = {name: _random_value(rng) for name in PARAMS}
+            compiled = ex._compile_table(exprs, COORDS, params)
+            want = _outcome(lambda: _tree_walk(exprs, point, params))
+            assert _outcome(lambda: compiled(point)) == want, (case, exprs, point, params)
+            raised += isinstance(want[0], type)
+        assert 200 < raised < 1800  # both values and failures are compared
+
+    def test_signed_zero_constants_stay_apart(self):
+        # Num(0.0) == Num(-0.0), but atan2(0, 0.0) = 0 and atan2(0, -0.0) = pi.
+        pos = Call("atan2", (Var("x"), Num(0.0)))
+        neg = Call("atan2", (Var("x"), Num(-0.0)))
+        for table in ([pos, neg], [neg, pos]):
+            out = ex._compile_table(table, ("x",), {})([0.0])
+            assert out.tobytes() == _tree_walk(table, [0.0], {}, ("x",)).tobytes()
+        assert ex._compile_table([pos, neg], ("x",), {})([0.0]).tolist() == [0.0, math.pi]
+
+    def test_repeated_subtree_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted_sin(v):
+            calls.append(v)
+            return math.sin(v)
+
+        monkeypatch.setitem(ex._FUNCTIONS, "sin", (1, counted_sin))
+        table = [parse("a*sin(x)^2/(1 + a*sin(x)^2)"), parse("cos(x)/(1 + a*sin(x)^2)")]
+        compiled = ex._compile_table(table, ("x",), {"a": 2.0})
+        out = compiled([0.3])
+        assert len(calls) == 1
+        assert out.tobytes() == _tree_walk(table, [0.3], {"a": 2.0}, ("x",)).tobytes()
+
+    def test_coordinate_shadows_parameter(self):
+        assert ex._compile_table([parse("x*a")], ("x",), {"x": 5.0, "a": 2.0})([1.0]).tolist() == [2.0]
+
+    @pytest.mark.parametrize("source", [
+        " + ".join(["x"] * 300),
+        "(" * 150 + "x" + " + x)" * 150,
+    ])
+    def test_deep_expressions(self, source):
+        tree = parse(source)
+        out = ex._compile_table([tree], ("x",), {})([1.25])
+        assert out.tobytes() == np.array([tree.eval({"x": 1.25})]).tobytes()
+
+    def test_failing_constant_subtree_raises_per_call_in_entry_order(self):
+        compiled = ex._compile_table([parse("1/x"), parse("ln(0 - 1)")], ("x",), {})
+        with pytest.raises(EvalError, match="division by zero"):
+            compiled([0.0])
+        with pytest.raises(EvalError, match="ln of a non-positive value"):
+            compiled([1.0])
+
+    def test_folded_table_returns_fresh_arrays(self):
+        compiled = ex._compile_table([parse("a + 1"), parse("2*a")], ("x",), {"a": 1.0})
+        first = compiled([0.0])
+        first[:] = -1.0
+        assert compiled([0.0]).tolist() == [2.0, 2.0]
+
+    def test_mis_sized_point_raises(self):
+        table = _ExprTable([parse("x + y")], (1,), ("x", "y"), {})
+        with pytest.raises(ValueError, match=r"2 coordinate.*\(3,\)"):
+            table([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"2 coordinate.*\(1,\)"):
+            table([1.0])
+
+    def test_first_call_from_many_threads(self):
+        exprs = [parse("sin(x)*y/(1 + x^2)"), parse("atan2(y, x) - ln(1 + y^2)")]
+        points = [np.array([0.1 * k, 1.0 - 0.05 * k]) for k in range(8)]
+        expected = [_tree_walk(exprs, p, {}, ("x", "y")) for p in points]
+        table = _ExprTable(exprs, (2,), ("x", "y"), {})
+        results = [None] * len(points)
+
+        def work(k):
+            for _ in range(50):
+                results[k] = table(points[k])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert got.tobytes() == want.tobytes()

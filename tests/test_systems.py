@@ -6,6 +6,7 @@ import pytest
 from algmech import (
     BundleMetric,
     Section,
+    SingularMetricError,
     SpecError,
     builtin,
     dump_spec,
@@ -233,6 +234,24 @@ class TestInducedAlgebroid:
         assert np.allclose(anchor_fn(p), np.eye(2))
         assert np.max(np.abs(structure_fn(p))) < 1e-10
         assert np.allclose(gram_fn(p), np.eye(2))
+
+    def test_singular_gram_names_the_point(self):
+        """The distribution field x*d/dx vanishes on x = 0, where the Gram
+        matrix of the spanning fields is singular."""
+        from algmech import bracket
+
+        sysdef = load_spec({
+            "name": "degenerate", "base": ["x", "y"], "fiber": 2, "mode": "embedded",
+            "ambient": {"metric": [["1", "0"], ["0", "1"]]},
+            "distribution": [["x", "0"], ["0", "1"]],
+            "chart": {"box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}},
+        })
+        p = np.array([0.0, 0.3])
+        with pytest.raises(SingularMetricError, match=r"singular at \[0\. +0\.3\]"):
+            sysdef.structure.structure(p)
+        e1, e2 = sysdef.basis_sections()
+        with pytest.raises(SingularMetricError, match=r"singular at \[0\. +0\.3\]"):
+            bracket(sysdef.structure, e1, e2, p)
 
     def test_snakeboard_nonvanishing_pattern(self, board):
         """Only four bracket-coefficient families survive; everything else is
