@@ -10,9 +10,8 @@ point, which is how subbundle-induced structures are realized.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -45,33 +44,33 @@ _SV_THRESHOLD = 1e-8
 _MIRROR_RTOL = 1e-9
 
 
-def _parse_all(entries: Iterable) -> list:
-    return [e if isinstance(e, Expr) else ex.parse(str(e)) for e in entries]
-
-
-def _check_free_variables(exprs: Iterable[Expr], coords, params, where: str):
-    allowed = set(coords) | set(params)
-    for e in exprs:
-        extra = e.variables() - allowed
-        if extra:
-            raise ValueError(f"{where}: unknown variable(s) {sorted(extra)}")
+def _as_expr(entry) -> Expr:
+    """An entry of an expression block: an ``Expr`` as is, anything else parsed."""
+    return entry if isinstance(entry, Expr) else ex.parse(str(entry))
 
 
 class _ExprTable:
     """Callable field backed by a table of expressions over the chart.
 
-    The table is compiled (:func:`expr._compile_table`) on its first call:
-    many tables, such as unused candidate sections, are never evaluated.
+    Every block of expressions in a system (anchor, structure functions,
+    metric, ambient metric, distribution, complement, force, controls,
+    potential) is one table.  ``entries`` are expressions or strings, flat
+    and row-major over ``shape``; an unknown variable is reported under the
+    label ``where``.  The table is compiled (:func:`expr._compile_table`) on
+    its first call: many tables, such as unused candidate sections, are
+    never evaluated.
     """
 
-    def __init__(self, exprs, shape, coords, params):
-        self.exprs = exprs  # flat list, row-major over `shape`
+    def __init__(self, entries, shape, coords, params, where: str = "expression table"):
+        self.exprs = [_as_expr(e) for e in entries]
         self.shape = shape
         self.coords = tuple(coords)
         self.params = dict(params)
-        _check_free_variables(self.exprs, self.coords, self.params, "expression table")
-        free = set().union(*(e.variables() for e in self.exprs)) if self.exprs else set()
-        self.is_constant = not (free & set(self.coords))
+        free = set().union(*(e.variables() for e in self.exprs))
+        extra = free - set(self.coords) - set(self.params)
+        if extra:
+            raise ValueError(f"{where}: unknown variable(s) {sorted(extra)}")
+        self.is_constant = free.isdisjoint(self.coords)
         self._compiled = None
 
     def __call__(self, x) -> np.ndarray:
@@ -85,6 +84,38 @@ class _ExprTable:
             # the last store wins and no caller sees a partial one.
             compiled = self._compiled = ex._compile_table(self.exprs, self.coords, self.params)
         return compiled(point.tolist()).reshape(self.shape)
+
+
+def _scalar_field(entry, coords, params, where: str) -> Callable:
+    """One expression as a scalar function of the point."""
+    table = _ExprTable([entry], (1,), coords, params, where)
+    return lambda x: float(table(x)[0])
+
+
+def _check_mirrors(pairs, sign: float, coords, params, points, where: str) -> None:
+    """Reject mirror entries that are not one function written twice.
+
+    ``pairs`` holds ``(first, second, fault)``: at every probe point
+    ``first`` must equal ``sign * second`` up to rounding (relative to the
+    larger magnitude), and both must be finite; the first pair that fails
+    raises ``ValueError(fault)``.  All pairs are one compiled table.
+    """
+    if not pairs:
+        return
+    table = _ExprTable([e for first, second, _ in pairs for e in (first, second)],
+                       (len(pairs), 2), coords, params, where)
+    points = list(points)
+    values = np.array([table(p) for p in points]).reshape(len(points), len(pairs), 2)
+    first, second = values[..., 0], sign * values[..., 1]
+    finite = np.isfinite(first) & np.isfinite(second)
+    agree = np.abs(first - second) <= _MIRROR_RTOL * np.maximum(np.abs(first), np.abs(second))
+    bad = ~(finite & agree)
+    for k, (_, _, fault) in enumerate(pairs):
+        if bad[:, k].any():
+            i = int(np.argmax(bad[:, k]))
+            if not finite[i, k]:
+                raise ValueError(f"{fault}: not finite at {points[i]}")
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True)
@@ -160,9 +191,9 @@ class Section:
 
     @classmethod
     def from_exprs(cls, entries: Sequence, coords, params=None, label: str = "") -> "Section":
-        exprs = _parse_all(entries)
-        table = _ExprTable(exprs, (len(exprs),), coords, params or {})
-        return cls(table, len(exprs), label=label)
+        entries = list(entries)
+        return cls(_ExprTable(entries, (len(entries),), coords, params or {}), len(entries),
+                   label=label)
 
     @classmethod
     def constant(cls, values, label: str = "") -> "Section":
@@ -216,15 +247,15 @@ class AlgebroidStructure:
         Named parameters available to coefficient expressions.
     """
 
-    def __init__(self, coords, rank, anchor_fn, structure_fn, params=None,
-                 constant_structure: bool = False):
+    def __init__(self, coords, rank, anchor_fn, structure_fn, params=None):
         self.coords = tuple(coords)
         self.n = len(self.coords)
         self.m = int(rank)
         self.params = dict(params or {})
         self._anchor_fn = anchor_fn
         self._structure_fn = structure_fn
-        self.constant_structure = bool(constant_structure)
+        # Only an expression table knows it is coordinate-free.
+        self.constant_structure = getattr(structure_fn, "is_constant", False)
 
     # -- construction ----------------------------------------------------
 
@@ -249,9 +280,7 @@ class AlgebroidStructure:
         rows = [list(r) for r in anchor]
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError(f"anchor must be {m}x{n}")
-        anchor_exprs = [_parse_all(r) for r in rows]
-        _check_free_variables(itertools.chain.from_iterable(anchor_exprs), coords, params, "anchor")
-        anchor_table = _ExprTable(list(itertools.chain.from_iterable(anchor_exprs)), (m, n), coords, params)
+        anchor_table = _ExprTable([e for r in rows for e in r], (m, n), coords, params, "anchor")
 
         table = [[[None] * m for _ in range(m)] for _ in range(m)]
         for key, entry in dict(structure or {}).items():
@@ -259,40 +288,34 @@ class AlgebroidStructure:
             for idx, name in ((c, "upper"), (a, "first lower"), (b, "second lower")):
                 if not 1 <= idx <= m:
                     raise ValueError(f"structure index {key}: {name} index out of range 1..{m}")
-            e = entry if isinstance(entry, Expr) else ex.parse(str(entry))
             if table[c - 1][a - 1][b - 1] is not None:
                 raise ValueError(f"structure entry ({c},{a},{b}) supplied twice")
-            table[c - 1][a - 1][b - 1] = e
+            table[c - 1][a - 1][b - 1] = _as_expr(entry)
 
-        if probe_points is None:
-            probe_points = _probe_points(n)
-        cls._enforce_antisymmetry(table, m, coords, params, probe_points)
-        flat = [table[c][a][b] or Num0 for c in range(m) for a in range(m) for b in range(m)]
-        _check_free_variables(flat, coords, params, "structure functions")
-        structure_table = _ExprTable(flat, (m, m, m), coords, params)
-
-        return cls(coords, m, anchor_table, structure_table, params=params,
-                   constant_structure=structure_table.is_constant)
-
-    @staticmethod
-    def _enforce_antisymmetry(table, m, coords, params, points):
-        env_base = dict(params)
+        # Supplied mirror pairs must be opposite; a diagonal entry is its own
+        # mirror, so it must vanish.  A missing mirror is the negated entry.
+        pairs = []
         for c in range(m):
             for a in range(m):
-                if table[c][a][a] is not None and not _is_zero(table[c][a][a], coords, env_base, points):
-                    raise ValueError(f"structure entry ({c + 1},{a + 1},{a + 1}) must vanish (antisymmetry)")
+                if table[c][a][a] is not None:
+                    pairs.append((table[c][a][a], table[c][a][a],
+                                  f"structure entry ({c + 1},{a + 1},{a + 1}) must vanish (antisymmetry)"))
                 for b in range(a + 1, m):
-                    upper = table[c][a][b]
-                    mirror = table[c][b][a]
+                    upper, mirror = table[c][a][b], table[c][b][a]
                     if upper is not None and mirror is not None:
-                        if not _opposite(upper, mirror, coords, env_base, points):
-                            raise ValueError(
-                                f"structure entries ({c + 1},{a + 1},{b + 1}) and "
-                                f"({c + 1},{b + 1},{a + 1}) are not antisymmetric")
+                        pairs.append((upper, mirror,
+                                      f"structure entries ({c + 1},{a + 1},{b + 1}) and "
+                                      f"({c + 1},{b + 1},{a + 1}) are not antisymmetric"))
                     elif upper is not None:
                         table[c][b][a] = ex.Neg(upper)
                     elif mirror is not None:
                         table[c][a][b] = ex.Neg(mirror)
+        if probe_points is None:
+            probe_points = _probe_points(n)
+        _check_mirrors(pairs, -1.0, coords, params, probe_points, "structure functions")
+        flat = [table[c][a][b] or Num0 for c in range(m) for a in range(m) for b in range(m)]
+        structure_table = _ExprTable(flat, (m, m, m), coords, params, "structure functions")
+        return cls(coords, m, anchor_table, structure_table, params=params)
 
     # -- evaluation --------------------------------------------------------
 
@@ -351,29 +374,6 @@ def _probe_points(n, count=8, seed=0):
         return [np.zeros(0)]
     rng = np.random.default_rng(seed)
     return list(rng.uniform(-1.0, 1.0, size=(count, n)))
-
-
-def _is_zero(e, coords, params, points) -> bool:
-    for p in points:
-        env = dict(params)
-        env.update(zip(coords, p))
-        if e.eval(env) != 0.0:
-            return False
-    return True
-
-
-def _agree(a: float, b: float) -> bool:
-    """Equal up to rounding, relative to the larger magnitude."""
-    return abs(a - b) <= _MIRROR_RTOL * max(abs(a), abs(b))
-
-
-def _opposite(e1, e2, coords, params, points) -> bool:
-    for p in points:
-        env = dict(params)
-        env.update(zip(coords, p))
-        if not _agree(e1.eval(env), -e2.eval(env)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -450,11 +450,8 @@ def anchor_apply(S: AlgebroidStructure, X: Section, p) -> np.ndarray:
 
 
 def _as_scalar_field(f, S: AlgebroidStructure) -> Callable:
-    if isinstance(f, Expr):
-        table = _ExprTable([f], (1,), S.coords, S.params)
-        return lambda x: float(table(x)[0])
-    if isinstance(f, str):
-        return _as_scalar_field(ex.parse(f), S)
+    if isinstance(f, (Expr, str)):
+        return _scalar_field(f, S.coords, S.params, "scalar function")
     if callable(f):
         return f
     raise TypeError("expected an expression or a callable scalar field")
@@ -531,10 +528,10 @@ def vector_field_bracket(U: Callable, V: Callable, x, step=None) -> np.ndarray:
     return np.asarray(fd_directional(V, x, U(x), step)) - np.asarray(fd_directional(U, x, V(x), step))
 
 
-def span_rank(vectors, threshold: float = _SV_THRESHOLD) -> int:
+def span_rank(vectors) -> int:
     """Numerical rank of a list of vectors via singular values.
 
-    Singular values below ``threshold * max(largest, 1)`` count as zero.
+    Singular values below ``1e-8 * max(largest, 1)`` count as zero.
     """
     matrix = np.atleast_2d(np.asarray(vectors, dtype=float))
     if matrix.size == 0:
@@ -542,7 +539,7 @@ def span_rank(vectors, threshold: float = _SV_THRESHOLD) -> int:
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0:
         return 0
-    return int(np.sum(sv > threshold * max(float(sv[0]), 1.0)))
+    return int(np.sum(sv > _SV_THRESHOLD * max(float(sv[0]), 1.0)))
 
 
 def lie_closure_rank(S: AlgebroidStructure, p, depth: int, sections=None, step=None) -> int:

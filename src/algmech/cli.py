@@ -185,7 +185,7 @@ def _cmd_check_decoupling(args) -> int:
     else:
         sections = list(controls.sections)
     reports = [is_decoupling(sysdef.structure, sysdef.metric, controls, X, points,
-                             args.tol, force=sysdef.force) for X in sections]
+                             args.tol, force=sysdef.effective_force()) for X in sections]
     payload = {"system": sysdef.name, "checks": [r.to_dict() for r in reports]}
     lines = [f"[{r.verdict.upper()}] decoupling {X.label or '?'}: "
              f"worst {r.worst_residual:.3e}" for X, r in zip(sections, reports)]
@@ -206,7 +206,7 @@ def _cmd_check_reduction(args) -> int:
     candidate = _span_from_arg(sysdef, args.span)
     points = sysdef.sample(args.samples, args.seed)
     rep = kinematic_reduction_check(sysdef.structure, sysdef.metric, controls, candidate,
-                                    points, args.tol, force=sysdef.force)
+                                    points, args.tol, force=sysdef.effective_force())
     _emit(args, {"system": sysdef.name, "check": rep.to_dict()},
           f"[{rep.verdict.upper()}] kinematic reduction: worst {rep.worst_residual:.3e}")
     return _exit_code([rep])
@@ -230,7 +230,7 @@ def _cmd_check_maxred(args) -> int:
     candidate = _span_from_arg(sysdef, args.span)
     points = sysdef.sample(args.samples, args.seed)
     rep = maximal_reducibility_check(sysdef.structure, sysdef.metric, controls, candidate,
-                                     points, args.tol, force=sysdef.force)
+                                     points, args.tol, force=sysdef.effective_force())
     _emit(args, {"system": sysdef.name, "check": rep.to_dict()},
           f"[{rep.verdict.upper()}] maximal reducibility: worst {rep.worst_residual:.3e}")
     return _exit_code([rep])

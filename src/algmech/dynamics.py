@@ -12,9 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _ExprTable
-from .expr import EvalError, Expr
+from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
+from .expr import EvalError
 from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, christoffel_field
 
 __all__ = [
@@ -71,12 +70,13 @@ class ControlSignal:
         self.mode = mode
         self.coords = tuple(coords)
         names = self.coords + (("t",) if mode == self.TIME_DRIVEN else ())
-        exprs = [e if isinstance(e, Expr) else ex.parse(str(e)) for e in entries]
+        exprs = [_as_expr(e) for e in entries]
+        # Checked before the table is built, whose own check would only call t unknown.
         if mode == self.STATE_FEEDBACK:
             for e in exprs:
                 if "t" in e.variables() and "t" not in self.coords:
                     raise ValueError("state-feedback controls may not reference t")
-        self._table = _ExprTable(exprs, (len(exprs),), names, params or {})
+        self._table = _ExprTable(exprs, (len(exprs),), names, params or {}, "controls")
         self.k = len(exprs)
 
     def __call__(self, t: float, x) -> np.ndarray:

@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .algebroid import (AlgebroidStructure, Section, Trajectory, _ExprTable, _agree,
-                        _probe_points, d_function)
-from .expr import Expr, fd_directional
+from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _check_mirrors,
+                        _ExprTable, _probe_points, _scalar_field, d_function)
+from .expr import fd_directional
 
 __all__ = [
     "BundleMetric",
@@ -47,10 +46,11 @@ class SingularMetricError(ValueError):
 class BundleMetric:
     """Symmetric fiber metric ``G_AB(x)`` on the algebroid."""
 
-    def __init__(self, fn: Callable, rank: int, constant: bool = False):
+    def __init__(self, fn: Callable, rank: int):
         self._fn = fn
         self.m = int(rank)
-        self.is_constant = bool(constant)
+        # Only an expression table knows it is coordinate-free.
+        self.is_constant = getattr(fn, "is_constant", False)
 
     @classmethod
     def from_exprs(cls, entries: Sequence[Sequence], coords, params=None,
@@ -59,39 +59,30 @@ class BundleMetric:
 
         Symmetry is enforced by storage: entries below the diagonal may be
         omitted (``None``/``""``), and explicitly supplied mirror pairs must
-        agree up to rounding at ``probe_points`` (the loader passes chart
-        samples), or at points of ``[-1, 1]^n`` when omitted.
+        agree up to rounding, and be finite, at ``probe_points`` (the loader
+        passes chart samples), or at points of ``[-1, 1]^n`` when omitted.
         """
         m = len(entries)
-        rows = [list(r) for r in entries]
-        if any(len(r) != m for r in rows):
+        cells = [[None if cell in (None, "") else cell for cell in row] for row in entries]
+        if any(len(row) != m for row in cells):
             raise ValueError("metric table must be square")
-        parsed = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                cell = rows[i][j]
-                if cell in (None, ""):
-                    continue
-                parsed[i][j] = cell if isinstance(cell, Expr) else ex.parse(str(cell))
-        points = _probe_points(len(coords)) if probe_points is None else probe_points
-        params = dict(params or {})
+        pairs = []
         for i in range(m):
             for j in range(i + 1, m):
-                upper, lower = parsed[i][j], parsed[j][i]
+                upper, lower = cells[i][j], cells[j][i]
                 if upper is not None and lower is not None:
-                    for p in points:
-                        env = dict(params)
-                        env.update(zip(coords, p))
-                        if not _agree(upper.eval(env), lower.eval(env)):
-                            raise ValueError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+                    pairs.append((upper, lower,
+                                  f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ"))
                 elif upper is not None:
-                    parsed[j][i] = upper
+                    cells[j][i] = upper
                 elif lower is not None:
-                    parsed[i][j] = lower
-        zero = ex.Num(0.0)
-        flat_exprs = [parsed[i][j] or zero for i in range(m) for j in range(m)]
-        table = _ExprTable(flat_exprs, (m, m), coords, params)
-        return cls(table, m, constant=table.is_constant)
+                    cells[i][j] = lower
+        points = _probe_points(len(coords)) if probe_points is None else probe_points
+        params = dict(params or {})
+        _check_mirrors(pairs, 1.0, coords, params, points, "metric")
+        table = _ExprTable([Num0 if cell is None else cell for row in cells for cell in row],
+                           (m, m), coords, params, "metric")
+        return cls(table, m)
 
     def matrix(self, x) -> np.ndarray:
         out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
@@ -100,24 +91,25 @@ class BundleMetric:
         return out
 
     def inverse(self, x) -> np.ndarray:
-        G = self.matrix(x)
-        try:
-            inv = np.linalg.inv(G)
-        except np.linalg.LinAlgError:
-            raise SingularMetricError(f"metric is singular at {np.asarray(x)}") from None
-        if not np.all(np.isfinite(inv)):
-            raise SingularMetricError(f"metric is singular at {np.asarray(x)}")
-        return inv
+        return _invert(self.matrix(x), x)
 
-    def positive_definite_on(self, points, strict: bool = True) -> bool:
+    def positive_definite_on(self, points) -> bool:
         """Sampled diagnostic; returns False at the first offending point."""
         for p in np.atleast_2d(points):
-            w = np.linalg.eigvalsh(self.matrix(p))
-            if strict and np.any(w <= 0):
-                return False
-            if not strict and np.any(w == 0):
+            if np.any(np.linalg.eigvalsh(self.matrix(p)) <= 0):
                 return False
         return True
+
+
+def _invert(G: np.ndarray, x) -> np.ndarray:
+    """Inverse of the metric matrix ``G`` at ``x``; raises when it is singular."""
+    try:
+        inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError(f"metric is singular at {np.asarray(x)}") from None
+    if not np.all(np.isfinite(inv)):
+        raise SingularMetricError(f"metric is singular at {np.asarray(x)}")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -150,9 +142,7 @@ class Potential:
 
     @classmethod
     def from_expr(cls, entry, coords, params=None) -> "Potential":
-        e = entry if isinstance(entry, Expr) else ex.parse(str(entry))
-        table = _ExprTable([e], (1,), coords, params or {})
-        return cls(lambda x: float(table(x)[0]))
+        return cls(_scalar_field(entry, coords, params or {}, "potential"))
 
     def __call__(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -166,15 +156,12 @@ class ForceField:
         self.m = int(rank)
 
     @classmethod
-    def from_exprs(cls, entries, coords, params=None, fiber_names=None) -> "ForceField":
+    def from_exprs(cls, entries, coords, params=None) -> "ForceField":
         """Component expressions may reference base coordinates and the fiber
-        coordinates, named ``y1..ym`` unless ``fiber_names`` overrides."""
+        coordinates, named ``y1..ym``."""
         m = len(entries)
-        names = tuple(fiber_names) if fiber_names else tuple(f"y{j + 1}" for j in range(m))
-        if len(names) != m:
-            raise ValueError("fiber coordinate names do not match rank")
-        table = _ExprTable([e if isinstance(e, Expr) else ex.parse(str(e)) for e in entries],
-                           (m,), tuple(coords) + names, params or {})
+        names = tuple(f"y{j + 1}" for j in range(m))
+        table = _ExprTable(entries, (m,), tuple(coords) + names, params or {}, "force")
 
         def fn(x, y):
             return table(np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]))
@@ -226,7 +213,7 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     """
     p = S.check_point(p)
     G = Gm.matrix(p)
-    Ginv = Gm.inverse(p)
+    Ginv = _invert(G, p)
     m = S.m
     C = S.structure(p)
 

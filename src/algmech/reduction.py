@@ -476,8 +476,7 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
 
 def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle],
                               X: Section, p0, horizon: float, step: float,
-                              tol=DEFAULT_TRAJECTORY_TOL, chart=None,
-                              closedness_tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
+                              tol=DEFAULT_TRAJECTORY_TOL, chart=None) -> VerificationReport:
     """Integrate the base flow of a section, lift it, and check the projected
     forced-geodesic residual along the curve.
 
@@ -517,7 +516,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
 
     details = {"closedness_residual": closedness, "horizon": horizon,
                "truncated": gamma_traj.truncated}
-    if closedness > closedness_tol:
+    if closedness > DEFAULT_ALGEBRAIC_TOL:
         # The equivalence theorem assumes closedness; without it the measured
         # residual says nothing about the Hamilton-Jacobi equation.
         verdict = "inconclusive"

@@ -23,13 +23,13 @@ from .systems import SystemDefinition
 __all__ = ["christoffel_table", "hj_algebraic_check", "run_battery", "render_text"]
 
 
-def christoffel_table(sysdef: SystemDefinition, point=None, threshold: float = 1e-9) -> dict:
-    """Nonzero connection coefficients at a point, 1-based indices."""
+def christoffel_table(sysdef: SystemDefinition, point=None) -> dict:
+    """Connection coefficients above 1e-9 in magnitude at a point, 1-based indices."""
     p = sysdef.center() if point is None else np.asarray(point, dtype=float)
     gamma = christoffel(sysdef.structure, sysdef.metric, p).gamma
     entries = []
     for (a, b, c), value in np.ndenumerate(gamma):
-        if abs(value) > threshold:
+        if abs(value) > 1e-9:
             entries.append({"upper": a + 1, "lower": [b + 1, c + 1], "value": float(value)})
     return {"point": [float(v) for v in p], "entries": entries}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .algebroid import (
     Exclusion,
     OneForm,
     Section,
+    _as_expr,
     _ExprTable,
     span_rank,
-    vector_field_bracket,
 )
-from .expr import Expr
+from .expr import Expr, fd_directional
 from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, sharp
 from .reduction import Projector, Subbundle
 
@@ -73,9 +73,14 @@ def _require(doc, key, kind, path, optional=False):
 
 def _parse_expr(text, path) -> Expr:
     try:
-        return ex.parse(str(text))
+        return _as_expr(text)
     except ex.ParseError as err:
         raise SpecError(path, str(err)) from None
+
+
+def _expr_table(rows, width, coords, params, where) -> _ExprTable:
+    """One table over parsed rows of ``width`` expressions each."""
+    return _ExprTable([e for row in rows for e in row], (len(rows), width), coords, params, where)
 
 
 def _expr_rows(rows, width, path) -> list:
@@ -164,46 +169,44 @@ class SystemDefinition:
                                     f"declared complement is not orthogonal to the controls "
                                     f"(worst residual {residual:.3e})")
         if self.embedded is not None:
-            frame_fields = self.embedded["distribution"] + self.embedded["complement"]
+            distribution, complement = self.embedded["distribution"], self.embedded["complement"]
             for p in points:
-                rows = [f(p) for f in frame_fields]
+                rows = np.vstack([distribution(p), complement(p)])
                 expected = min(len(rows), self.n)
                 if span_rank(rows) != expected:
                     raise SpecError(f"{self.name}.distribution",
                                     f"embedded frame drops rank at {p}")
 
 
-def induced_algebroid(metric_fn: Callable, distribution: Sequence[Callable],
-                      complement: Sequence[Callable], n: int, step=None):
+def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     """Skew-symmetric algebroid induced on a distribution of a tangent bundle.
 
-    The anchor is the inclusion (rows are the ambient components of the
-    spanning fields), the bundle metric is the restricted Gram matrix, and the
-    structure functions come from projecting finite-difference Lie brackets of
-    the spanning fields back onto the distribution with the ambient metric.
-    Returns ``(anchor_fn, structure_fn, gram_fn)`` as pointwise callables.
+    ``frame_fn`` returns the spanning fields at a point as the rows of an
+    ``(m, n)`` array; it is also the anchor, the inclusion of the
+    distribution.  The bundle metric is the Gram matrix of the frame under
+    ``metric_fn``, and the structure functions come from projecting Lie
+    brackets of the spanning fields back onto the distribution with the
+    ambient metric.  The brackets take ``m`` directional differences of the
+    whole frame, one along each spanning field.  Returns
+    ``(structure_fn, gram_fn)`` as pointwise callables.
     """
-    fields = list(distribution)
-    m = len(fields)
-
-    def frame(x):
-        return np.array([f(x) for f in fields])
-
-    def anchor_fn(x):
-        return frame(x)
 
     def gram_fn(x):
-        B = frame(x)
+        B = frame_fn(x)
         return B @ metric_fn(x) @ B.T
 
     def structure_fn(x):
-        B = frame(x)
+        B = frame_fn(x)
         G = metric_fn(x)
         gram = B @ G @ B.T
+        m = len(B)
+        # J[a][b] is the derivative of field b along field a, so that
+        # [U_a, U_b] = J[a][b] - J[b][a].
+        J = [fd_directional(frame_fn, x, row) for row in B]
         C = np.zeros((m, m, m))
         for a in range(m):
             for b in range(a + 1, m):
-                lie = vector_field_bracket(fields[a], fields[b], x, step)
+                lie = J[a][b] - J[b][a]
                 try:
                     coeffs = np.linalg.solve(gram, B @ G @ lie)
                 except np.linalg.LinAlgError:
@@ -212,7 +215,7 @@ def induced_algebroid(metric_fn: Callable, distribution: Sequence[Callable],
                 C[:, b, a] = -coeffs
         return C
 
-    return anchor_fn, structure_fn, gram_fn
+    return structure_fn, gram_fn
 
 
 # --- loader ---------------------------------------------------------------------
@@ -270,21 +273,19 @@ def load_spec(document: dict) -> SystemDefinition:
         ambient_rows = _require(ambient, "metric", list, "$.ambient")
         if len(ambient_rows) != n:
             raise SpecError("$.ambient.metric", f"expected {n} rows")
-        ambient_exprs = _expr_rows(ambient_rows, n, "$.ambient.metric")
-        ambient_table = _ExprTable([e for row in ambient_exprs for e in row], (n, n), coords, params)
+        ambient_table = _expr_table(_expr_rows(ambient_rows, n, "$.ambient.metric"),
+                                    n, coords, params, "ambient metric")
         dist_rows = _require(document, "distribution", list, path)
         if len(dist_rows) != m:
             raise SpecError("$.distribution", f"expected {m} rows")
-        dist_exprs = _expr_rows(dist_rows, n, "$.distribution")
-        comp_rows = document.get("complement") or []
-        comp_exprs = _expr_rows(comp_rows, n, "$.complement")
-        dist_fields = [_ExprTable(row, (n,), coords, params) for row in dist_exprs]
-        comp_fields = [_ExprTable(row, (n,), coords, params) for row in comp_exprs]
-        anchor_fn, structure_fn, gram_fn = induced_algebroid(
-            ambient_table, dist_fields, comp_fields, n)
-        structure = AlgebroidStructure(coords, m, anchor_fn, structure_fn, params=params)
+        dist_table = _expr_table(_expr_rows(dist_rows, n, "$.distribution"),
+                                 n, coords, params, "distribution")
+        comp_table = _expr_table(_expr_rows(document.get("complement") or [], n, "$.complement"),
+                                 n, coords, params, "complement")
+        structure_fn, gram_fn = induced_algebroid(ambient_table, dist_table)
+        structure = AlgebroidStructure(coords, m, dist_table, structure_fn, params=params)
         metric = BundleMetric(gram_fn, m)
-        embedded_payload = {"distribution": dist_fields, "complement": comp_fields}
+        embedded_payload = {"distribution": dist_table, "complement": comp_table}
 
     potential = None
     if document.get("potential") is not None:

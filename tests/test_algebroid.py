@@ -39,6 +39,12 @@ class TestStructureConstruction:
             AlgebroidStructure.from_exprs(
                 ("r",), 2, [["1"], ["0"]],
                 {"1,1,2": "0.3*r", "1,2,1": "-(0.31*r)"})
+        # Both overflow to inf, which agrees with -inf under a relative
+        # tolerance; a non-finite pair must not pass.
+        with pytest.raises(ValueError, match="not antisymmetric: not finite"):
+            AlgebroidStructure.from_exprs(
+                ("x",), 2, [["1"], ["0"]],
+                {"1,1,2": "1e308*10", "1,2,1": "1e308*10"})
 
     def test_consistent_double_entry_accepted(self):
         S = AlgebroidStructure.from_exprs(

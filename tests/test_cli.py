@@ -104,6 +104,32 @@ class TestVerdictCommands:
         assert "lie closure rank at depth 2: 3" in out
 
 
+class TestBatteryAgreement:
+    def test_potential_force_reaches_the_check_commands(self, capsys, tmp_path):
+        """A document with a potential and no explicit force: the check
+        commands use the potential-gradient force, as the battery does."""
+        from algmech import dump_spec, load_spec, planar_body
+
+        doc = dump_spec(planar_body())
+        doc["potential"] = "theta^2"
+        path = tmp_path / "planar_potential.json"
+        path.write_text(json.dumps(doc))
+        battery = run_battery(load_spec(doc))["verdicts"]
+        assert battery["decoupling:Y1"] == "inconclusive"
+        assert "maximal_reducibility" not in battery  # forced systems skip it
+
+        code, out, _ = run(capsys, "check-decoupling", "--system", str(path), "--format", "json")
+        verdicts = [check["verdict"] for check in json.loads(out)["checks"]]
+        assert verdicts == [battery["decoupling:Y1"], battery["decoupling:Y2"]]
+        assert code == 1
+        code, out, _ = run(capsys, "check-reduction", "--system", str(path), "--format", "json")
+        assert json.loads(out)["check"]["verdict"] == battery["kinematic_reduction:controls"]
+        assert code == 1
+        code, _, err = run(capsys, "check-maxred", "--system", str(path))
+        assert code == 2
+        assert "force-free" in err
+
+
 class TestSimulateCommand:
     def test_writes_csv(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"

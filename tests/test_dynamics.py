@@ -123,6 +123,9 @@ class TestControlledField:
     def test_state_feedback_rejects_time(self, flat2):
         with pytest.raises(ValueError):
             ControlSignal(["t"], flat2.coords, mode=ControlSignal.STATE_FEEDBACK)
+        # Checked before the table is built, which would only call t and zz unknown.
+        with pytest.raises(ValueError, match="may not reference t"):
+            ControlSignal(["x1 + t*zz"], flat2.coords)
 
 
 class TestIntegrate:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from algmech import (
+    AlgebroidStructure,
     BundleMetric,
     Potential,
     Section,
@@ -87,11 +88,30 @@ class TestMetricOps:
         assert Gm.matrix([1.0])[1, 0] == pytest.approx(0.3)
         with pytest.raises(ValueError, match="differ"):
             BundleMetric.from_exprs([["2", "0.3*r"], ["0.31*r", "2"]], ("r",))
+        # inf and -inf agree under a relative tolerance; a non-finite pair must not pass.
+        with pytest.raises(ValueError, match="differ: not finite"):
+            BundleMetric.from_exprs([["1", "1e308*10"], ["-(1e308*10)", "1"]], ("r",))
 
     def test_singular_metric_raises(self):
         Gm = BundleMetric(lambda x: np.zeros((2, 2)), 2)
         with pytest.raises(SingularMetricError):
             sharp(Gm, np.array([1.0, 0.0]), np.zeros(1))
+        S = AlgebroidStructure.from_exprs(("x",), 2, [["1"], ["0"]], {})
+        with pytest.raises(SingularMetricError, match=r"^metric is singular at \[0\.\]$"):
+            christoffel(S, Gm, np.zeros(1))
+
+    def test_christoffel_evaluates_the_metric_once_at_the_point(self, planar):
+        """One evaluation at p, plus two per anchored frame direction for rho(e_A)(G)."""
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return planar.metric.matrix(x)
+
+        p = np.array([0.2, -0.1, 0.4])
+        gamma = christoffel(planar.structure, BundleMetric(counted, 3), p).gamma
+        assert len(points) == 1 + 2 * planar.m
+        assert np.array_equal(gamma, christoffel(planar.structure, planar.metric, p).gamma)
 
 
 class TestChristoffel:
@@ -149,8 +169,8 @@ class TestChristoffel:
             [["m", "0", "0"], ["0", "m*r^2", "0"], ["0", "0", "J"]], coords, params)
         rows = [["0", "1/(m*r^2)", "-1/J"], ["1/m", "0", "0"], ["0", "1", "1"]]
         fields = [Section.from_exprs(row, coords, params) for row in rows]
-        _, structure_fn, gram_fn = induced_algebroid(
-            lambda x: ambient.matrix(x), fields, [], 3)
+        structure_fn, gram_fn = induced_algebroid(
+            lambda x: ambient.matrix(x), lambda x: np.array([f(x) for f in fields]))
         for p in sysd.sample(5, seed=31):
             assert np.max(np.abs(structure_fn(p) - sysd.structure.structure(p))) < 1e-6
             assert np.max(np.abs(gram_fn(p) - sysd.metric.matrix(p))) < 1e-10

@@ -222,18 +222,90 @@ class TestLoader:
         sysd = load_spec(doc)
         assert sysd.metric.matrix(np.zeros(1))[1, 1] == -1.0
 
+    # Documents with one fault each and the exact error the loader raises.
+    SINGLE_FAULTS = [
+        ("metric", (0, 1), "0.5",
+         "$.metric: metric entries (1,2) and (2,1) differ"),
+        ("metric", (0, 0), "1+",
+         "$.metric: syntax error at offset 2: expected a value"),
+        ("metric", (0, 1), "sqrt(-r)",
+         "$.metric: sqrt of a negative value"),
+        ("structure", "2,2,1", "h/(J+m*h^2)",
+         "$.structure: structure entries (2,1,2) and (2,2,1) are not antisymmetric"),
+        ("structure", "1,1,1", "x",
+         "$.structure: structure entry (1,1,1) must vanish (antisymmetry)"),
+        ("structure", "1,1,4", "1",
+         "$.structure: structure index 1,1,4: second lower index out of range 1..3"),
+        ("structure", "2,1,2", "zz*x",
+         "$.structure: structure functions: unknown variable(s) ['zz']"),
+        ("anchor", (0, 0), "zz",
+         "$.structure: anchor: unknown variable(s) ['zz']"),
+    ]
+
+    @pytest.mark.parametrize("block, key, entry, message", SINGLE_FAULTS)
+    def test_single_fault_messages(self, planar, leg, block, key, entry, message):
+        doc = dump_spec(leg if "sqrt" in entry else planar)
+        if block == "structure":
+            doc[block][key] = entry
+        else:
+            i, j = key
+            doc[block][i][j] = entry
+        with pytest.raises(SpecError) as caught:
+            load_spec(doc)
+        assert str(caught.value) == message
+
 
 class TestInducedAlgebroid:
     def test_full_tangent_bundle_with_coordinate_fields(self):
         coords = ("x", "y")
         gm = BundleMetric.from_exprs([["1", "0"], ["0", "1"]], coords)
         fields = [Section.from_exprs(row, coords) for row in (["1", "0"], ["0", "1"])]
-        anchor_fn, structure_fn, gram_fn = induced_algebroid(
-            lambda x: gm.matrix(x), fields, [], 2)
+        structure_fn, gram_fn = induced_algebroid(
+            lambda x: gm.matrix(x), lambda x: np.array([f(x) for f in fields]))
         p = np.array([0.3, -0.4])
-        assert np.allclose(anchor_fn(p), np.eye(2))
         assert np.max(np.abs(structure_fn(p))) < 1e-10
         assert np.allclose(gram_fn(p), np.eye(2))
+
+    def test_snakeboard_brackets_match_per_field_brackets(self, board):
+        """The m directional differences of the whole frame give bitwise the
+        structure functions built from one Lie bracket per pair of fields."""
+        from algmech import vector_field_bracket
+
+        doc = dump_spec(board)
+        fields = [Section.from_exprs(row, board.coords, board.params) for row in doc["distribution"]]
+        ambient = BundleMetric.from_exprs(doc["ambient"]["metric"], board.coords, board.params)
+        m = board.m
+        for p in board.sample(10, seed=2):
+            B = np.array([f(p) for f in fields])
+            G = ambient.matrix(p)
+            expected = np.zeros((m, m, m))
+            for a in range(m):
+                for b in range(a + 1, m):
+                    lie = vector_field_bracket(fields[a], fields[b], p)
+                    expected[:, a, b] = np.linalg.solve(B @ G @ B.T, B @ G @ lie)
+                    expected[:, b, a] = -expected[:, a, b]
+            assert np.array_equal(board.structure.structure(p), expected)
+            assert np.array_equal(board.metric.matrix(p), B @ G @ B.T)
+            assert np.array_equal(board.structure.anchor(p), B)
+
+    def test_spray_evaluation_table_calls(self, board, monkeypatch):
+        """One snakeboard spray evaluation calls 24 expression tables: the
+        anchor (1), the metric at the point (frame and ambient, 2), the
+        structure (frame and ambient, plus two frame calls per field: 8) and
+        rho(e_A)(G) (the anchor and two metric evaluations per field: 13)."""
+        from algmech import algebroid, spray_field
+
+        field = spray_field(board.structure, board.metric)
+        calls = []
+        original = algebroid._ExprTable.__call__
+
+        def counted(table, x):
+            calls.append(table)
+            return original(table, x)
+
+        monkeypatch.setattr(algebroid._ExprTable, "__call__", counted)
+        field(0.0, np.array([0.0, 0.0, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05]))
+        assert len(calls) == 24
 
     def test_singular_gram_names_the_point(self):
         """The distribution field x*d/dx vanishes on x = 0, where the Gram
@@ -291,8 +363,8 @@ class TestInducedAlgebroid:
                 ["-sin(theta)/m", "cos(theta)/m", "-h/J"],
                 ["-sin(theta)", "cos(theta)", "1/h"]]
         fields = [Section.from_exprs(r, coords, params) for r in rows]
-        anchor_fn, structure_fn, gram_fn = induced_algebroid(
-            lambda x: ambient.matrix(x), fields, [], 3)
+        structure_fn, gram_fn = induced_algebroid(
+            lambda x: ambient.matrix(x), lambda x: np.array([f(x) for f in fields]))
         for p in planar.sample(5, seed=3):
             assert np.max(np.abs(structure_fn(p) - planar.structure.structure(p))) < 1e-5
             assert np.max(np.abs(gram_fn(p) - planar.metric.matrix(p))) < 1e-10
