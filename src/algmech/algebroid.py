@@ -163,8 +163,10 @@ class ChartDomain:
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         """Deterministic low-discrepancy points inside the box, avoiding exclusions."""
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         if self.dim == 0:
-            return np.zeros((max(count, 1), 0))
+            return np.zeros((count, 0))
         sampler = qmc.Halton(d=self.dim, scramble=True, seed=seed)
         points = []
         attempts = 0

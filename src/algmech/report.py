@@ -1,4 +1,4 @@
-"""Aggregated verification batteries and report documents."""
+"""The check registry, aggregated verification batteries and report documents."""
 
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from .reduction import (
 )
 from .systems import SystemDefinition
 
-__all__ = ["christoffel_table", "hj_algebraic_check", "run_battery", "render_text"]
+__all__ = ["CHECKS", "check_entries", "check_line", "christoffel_table", "closure_ranks",
+           "hj_algebraic_check", "run_battery", "render_text"]
 
 
 def christoffel_table(sysdef: SystemDefinition, point=None) -> dict:
@@ -34,76 +35,148 @@ def christoffel_table(sysdef: SystemDefinition, point=None) -> dict:
     return {"point": [float(v) for v in p], "entries": entries}
 
 
-def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
-                traj_tol=DEFAULT_TRAJECTORY_TOL, samples: int = 20, seed: int = 0,
-                horizon: float = 1.0, traj_step: float = 1e-2, depth: int = 3) -> dict:
-    """Run every predicate that makes sense for the system and aggregate.
-
-    Returns a JSON-serializable document embedding the seed and tolerances.
-    """
-    S, Gm = sysdef.structure, sysdef.metric
-    points = sysdef.sample(samples, seed)
-    anchor_point = points[0]
-    checks = []
-    verdicts = {}
-
-    def add(label, rep):
-        checks.append({"label": label, **rep.to_dict()})
-        verdicts[label] = rep.verdict
-
-    force = sysdef.effective_force()
-    if sysdef.controls is not None:
-        controls = sysdef.controls
-        for X in controls.sections:
-            rep = is_decoupling(S, Gm, controls, X, points, tol, force=force)
-            add(f"decoupling:{X.label}", rep)
-        add("kinematic_reduction:controls",
-            kinematic_reduction_check(S, Gm, controls, controls, points, tol,
-                                      force=force))
-        add("geodesic_invariance:controls",
-            geodesic_invariance_check(S, Gm, controls, points, tol,
-                                      horizon=horizon, step=traj_step, traj_tol=traj_tol,
-                                      seed=seed))
-        if force is None:
-            add("maximal_reducibility",
-                maximal_reducibility_check(S, Gm, controls, controls, points, tol))
-
-        for name, X in sysdef.candidates.items():
-            add(f"hj:{name}", hj_algebraic_check(sysdef, X, points, tol))
-            add(f"hj_trajectory:{name}",
-                hj_trajectory_equivalence(S, Gm, sysdef.potential, sysdef.controls, X,
-                                          anchor_point, horizon, traj_step, tol=traj_tol))
-        for name, f in sysdef.reparam_candidates.items():
-            add(f"reparam:{name}", reparam_admissible(S, Gm, sysdef.controls, f, points, tol))
-
+def closure_ranks(sysdef: SystemDefinition, point, depth: int = 3) -> dict:
+    """Lie closure rank (of the controls, or of the frame) and symmetric closure
+    rank of the controls at one point; a block is left out where it has no meaning."""
+    at = [float(v) for v in point]
     ranks = {}
     if sysdef.n:
         sections = sysdef.controls.sections if sysdef.controls else None
         ranks["lie_closure"] = {
-            "point": [float(v) for v in anchor_point],
-            "depth": depth,
-            "rank": lie_closure_rank(S, anchor_point, depth, sections=sections),
+            "point": at, "depth": depth,
+            "rank": lie_closure_rank(sysdef.structure, point, depth, sections=sections),
         }
     if sysdef.controls is not None:
-        rank, generators = symmetric_closure(S, Gm, sysdef.controls, depth, anchor_point)
-        ranks["symmetric_closure"] = {
-            "point": [float(v) for v in anchor_point],
-            "depth": depth,
-            "rank": rank,
-            "generators": [g.label for g in generators],
-        }
+        rank, generators = symmetric_closure(sysdef.structure, sysdef.metric,
+                                             sysdef.controls, depth, point)
+        ranks["symmetric_closure"] = {"point": at, "depth": depth, "rank": rank,
+                                      "generators": [g.label for g in generators]}
+    return ranks
 
+
+# --- the check registry -------------------------------------------------------------
+#
+# ``why_not(sysdef)`` is None or the reason a check does not apply to a system.
+# ``run(sysdef, points, options, subject=None)`` yields ``(label, report)`` pairs;
+# ``options`` holds ``tol`` and, for trajectory checks, ``traj_tol``, ``horizon``,
+# ``traj_step``, ``seed`` and an optional start point ``p0``.  ``subject``
+# replaces the system's own controls or candidates: a section, a span, or a
+# mapping of names to reparametrization factors.  Each ``run`` calls its
+# predicate by module-global name, so wrappers installed on this module's
+# bindings see every call.
+
+
+def _no_controls(sysdef) -> str | None:
+    if sysdef.controls is None:
+        return f"system {sysdef.name!r} declares no control distribution"
+    return None
+
+
+def _not_force_free(sysdef) -> str | None:
+    if sysdef.controls is not None and sysdef.effective_force() is not None:
+        return "maximal reducibility requires a force-free system"
+    return _no_controls(sysdef)
+
+
+def _decoupling(sysdef, points, options, subject=None):
+    force = sysdef.effective_force()
+    for X in sysdef.controls.sections if subject is None else [subject]:
+        yield f"decoupling:{X.label}", is_decoupling(
+            sysdef.structure, sysdef.metric, sysdef.controls, X, points, options["tol"],
+            force=force)
+
+
+def _kinematic_reduction(sysdef, points, options, subject=None):
+    span = sysdef.controls if subject is None else subject
+    yield f"kinematic_reduction:{span.label}", kinematic_reduction_check(
+        sysdef.structure, sysdef.metric, sysdef.controls, span, points, options["tol"],
+        force=sysdef.effective_force())
+
+
+def _geodesic_invariance(sysdef, points, options, subject=None):
+    span = sysdef.controls if subject is None else subject
+    yield f"geodesic_invariance:{span.label}", geodesic_invariance_check(
+        sysdef.structure, sysdef.metric, span, points, options["tol"],
+        horizon=options["horizon"], step=options["traj_step"],
+        traj_tol=options["traj_tol"], seed=options["seed"])
+
+
+def _maximal_reducibility(sysdef, points, options, subject=None):
+    span = sysdef.controls if subject is None else subject
+    yield "maximal_reducibility", maximal_reducibility_check(
+        sysdef.structure, sysdef.metric, sysdef.controls, span, points, options["tol"],
+        force=sysdef.effective_force())
+
+
+def _hj(sysdef, points, options, subject=None):
+    p0 = options.get("p0")
+    for X in sysdef.candidates.values() if subject is None else [subject]:
+        yield f"hj:{X.label}", hj_algebraic_check(sysdef, X, points, options["tol"])
+        yield f"hj_trajectory:{X.label}", hj_trajectory_equivalence(
+            sysdef.structure, sysdef.metric, sysdef.potential, sysdef.controls, X,
+            points[0] if p0 is None else p0, options["horizon"], options["traj_step"],
+            tol=options["traj_tol"])
+
+
+def _reparam(sysdef, points, options, subject=None):
+    for name, f in (sysdef.reparam_candidates if subject is None else subject).items():
+        yield f"reparam:{name}", reparam_admissible(
+            sysdef.structure, sysdef.metric, sysdef.controls, f, points, options["tol"])
+
+
+# The battery runs the applicable checks in this order.
+CHECKS = {
+    "decoupling": (_no_controls, _decoupling),
+    "kinematic_reduction": (_no_controls, _kinematic_reduction),
+    "geodesic_invariance": (_no_controls, _geodesic_invariance),
+    "maximal_reducibility": (_not_force_free, _maximal_reducibility),
+    "hj": (_no_controls, _hj),
+    "reparam": (_no_controls, _reparam),
+}
+
+
+def check_entries(name: str, sysdef: SystemDefinition, points, options: dict,
+                  subject=None) -> list:
+    """The battery document's check entries from one registry check."""
+    _, run = CHECKS[name]
+    return [{"label": label, **rep.to_dict()}
+            for label, rep in run(sysdef, points, options, subject)]
+
+
+def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
+                traj_tol=DEFAULT_TRAJECTORY_TOL, samples: int = 20, seed: int = 0,
+                horizon: float = 1.0, traj_step: float = 1e-2, depth: int = 3) -> dict:
+    """Run every registry check that applies to the system and aggregate.
+
+    Returns a JSON-serializable document embedding the seed and tolerances.
+    """
+    points = sysdef.sample(samples, seed)
+    options = {"tol": tol, "traj_tol": traj_tol, "seed": seed,
+               "horizon": horizon, "traj_step": traj_step}
+    checks = [entry for name, (why_not, _) in CHECKS.items() if why_not(sysdef) is None
+              for entry in check_entries(name, sysdef, points, options)]
     return {
         "system": sysdef.name,
         "parameters": sysdef.params,
         "seed": seed,
         "samples": samples,
         "tolerances": {"algebraic": float(tol), "trajectory": float(traj_tol)},
-        "christoffel": christoffel_table(sysdef, anchor_point),
+        "christoffel": christoffel_table(sysdef, points[0]),
         "checks": checks,
-        "verdicts": verdicts,
-        "ranks": ranks,
+        "verdicts": {check["label"]: check["verdict"] for check in checks},
+        "ranks": closure_ranks(sysdef, points[0], depth),
     }
+
+
+def check_line(check: dict) -> str:
+    """One check entry as text: verdict, label, worst residual, and the
+    witness of a check that did not pass."""
+    mark = {"pass": "PASS", "fail": "FAIL", "inconclusive": "????"}[check["verdict"]]
+    line = (f"[{mark}] {check['label']}: worst residual "
+            f"{check['worst_residual']:.3e} (tol {check['tolerance']:g})")
+    if check["verdict"] != "pass" and check.get("witness_point") is not None:
+        line += f"\n       witness: {np.round(check['witness_point'], 6).tolist()}"
+    return line
 
 
 def render_text(report: dict) -> str:
@@ -120,12 +193,7 @@ def render_text(report: dict) -> str:
         for entry in table["entries"]:
             b, c = entry["lower"]
             lines.append(f"  gamma^{entry['upper']}_{b}{c} = {entry['value']:.6g}")
-    for check in report.get("checks", []):
-        mark = {"pass": "PASS", "fail": "FAIL", "inconclusive": "????"}[check["verdict"]]
-        lines.append(f"[{mark}] {check['label']}: worst residual "
-                     f"{check['worst_residual']:.3e} (tol {check['tolerance']:g})")
-        if check["verdict"] != "pass" and check.get("witness_point") is not None:
-            lines.append(f"       witness: {np.round(check['witness_point'], 6).tolist()}")
+    lines.extend(check_line(check) for check in report.get("checks", []))
     for kind, info in report.get("ranks", {}).items():
         lines.append(f"{kind}: rank {info['rank']} at depth {info['depth']}")
     return "\n".join(lines)

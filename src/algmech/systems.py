@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,6 +61,17 @@ class SpecError(ValueError):
         self.path = path
 
 
+@contextmanager
+def _at(path):
+    """Report a fault of the block built inside under its document path."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except ValueError as err:
+        raise SpecError(path, str(err)) from None
+
+
 def _require(doc, key, kind, path, optional=False):
     if key not in doc or doc[key] is None:
         if optional:
@@ -78,9 +90,13 @@ def _parse_expr(text, path) -> Expr:
         raise SpecError(path, str(err)) from None
 
 
-def _expr_table(rows, width, coords, params, where) -> _ExprTable:
-    """One table over parsed rows of ``width`` expressions each."""
-    return _ExprTable([e for row in rows for e in row], (len(rows), width), coords, params, where)
+def _expr_table(rows, width, coords, params, path, where) -> _ExprTable:
+    """One table named ``where`` over the document rows at ``path``, of
+    ``width`` expressions each."""
+    parsed = _expr_rows(rows, width, path)
+    with _at(path):
+        return _ExprTable([e for row in parsed for e in row], (len(rows), width),
+                          coords, params, where)
 
 
 def _expr_rows(rows, width, path) -> list:
@@ -256,32 +272,27 @@ def load_spec(document: dict) -> SystemDefinition:
             raise SpecError("$.anchor", f"expected {m} rows")
         anchor_exprs = _expr_rows(anchor_rows, n, "$.anchor")
         structure_map = _require(document, "structure", dict, path, optional=True) or {}
-        try:
+        with _at("$.structure"):
             structure = AlgebroidStructure.from_exprs(coords, m, anchor_exprs, structure_map, params,
                                                       probe_points=probes)
-        except ValueError as err:
-            raise SpecError("$.structure", str(err)) from None
         metric_rows = _require(document, "metric", list, path)
         if len(metric_rows) != m:
             raise SpecError("$.metric", f"expected {m} rows")
-        try:
+        with _at("$.metric"):
             metric = BundleMetric.from_exprs(metric_rows, coords, params, probe_points=probes)
-        except ValueError as err:
-            raise SpecError("$.metric", str(err)) from None
     else:
         ambient = _require(document, "ambient", dict, path)
         ambient_rows = _require(ambient, "metric", list, "$.ambient")
         if len(ambient_rows) != n:
             raise SpecError("$.ambient.metric", f"expected {n} rows")
-        ambient_table = _expr_table(_expr_rows(ambient_rows, n, "$.ambient.metric"),
-                                    n, coords, params, "ambient metric")
+        ambient_table = _expr_table(ambient_rows, n, coords, params, "$.ambient.metric",
+                                    "ambient metric")
         dist_rows = _require(document, "distribution", list, path)
         if len(dist_rows) != m:
             raise SpecError("$.distribution", f"expected {m} rows")
-        dist_table = _expr_table(_expr_rows(dist_rows, n, "$.distribution"),
-                                 n, coords, params, "distribution")
-        comp_table = _expr_table(_expr_rows(document.get("complement") or [], n, "$.complement"),
-                                 n, coords, params, "complement")
+        dist_table = _expr_table(dist_rows, n, coords, params, "$.distribution", "distribution")
+        comp_table = _expr_table(document.get("complement") or [], n, coords, params,
+                                 "$.complement", "complement")
         structure_fn, gram_fn = induced_algebroid(ambient_table, dist_table)
         structure = AlgebroidStructure(coords, m, dist_table, structure_fn, params=params)
         metric = BundleMetric(gram_fn, m)
@@ -289,18 +300,22 @@ def load_spec(document: dict) -> SystemDefinition:
 
     potential = None
     if document.get("potential") is not None:
-        potential = Potential.from_expr(
-            _parse_expr(document["potential"], "$.potential"), coords, params)
+        with _at("$.potential"):
+            potential = Potential.from_expr(
+                _parse_expr(document["potential"], "$.potential"), coords, params)
 
     force = None
     if document.get("force") is not None:
         force_rows = document["force"]
         if len(force_rows) != m:
             raise SpecError("$.force", f"expected {m} components")
-        force = ForceField.from_exprs(
-            [_parse_expr(c, f"$.force[{i}]") for i, c in enumerate(force_rows)], coords, params)
+        with _at("$.force"):
+            force = ForceField.from_exprs(
+                [_parse_expr(c, f"$.force[{i}]") for i, c in enumerate(force_rows)],
+                coords, params)
 
-    controls = _load_controls(document, coords, params, structure, metric, m)
+    with _at("$.controls"):
+        controls = _load_controls(document, coords, params, structure, metric, m)
     declared_complement = _load_declared_complement(document, coords, params, mode, m)
     candidates, reparams = _load_candidates(document, coords, params, m)
 
@@ -379,8 +394,9 @@ def _load_declared_complement(document, coords, params, mode, m):
     if not rows:
         return None
     parsed = _expr_rows(rows, m, f"$.{key}")
-    return tuple(Section.from_exprs(row, coords, params, label=f"W{i + 1}")
-                 for i, row in enumerate(parsed))
+    with _at(f"$.{key}"):
+        return tuple(Section.from_exprs(row, coords, params, label=f"W{i + 1}")
+                     for i, row in enumerate(parsed))
 
 
 def _load_candidates(document, coords, params, m):
@@ -389,10 +405,14 @@ def _load_candidates(document, coords, params, m):
     for name, row in (candidates_doc.get("sections") or {}).items():
         if len(row) != m:
             raise SpecError(f"$.candidates.sections.{name}", f"expected {m} coefficients, got {len(row)}")
-        sections[name] = Section.from_exprs(row, coords, params, label=name)
+        with _at(f"$.candidates.sections.{name}"):
+            sections[name] = Section.from_exprs(row, coords, params, label=name)
     reparams = {}
     for name, text in (candidates_doc.get("reparam") or {}).items():
-        reparams[name] = _parse_expr(text, f"$.candidates.reparam.{name}")
+        path = f"$.candidates.reparam.{name}"
+        reparams[name] = _parse_expr(text, path)
+        with _at(path):
+            _ExprTable([reparams[name]], (1,), coords, params, "reparametrization factor")
     return sections, reparams
 
 

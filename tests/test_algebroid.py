@@ -288,6 +288,13 @@ class TestChartDomain:
         assert np.array_equal(chart.sample(10, seed=4), chart.sample(10, seed=4))
         assert not np.array_equal(chart.sample(10, seed=4), chart.sample(10, seed=5))
 
+    @pytest.mark.parametrize("lower", [[0.0], []])
+    def test_sample_count_must_be_positive(self, lower):
+        chart = ChartDomain(lower, [1.0] if lower else [])
+        with pytest.raises(ValueError, match="at least 1"):
+            chart.sample(0)
+        assert chart.sample(2).shape == (2, len(lower))
+
     def test_contains(self):
         chart = ChartDomain([0.0], [1.0], (Exclusion(0, 0.5, margin=0.1),))
         assert chart.contains([0.2])

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import numpy as np
+
+from algmech import TotalPoint, builtin, dump_spec, integrate, load_spec, planar_body, spray_field
 from algmech.cli import build_parser, main
 from algmech.report import render_text, run_battery
 
@@ -70,7 +73,7 @@ class TestVerdictCommands:
                            "--section", "candidate:xY1", "--samples", "8",
                            "--horizon", "0.5")
         assert code == 1
-        assert "[FAIL] hj residual" in out
+        assert "[FAIL] hj:xY1" in out
         assert "witness" in out
 
     def test_hj_passing_candidate(self, capsys):
@@ -104,14 +107,65 @@ class TestVerdictCommands:
         assert "lie closure rank at depth 2: 3" in out
 
 
+def _potential_document():
+    doc = dump_spec(planar_body())
+    doc["potential"] = "theta^2"
+    return doc
+
+
 class TestBatteryAgreement:
+    # Each check command and the labels of the battery entries it reproduces.
+    COMMANDS = {
+        "check-decoupling": ("decoupling:",),
+        "check-reduction": ("kinematic_reduction:",),
+        "check-geoinv": ("geodesic_invariance:",),
+        "check-maxred": ("maximal_reducibility",),
+        "check-hj": ("hj:", "hj_trajectory:"),
+        "check-reparam": ("reparam:",),
+    }
+
+    @pytest.mark.parametrize("system", ["euclidean", "planar_body", "robotic_leg", "snakeboard",
+                                        "suslov", "planar_potential"])
+    def test_check_commands_reproduce_the_battery(self, capsys, tmp_path, system):
+        """With the battery's defaults, the check commands emit the battery's
+        entries in its order and exit 1 exactly when one of theirs does not
+        pass; a command whose check does not apply exits 2 with the reason."""
+        if system == "planar_potential":
+            doc = _potential_document()
+            ref = str(tmp_path / "planar_potential.json")
+            (tmp_path / "planar_potential.json").write_text(json.dumps(doc))
+            sysdef = load_spec(doc)
+        else:
+            ref, sysdef = system, builtin(system)
+        battery = json.loads(json.dumps(run_battery(sysdef, samples=8)))
+        emitted = []
+        for command, labels in self.COMMANDS.items():
+            code, out, err = run(capsys, command, "--system", ref, "--samples", "8",
+                                 "--format", "json")
+            if sysdef.controls is None:
+                assert (code, err) == (2, f"error: system {sysdef.name!r} declares no "
+                                          "control distribution\n")
+                continue
+            if command == "check-maxred" and sysdef.potential is not None:
+                assert (code, err) == (2, "error: maximal reducibility requires a "
+                                          "force-free system\n")
+                continue
+            checks = json.loads(out)["checks"]
+            assert all(check["label"].startswith(labels) for check in checks)
+            assert code == (0 if all(check["verdict"] == "pass" for check in checks) else 1)
+            emitted.extend(checks)
+        assert emitted == battery["checks"]
+
+    def test_geoinv_span_needs_no_controls(self, capsys):
+        code, out, _ = run(capsys, "check-geoinv", "--system", "euclidean",
+                           "--span", "basis:1", "--samples", "4")
+        assert code == 0
+        assert "[PASS] geodesic_invariance:basis:1" in out
+
     def test_potential_force_reaches_the_check_commands(self, capsys, tmp_path):
         """A document with a potential and no explicit force: the check
         commands use the potential-gradient force, as the battery does."""
-        from algmech import dump_spec, load_spec, planar_body
-
-        doc = dump_spec(planar_body())
-        doc["potential"] = "theta^2"
+        doc = _potential_document()
         path = tmp_path / "planar_potential.json"
         path.write_text(json.dumps(doc))
         battery = run_battery(load_spec(doc))["verdicts"]
@@ -123,7 +177,7 @@ class TestBatteryAgreement:
         assert verdicts == [battery["decoupling:Y1"], battery["decoupling:Y2"]]
         assert code == 1
         code, out, _ = run(capsys, "check-reduction", "--system", str(path), "--format", "json")
-        assert json.loads(out)["check"]["verdict"] == battery["kinematic_reduction:controls"]
+        assert json.loads(out)["checks"][0]["verdict"] == battery["kinematic_reduction:controls"]
         assert code == 1
         code, _, err = run(capsys, "check-maxred", "--system", str(path))
         assert code == 2
@@ -147,6 +201,25 @@ class TestSimulateCommand:
                            "--controls", "1;0", "--out", str(target))
         assert code == 0
         assert target.exists()
+
+    def test_potential_reaches_the_simulation(self, capsys, tmp_path):
+        """A document's potential drives ``simulate`` as it drives the battery."""
+        doc = _potential_document()
+        path = tmp_path / "planar_potential.json"
+        path.write_text(json.dumps(doc))
+        # theta stays 0 from the chart centre at the default fiber, so start off it.
+        argv = ("--initial-base", "0,0,0.5", "--t1", "0.2", "--step", "0.01")
+        plain, forced = tmp_path / "plain.csv", tmp_path / "forced.csv"
+        assert run(capsys, "simulate", "--system", "planar_body", *argv, "--out", str(plain))[0] == 0
+        assert run(capsys, "simulate", "--system", str(path), *argv, "--out", str(forced))[0] == 0
+        assert forced.read_text() != plain.read_text()
+
+        sysdef = load_spec(doc)
+        field = spray_field(sysdef.structure, sysdef.metric, force=sysdef.effective_force())
+        expected = tmp_path / "expected.csv"
+        start = TotalPoint(np.array([0.0, 0.0, 0.5]), np.full(sysdef.m, 0.1))
+        integrate(field, start, 0.0, 0.2, 0.01, chart=sysdef.chart).to_csv(expected)
+        assert forced.read_text() == expected.read_text()
 
     def test_time_driven_controls(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"
@@ -175,6 +248,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "check-hj", "--system", "planar_body",
                            "--section", "candidate:nope")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["report", "check-decoupling"])
+    def test_zero_samples(self, capsys, command):
+        code, _, err = run(capsys, command, "--system", "planar_body", "--samples", "0")
+        assert code == 2
+        assert "sample count must be at least 1" in err
 
     def test_controls_required(self, capsys):
         code, _, err = run(capsys, "check-maxred", "--system", "euclidean")

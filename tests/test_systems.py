@@ -240,16 +240,42 @@ class TestLoader:
          "$.structure: structure functions: unknown variable(s) ['zz']"),
         ("anchor", (0, 0), "zz",
          "$.structure: anchor: unknown variable(s) ['zz']"),
+        ("force", None, ["zz", "0", "0"],
+         "$.force: force: unknown variable(s) ['zz']"),
+        ("potential", None, "zz",
+         "$.potential: potential: unknown variable(s) ['zz']"),
+        ("controls", ("sections", 0, 0), "zz",
+         "$.controls: expression table: unknown variable(s) ['zz']"),
+        ("controls", None, {"codistribution": [["zz", "0", "0"], ["0", "1", "0"]]},
+         "$.controls: expression table: unknown variable(s) ['zz']"),
+        ("complement", (0, 0), "zz",
+         "$.complement: expression table: unknown variable(s) ['zz']"),
+        ("candidates", ("sections", "gY1", 0), "zz",
+         "$.candidates.sections.gY1: expression table: unknown variable(s) ['zz']"),
+        ("candidates", ("reparam", "h"), "zz",
+         "$.candidates.reparam.h: reparametrization factor: unknown variable(s) ['zz']"),
+        ("snakeboard:ambient", ("metric", 0, 0), "zz",
+         "$.ambient.metric: ambient metric: unknown variable(s) ['zz']"),
+        ("snakeboard:distribution", (0, 0), "zz",
+         "$.distribution: distribution: unknown variable(s) ['zz']"),
+        ("snakeboard:complement", (0, 0), "zz",
+         "$.complement: complement: unknown variable(s) ['zz']"),
+        ("snakeboard:control_complement", (0, 0), "zz",
+         "$.control_complement: expression table: unknown variable(s) ['zz']"),
     ]
 
     @pytest.mark.parametrize("block, key, entry, message", SINGLE_FAULTS)
-    def test_single_fault_messages(self, planar, leg, block, key, entry, message):
-        doc = dump_spec(leg if "sqrt" in entry else planar)
-        if block == "structure":
-            doc[block][key] = entry
-        else:
-            i, j = key
-            doc[block][i][j] = entry
+    def test_single_fault_messages(self, planar, leg, board, block, key, entry, message):
+        """``block`` may name the system (default: planar_body, or the leg for
+        a sqrt entry); ``key`` is a key or a path into the block, or None for
+        the whole block."""
+        system, _, block = block.rpartition(":")
+        doc = dump_spec(board if system == "snakeboard" else leg if "sqrt" in entry else planar)
+        keys = [block, *((key,) if isinstance(key, str) else key or ())]
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = entry
         with pytest.raises(SpecError) as caught:
             load_spec(doc)
         assert str(caught.value) == message
