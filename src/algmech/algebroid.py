@@ -58,10 +58,14 @@ class _ExprTable:
     and row-major over ``shape``; an unknown variable is reported under the
     label ``where``.  The table is compiled (:func:`expr._compile_table`) on
     its first call: many tables, such as unused candidate sections, are
-    never evaluated.
+    never evaluated.  :meth:`value_and_jacobian` compiles its function
+    beside the values one on its first call; a ``differentiable`` table,
+    one its consumers differentiate (a metric, an embedded frame), compiles
+    both on its first call of either kind, in one pass over the expressions.
     """
 
-    def __init__(self, entries, shape, coords, params, where: str = "expression table"):
+    def __init__(self, entries, shape, coords, params, where: str = "expression table",
+                 differentiable: bool = False):
         self.exprs = [_as_expr(e) for e in entries]
         self.shape = shape
         self.coords = tuple(coords)
@@ -71,19 +75,46 @@ class _ExprTable:
         if extra:
             raise ValueError(f"{where}: unknown variable(s) {sorted(extra)}")
         self.is_constant = free.isdisjoint(self.coords)
+        self.differentiable = differentiable
         self._compiled = None
+        self._compiled_jacobian = None
+
+    def _compile(self, jacobian: bool) -> tuple:
+        """Compile the values function, and the Jacobian's beside it when
+        asked for or when the table is differentiable."""
+        # Threads racing here each compile equal functions and store them;
+        # the last store wins and no caller sees a partial one.
+        if jacobian or self.differentiable:
+            out = ex._compile_table(self.exprs, self.coords, self.params, jacobian=True)
+            self._compiled, self._compiled_jacobian = out
+            return out
+        self._compiled = ex._compile_table(self.exprs, self.coords, self.params)
+        return self._compiled, None
+
+    def _reject(self, point):
+        raise ValueError(f"expression table over {len(self.coords)} coordinate(s) "
+                         f"got a point of shape {point.shape}")
 
     def __call__(self, x) -> np.ndarray:
+        # The check stays inline: this is the most frequent call in the package.
         point = np.asarray(x, dtype=float)
         if point.shape != (len(self.coords),):
-            raise ValueError(f"expression table over {len(self.coords)} coordinate(s) "
-                             f"got a point of shape {point.shape}")
-        compiled = self._compiled
-        if compiled is None:
-            # Threads racing here each compile an equal function and store it;
-            # the last store wins and no caller sees a partial one.
-            compiled = self._compiled = ex._compile_table(self.exprs, self.coords, self.params)
+            self._reject(point)
+        compiled = self._compiled or self._compile(False)[0]
         return compiled(point.tolist()).reshape(self.shape)
+
+    def value_and_jacobian(self, x) -> tuple:
+        """The values at ``x``, bitwise those of a call, and their exact
+        coordinate Jacobian of shape ``(*shape, n)``, by forward mode over
+        the compiled nodes; at a kink, such as ``abs`` at 0, it raises
+        ``EvalError`` (the kinks are listed at :func:`expr._compile_table`).
+        """
+        point = np.asarray(x, dtype=float)
+        if point.shape != (len(self.coords),):
+            self._reject(point)
+        compiled = self._compiled_jacobian or self._compile(True)[1]
+        values, jacobian = compiled(point.tolist())
+        return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
 
 
 def _scalar_field(entry, coords, params, where: str) -> Callable:
@@ -459,17 +490,30 @@ def _as_scalar_field(f, S: AlgebroidStructure) -> Callable:
     raise TypeError("expected an expression or a callable scalar field")
 
 
+def _anchored(R: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+    """``rho(e_A)(f)`` from the anchor rows ``R`` and the coordinate Jacobian
+    ``(*shape, n)`` of ``f``: one array of ``shape`` per row of ``R``."""
+    out = jacobian @ R.T
+    # The last axis to the front; np.moveaxis costs more than the product here.
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
+
+
 def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
     """Anchored derivatives ``rho(e_A)(f)`` at ``p``, one row per frame direction.
 
     For a scalar ``f`` (expression or callable) this is the almost
     differential ``rho^i_A d_i f``; an array-valued callable gets one array
-    per row.  Each row is one directional difference along the anchor image
-    of ``e_A``, and every frame derivative of a field goes through here.
-    An expression ``f`` is compiled on every call; to evaluate one at many
-    points, build its field once (``Potential.from_expr``) and pass that.
+    per row.  A field that carries ``value_and_jacobian`` (an expression
+    table) is differentiated exactly, ``rho(p) . J(p)``; for any other each
+    row is one directional difference along the anchor image of ``e_A``.
+    Every frame derivative of a field goes through here.  An expression
+    ``f`` is compiled on every call; to evaluate one at many points, build
+    its field once (``Potential.from_expr``) and pass that.
     """
     p = S.check_point(p)
+    jacobian = getattr(f, "value_and_jacobian", None)
+    if jacobian is not None:
+        return _anchored(S.anchor(p), jacobian(p)[1])
     fn = _as_scalar_field(f, S)
     return np.array([fd_directional(fn, p, row, step) for row in S.anchor(p)])
 
@@ -535,13 +579,16 @@ def span_rank(vectors) -> int:
 
     Singular values below ``1e-8 * max(largest, 1)`` count as zero.
     """
-    matrix = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int(np.sum(sv > _SV_THRESHOLD * max(float(sv[0]), 1.0)))
+    return int(_span_ranks(np.atleast_2d(np.asarray(vectors, dtype=float))[None])[0])
+
+
+def _span_ranks(stack) -> np.ndarray:
+    """:func:`span_rank` of each matrix of a ``(count, rows, dim)`` stack, in one SVD."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv > _SV_THRESHOLD * np.maximum(sv[:, :1], 1.0), axis=1)
 
 
 def lie_closure_rank(S: AlgebroidStructure, p, depth: int, sections=None, step=None) -> int:

@@ -49,7 +49,7 @@ _OPTION_HELP = {
 }
 
 
-def _add_common(parser, *options, formats=("json", "csv", "text")):
+def _add_common(parser, *options, formats=("json", "text")):
     """``--system``, ``--params``, ``--out``, ``--format`` (unless ``formats``
     is empty) and the named ``run_battery`` options, with its defaults."""
     parser.add_argument("--system", required=True,
@@ -91,16 +91,25 @@ def _parse_point(text, size, what) -> np.ndarray:
     return np.array(values)
 
 
+def _position(ref: str, count: int) -> int:
+    """The 0-based position named by the 1-based ``K`` of ``kind:K``, one of ``count``."""
+    try:
+        k = int(ref.split(":", 1)[1])
+    except ValueError:
+        k = 0
+    if not 1 <= k <= count:
+        raise UsageError(f"section reference {ref!r}: K must be an integer from 1 to {count}")
+    return k - 1
+
+
 def _resolve_section(sysdef, ref: str):
     """Section references: basis:K, control:K, candidate:NAME, or 'a;b;c' expressions."""
     if ref.startswith("basis:"):
-        index = int(ref.split(":", 1)[1])
-        return sysdef.structure.basis_section(index - 1)
+        return sysdef.structure.basis_section(_position(ref, sysdef.m))
     if ref.startswith("control:"):
-        index = int(ref.split(":", 1)[1])
         if sysdef.controls is None:
             raise UsageError("system has no control sections")
-        return sysdef.controls.sections[index - 1]
+        return sysdef.controls.sections[_position(ref, len(sysdef.controls.sections))]
     if ref.startswith("candidate:"):
         name = ref.split(":", 1)[1]
         try:
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("christoffel", help="connection coefficients at a point")
-    _add_common(p)
+    _add_common(p, formats=("json", "csv", "text"))
     p.add_argument("--at", default=None, help="comma-separated base point")
     p.set_defaults(fn=_cmd_christoffel)
 

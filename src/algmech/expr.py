@@ -1,4 +1,5 @@
-"""Scalar expression language plus the finite-difference helpers used everywhere else.
+"""Scalar expression language, its compiled tables with exact Jacobians, and
+the finite-difference helpers for everything else.
 
 Expressions are immutable trees over real literals, named variables, the
 arithmetic operators ``+ - * / ^`` (with ``^`` right-associative), unary
@@ -6,7 +7,8 @@ negation and a fixed catalogue of functions.  Evaluation is pure: given a
 binding for every free variable it touches nothing else, so expressions can
 be shared freely across threads.  ``Expr.eval`` walks the tree and is the
 reference semantics; :func:`_compile_table` turns a table of expressions into
-one straight-line Python function with bitwise-equal results.
+one straight-line Python function with bitwise-equal results and, on request,
+a second one that also returns the table's Jacobian by forward mode.
 """
 
 from __future__ import annotations
@@ -204,29 +206,24 @@ _FUNCTIONS = {
 # --- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None or match.end() == pos:
-            raise ParseError(pos, f"unexpected character {source[pos]!r}")
-        if match.group("num") is not None:
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
+        if kind == "bad":
+            raise ParseError(match.start(), f"unexpected character {match.group()!r}")
+        tokens.append((kind, match.group(), match.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -382,8 +379,33 @@ _OPERATOR_CODE = {
     "^": "_power({}, {})",
 }
 
+# A partial derivative that is identically one, as code.
+_ONE = "1.0"
 
-def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings) -> Callable:
+
+def _dabs(x: float) -> float:
+    if x == 0.0:
+        raise EvalError("abs is not differentiable at 0")
+    return 1.0 if x > 0 else -1.0
+
+
+def _dsqrt(root: float) -> float:
+    """Derivative of sqrt from the value of the root."""
+    if root == 0.0:
+        raise EvalError("sqrt is not differentiable at 0")
+    return 0.5 / root
+
+
+def _sqnorm(y: float, x: float) -> float:
+    """``y^2 + x^2``, the denominator of the derivative of ``atan2(y, x)``."""
+    out = y * y + x * x
+    if out == 0.0:
+        raise EvalError("atan2 is not differentiable at the origin")
+    return out
+
+
+def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings,
+                   jacobian: bool = False):
     """Compile a table of expressions into one function of a point.
 
     The function takes one value per name in ``coords`` and returns the
@@ -399,14 +421,34 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
 
     When every entry folds, no code is generated and the function returns
     a copy of the folded values.
+
+    With ``jacobian`` the same pass also emits a second function, and the
+    pair ``(values, value_and_jacobian)`` is returned; ``values`` is the
+    function above, unchanged.  ``value_and_jacobian`` runs the same value
+    code and returns the values with the flat row-major
+    ``(len(exprs), len(coords))`` Jacobian, by forward mode over the same
+    nodes (Griewank & Walther, *Evaluating Derivatives*, 2008).  Partials
+    that vanish identically are folded away here.  A value that fails raises
+    as above; otherwise the Jacobian raises ``EvalError`` at a kink, where
+    the value exists but the derivative does not: ``abs`` and ``sqrt`` at 0,
+    ``atan2`` at the origin, a constant exponent below one at a zero base
+    (``_power`` refuses the negative power), and a ``^`` whose exponent
+    reads a coordinate at a base ``<= 0`` (its derivative takes ``ln`` of
+    the base).
     """
     coord_names = {name: f"c{i}" for i, name in enumerate(coords)}
+    index = {name: i for i, name in enumerate(coords)}
     env = dict(params)
-    namespace = {"_div": _div, "_power": _power, "_array": np.array, "_params": env}
+    namespace = {"_div": _div, "_power": _power, "_array": np.array, "_params": env,
+                 "_zeros": np.zeros, "_dabs": _dabs, "_dsqrt": _dsqrt, "_sqnorm": _sqnorm}
     namespace.update((f"_f_{name}", fn) for name, (_, fn) in _FUNCTIONS.items())
     constants = {}  # exact key of a value -> its name in `namespace`
     temporaries = {}  # right-hand side -> the local assigned it
     lines = []
+    # Keyed by node identity; every node is alive in `exprs` while this runs.
+    reads = {}  # node -> whether it reads a coordinate
+    names = {}  # node -> the name holding its value
+    partials = {}  # node -> {coordinate index: the name holding that partial}
 
     def constant(value) -> str:
         # Bits, not ==, so that 0.0 and -0.0 stay apart (atan2 tells them apart).
@@ -422,9 +464,31 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             lines.append(f"    {temporaries[rhs]} = {rhs}")
         return temporaries[rhs]
 
+    def reads_coords(node: Expr) -> bool:
+        key = id(node)
+        if key not in reads:
+            kind = type(node)
+            if kind is Var:
+                reads[key] = node.name in coord_names
+            elif kind is Num:
+                reads[key] = False
+            elif kind is BinOp:
+                reads[key] = reads_coords(node.left) | reads_coords(node.right)
+            elif kind is Neg:
+                reads[key] = reads_coords(node.arg)
+            else:
+                reads[key] = any([reads_coords(arg) for arg in node.args])
+        return reads[key]
+
     def emit(node: Expr) -> str:
         """The name that holds the value of ``node``, emitting code for it."""
-        if node.variables().isdisjoint(coord_names):
+        key = id(node)
+        if key not in names:
+            names[key] = emit_value(node)
+        return names[key]
+
+    def emit_value(node: Expr) -> str:
+        if not reads_coords(node):
             try:
                 return constant(node.eval(env))
             except (ArithmeticError, TypeError, ValueError):
@@ -445,18 +509,126 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             return assign(f"_f_{node.func}({', '.join(args)})")
         raise AssertionError(f"unknown node {node!r}")
 
+    # Forward mode.  The partials of a node map the index of each coordinate
+    # it may depend on to the name holding that partial; a missing index is
+    # an identically-zero partial, folded away here.
+    def add(u, v):
+        if u is None or v is None:
+            return v if u is None else u
+        return assign(f"{u} + {v}")
+
+    def sub(u, v):
+        if v is None:
+            return u
+        return assign(f"-{v}") if u is None else assign(f"{u} - {v}")
+
+    def mul(u, w):
+        return w if u == _ONE else assign(f"{u} * {w}")
+
+    def scale(du, weight) -> dict:
+        return {i: mul(u, weight) for i, u in du.items()}
+
+    def combine(du, wu, dv, wv) -> dict:
+        """``du * wu + dv * wv``; a ``None`` weight drops its term."""
+        su = scale(du, wu) if wu is not None else {}
+        sv = scale(dv, wv) if wv is not None else {}
+        return {i: add(su.get(i), sv.get(i)) for i in {**su, **sv}}
+
+    def partial_of(node: Expr) -> dict:
+        key = id(node)
+        if key not in partials:
+            partials[key] = emit_partials(node) if reads_coords(node) else {}
+        return partials[key]
+
+    def emit_partials(node: Expr) -> dict:
+        value = emit(node)
+        if isinstance(node, Var):
+            return {index[node.name]: _ONE}
+        if isinstance(node, Neg):
+            return {i: sub(None, u) for i, u in partial_of(node.arg).items()}
+        if isinstance(node, Call):
+            arg = emit(node.args[0])
+            du = partial_of(node.args[0])
+            func = node.func
+            if func == "atan2":
+                # d atan2(y, x) = (x dy - y dx) / (y^2 + x^2)
+                x, dx = emit(node.args[1]), partial_of(node.args[1])
+                norm = assign(f"_sqnorm({arg}, {x})")
+                return combine(du, assign(f"{x} / {norm}") if du else None,
+                               dx, assign(f"-{arg} / {norm}") if dx else None)
+            if func == "ln":
+                return {i: assign(f"{u} / {arg}") for i, u in du.items()}
+            if func == "sin":
+                weight = assign(f"_f_cos({arg})")
+            elif func == "cos":
+                weight = assign(f"-{assign(f'_f_sin({arg})')}")
+            elif func == "tan":
+                weight = assign(f"1.0 + {value} * {value}")
+            elif func == "exp":
+                weight = value
+            elif func == "sqrt":
+                weight = assign(f"_dsqrt({value})")
+            elif func == "abs":
+                weight = assign(f"_dabs({arg})")
+            else:
+                raise AssertionError(f"unknown function {func!r}")
+            return scale(du, weight)
+        if not isinstance(node, BinOp):
+            raise AssertionError(f"unknown node {node!r}")
+        a, b = emit(node.left), emit(node.right)
+        da, db = partial_of(node.left), partial_of(node.right)
+        op = node.op
+        if op == "+":
+            return {i: add(da.get(i), db.get(i)) for i in {**da, **db}}
+        if op == "-":
+            return {i: sub(da.get(i), db.get(i)) for i in {**da, **db}}
+        if op == "*":
+            return combine(da, b, db, a)
+        if op == "/":
+            # d(a/b) = (da - (a/b) db) / b; b != 0 once the value exists
+            return {i: assign(f"{sub(da.get(i), mul(db[i], value) if i in db else None)} / {b}")
+                    for i in {**da, **db}}
+        if not db:
+            # d(a^c) = c a^(c-1) da, for an exponent free of coordinates
+            exponent = namespace.get(b) if b in constants.values() else None
+            if exponent == 0.0:
+                return {}
+            if exponent == 1.0:
+                return da
+            if exponent == 2.0:
+                return scale(da, assign(f"{b} * {a}"))
+            lower = constant(exponent - 1.0) if exponent is not None else f"{b} - 1.0"
+            return scale(da, assign(f"{b} * _power({a}, {lower})"))
+        # d(a^b) = a^b (ln(a) db + (b/a) da); ln raises for a base <= 0
+        log = assign(f"_f_ln({a})")
+        inner = combine(db, log, da, assign(f"{b} / {a}") if da else None)
+        return scale(inner, value)
+
     results = [emit(e) for e in exprs]
+    size = len(exprs) * len(coords)
     if set(results) <= set(constants.values()):
         # Copying a stored array is about twice as fast as building one from
         # the constants, and the snakeboard's structure calls 26 constant
         # tables per spray evaluation.
-        folded = np.array([namespace[name] for name in results])
-        return lambda point: folded.copy()
+        stored = np.array([namespace[name] for name in results])
+        if not jacobian:
+            return lambda point: stored.copy()
+        # No entry reads a coordinate, so every partial vanishes.
+        return (lambda point: stored.copy()), (lambda point: (stored.copy(), np.zeros(size)))
     unpack = [f"    {', '.join(coord_names.values())}, = point"] if coord_names else []
-    source = "\n".join(["def _table(point):", *unpack, *lines,
-                        f"    return _array([{', '.join(results)}])"])
-    exec(compile(source, "<expression table>", "exec"), namespace)
-    return namespace["_table"]
+    source = ["def _table(point):", *unpack, *lines, f"    return _array([{', '.join(results)}])"]
+    if jacobian:
+        # Only the nonzero partials are listed; the rest of the Jacobian stays zero.
+        nonzero = {}
+        for row, e in enumerate(exprs):
+            nonzero.update((row * len(coords) + i, name) for i, name in partial_of(e).items())
+        namespace["_nonzero"] = np.array(sorted(nonzero), dtype=int)
+        source += ["def _table_jacobian(point):", *unpack, *lines,
+                   f"    _jacobian = _zeros({size})",
+                   f"    _jacobian[_nonzero] = [{', '.join(nonzero[k] for k in sorted(nonzero))}]",
+                   f"    return _array([{', '.join(results)}]), _jacobian"]
+    exec(compile("\n".join(source), "<expression table>", "exec"), namespace)
+    return (namespace["_table"], namespace["_table_jacobian"]) if jacobian else namespace["_table"]
 
 
 # --- finite differences -------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The connection is computed pointwise from the Koszul formula in an arbitrary
 basis: the six-term right-hand side is assembled from the anchored metric
-derivatives ``rho(e_A)(G)`` (one ``d_function`` call, a central difference
-along each anchored frame direction) and the structure functions, then solved
-with the inverse metric.  Orthogonal-basis shortcuts are deliberately not a
-separate code path.
+derivatives ``rho(e_A)(G)`` (the anchor times the metric's exact Jacobian
+for an expression-table or induced metric, otherwise one ``d_function``
+call, a central difference along each anchored frame direction) and the
+structure functions, then solved with the inverse metric.
+Orthogonal-basis shortcuts are deliberately not a separate code path.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _check_mirrors,
-                        _ExprTable, _probe_points, _scalar_field, d_function)
+from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _anchored,
+                        _check_mirrors, _ExprTable, _probe_points, _scalar_field, d_function)
 from .expr import fd_directional
 
 __all__ = [
@@ -49,8 +50,10 @@ class BundleMetric:
     def __init__(self, fn: Callable, rank: int):
         self._fn = fn
         self.m = int(rank)
-        # Only an expression table knows it is coordinate-free.
+        # Only an expression table knows it is coordinate-free, and only a
+        # table or the induced Gram matrix knows its exact Jacobian.
         self.is_constant = getattr(fn, "is_constant", False)
+        self.has_jacobian = hasattr(fn, "value_and_jacobian")
 
     @classmethod
     def from_exprs(cls, entries: Sequence[Sequence], coords, params=None,
@@ -81,7 +84,7 @@ class BundleMetric:
         params = dict(params or {})
         _check_mirrors(pairs, 1.0, coords, params, points, "metric")
         table = _ExprTable([Num0 if cell is None else cell for row in cells for cell in row],
-                           (m, m), coords, params, "metric")
+                           (m, m), coords, params, "metric", differentiable=True)
         return cls(table, m)
 
     def matrix(self, x) -> np.ndarray:
@@ -90,15 +93,22 @@ class BundleMetric:
             raise ValueError(f"metric returned shape {out.shape}")
         return out
 
+    def value_and_jacobian(self, x) -> tuple:
+        """``G(x)``, bitwise as :meth:`matrix`, and its exact coordinate
+        Jacobian ``(m, m, n)``; only when ``has_jacobian``."""
+        G, dG = self._fn.value_and_jacobian(np.asarray(x, dtype=float))
+        if G.shape != (self.m, self.m):
+            raise ValueError(f"metric returned shape {G.shape}")
+        return G, dG
+
     def inverse(self, x) -> np.ndarray:
         return _invert(self.matrix(x), x)
 
     def positive_definite_on(self, points) -> bool:
-        """Sampled diagnostic; returns False at the first offending point."""
-        for p in np.atleast_2d(points):
-            if np.any(np.linalg.eigvalsh(self.matrix(p)) <= 0):
-                return False
-        return True
+        """Sampled diagnostic: True when every eigenvalue at every point is
+        positive (a NaN is not)."""
+        matrices = np.array([self.matrix(p) for p in np.atleast_2d(points)])
+        return bool(np.all(np.linalg.eigvalsh(matrices.reshape(-1, self.m, self.m)) > 0))
 
 
 def _invert(G: np.ndarray, x) -> np.ndarray:
@@ -212,13 +222,16 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     pairings — and contracts with the inverse metric.
     """
     p = S.check_point(p)
-    G = Gm.matrix(p)
-    Ginv = _invert(G, p)
     m = S.m
+    # rho(e_A)(G_CD): exact from the metric's Jacobian where it has one
+    if Gm.has_jacobian and not Gm.is_constant:
+        G, dG = Gm.value_and_jacobian(p)
+        rhoG = _anchored(S.anchor(p), dG)
+    else:
+        G = Gm.matrix(p)
+        rhoG = np.zeros((m, m, m)) if Gm.is_constant else d_function(S, Gm.matrix, p)
+    Ginv = _invert(G, p)
     C = S.structure(p)
-
-    # rho(e_A)(G_CD)
-    rhoG = np.zeros((m, m, m)) if Gm.is_constant else d_function(S, Gm.matrix, p)
 
     K = (
         rhoG

@@ -16,6 +16,7 @@ from .algebroid import (
     Section,
     Trajectory,
     _as_scalar_field,
+    _span_ranks,
     d_function,
     span_rank,
 )
@@ -85,9 +86,11 @@ class Subbundle:
         return span_rank(self.matrix(p))
 
     def validate_rank(self, points) -> None:
-        for p in np.atleast_2d(points):
-            if self.rank_at(p) != self.rank:
-                raise ValueError(f"subbundle {self.label or ''} drops rank at {p}")
+        points = np.atleast_2d(points)
+        ranks = _span_ranks([self.matrix(p) for p in points])
+        if np.any(ranks != self.rank):
+            p = points[np.argmax(ranks != self.rank)]
+            raise ValueError(f"subbundle {self.label or ''} drops rank at {p}")
 
 
 class Projector:
@@ -98,9 +101,10 @@ class Projector:
         self.metric = metric
         self.m = metric.m
 
-    def p_matrix(self, p) -> np.ndarray:
+    def p_matrix(self, p, G=None) -> np.ndarray:
+        """The projector onto the span at ``p``; ``G`` is the metric there, when known."""
         B = self.subbundle.matrix(p)
-        G = self.metric.matrix(p)
+        G = self.metric.matrix(p) if G is None else G
         gram = B @ G @ B.T
         try:
             solved = np.linalg.solve(gram, B @ G)
@@ -146,8 +150,8 @@ class Projector:
         """Worst projection of declared complement sections back onto the span."""
         worst = 0.0
         for p in np.atleast_2d(points):
-            P = self.p_matrix(p)
             G = self.metric.matrix(p)
+            P = self.p_matrix(p, G)
             for W in declared:
                 w = W(p)
                 scale = np.sqrt(max(float(w @ G @ w), 1e-30))

@@ -13,6 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,9 +25,10 @@ from .algebroid import (
     Exclusion,
     OneForm,
     Section,
+    _anchored,
     _as_expr,
     _ExprTable,
-    span_rank,
+    _span_ranks,
 )
 from .expr import Expr, fd_directional
 from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, sharp
@@ -90,13 +92,13 @@ def _parse_expr(text, path) -> Expr:
         raise SpecError(path, str(err)) from None
 
 
-def _expr_table(rows, width, coords, params, path, where) -> _ExprTable:
+def _expr_table(rows, width, coords, params, path, where, differentiable=False) -> _ExprTable:
     """One table named ``where`` over the document rows at ``path``, of
     ``width`` expressions each."""
     parsed = _expr_rows(rows, width, path)
     with _at(path):
         return _ExprTable([e for row in parsed for e in row], (len(rows), width),
-                          coords, params, where)
+                          coords, params, where, differentiable)
 
 
 def _expr_rows(rows, width, path) -> list:
@@ -186,12 +188,11 @@ class SystemDefinition:
                                     f"(worst residual {residual:.3e})")
         if self.embedded is not None:
             distribution, complement = self.embedded["distribution"], self.embedded["complement"]
-            for p in points:
-                rows = np.vstack([distribution(p), complement(p)])
-                expected = min(len(rows), self.n)
-                if span_rank(rows) != expected:
-                    raise SpecError(f"{self.name}.distribution",
-                                    f"embedded frame drops rank at {p}")
+            rows = np.array([np.vstack([distribution(p), complement(p)]) for p in points])
+            dropped = _span_ranks(rows) != min(rows.shape[1], self.n)
+            if np.any(dropped):
+                raise SpecError(f"{self.name}.distribution",
+                                f"embedded frame drops rank at {points[np.argmax(dropped)]}")
 
 
 def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
@@ -202,35 +203,62 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     distribution.  The bundle metric is the Gram matrix of the frame under
     ``metric_fn``, and the structure functions come from projecting Lie
     brackets of the spanning fields back onto the distribution with the
-    ambient metric.  The brackets take ``m`` directional differences of the
-    whole frame, one along each spanning field.  Returns
-    ``(structure_fn, gram_fn)`` as pointwise callables.
+    ambient metric, every pair in one solve.  The brackets are
+    ``[U_a, U_b] = dU_b U_a - dU_a U_b`` with the frame Jacobian ``dU``:
+    exact from one call when ``frame_fn`` carries ``value_and_jacobian`` (an
+    expression table), otherwise ``m`` directional differences of the whole
+    frame, one along each spanning field.  Returns ``(structure_fn,
+    gram_fn)`` as pointwise callables; when both the frame and the ambient
+    metric carry ``value_and_jacobian``, so does ``gram_fn``, by the product
+    rule.
     """
+    exact = hasattr(frame_fn, "value_and_jacobian")
+    ambient_moves = not getattr(metric_fn, "is_constant", False)
 
     def gram_fn(x):
         B = frame_fn(x)
         return B @ metric_fn(x) @ B.T
 
+    def gram_value_and_jacobian(x):
+        B, dB = frame_fn.value_and_jacobian(x)
+        if ambient_moves:
+            G, dG = metric_fn.value_and_jacobian(x)
+        else:
+            G = metric_fn(x)
+        BG = B @ G
+        # d(B G B^T) = B G dB^T + its transpose (G is symmetric) + B dG B^T
+        half = np.einsum("aj,bji->abi", BG, dB)
+        dgram = half + half.transpose(1, 0, 2)
+        if ambient_moves:
+            dgram += np.einsum("aj,jki,bk->abi", B, dG, B)
+        return BG @ B.T, dgram
+
     def structure_fn(x):
-        B = frame_fn(x)
+        if exact:
+            B, dB = frame_fn.value_and_jacobian(x)
+            # J[a, b] is the derivative of field b along field a
+            J = _anchored(B, dB)
+        else:
+            B = frame_fn(x)
+            J = np.array([fd_directional(frame_fn, x, row) for row in B])
         G = metric_fn(x)
-        gram = B @ G @ B.T
+        BG = B @ G
         m = len(B)
-        # J[a][b] is the derivative of field b along field a, so that
-        # [U_a, U_b] = J[a][b] - J[b][a].
-        J = [fd_directional(frame_fn, x, row) for row in B]
         C = np.zeros((m, m, m))
-        for a in range(m):
-            for b in range(a + 1, m):
-                lie = J[a][b] - J[b][a]
-                try:
-                    coeffs = np.linalg.solve(gram, B @ G @ lie)
-                except np.linalg.LinAlgError:
-                    raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
-                C[:, a, b] = coeffs
-                C[:, b, a] = -coeffs
+        pairs = list(combinations(range(m), 2))
+        if pairs:
+            first, second = np.array(pairs).T
+            lie = J[first, second] - J[second, first]  # one bracket per row
+            try:
+                coeffs = np.linalg.solve(BG @ B.T, BG @ lie.T)
+            except np.linalg.LinAlgError:
+                raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
+            C[:, first, second] = coeffs
+            C[:, second, first] = -coeffs
         return C
 
+    if exact and hasattr(metric_fn, "value_and_jacobian"):
+        gram_fn.value_and_jacobian = gram_value_and_jacobian
     return structure_fn, gram_fn
 
 
@@ -286,11 +314,12 @@ def load_spec(document: dict) -> SystemDefinition:
         if len(ambient_rows) != n:
             raise SpecError("$.ambient.metric", f"expected {n} rows")
         ambient_table = _expr_table(ambient_rows, n, coords, params, "$.ambient.metric",
-                                    "ambient metric")
+                                    "ambient metric", differentiable=True)
         dist_rows = _require(document, "distribution", list, path)
         if len(dist_rows) != m:
             raise SpecError("$.distribution", f"expected {m} rows")
-        dist_table = _expr_table(dist_rows, n, coords, params, "$.distribution", "distribution")
+        dist_table = _expr_table(dist_rows, n, coords, params, "$.distribution", "distribution",
+                                 differentiable=True)
         comp_table = _expr_table(document.get("complement") or [], n, coords, params,
                                  "$.complement", "complement")
         structure_fn, gram_fn = induced_algebroid(ambient_table, dist_table)

@@ -151,6 +151,19 @@ class TestAlmostDifferential:
         out = d_function(top.structure, parse("1"), np.zeros(0))
         assert out == pytest.approx([0.0, 0.0, 0.0])
 
+    def test_table_is_differentiated_exactly(self, leg):
+        """A table carries its Jacobian: one row rho(p) J(p) per frame
+        direction, against the anchored differences of the same table."""
+        from algmech.algebroid import _ExprTable
+
+        table = _ExprTable(["r^2*sin(theta)", "cos(theta - psi)/r"], (2,), leg.coords, {})
+        p = np.array([1.7, 0.2, -0.4])
+        exact = d_function(leg.structure, table, p)
+        assert exact.shape == (3, 2)
+        rows = leg.structure.anchor(p) @ table.value_and_jacobian(p)[1].T
+        assert exact == pytest.approx(rows, rel=1e-14, abs=1e-14)
+        assert np.max(np.abs(exact - d_function(leg.structure, lambda x: table(x), p))) < 1e-8
+
 
 class TestDOneForm:
     def test_squared_differential_vanishes_for_lie_algebroid(self, planar, flat2, rng):

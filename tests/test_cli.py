@@ -255,6 +255,22 @@ class TestUsageErrors:
         assert code == 2
         assert "sample count must be at least 1" in err
 
+    @pytest.mark.parametrize("ref", ["basis:0", "basis:4", "basis:-1", "basis:x",
+                                     "control:0", "control:3"])
+    def test_section_index_out_of_range(self, capsys, ref):
+        """basis:K takes K in 1..m and control:K in 1..(number of controls);
+        basis:0 used to check e3 under the label e0, and basis:4 escaped as
+        an IndexError."""
+        code, out, err = run(capsys, "check-decoupling", "--system", "planar_body",
+                             "--section", ref)
+        assert code == 2
+        assert f"section reference {ref!r}" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["check-decoupling", "check-hj", "closure", "report"])
+    def test_csv_only_on_christoffel(self, capsys, command):
+        code, out, _ = run(capsys, command, "--system", "planar_body", "--format", "csv")
+        assert code == 2 and out == ""
+
     def test_controls_required(self, capsys):
         code, _, err = run(capsys, "check-maxred", "--system", "euclidean")
         assert code == 2

@@ -174,6 +174,20 @@ class TestIntegrate:
         assert np.all(np.isfinite(traj.fiber))
         assert len(traj) < 11
 
+    def test_metric_kink_truncates(self):
+        """A geodesic started where the metric's exact Jacobian does not
+        exist stops with the reason instead of carrying a NaN."""
+        from algmech import load_spec
+
+        kinked = load_spec({"name": "kinked", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                            "anchor": [["1"]], "metric": [["1 + abs(x)"]],
+                            "chart": {"box": {"x": [-1.0, 1.0]}}})
+        field = spray_field(kinked.structure, kinked.metric)
+        traj = integrate(field, TotalPoint([0.0], [0.5]), 0.0, 1.0, 0.1, chart=kinked.chart)
+        assert traj.truncated
+        assert "abs is not differentiable at 0" in traj.reason
+        assert len(traj) == 1 and np.all(np.isfinite(traj.fiber))
+
     def test_invalid_steps_rejected(self, flat2):
         field = spray_field(flat2.structure, flat2.metric)
         with pytest.raises(ValueError):

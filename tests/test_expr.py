@@ -192,28 +192,41 @@ def _random_value(rng):
     return rng.choice(_SPECIAL) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
 
 
-def _random_expr(rng, depth, shared):
-    """A random tree over the whole grammar; some subtrees are reused from ``shared``."""
+def _random_expr(rng, depth, shared, value=_random_value):
+    """A random tree over the whole grammar; some subtrees are reused from
+    ``shared``, and literals are drawn by ``value``."""
     if shared and rng.random() < 0.1:
         return rng.choice(shared)
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.35:
-            return Num(_random_value(rng))
+            return Num(value(rng))
         if rng.random() < 0.03:
             return Var("w")  # unbound
         return Var(rng.choice(COORDS + tuple(PARAMS)))
     kind = rng.randrange(3)
     if kind == 0:
-        node = Neg(_random_expr(rng, depth - 1, shared))
+        node = Neg(_random_expr(rng, depth - 1, shared, value))
     elif kind == 1:
-        node = BinOp(rng.choice("+-*/^"), _random_expr(rng, depth - 1, shared),
-                     _random_expr(rng, depth - 1, shared))
+        node = BinOp(rng.choice("+-*/^"), _random_expr(rng, depth - 1, shared, value),
+                     _random_expr(rng, depth - 1, shared, value))
     else:
         name = rng.choice(sorted(ex._FUNCTIONS))
-        node = Call(name, tuple(_random_expr(rng, depth - 1, shared)
+        node = Call(name, tuple(_random_expr(rng, depth - 1, shared, value)
                                 for _ in range(ex._FUNCTIONS[name][0])))
     shared.append(node)
     return node
+
+
+def _finite_value(rng):
+    return rng.uniform(-3.0, 3.0)
+
+
+def _finite_case(rng):
+    """A random table over the whole grammar with finite literals, a finite
+    point and finite parameters."""
+    shared = []
+    exprs = [_random_expr(rng, 3, shared, _finite_value) for _ in range(rng.randint(1, 3))]
+    return exprs, [_finite_value(rng) for _ in COORDS], {name: _finite_value(rng) for name in PARAMS}
 
 
 def _outcome(thunk):
@@ -329,3 +342,161 @@ class TestCompiledTable:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, expected):
             assert got.tobytes() == want.tobytes()
+
+    def test_first_calls_of_both_kinds_from_many_threads(self):
+        """Threads racing on the first values and Jacobian calls of a
+        differentiable table all get the single-threaded results."""
+        exprs = [parse("sin(x)*y/(1 + x^2)"), parse("atan2(y, x) - ln(1 + y^2)")]
+        points = [np.array([0.1 * k + 0.05, 1.0 - 0.05 * k]) for k in range(8)]
+        reference = _ExprTable(exprs, (2,), ("x", "y"), {})
+        expected = [reference.value_and_jacobian(p) for p in points]
+        table = _ExprTable(exprs, (2,), ("x", "y"), {}, differentiable=True)
+        results = [None] * len(points)
+
+        def work(k):
+            for _ in range(50):
+                if k % 2:
+                    results[k] = table.value_and_jacobian(points[k])
+                else:
+                    results[k] = (table(points[k]), expected[k][1])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        for (values, jac), (want_values, want_jac) in zip(results, expected):
+            assert values.tobytes() == want_values.tobytes()
+            assert jac.tobytes() == want_jac.tobytes()
+
+    # --- Jacobians ------------------------------------------------------------
+
+    def test_jacobian_values_are_the_call_values(self):
+        """The values half of the Jacobian function is bitwise the values
+        function; where the values raise, it raises the same; otherwise it
+        raises only EvalError, at a kink."""
+        rng = random.Random(20261019)
+        kinks = 0
+        for case in range(2000):
+            shared = []
+            exprs = [_random_expr(rng, 4, shared) for _ in range(rng.randint(1, 4))]
+            point = [_random_value(rng) for _ in COORDS]
+            params = {name: _random_value(rng) for name in PARAMS}
+            values, both = ex._compile_table(exprs, COORDS, params, jacobian=True)
+            want = _outcome(lambda: ex._compile_table(exprs, COORDS, params)(point))
+            assert _outcome(lambda: values(point)) == want, case
+            got = _outcome(lambda: both(point)[0])
+            if got != want:
+                assert not isinstance(want[0], type) and got[0] is EvalError, (case, exprs, point)
+                kinks += 1
+        assert kinks > 0
+
+    def test_jacobian_matches_central_differences(self):
+        """Every partial of a random table at a finite point matches central
+        differences where the entry is smooth: where differences at the base
+        steps 1e-5 and 1e-6 agree to 1e-6."""
+        rng = random.Random(20261020)
+        compared = 0
+        for case in range(600):
+            exprs, point, params = _finite_case(rng)
+            values, both = ex._compile_table(exprs, COORDS, params, jacobian=True)
+            try:
+                value, jac = both(point)
+            except (ArithmeticError, ValueError):  # EvalError is a ValueError
+                continue
+            jac = jac.reshape(len(exprs), len(COORDS))
+            for i in range(len(COORDS)):
+                def along(t):
+                    return values(point[:i] + [t[0]] + point[i + 1:])
+
+                try:
+                    coarse, fine = (fd_directional(along, [point[i]], [1.0], h) for h in (1e-5, 1e-6))
+                except (ArithmeticError, ValueError):
+                    continue
+                for k in range(len(exprs)):
+                    scale = max(1.0, abs(fine[k]))
+                    if np.isfinite(value[k]) and abs(coarse[k] - fine[k]) <= 1e-6 * scale:
+                        assert abs(jac[k, i] - fine[k]) <= 1e-5 * scale, (case, exprs[k], point, i)
+                        compared += 1
+        assert compared > 1000
+
+    def test_jacobian_matches_sympy(self):
+        """Every partial of a random table matches ``sympy.diff`` evaluated
+        in 30 digits, where that derivative is real and finite."""
+        sympy = pytest.importorskip("sympy")
+        symbols = {name: sympy.Symbol(name, real=True) for name in COORDS}
+        functions = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
+                     "ln": sympy.log, "sqrt": sympy.sqrt, "abs": sympy.Abs, "atan2": sympy.atan2}
+
+        def to_sympy(node, params):
+            if isinstance(node, Num):
+                return sympy.Float(node.value, 30)
+            if isinstance(node, Var):
+                return symbols.get(node.name, sympy.Float(params.get(node.name, 0.0), 30))
+            if isinstance(node, Neg):
+                return -to_sympy(node.arg, params)
+            if isinstance(node, Call):
+                return functions[node.func](*(to_sympy(arg, params) for arg in node.args))
+            a, b = to_sympy(node.left, params), to_sympy(node.right, params)
+            if node.op == "/":
+                return a / b
+            if node.op == "^":
+                return a ** b
+            return {"+": a + b, "-": a - b, "*": a * b}[node.op]
+
+        rng = random.Random(20261021)
+        compared = 0
+        for case in range(120):
+            exprs, point, params = _finite_case(rng)
+            try:
+                value, jac = ex._compile_table(exprs, COORDS, params, jacobian=True)[1](point)
+            except (ArithmeticError, ValueError):
+                continue
+            jac = jac.reshape(len(exprs), len(COORDS))
+            at = {symbols[name]: sympy.Float(x, 30) for name, x in zip(COORDS, point)}
+            for k, e in enumerate(exprs):
+                if not np.isfinite(value[k]):
+                    continue
+                tree = to_sympy(e, params)
+                for i, name in enumerate(COORDS):
+                    want = complex(sympy.diff(tree, symbols[name]).evalf(30, subs=at))
+                    # 1e-7, not rounding: nested exponentials such as
+                    # cos(exp(exp(y))) amplify the rounding of the point.
+                    if want.imag == 0.0 and abs(want.real) < 1e12:
+                        assert abs(jac[k, i] - want.real) <= 1e-7 * max(1.0, abs(want.real)), \
+                            (case, e, point, name)
+                        compared += 1
+        assert compared > 100
+
+    @pytest.mark.parametrize("source, point, message", [
+        ("abs(x)", [0.0, 1.0], "abs is not differentiable at 0"),
+        ("abs(x - y)", [1.0, 1.0], "abs is not differentiable at 0"),
+        ("sqrt(x)", [0.0, 1.0], "sqrt is not differentiable at 0"),
+        ("sqrt(x^2 + y^2)", [0.0, 0.0], "sqrt is not differentiable at 0"),
+        ("x^0.5", [0.0, 1.0], "zero raised to a negative power"),
+        ("x^y", [-2.0, 2.0], "ln of a non-positive value"),
+        ("x^y", [0.0, 2.0], "ln of a non-positive value"),
+        ("atan2(y, x)", [0.0, 0.0], "atan2 is not differentiable at the origin"),
+    ])
+    def test_jacobian_raises_at_kinks(self, source, point, message):
+        """The value exists at a kink, the Jacobian does not."""
+        table = _ExprTable([parse(source)], (1,), ("x", "y"), {})
+        assert np.isfinite(table(point)).all()
+        with pytest.raises(EvalError, match=message):
+            table.value_and_jacobian(point)
+
+    def test_jacobian_shape_and_folded_tables(self):
+        table = _ExprTable(["x*y", "sin(x)", "a", "y^3"], (2, 2), ("x", "y"), {"a": 2.0})
+        values, jac = table.value_and_jacobian([0.5, 2.0])
+        assert values.tobytes() == table([0.5, 2.0]).tobytes()
+        assert jac.shape == (2, 2, 2)
+        assert jac.tolist() == [[[2.0, 0.5], [math.cos(0.5), 0.0]], [[0.0, 0.0], [0.0, 12.0]]]
+        constant = _ExprTable(["a", "2*a"], (2,), ("x",), {"a": 1.0})
+        values, jac = constant.value_and_jacobian([3.0])
+        assert values.tolist() == [1.0, 2.0] and jac.tolist() == [[0.0], [0.0]]

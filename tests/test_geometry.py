@@ -143,6 +143,39 @@ class TestChristoffel:
             for (a, b, c), value in np.ndenumerate(gamma):
                 assert value == pytest.approx(expected.get((a, b, c), 0.0), abs=1e-5)
 
+    def test_leg_golden_residual_is_rounding(self, leg):
+        """Acceptance criterion 2's points and closed forms: with the exact
+        metric Jacobian the worst entry error is at rounding level (finite
+        differences left 1.3e-10)."""
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for r in rng.uniform(0.5, 3.0, size=10):
+            p = np.array([r, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))])
+            gamma = christoffel(leg.structure, leg.metric, p).gamma
+            expected = leg_gamma_expected(r, 1.0, 1.0)
+            for index, value in np.ndenumerate(gamma):
+                worst = max(worst, abs(value - expected.get(index, 0.0)))
+        assert worst <= 1e-12
+
+    def test_exact_and_difference_paths_agree(self, leg, board):
+        """The same data behind opaque callables takes the finite-difference
+        path (anchored differences of the metric, frame differences for the
+        induced brackets); both connections agree."""
+        from algmech.systems import induced_algebroid
+
+        frame, ambient = board.embedded["distribution"], board.document["ambient"]["metric"]
+        ambient = BundleMetric.from_exprs(ambient, board.coords, board.params)
+        structure_fn, gram_fn = induced_algebroid(lambda x: ambient.matrix(x), lambda x: frame(x))
+        opaque_board = (AlgebroidStructure(board.coords, board.m, lambda x: frame(x), structure_fn),
+                        BundleMetric(gram_fn, board.m))
+        opaque_leg = (leg.structure, BundleMetric(lambda x: leg.metric.matrix(x), leg.m))
+        for sysd, (S, Gm) in ((leg, opaque_leg), (board, opaque_board)):
+            assert sysd.metric.has_jacobian and not Gm.has_jacobian
+            for p in sysd.sample(5, seed=3):
+                exact = christoffel(sysd.structure, sysd.metric, p).gamma
+                differenced = christoffel(S, Gm, p).gamma
+                assert np.max(np.abs(exact - differenced)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
+
     def test_leg_full_table_offdefault_parameters(self):
         from algmech import robotic_leg
 
@@ -189,12 +222,9 @@ class TestChristoffel:
         p = np.array([1.3, 0.2, -0.5])
         S, Gm = leg.structure, leg.metric
         gamma = christoffel(S, Gm, p).gamma
-        G = Gm.matrix(p)
+        G, dG = Gm.value_and_jacobian(p)
         C = S.structure(p)
-        from algmech.expr import fd_partial
-
-        dG = np.array([fd_partial(Gm.matrix, p, i) for i in range(3)])
-        rhoG = np.einsum("ai,icd->acd", S.anchor(p), dG)
+        rhoG = np.einsum("ai,cdi->acd", S.anchor(p), dG)
         K = (rhoG + np.einsum("cbe->bce", rhoG) - np.einsum("ebc->bce", rhoG)
              + np.einsum("bf,fec->bce", G, C) + np.einsum("cf,feb->bce", G, C)
              - np.einsum("ef,fcb->bce", G, C))

@@ -113,6 +113,13 @@ class TestLoader:
         with pytest.raises(SpecError, match="antisymmetric"):
             load_spec(doc)
 
+    def test_nan_metric_is_not_positive_definite(self):
+        """inf - inf is NaN, and NaN eigenvalues used to pass the check."""
+        with pytest.raises(SpecError, match="not positive definite"):
+            load_spec({"name": "nan", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                       "anchor": [["1"]], "metric": [["1e308*10 - 1e308*10"]],
+                       "chart": {"box": {"x": [-1.0, 1.0]}}})
+
     def test_metric_mirror_probes_stay_in_the_chart(self, leg):
         """sqrt(r) is real on the chart box r in [0.5, 3], not on [-1, 1]."""
         doc = dump_spec(leg)
@@ -293,8 +300,9 @@ class TestInducedAlgebroid:
         assert np.allclose(gram_fn(p), np.eye(2))
 
     def test_snakeboard_brackets_match_per_field_brackets(self, board):
-        """The m directional differences of the whole frame give bitwise the
-        structure functions built from one Lie bracket per pair of fields."""
+        """The exact brackets of the frame Jacobian agree with one
+        finite-difference Lie bracket per pair of fields, and the structure
+        functions are antisymmetric bit for bit."""
         from algmech import vector_field_bracket
 
         doc = dump_spec(board)
@@ -310,28 +318,53 @@ class TestInducedAlgebroid:
                     lie = vector_field_bracket(fields[a], fields[b], p)
                     expected[:, a, b] = np.linalg.solve(B @ G @ B.T, B @ G @ lie)
                     expected[:, b, a] = -expected[:, a, b]
-            assert np.array_equal(board.structure.structure(p), expected)
+            C = board.structure.structure(p)
+            assert np.max(np.abs(C - expected)) <= 1e-7 * np.max(np.abs(expected))
+            assert np.array_equal(C, -C.transpose(0, 2, 1))
             assert np.array_equal(board.metric.matrix(p), B @ G @ B.T)
             assert np.array_equal(board.structure.anchor(p), B)
 
     def test_spray_evaluation_table_calls(self, board, monkeypatch):
-        """One snakeboard spray evaluation calls 24 expression tables: the
-        anchor (1), the metric at the point (frame and ambient, 2), the
-        structure (frame and ambient, plus two frame calls per field: 8) and
-        rho(e_A)(G) (the anchor and two metric evaluations per field: 13)."""
+        """One snakeboard spray evaluation makes 6 expression-table calls:
+        the frame as the anchor of the base velocity and of rho(e_A)(G) (2),
+        the frame's values and Jacobian for the structure functions and for
+        the Gram matrix (2 ``value_and_jacobian`` calls), and the constant
+        ambient metric for each of those two (2)."""
         from algmech import algebroid, spray_field
 
         field = spray_field(board.structure, board.metric)
         calls = []
-        original = algebroid._ExprTable.__call__
+        for method in ("__call__", "value_and_jacobian"):
+            original = getattr(algebroid._ExprTable, method)
 
-        def counted(table, x):
-            calls.append(table)
-            return original(table, x)
+            def counted(table, x, original=original, method=method):
+                calls.append(method)
+                return original(table, x)
 
-        monkeypatch.setattr(algebroid._ExprTable, "__call__", counted)
+            monkeypatch.setattr(algebroid._ExprTable, method, counted)
         field(0.0, np.array([0.0, 0.0, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05]))
-        assert len(calls) == 24
+        assert sorted(calls) == ["__call__"] * 4 + ["value_and_jacobian"] * 2
+
+    def test_gram_jacobian_by_the_product_rule(self, leg):
+        """Frame and ambient metric as tables, the ambient one moving: the
+        Gram matrix carries its exact Jacobian, which central differences
+        confirm, and the exact brackets reproduce the leg's typed-in
+        structure functions to rounding."""
+        from algmech.algebroid import _ExprTable
+        from algmech.expr import fd_directional
+
+        coords, params = leg.coords, leg.params
+        ambient = _ExprTable(["m", "0", "0", "0", "m*r^2", "0", "0", "0", "J"], (3, 3),
+                             coords, params, differentiable=True)
+        frame = _ExprTable(["0", "1/(m*r^2)", "-1/J", "1/m", "0", "0", "0", "1", "1"], (3, 3),
+                           coords, params, differentiable=True)
+        structure_fn, gram_fn = induced_algebroid(ambient, frame)
+        for p in leg.sample(5, seed=4):
+            gram, dgram = gram_fn.value_and_jacobian(p)
+            assert np.array_equal(gram, gram_fn(p))
+            for i, unit in enumerate(np.eye(3)):
+                assert np.max(np.abs(dgram[..., i] - fd_directional(gram_fn, p, unit))) < 1e-8
+            assert np.max(np.abs(structure_fn(p) - leg.structure.structure(p))) < 1e-12
 
     def test_singular_gram_names_the_point(self):
         """The distribution field x*d/dx vanishes on x = 0, where the Gram
