@@ -117,12 +117,6 @@ class _ExprTable:
         return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
 
 
-def _scalar_field(entry, coords, params, where: str) -> Callable:
-    """One expression as a scalar function of the point."""
-    table = _ExprTable([entry], (1,), coords, params, where)
-    return lambda x: float(table(x)[0])
-
-
 def _check_mirrors(pairs, sign: float, coords, params, points, where: str) -> None:
     """Reject mirror entries that are not one function written twice.
 
@@ -215,12 +209,15 @@ class ChartDomain:
 
 
 class Section:
-    """Fiber-coefficient functions ``X^A(x)`` over the base, evaluable at points."""
+    """Fiber-coefficient functions ``X^A(x)`` over the base, evaluable at points;
+    one wrapping an expression table carries its ``value_and_jacobian``."""
 
     def __init__(self, fn: Callable, rank: int, label: str = ""):
         self._fn = fn
         self.rank = int(rank)
         self.label = label
+        if hasattr(fn, "value_and_jacobian"):
+            self.value_and_jacobian = fn.value_and_jacobian
 
     @classmethod
     def from_exprs(cls, entries: Sequence, coords, params=None, label: str = "") -> "Section":
@@ -461,6 +458,29 @@ class Trajectory:
 # --- operations ----------------------------------------------------------------
 
 
+def _differential(f, x, step=None) -> tuple:
+    """``(f(x), along)``: ``along(directions)`` stacks the derivatives of ``f``
+    at ``x`` along the rows of ``directions``, as ``(k, *shape)``.
+
+    Exact, ``directions . J``, when ``f`` carries ``value_and_jacobian`` (an
+    expression table, or a section, metric or potential wrapping one);
+    otherwise one :func:`expr.fd_directional` per row.  This is the only
+    place that chooses between the two.
+    """
+    exact = getattr(f, "value_and_jacobian", None)
+    if exact is None:
+        return f(x), lambda directions: np.array([fd_directional(f, x, v, step)
+                                                  for v in directions])
+    value, jacobian = exact(x)
+
+    def along(directions):
+        out = jacobian @ np.asarray(directions).T
+        # The last axis to the front; np.moveaxis costs more than the product here.
+        return out.transpose(out.ndim - 1, *range(out.ndim - 1))
+
+    return value, along
+
+
 def bracket(S: AlgebroidStructure, X: Section, Y: Section, p, step=None) -> np.ndarray:
     """Coefficients of the bracket of two sections at ``p``.
 
@@ -468,12 +488,9 @@ def bracket(S: AlgebroidStructure, X: Section, Y: Section, p, step=None) -> np.n
     derivative terms ``rho(X)(Y^c) - rho(Y)(X^c)``.
     """
     p = S.check_point(p)
-    Xp, Yp = X(p), Y(p)
-    out = np.einsum("cab,a,b->c", S.structure(p), Xp, Yp)
-    if S.n:
-        R = S.anchor(p)
-        out = out + fd_directional(Y, p, R.T @ Xp, step) - fd_directional(X, p, R.T @ Yp, step)
-    return out
+    (Xp, dX), (Yp, dY) = _differential(X, p, step), _differential(Y, p, step)
+    R = S.anchor(p)
+    return np.einsum("cab,a,b->c", S.structure(p), Xp, Yp) + dY([R.T @ Xp])[0] - dX([R.T @ Yp])[0]
 
 
 def anchor_apply(S: AlgebroidStructure, X: Section, p) -> np.ndarray:
@@ -483,19 +500,12 @@ def anchor_apply(S: AlgebroidStructure, X: Section, p) -> np.ndarray:
 
 
 def _as_scalar_field(f, S: AlgebroidStructure) -> Callable:
+    """An expression as a shape-``()`` table over the chart; a callable as is."""
     if isinstance(f, (Expr, str)):
-        return _scalar_field(f, S.coords, S.params, "scalar function")
+        return _ExprTable([f], (), S.coords, S.params, "scalar function")
     if callable(f):
         return f
     raise TypeError("expected an expression or a callable scalar field")
-
-
-def _anchored(R: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-    """``rho(e_A)(f)`` from the anchor rows ``R`` and the coordinate Jacobian
-    ``(*shape, n)`` of ``f``: one array of ``shape`` per row of ``R``."""
-    out = jacobian @ R.T
-    # The last axis to the front; np.moveaxis costs more than the product here.
-    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
 
 def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
@@ -503,36 +513,30 @@ def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
 
     For a scalar ``f`` (expression or callable) this is the almost
     differential ``rho^i_A d_i f``; an array-valued callable gets one array
-    per row.  A field that carries ``value_and_jacobian`` (an expression
-    table) is differentiated exactly, ``rho(p) . J(p)``; for any other each
-    row is one directional difference along the anchor image of ``e_A``.
-    Every frame derivative of a field goes through here.  An expression
-    ``f`` is compiled on every call; to evaluate one at many points, build
-    its field once (``Potential.from_expr``) and pass that.
+    per row.  An expression, or a field that carries ``value_and_jacobian``
+    (a table, section, metric or potential), is differentiated exactly,
+    ``rho(p) . J(p)``; an opaque callable by one directional difference per
+    row, along the anchor image of ``e_A`` (see :func:`_differential`).  An
+    expression ``f`` is compiled on every call; to evaluate one at many
+    points, build its field once (``Potential.from_expr``) and pass that.
     """
     p = S.check_point(p)
-    jacobian = getattr(f, "value_and_jacobian", None)
-    if jacobian is not None:
-        return _anchored(S.anchor(p), jacobian(p)[1])
-    fn = _as_scalar_field(f, S)
-    return np.array([fd_directional(fn, p, row, step) for row in S.anchor(p)])
+    return _differential(_as_scalar_field(f, S), p, step)[1](S.anchor(p))
 
 
 def d_oneform(S: AlgebroidStructure, kappa: OneForm, X: Section, Y: Section, p, step=None) -> float:
     """Evaluate the almost differential of a one-form on two sections at ``p``.
 
-    Two-argument formula: ``rho(X)(kappa(Y)) - rho(Y)(kappa(X)) - kappa([X, Y])``.
+    Two-argument formula: ``rho(X)(kappa(Y)) - rho(Y)(kappa(X)) - kappa([X, Y])``,
+    the pairings differentiated by the product rule.
     """
     p = S.check_point(p)
-    kX = lambda x: float(kappa(x) @ X(x))
-    kY = lambda x: float(kappa(x) @ Y(x))
+    (k, dk), (Xp, dX), (Yp, dY) = (_differential(f, p, step) for f in (kappa, X, Y))
     R = S.anchor(p)
-    u = R.T @ X(p)
-    v = R.T @ Y(p)
-    term1 = float(fd_directional(kY, p, u, step)) if S.n else 0.0
-    term2 = float(fd_directional(kX, p, v, step)) if S.n else 0.0
-    term3 = float(kappa(p) @ bracket(S, X, Y, p, step))
-    return term1 - term2 - term3
+    u, v = [R.T @ Xp], [R.T @ Yp]
+    rho_X_kY = dk(u)[0] @ Yp + k @ dY(u)[0]
+    rho_Y_kX = dk(v)[0] @ Xp + k @ dX(v)[0]
+    return float(rho_X_kY - rho_Y_kX - k @ bracket(S, X, Y, p, step))
 
 
 def _bracket_section(S, X, Y, step=None) -> Section:

@@ -2,10 +2,10 @@
 
 The connection is computed pointwise from the Koszul formula in an arbitrary
 basis: the six-term right-hand side is assembled from the anchored metric
-derivatives ``rho(e_A)(G)`` (the anchor times the metric's exact Jacobian
-for an expression-table or induced metric, otherwise one ``d_function``
-call, a central difference along each anchored frame direction) and the
-structure functions, then solved with the inverse metric.
+derivatives ``rho(e_A)(G)`` and the structure functions, then solved with
+the inverse metric.  Every derivative of a field here (metric, section,
+potential) is taken by ``algebroid._differential``: exact for a field backed
+by expression tables, a central difference for an opaque callable.
 Orthogonal-basis shortcuts are deliberately not a separate code path.
 """
 
@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _anchored,
-                        _check_mirrors, _ExprTable, _probe_points, _scalar_field, d_function)
+from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _as_scalar_field,
+                        _check_mirrors, _differential, _ExprTable, _probe_points, d_function)
 from .expr import fd_directional
 
 __all__ = [
@@ -45,15 +45,19 @@ class SingularMetricError(ValueError):
 
 
 class BundleMetric:
-    """Symmetric fiber metric ``G_AB(x)`` on the algebroid."""
+    """Symmetric fiber metric ``G_AB(x)`` on the algebroid.
+
+    Calling it is :meth:`matrix`.  A metric wrapping an expression table or
+    the induced Gram matrix carries their ``value_and_jacobian``.
+    """
 
     def __init__(self, fn: Callable, rank: int):
         self._fn = fn
         self.m = int(rank)
-        # Only an expression table knows it is coordinate-free, and only a
-        # table or the induced Gram matrix knows its exact Jacobian.
+        # Only an expression table knows it is coordinate-free.
         self.is_constant = getattr(fn, "is_constant", False)
-        self.has_jacobian = hasattr(fn, "value_and_jacobian")
+        if hasattr(fn, "value_and_jacobian"):
+            self.value_and_jacobian = fn.value_and_jacobian
 
     @classmethod
     def from_exprs(cls, entries: Sequence[Sequence], coords, params=None,
@@ -93,13 +97,8 @@ class BundleMetric:
             raise ValueError(f"metric returned shape {out.shape}")
         return out
 
-    def value_and_jacobian(self, x) -> tuple:
-        """``G(x)``, bitwise as :meth:`matrix`, and its exact coordinate
-        Jacobian ``(m, m, n)``; only when ``has_jacobian``."""
-        G, dG = self._fn.value_and_jacobian(np.asarray(x, dtype=float))
-        if G.shape != (self.m, self.m):
-            raise ValueError(f"metric returned shape {G.shape}")
-        return G, dG
+    def __call__(self, x) -> np.ndarray:
+        return self.matrix(x)
 
     def inverse(self, x) -> np.ndarray:
         return _invert(self.matrix(x), x)
@@ -145,14 +144,17 @@ class ChristoffelTensor:
 
 
 class Potential:
-    """Scalar potential on the base."""
+    """Scalar potential on the base; one from an expression carries its
+    table's ``value_and_jacobian``."""
 
     def __init__(self, fn: Callable):
         self._fn = fn
+        if hasattr(fn, "value_and_jacobian"):
+            self.value_and_jacobian = fn.value_and_jacobian
 
     @classmethod
     def from_expr(cls, entry, coords, params=None) -> "Potential":
-        return cls(_scalar_field(entry, coords, params or {}, "potential"))
+        return cls(_ExprTable([entry], (), coords, params or {}, "potential"))
 
     def __call__(self, x) -> float:
         return float(self._fn(np.asarray(x, dtype=float)))
@@ -222,14 +224,12 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     pairings — and contracts with the inverse metric.
     """
     p = S.check_point(p)
-    m = S.m
-    # rho(e_A)(G_CD): exact from the metric's Jacobian where it has one
-    if Gm.has_jacobian and not Gm.is_constant:
-        G, dG = Gm.value_and_jacobian(p)
-        rhoG = _anchored(S.anchor(p), dG)
+    # rho(e_A)(G_CD); a coordinate-free metric needs no anchor for its zeros
+    if Gm.is_constant:
+        G, rhoG = Gm.matrix(p), np.zeros((S.m,) * 3)
     else:
-        G = Gm.matrix(p)
-        rhoG = np.zeros((m, m, m)) if Gm.is_constant else d_function(S, Gm.matrix, p)
+        G, dG = _differential(Gm, p)
+        rhoG = dG(S.anchor(p))
     Ginv = _invert(G, p)
     C = S.structure(p)
 
@@ -266,11 +266,8 @@ def covariant_derivative(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.nda
     p = S.check_point(p)
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
-    Xp, Yp = X(p), Y(p)
-    out = np.einsum("abc,b,c->a", gamma, Xp, Yp)
-    if S.n:
-        out = out + fd_directional(Y, p, S.anchor(p).T @ Xp)
-    return out
+    Xp, (Yp, dY) = X(p), _differential(Y, p)
+    return np.einsum("abc,b,c->a", gamma, Xp, Yp) + dY([S.anchor(p).T @ Xp])[0]
 
 
 def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.ndarray:
@@ -302,12 +299,10 @@ def symmetric_product(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarra
     p = S.check_point(p)
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
-    Xp, Yp = X(p), Y(p)
+    (Xp, dX), (Yp, dY) = _differential(X, p), _differential(Y, p)
+    R = S.anchor(p)
     out = np.einsum("abc,b,c->a", gamma + np.transpose(gamma, (0, 2, 1)), Xp, Yp)
-    if S.n:
-        R = S.anchor(p)
-        out = out + fd_directional(Y, p, R.T @ Xp) + fd_directional(X, p, R.T @ Yp)
-    return out
+    return out + dY([R.T @ Xp])[0] + dX([R.T @ Yp])[0]
 
 
 def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) -> np.ndarray:
@@ -357,11 +352,10 @@ def gradient(S, Gm, V, p) -> np.ndarray:
     points, pass a ``Potential`` or use :func:`gradient_section`.
     """
     p = S.check_point(p)
-    fn = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
-    return sharp(Gm, d_function(S, fn, p), p)
+    return sharp(Gm, d_function(S, V, p), p)
 
 
 def gradient_section(S, Gm, V) -> Section:
     """The gradient as a section, evaluable anywhere on the chart."""
-    V = V if isinstance(V, Potential) else Potential.from_expr(V, S.coords, S.params)
+    V = _as_scalar_field(V, S)
     return Section(lambda x: gradient(S, Gm, V, x), S.m, label="grad")

@@ -16,6 +16,7 @@ from .algebroid import (
     Section,
     Trajectory,
     _as_scalar_field,
+    _differential,
     _span_ranks,
     d_function,
     span_rank,
@@ -116,35 +117,8 @@ class Projector:
         return np.eye(self.m) - self.p_matrix(p)
 
     def complement_basis(self, p) -> np.ndarray:
-        """Metric-orthonormal basis of the complement at ``p`` (deterministic).
-
-        Gram-Schmidt under ``G(p)`` seeded with the span, then extended by the
-        canonical fiber directions; the span part is discarded.
-        """
-        G = self.metric.matrix(p)
-        basis = []
-
-        def push(v):
-            v = v.astype(float).copy()
-            for b in basis:
-                v -= (b @ G @ v) * b
-            norm_sq = float(v @ G @ v)
-            if norm_sq > _RANK_EPS ** 2:
-                basis.append(v / np.sqrt(norm_sq))
-                return True
-            return False
-
-        for row in self.subbundle.matrix(p):
-            push(row)
-        if len(basis) != self.subbundle.rank:
-            raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}")
-        complement = []
-        for k in range(self.m):
-            unit = np.zeros(self.m)
-            unit[k] = 1.0
-            if push(unit):
-                complement.append(basis[-1])
-        return np.array(complement) if complement else np.zeros((0, self.m))
+        """Metric-orthonormal basis of the complement at ``p`` (deterministic)."""
+        return _orthonormal_complement(self.metric.matrix(p), self.subbundle.matrix(p), p)
 
     def declared_complement_residual(self, declared: Sequence[Section], points) -> float:
         """Worst projection of declared complement sections back onto the span."""
@@ -157,6 +131,34 @@ class Projector:
                 scale = np.sqrt(max(float(w @ G @ w), 1e-30))
                 worst = max(worst, float(np.max(np.abs(P @ w))) / scale)
         return worst
+
+
+def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p) -> np.ndarray:
+    """Rows of a ``G``-orthonormal basis of the ``G``-orthogonal complement of
+    the rows of ``span`` (``(0, m)`` for all directions).
+
+    Gram-Schmidt under ``G`` seeded with the span, then extended by the
+    canonical fiber directions; the span part is discarded.
+    """
+    m = len(G)
+    basis = []
+
+    def push(v):
+        v = v.astype(float).copy()
+        for b in basis:
+            v -= (b @ G @ v) * b
+        norm_sq = float(v @ G @ v)
+        if norm_sq > _RANK_EPS ** 2:
+            basis.append(v / np.sqrt(norm_sq))
+            return True
+        return False
+
+    for row in span:
+        push(row)
+    if len(basis) != len(span):
+        raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}")
+    complement = [basis[-1] for unit in np.eye(m) if push(unit)]
+    return np.array(complement) if complement else np.zeros((0, m))
 
 
 @dataclass
@@ -223,14 +225,21 @@ def project(P: Projector, X, p) -> np.ndarray:
     return P.p_matrix(p) @ coeffs
 
 
-def _force_residual(P, force, points, probe_sections=()) -> float:
+def _force_precheck(predicate, P, force, points, probe_sections,
+                    tol) -> Optional[VerificationReport]:
+    """The inconclusive report of ``predicate`` when ``force`` leaves the
+    control distribution (at the zero fiber or the probe sections), else None."""
+    if force is None:
+        return None
     worst = 0.0
-    for p in np.atleast_2d(points):
+    for p in points:
         Q = P.q_matrix(p)
-        fibers = [np.zeros(P.m)] + [X(p) for X in probe_sections]
-        for y in fibers:
+        for y in [np.zeros(P.m)] + [X(p) for X in probe_sections]:
             worst = max(worst, float(np.max(np.abs(Q @ force(p, y)))))
-    return worst
+    if worst <= tol:
+        return None
+    return _report(predicate, worst, None, len(points), tol,
+                   {"force_complement_residual": worst}, inconclusive=True)
 
 
 def _product_residual(S, Gm, spans, Q, p, gamma) -> float:
@@ -254,11 +263,9 @@ def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAI
     """
     P = Projector(Dc, Gm)
     points = np.atleast_2d(points)
-    if force is not None:
-        pre = _force_residual(P, force, points, (X,))
-        if pre > tol:
-            return VerificationReport("is_decoupling", "inconclusive", pre, None,
-                                      len(points), tol, {"force_complement_residual": pre})
+    pre = _force_precheck("is_decoupling", P, force, points, (X,), tol)
+    if pre is not None:
+        return pre
     gamma_at = christoffel_field(S, Gm)
 
     def residual(p):
@@ -282,11 +289,9 @@ def kinematic_reduction_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points
     every pairwise symmetric product must lie in the control distribution."""
     P = Projector(Dc, Gm)
     points = np.atleast_2d(points)
-    if force is not None:
-        pre = _force_residual(P, force, points, candidate.sections)
-        if pre > tol:
-            return VerificationReport("kinematic_reduction", "inconclusive", pre, None,
-                                      len(points), tol, {"force_complement_residual": pre})
+    pre = _force_precheck("kinematic_reduction", P, force, points, candidate.sections, tol)
+    if pre is not None:
+        return pre
     gamma_at = christoffel_field(S, Gm)
     spans = candidate.sections
 
@@ -405,18 +410,6 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
 # --- Hamilton-Jacobi ---------------------------------------------------------
 
 
-def _complement_rows(S, Gm, Dc: Optional[Subbundle], p) -> np.ndarray:
-    if Dc is None:
-        G = Gm.matrix(p)
-        rows = []
-        for k in range(S.m):
-            unit = np.zeros(S.m)
-            unit[k] = 1.0
-            rows.append(unit / np.sqrt(float(unit @ G @ unit)))
-        return np.array(rows)
-    return Projector(Dc, Gm).complement_basis(p)
-
-
 def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Section, p,
                 gamma=None):
     """Pointwise Hamilton-Jacobi diagnostics for a candidate section.
@@ -427,20 +420,18 @@ def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Secti
     of the control complement (all directions when ``Dc`` is omitted).
     """
     p = S.check_point(p)
-    if gamma is None:
-        gamma = christoffel(S, Gm, p).gamma
-    rows = _complement_rows(S, Gm, Dc, p)
+    (Xp, dX), (G, dG) = _differential(X, p), _differential(Gm, p)
+    rows = _orthonormal_complement(G, np.zeros((0, S.m)) if Dc is None else Dc.matrix(p), p)
     if rows.size == 0:
         return 0.0, 0.0
-    G = Gm.matrix(p)
-    Xp = X(p)
+    if gamma is None:
+        gamma = christoffel(S, Gm, p).gamma
     nablaXX = covariant_derivative(S, Gm, X, X, p, gamma=gamma)
-
-    def energy_density(x):
-        value = 0.5 * float(X(x) @ Gm.matrix(x) @ X(x))
-        return value + (V(x) if V is not None else 0.0)
-
-    rho_E = d_function(S, energy_density, p)
+    # rho(e_A)(G(X, X)/2 + V) by the product rule; G is symmetric
+    R = S.anchor(p)
+    rho_E = dX(R) @ G @ Xp + 0.5 * np.einsum("b,abc,c->a", Xp, dG(R), Xp)
+    if V is not None:
+        rho_E = rho_E + d_function(S, V, p)
 
     closedness = 0.0
     hj = 0.0

@@ -25,12 +25,12 @@ from .algebroid import (
     Exclusion,
     OneForm,
     Section,
-    _anchored,
     _as_expr,
+    _differential,
     _ExprTable,
     _span_ranks,
 )
-from .expr import Expr, fd_directional
+from .expr import Expr
 from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, sharp
 from .reduction import Projector, Subbundle
 
@@ -204,15 +204,13 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     ``metric_fn``, and the structure functions come from projecting Lie
     brackets of the spanning fields back onto the distribution with the
     ambient metric, every pair in one solve.  The brackets are
-    ``[U_a, U_b] = dU_b U_a - dU_a U_b`` with the frame Jacobian ``dU``:
-    exact from one call when ``frame_fn`` carries ``value_and_jacobian`` (an
-    expression table), otherwise ``m`` directional differences of the whole
-    frame, one along each spanning field.  Returns ``(structure_fn,
-    gram_fn)`` as pointwise callables; when both the frame and the ambient
-    metric carry ``value_and_jacobian``, so does ``gram_fn``, by the product
-    rule.
+    ``[U_a, U_b] = dU_b U_a - dU_a U_b`` with ``dU_b U_a`` the derivative
+    of the frame along each of its fields (``algebroid._differential``:
+    exact for an expression table, ``m`` directional differences of an
+    opaque callable).  Returns ``(structure_fn, gram_fn)`` as pointwise
+    callables; when both the frame and the ambient metric carry
+    ``value_and_jacobian``, so does ``gram_fn``, by the product rule.
     """
-    exact = hasattr(frame_fn, "value_and_jacobian")
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
     def gram_fn(x):
@@ -234,13 +232,8 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
         return BG @ B.T, dgram
 
     def structure_fn(x):
-        if exact:
-            B, dB = frame_fn.value_and_jacobian(x)
-            # J[a, b] is the derivative of field b along field a
-            J = _anchored(B, dB)
-        else:
-            B = frame_fn(x)
-            J = np.array([fd_directional(frame_fn, x, row) for row in B])
+        B, dB = _differential(frame_fn, x)
+        J = dB(B)  # J[a, b] is the derivative of field b along field a
         G = metric_fn(x)
         BG = B @ G
         m = len(B)
@@ -257,7 +250,7 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
             C[:, second, first] = -coeffs
         return C
 
-    if exact and hasattr(metric_fn, "value_and_jacobian"):
+    if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian
     return structure_fn, gram_fn
 
@@ -441,7 +434,7 @@ def _load_candidates(document, coords, params, m):
         path = f"$.candidates.reparam.{name}"
         reparams[name] = _parse_expr(text, path)
         with _at(path):
-            _ExprTable([reparams[name]], (1,), coords, params, "reparametrization factor")
+            _ExprTable([reparams[name]], (), coords, params, "reparametrization factor")
     return sections, reparams
 
 

@@ -170,7 +170,8 @@ class TestChristoffel:
                         BundleMetric(gram_fn, board.m))
         opaque_leg = (leg.structure, BundleMetric(lambda x: leg.metric.matrix(x), leg.m))
         for sysd, (S, Gm) in ((leg, opaque_leg), (board, opaque_board)):
-            assert sysd.metric.has_jacobian and not Gm.has_jacobian
+            assert hasattr(sysd.metric, "value_and_jacobian")
+            assert not hasattr(Gm, "value_and_jacobian")
             for p in sysd.sample(5, seed=3):
                 exact = christoffel(sysd.structure, sysd.metric, p).gamma
                 differenced = christoffel(S, Gm, p).gamma
@@ -389,6 +390,16 @@ class TestGradient:
         out = gradient(flat2.structure, flat2.metric, V, np.array([1.0, 0.5]))
         assert out == pytest.approx([2.0, 0.0], abs=1e-8)
 
+    def test_callable_potential(self, flat2):
+        """A plain callable is differenced along the anchored frame, both
+        pointwise and as a section."""
+        from algmech import gradient_section
+
+        V, p = (lambda x: float(x[0] ** 2)), np.array([1.0, 0.5])
+        for out in (gradient(flat2.structure, flat2.metric, V, p),
+                    gradient_section(flat2.structure, flat2.metric, V)(p)):
+            assert out == pytest.approx([2.0, 0.0], abs=1e-8)
+
     def test_constant_potential(self, planar):
         V = Potential.from_expr("7", planar.coords, planar.params)
         out = gradient(planar.structure, planar.metric, V, np.array([0.1, 0.2, 0.3]))
@@ -405,3 +416,58 @@ class TestGradient:
             lhs = float(gradient(S, Gm, V, p) @ Gm.matrix(p) @ X(p))
             rhs = float(fd_directional(V, p, S.anchor(p).T @ X(p)))
             assert abs(lhs - rhs) < 1e-5
+
+
+class TestDerivativePaths:
+    """Table sections are differentiated exactly, the same sections behind
+    lambdas by central differences; the two paths agree."""
+
+    CASES = (
+        ("planar", ["sin(theta)*x", "y^2", "cos(theta)"], ["1", "x*y", "theta"],
+         ["y", "cos(x)", "x*theta"]),
+        ("leg", ["r^2", "sin(theta - psi)", "1/r"], ["cos(psi)", "r*theta", "2"],
+         ["theta", "r", "psi^2"]),
+        ("board", ["psi", "cos(phi)", "x"], ["1", "phi*y", "sin(theta)"],
+         ["x*y", "1", "phi"]),
+    )
+
+    @staticmethod
+    def _close(exact, differenced):
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        return float(np.max(np.abs(exact - differenced))) <= 1e-7 * scale
+
+    def test_table_and_lambda_sections_agree(self, request):
+        from algmech import OneForm, d_oneform
+
+        for fixture, x_row, y_row, k_row in self.CASES:
+            sysd = request.getfixturevalue(fixture)
+            S, Gm = sysd.structure, sysd.metric
+            X, Y = sysd.section_from_exprs(x_row), sysd.section_from_exprs(y_row)
+            kappa = OneForm.from_exprs(k_row, sysd.coords, sysd.params)
+            assert all(hasattr(f, "value_and_jacobian") for f in (X, Y, kappa))
+            oX, oY = (Section(lambda x, f=f: f(x), sysd.m) for f in (X, Y))
+            okappa = OneForm(lambda x: kappa(x), sysd.m)
+            for p in sysd.sample(4, seed=41):
+                gamma = christoffel(S, Gm, p).gamma
+                assert self._close(covariant_derivative(S, Gm, X, Y, p, gamma=gamma),
+                                   covariant_derivative(S, Gm, oX, oY, p, gamma=gamma))
+                assert self._close(symmetric_product(S, Gm, X, Y, p, gamma=gamma),
+                                   symmetric_product(S, Gm, oX, oY, p, gamma=gamma))
+                assert self._close(bracket(S, X, Y, p), bracket(S, oX, oY, p))
+                assert self._close(np.array(d_oneform(S, kappa, X, Y, p)),
+                                   np.array(d_oneform(S, okappa, oX, oY, p)))
+
+    def test_fields_carry_the_tables_jacobian(self, leg):
+        """A potential from an expression is a shape-() table; metric and
+        section expose their tables' Jacobians, bitwise beside the values."""
+        p = np.array([1.3, 0.2, -0.5])
+        V = Potential.from_expr("r^2*cos(theta)", leg.coords, leg.params)
+        value, dV = V.value_and_jacobian(p)
+        assert value.shape == () and float(value) == V(p)
+        assert dV == pytest.approx([2 * 1.3 * np.cos(0.2), -1.3 ** 2 * np.sin(0.2), 0.0],
+                                   rel=1e-14)
+        G, dG = leg.metric.value_and_jacobian(p)
+        assert np.array_equal(G, leg.metric.matrix(p)) and dG.shape == (3, 3, 3)
+        X = leg.section_from_exprs(["r", "theta", "1"])
+        assert np.array_equal(X.value_and_jacobian(p)[0], X(p))
+        assert not hasattr(Section.constant([1.0, 0.0, 0.0]), "value_and_jacobian")

@@ -391,3 +391,70 @@ class TestControlRecovery:
         traj = lift(X, sigma)
         coeffs, residuals = recover_controls(planar.structure, planar.controls, traj)
         assert np.max(residuals) > 0.5
+
+
+@pytest.fixture(scope="module")
+def traced_batteries(planar, leg, board):
+    """``run_battery`` at seed 0 on each builtin, with the name of the function
+    that called ``fd_directional`` recorded at every call."""
+    import sys
+
+    from algmech import expr
+    from algmech.report import run_battery
+
+    original = expr.fd_directional
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for sysd in (planar, leg, board):
+            callers = []
+
+            def recording(*args, callers=callers, **kwargs):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return original(*args, **kwargs)
+
+            # Every algmech namespace that binds the function, wherever it is called from.
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "algmech"
+                        and getattr(module, "fd_directional", None) is original):
+                    patch.setattr(module, "fd_directional", recording)
+            out[sysd.name] = (run_battery(sysd, seed=0), callers)
+            patch.undo()
+    return out
+
+
+class TestOneDerivativePath:
+    def test_battery_differences_only_anchored_vector_fields(self, traced_batteries):
+        """Every table-backed field is differentiated exactly; only the Lie
+        brackets of anchored vector fields (closure ranks) take differences."""
+        for name, (_, callers) in traced_batteries.items():
+            assert callers, name
+            assert set(callers) == {"vector_field_bracket"}, (name, set(callers))
+
+    def test_exact_hj_and_reparam_residuals(self, traced_batteries):
+        """Candidates that solve the equations exactly leave no difference error."""
+        expected = {"planar_body": ("hj:gY1", "hj:gY2", "reparam:g"),
+                    "robotic_leg": ("hj:fY1", "reparam:f")}
+        for name, labels in expected.items():
+            checks = {c["label"]: c for c in traced_batteries[name][0]["checks"]}
+            for label in labels:
+                assert checks[label]["verdict"] == "pass"
+                assert checks[label]["worst_residual"] <= 1e-14, (name, label)
+
+    def test_unconstrained_hj_uses_a_metric_orthonormal_basis(self):
+        """Without controls the equation is tested along a G-orthonormal basis
+        of the fiber: with G = [[2, 1], [1, 2]], Gram-Schmidt from e1 gives
+        e1/sqrt(2) and (e2 - e1/2)/sqrt(3/2)."""
+        from algmech import load_spec
+
+        sysd = load_spec({
+            "name": "skew_metric", "base": ["x", "y"], "fiber": 2, "mode": "intrinsic",
+            "anchor": [["1", "0"], ["0", "1"]], "structure": {},
+            "metric": [["2", "1"], ["1", "2"]],
+            "chart": {"box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}},
+        })
+        X = sysd.section_from_exprs(["y", "0"])
+        for y in (0.3, -0.7):
+            # G(X, X)/2 = y^2, so its differential is (0, 2y)
+            _, hj = hj_residual(sysd.structure, sysd.metric, None, None, X,
+                                np.array([0.1, y]))
+            assert hj == pytest.approx(2 * abs(y) / np.sqrt(1.5), rel=1e-12)
