@@ -1,9 +1,10 @@
 """Bundle metric, Levi-Civita connection and symmetric product.
 
 The connection is computed pointwise from the Koszul formula in an arbitrary
-basis: the six-term right-hand side is assembled from the anchored metric
-derivatives ``rho(e_A)(G)`` and the structure functions, then solved with
-the inverse metric.  Every derivative of a field here (metric, section,
+basis: the six-term right-hand side is assembled, by one matrix product and
+transposes, from the anchored metric derivatives ``rho(e_A)(G)`` and the
+structure functions, then contracted with the inverse metric in a second
+product.  Every derivative of a field here (metric, section,
 potential) is taken by ``algebroid._differential``: exact for a field backed
 by expression tables, a central difference for an opaque callable.
 Orthogonal-basis shortcuts are deliberately not a separate code path.
@@ -116,7 +117,7 @@ def _invert(G: np.ndarray, x) -> np.ndarray:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         raise SingularMetricError(f"metric is singular at {np.asarray(x)}") from None
-    if not np.all(np.isfinite(inv)):
+    if not np.isfinite(inv).all():
         raise SingularMetricError(f"metric is singular at {np.asarray(x)}")
     return inv
 
@@ -131,7 +132,7 @@ class ChristoffelTensor:
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        if not np.all(np.isfinite(self.gamma)):
+        if not np.isfinite(self.gamma).all():
             raise ValueError("non-finite Christoffel entries")
 
     @property
@@ -219,29 +220,28 @@ def sharp(Gm: BundleMetric, kappa, p) -> np.ndarray:
 def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
     """Connection coefficients at ``p`` from the Koszul formula.
 
-    Assembles ``2 G(nabla_{e_B} e_C, e_E)`` for all index triples — metric
-    derivatives along the anchored basis fields plus the six structure-function
-    pairings — and contracts with the inverse metric.
+    Assembles ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` for all index
+    triples — three metric derivatives along the anchored basis fields and
+    three structure-function pairings — and contracts with the inverse
+    metric.  The pairings are transposes of one product ``GC[B, E, C] =
+    G(e_B, [e_E, e_C])``, by the antisymmetry of the structure functions, so
+    the assembly is two matrix products and a few transposed sums.
     """
     p = S.check_point(p)
+    m = S.m
     # rho(e_A)(G_CD); a coordinate-free metric needs no anchor for its zeros
     if Gm.is_constant:
-        G, rhoG = Gm.matrix(p), np.zeros((S.m,) * 3)
+        G, rhoG = Gm.matrix(p), np.zeros((m,) * 3)
     else:
         G, dG = _differential(Gm, p)
         rhoG = dG(S.anchor(p))
     Ginv = _invert(G, p)
-    C = S.structure(p)
-
-    K = (
-        rhoG
-        + np.einsum("cbe->bce", rhoG)                      # rho(e_C)(G_BE) at [B,C,E]
-        - np.einsum("ebc->bce", rhoG)                      # rho(e_E)(G_BC) at [B,C,E]
-        + np.einsum("bf,fec->bce", G, C)                   # G(e_B, [e_E, e_C])
-        + np.einsum("cf,feb->bce", G, C)                   # G(e_C, [e_E, e_B])
-        - np.einsum("ef,fcb->bce", G, C)                   # G(e_E, [e_C, e_B])
-    )
-    gamma = 0.5 * np.einsum("ae,bce->abc", Ginv, K)
+    GC = (G @ S.structure(p).reshape(m, m * m)).reshape(m, m, m)
+    # W[B, C, E] = rho(e_B)(G_CE) + G(e_B, [e_E, e_C]); K adds W with B and C
+    # swapped and subtracts rho(e_E)(G_BC) + G(e_E, [e_C, e_B])
+    W = rhoG + GC.transpose(0, 2, 1)
+    K = W + W.transpose(1, 0, 2) - (rhoG - GC).transpose(1, 2, 0)
+    gamma = (0.5 * (K.reshape(m * m, m) @ Ginv.T)).reshape(m, m, m).transpose(2, 0, 1)
     return ChristoffelTensor(gamma, p)
 
 
@@ -257,17 +257,22 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     return lambda p: christoffel(S, Gm, p).gamma
 
 
-def covariant_derivative(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarray:
+def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
     """Coefficients of ``nabla_X Y`` at ``p``.
 
-    Local form: derivative of the target coefficients along the anchored
-    direction plus the Christoffel contraction.
+    ``X`` is a section, a coefficient vector, or a ``(k, m)`` stack of
+    coefficient rows, for which the result stacks one ``nabla_X Y`` per row
+    (``np.eye(m)`` gives every ``nabla_{e_A} Y`` from one derivative of
+    ``Y``).  Local form: derivative of the target coefficients along the
+    anchored direction plus the Christoffel contraction.
     """
     p = S.check_point(p)
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
-    Xp, (Yp, dY) = X(p), _differential(Y, p)
-    return np.einsum("abc,b,c->a", gamma, Xp, Yp) + dY([S.anchor(p).T @ Xp])[0]
+    Xp, (Yp, dY) = _coeffs(X, p), _differential(Y, p)
+    rows = np.atleast_2d(Xp)
+    out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
+    return out if Xp.ndim == 2 else out[0]
 
 
 def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.ndarray:

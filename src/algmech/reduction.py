@@ -16,7 +16,6 @@ from .algebroid import (
     Section,
     Trajectory,
     _as_scalar_field,
-    _differential,
     _span_ranks,
     d_function,
     span_rank,
@@ -418,28 +417,22 @@ def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Secti
     ``|G(nabla_X X, Y) - G(nabla_Y X, X)|`` and the Hamilton-Jacobi residual
     ``|d(G(X,X)/2 + V)(Y)|``, both maximized over a metric-orthonormal basis
     of the control complement (all directions when ``Dc`` is omitted).
+    Everything comes from one derivative of ``X``: the rows ``nabla_{e_A} X``.
     """
     p = S.check_point(p)
-    (Xp, dX), (G, dG) = _differential(X, p), _differential(Gm, p)
+    G = Gm.matrix(p)
     rows = _orthonormal_complement(G, np.zeros((0, S.m)) if Dc is None else Dc.matrix(p), p)
     if rows.size == 0:
         return 0.0, 0.0
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
-    nablaXX = covariant_derivative(S, Gm, X, X, p, gamma=gamma)
-    # rho(e_A)(G(X, X)/2 + V) by the product rule; G is symmetric
-    R = S.anchor(p)
-    rho_E = dX(R) @ G @ Xp + 0.5 * np.einsum("b,abc,c->a", Xp, dG(R), Xp)
-    if V is not None:
-        rho_E = rho_E + d_function(S, V, p)
-
-    closedness = 0.0
-    hj = 0.0
-    for y in rows:
-        nablaYX = covariant_derivative(S, Gm, Section.constant(y), X, p, gamma=gamma)
-        closedness = max(closedness, abs(float(nablaXX @ G @ y) - float(nablaYX @ G @ Xp)))
-        hj = max(hj, abs(float(y @ rho_E)))
-    return closedness, hj
+    N = covariant_derivative(S, Gm, np.eye(S.m), X, p, gamma=gamma)  # N[A] = nabla_{e_A} X
+    Xp = X(p)
+    # G(nabla_{e_A} X, X), which is rho(e_A)(G(X, X)/2) as the connection is metric
+    pairing = N @ G @ Xp
+    rho_E = pairing if V is None else pairing + d_function(S, V, p)
+    closedness = np.max(np.abs(rows @ G @ (Xp @ N) - rows @ pairing))
+    return float(closedness), float(np.max(np.abs(rows @ rho_E)))
 
 
 def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:

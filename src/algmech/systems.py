@@ -13,7 +13,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -203,7 +202,10 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     distribution.  The bundle metric is the Gram matrix of the frame under
     ``metric_fn``, and the structure functions come from projecting Lie
     brackets of the spanning fields back onto the distribution with the
-    ambient metric, every pair in one solve.  The brackets are
+    ambient metric.  Every ordered pair is bracketed, the diagonal
+    included, and all are projected in one solve; since the bracket of
+    ``(b, a)`` is the negated bracket of ``(a, b)``, the structure functions
+    are antisymmetric, with a zero diagonal, bit for bit.  The brackets are
     ``[U_a, U_b] = dU_b U_a - dU_a U_b`` with ``dU_b U_a`` the derivative
     of the frame along each of its fields (``algebroid._differential``:
     exact for an expression table, ``m`` directional differences of an
@@ -224,31 +226,25 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
         else:
             G = metric_fn(x)
         BG = B @ G
+        m, n = B.shape
         # d(B G B^T) = B G dB^T + its transpose (G is symmetric) + B dG B^T
-        half = np.einsum("aj,bji->abi", BG, dB)
+        half = (BG @ dB).transpose(1, 0, 2)
         dgram = half + half.transpose(1, 0, 2)
         if ambient_moves:
-            dgram += np.einsum("aj,jki,bk->abi", B, dG, B)
+            dgram += B @ (B @ dG.reshape(n, n * n)).reshape(m, n, n)
         return BG @ B.T, dgram
 
     def structure_fn(x):
         B, dB = _differential(frame_fn, x)
         J = dB(B)  # J[a, b] is the derivative of field b along field a
-        G = metric_fn(x)
-        BG = B @ G
-        m = len(B)
-        C = np.zeros((m, m, m))
-        pairs = list(combinations(range(m), 2))
-        if pairs:
-            first, second = np.array(pairs).T
-            lie = J[first, second] - J[second, first]  # one bracket per row
-            try:
-                coeffs = np.linalg.solve(BG @ B.T, BG @ lie.T)
-            except np.linalg.LinAlgError:
-                raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
-            C[:, first, second] = coeffs
-            C[:, second, first] = -coeffs
-        return C
+        BG = B @ metric_fn(x)
+        m, n = B.shape
+        lie = (J - J.transpose(1, 0, 2)).reshape(m * m, n)  # [U_a, U_b] at row a*m + b
+        try:
+            coeffs = np.linalg.solve(BG @ B.T, BG @ lie.T)
+        except np.linalg.LinAlgError:
+            raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
+        return coeffs.reshape(m, m, m)
 
     if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian

@@ -174,6 +174,19 @@ class TestIntegrate:
         assert np.all(np.isfinite(traj.fiber))
         assert len(traj) < 11
 
+    def test_nan_metric_truncates_with_the_reason(self):
+        """A metric that turns NaN along the path stops the integration at
+        the first stage that meets it, reported as a singular metric."""
+        from algmech import AlgebroidStructure, BundleMetric
+
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        Gm = BundleMetric(lambda x: np.array([[1.0 if x[0] < 0.25 else np.nan]]), 1)
+        traj = integrate(spray_field(S, Gm), TotalPoint([0.0], [1.0]), 0.0, 1.0, 0.05)
+        assert traj.truncated
+        assert traj.reason.startswith("field evaluation failed: metric is singular at")
+        assert 1 < len(traj) < 21
+        assert np.all(np.isfinite(traj.fiber))
+
     def test_metric_kink_truncates(self):
         """A geodesic started where the metric's exact Jacobian does not
         exist stops with the reason instead of carrying a NaN."""

@@ -223,12 +223,7 @@ class TestChristoffel:
         p = np.array([1.3, 0.2, -0.5])
         S, Gm = leg.structure, leg.metric
         gamma = christoffel(S, Gm, p).gamma
-        G, dG = Gm.value_and_jacobian(p)
-        C = S.structure(p)
-        rhoG = np.einsum("ai,cdi->acd", S.anchor(p), dG)
-        K = (rhoG + np.einsum("cbe->bce", rhoG) - np.einsum("ebc->bce", rhoG)
-             + np.einsum("bf,fec->bce", G, C) + np.einsum("cf,feb->bce", G, C)
-             - np.einsum("ef,fcb->bce", G, C))
+        G, K = koszul_terms(S, Gm, p)
         reconstructed = 2.0 * np.einsum("ae,abc->bce", G, gamma)
         scale = max(1.0, np.max(np.abs(K)))
         assert np.max(np.abs(reconstructed - K)) / scale < 1e-9
@@ -245,6 +240,47 @@ class TestChristoffel:
         p = np.array([2.0, -3.0, 0.9])
         direct = christoffel(planar.structure, planar.metric, p).gamma
         assert np.allclose(at(p), direct, atol=1e-12)
+
+
+def koszul_terms(S, Gm, p):
+    """``(G, K)`` with ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` written out
+    as the six Koszul terms, one contraction each."""
+    from algmech.algebroid import _differential
+
+    if Gm.is_constant:
+        G, rhoG = Gm.matrix(p), np.zeros((S.m,) * 3)
+    else:
+        G, dG = _differential(Gm, p)
+        rhoG = dG(S.anchor(p))
+    C = S.structure(p)
+    K = (rhoG
+         + np.einsum("cbe->bce", rhoG)                      # rho(e_C)(G_BE)
+         - np.einsum("ebc->bce", rhoG)                      # rho(e_E)(G_BC)
+         + np.einsum("bf,fec->bce", G, C)                   # G(e_B, [e_E, e_C])
+         + np.einsum("cf,feb->bce", G, C)                   # G(e_C, [e_E, e_B])
+         - np.einsum("ef,fcb->bce", G, C))                  # G(e_E, [e_C, e_B])
+    return G, K
+
+
+class TestKoszulKernel:
+    def test_matches_the_six_term_reference(self, all_builtins):
+        """The product-and-transpose assembly equals the term-by-term formula
+        to rounding at 20 chart samples of every builtin."""
+        for sysd in all_builtins:
+            for p in sysd.sample(20, seed=17):
+                gamma = christoffel(sysd.structure, sysd.metric, p).gamma
+                G, K = koszul_terms(sysd.structure, sysd.metric, p)
+                expected = 0.5 * np.einsum("ae,bce->abc", np.linalg.inv(G), K)
+                assert gamma.shape == expected.shape
+                assert (np.max(np.abs(gamma - expected))
+                        <= 1e-15 * np.max(np.abs(expected))), (sysd.name, p)
+
+    def test_non_finite_structure_is_rejected(self, planar):
+        """One finiteness check on gamma catches a NaN from the structure functions."""
+        S = AlgebroidStructure(planar.coords, planar.m, planar.structure.anchor,
+                               lambda x: np.full((3, 3, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite Christoffel entries"):
+            christoffel(S, planar.metric, np.array([0.2, -0.1, 0.4]))
 
 
 class TestCovariantDerivative:
@@ -278,6 +314,23 @@ class TestCovariantDerivative:
                 rhs = (float(covariant_derivative(S, Gm, X, Y, p) @ Gm.matrix(p) @ Z(p))
                        + float(Y(p) @ Gm.matrix(p) @ covariant_derivative(S, Gm, X, Z, p)))
                 assert abs(lhs - rhs) < 1e-4
+
+    def test_stacked_directions_match_one_call_per_row(self, planar, board):
+        """A (k, m) stack of direction rows gives one nabla per row, from one
+        derivative of the target; a coefficient vector acts as a constant section."""
+        for sysd, row in ((planar, ["sin(theta)*x", "y^2", "cos(theta)"]),
+                          (board, ["psi", "cos(phi)", "x"])):
+            S, Gm, m = sysd.structure, sysd.metric, sysd.m
+            Y = sysd.section_from_exprs(row)
+            for p in sysd.sample(4, seed=23):
+                gamma = christoffel(S, Gm, p).gamma
+                stacked = covariant_derivative(S, Gm, np.eye(m), Y, p, gamma=gamma)
+                assert stacked.shape == (m, m)
+                for a in range(m):
+                    single = covariant_derivative(S, Gm, basis(a, m), Y, p, gamma=gamma)
+                    assert np.allclose(stacked[a], single, rtol=1e-14, atol=1e-14)
+                    assert np.array_equal(
+                        covariant_derivative(S, Gm, np.eye(m)[a], Y, p, gamma=gamma), single)
 
     def test_leg_self_derivative_of_first_control(self, leg):
         p = np.array([1.0, 0.4, -0.2])

@@ -25,6 +25,29 @@ def basis(i, m=3):
     return Section.basis(i, m)
 
 
+def hj_reference(S, Gm, V, Dc, X, p):
+    """``hj_residual`` term by term: one covariant derivative per complement
+    row, and the energy differential by the product rule."""
+    from algmech import christoffel, covariant_derivative, d_function
+    from algmech.algebroid import _differential
+    from algmech.reduction import _orthonormal_complement
+
+    (Xp, dX), (G, dG) = _differential(X, p), _differential(Gm, p)
+    rows = _orthonormal_complement(G, np.zeros((0, S.m)) if Dc is None else Dc.matrix(p), p)
+    gamma = christoffel(S, Gm, p).gamma
+    nablaXX = covariant_derivative(S, Gm, X, X, p, gamma=gamma)
+    R = S.anchor(p)
+    rho_E = dX(R) @ G @ Xp + 0.5 * np.einsum("b,abc,c->a", Xp, dG(R), Xp)
+    if V is not None:
+        rho_E = rho_E + d_function(S, V, p)
+    closedness = hj = 0.0
+    for y in rows:
+        nablaYX = covariant_derivative(S, Gm, Section.constant(y), X, p, gamma=gamma)
+        closedness = max(closedness, abs(float(nablaXX @ G @ y) - float(nablaYX @ G @ Xp)))
+        hj = max(hj, abs(float(y @ rho_E)))
+    return closedness, hj
+
+
 class TestProjector:
     def test_algebra_identities(self, planar, leg, board, rng):
         """Idempotence, complementarity and metric orthogonality at random points."""
@@ -275,6 +298,49 @@ class TestHamiltonJacobi:
         rep = hj_algebraic_check(flat2, linear, points, 1e-5)
         assert rep.verdict == "fail"
         assert rep.details["energy_spread"] > 0.1
+
+    def test_residuals_match_the_term_by_term_formula(self, planar, leg, board):
+        """The rows nabla_{e_A} X and metric compatibility give the residuals
+        of one covariant derivative per row and the product rule, passing
+        and failing candidates, with controls and without."""
+        cases = [(sysd, name, Dc) for sysd in (planar, leg, board)
+                 for name in sysd.candidates for Dc in (sysd.controls, None)]
+        for sysd, name, Dc in cases:
+            X = sysd.candidates[name]
+            for p in sysd.sample(4, seed=13):
+                got = hj_residual(sysd.structure, sysd.metric, sysd.potential, Dc, X, p)
+                expected = hj_reference(sysd.structure, sysd.metric, sysd.potential, Dc, X, p)
+                for value, reference in zip(got, expected):
+                    assert abs(value - reference) <= 1e-12 * max(1.0, reference), (sysd.name, name)
+
+    def test_one_candidate_derivative_per_point(self, planar, board, monkeypatch):
+        """hj_residual takes the candidate's value and Jacobian once per point,
+        with controls and without."""
+        from algmech import load_spec
+
+        skew = load_spec({
+            "name": "skew_metric", "base": ["x", "y"], "fiber": 2, "mode": "intrinsic",
+            "anchor": [["1", "0"], ["0", "1"]], "structure": {},
+            "metric": [["2", "1"], ["1", "2"]],
+            "chart": {"box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}},
+        })
+        cases = ((planar, planar.candidates["gY1"], planar.controls),
+                 (board, board.candidates["psiX3"], board.controls),
+                 (skew, skew.section_from_exprs(["y", "0"]), None))
+        for sysd, X, Dc in cases:
+            calls = []
+            original = X.value_and_jacobian
+
+            def counted(x, original=original, calls=calls):
+                calls.append(1)
+                return original(x)
+
+            monkeypatch.setattr(X, "value_and_jacobian", counted)
+            for p in sysd.sample(3, seed=6):
+                before = len(calls)
+                hj_residual(sysd.structure, sysd.metric, sysd.potential, Dc, X, p)
+                assert len(calls) - before == 1, sysd.name
+            monkeypatch.undo()
 
     def test_trajectory_equivalence_for_families(self, planar, leg):
         for sysd, name in ((planar, "gY1"), (leg, "fY1")):

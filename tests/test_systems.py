@@ -302,7 +302,7 @@ class TestInducedAlgebroid:
     def test_snakeboard_brackets_match_per_field_brackets(self, board):
         """The exact brackets of the frame Jacobian agree with one
         finite-difference Lie bracket per pair of fields, and the structure
-        functions are antisymmetric bit for bit."""
+        functions are antisymmetric, with a zero diagonal, bit for bit."""
         from algmech import vector_field_bracket
 
         doc = dump_spec(board)
@@ -321,6 +321,7 @@ class TestInducedAlgebroid:
             C = board.structure.structure(p)
             assert np.max(np.abs(C - expected)) <= 1e-7 * np.max(np.abs(expected))
             assert np.array_equal(C, -C.transpose(0, 2, 1))
+            assert not np.any(np.diagonal(C, axis1=1, axis2=2))
             assert np.array_equal(board.metric.matrix(p), B @ G @ B.T)
             assert np.array_equal(board.structure.anchor(p), B)
 
@@ -367,22 +368,30 @@ class TestInducedAlgebroid:
             assert np.max(np.abs(structure_fn(p) - leg.structure.structure(p))) < 1e-12
 
     def test_singular_gram_names_the_point(self):
-        """The distribution field x*d/dx vanishes on x = 0, where the Gram
-        matrix of the spanning fields is singular."""
+        """The distribution field x*d/dx vanishes on x = 0, and the third of
+        three fields z*d/dz on z = 0, where the Gram matrix of the spanning
+        fields is singular."""
         from algmech import bracket
 
-        sysdef = load_spec({
-            "name": "degenerate", "base": ["x", "y"], "fiber": 2, "mode": "embedded",
-            "ambient": {"metric": [["1", "0"], ["0", "1"]]},
-            "distribution": [["x", "0"], ["0", "1"]],
-            "chart": {"box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}},
-        })
-        p = np.array([0.0, 0.3])
-        with pytest.raises(SingularMetricError, match=r"singular at \[0\. +0\.3\]"):
-            sysdef.structure.structure(p)
-        e1, e2 = sysdef.basis_sections()
-        with pytest.raises(SingularMetricError, match=r"singular at \[0\. +0\.3\]"):
-            bracket(sysdef.structure, e1, e2, p)
+        cases = (
+            (["x", "y"], [["x", "0"], ["0", "1"]], [0.0, 0.3], r"\[0\. +0\.3\]"),
+            (["x", "y", "z"], [["1", "0", "0"], ["0", "1", "x"], ["0", "0", "z"]],
+             [0.2, 0.1, 0.0], r"\[0\.2 +0\.1 +0\. *\]"),
+        )
+        for base, frame, point, where in cases:
+            n = len(base)
+            sysdef = load_spec({
+                "name": "degenerate", "base": base, "fiber": n, "mode": "embedded",
+                "ambient": {"metric": np.eye(n).astype(int).astype(str).tolist()},
+                "distribution": frame,
+                "chart": {"box": {c: [-1.0, 1.0] for c in base}},
+            })
+            p = np.array(point)
+            with pytest.raises(SingularMetricError, match="singular at " + where):
+                sysdef.structure.structure(p)
+            e1, e2 = sysdef.basis_sections()[:2]
+            with pytest.raises(SingularMetricError, match="singular at " + where):
+                bracket(sysdef.structure, e1, e2, p)
 
     def test_snakeboard_nonvanishing_pattern(self, board):
         """Only four bracket-coefficient families survive; everything else is
