@@ -472,13 +472,15 @@ def _differential(f, x, step=None) -> tuple:
         return f(x), lambda directions: np.array([fd_directional(f, x, v, step)
                                                   for v in directions])
     value, jacobian = exact(x)
+    return value, lambda directions: _along(jacobian, directions)
 
-    def along(directions):
-        out = jacobian @ np.asarray(directions).T
-        # The last axis to the front; np.moveaxis costs more than the product here.
-        return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
-    return value, along
+def _along(jacobian, directions) -> np.ndarray:
+    """Derivatives of a field with Jacobian ``(*shape, n)`` along the rows
+    of ``directions``, stacked as ``(k, *shape)``."""
+    out = jacobian @ np.asarray(directions).T
+    # The last axis to the front; np.moveaxis costs more than the product here.
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
 
 def bracket(S: AlgebroidStructure, X: Section, Y: Section, p, step=None) -> np.ndarray:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
-from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, christoffel_field
+from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _fixed_coefficients,
+                       _koszul, _singular, christoffel_field)
 
 __all__ = [
     "TotalPoint",
@@ -95,19 +96,41 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     given, plus ``sum_k u_k(t, x) Y_k(x)`` over the input sections when a
     control ``signal`` is given.  The signal must have one coefficient per
     input section.
+
+    Coordinate-free coefficients are computed once
+    (:func:`geometry.christoffel_field`).  Otherwise each evaluation reads
+    the anchor, the metric and the lowered Koszul tensor ``K`` once
+    (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for the
+    quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
+    singular or non-finite metric raises ``SingularMetricError``.
     """
     inputs = tuple(inputs)
     coefficients = signal.k if signal is not None else 0
     if coefficients != len(inputs):
         raise ValueError(f"control signal has {coefficients} coefficient(s) "
                          f"for {len(inputs)} input section(s)")
-    gamma_at = christoffel_field(S, Gm)
-    n = S.n
+    n, m = S.n, S.m
+    if _fixed_coefficients(S, Gm):
+        gamma_at = christoffel_field(S, Gm)
+
+        def spray(x, y):
+            dx = S.anchor(x).T @ y if n else np.zeros(0)
+            return dx, -np.einsum("cab,a,b->c", gamma_at(x), y, y)
+    else:
+        def spray(x, y):
+            # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor
+            A, G, K = _koszul(S, Gm, x)
+            if not np.isfinite(G).all():
+                raise _singular(x)
+            try:
+                acc = np.linalg.solve(G, 0.5 * (np.outer(y, y).ravel() @ K.reshape(m * m, m)))
+            except np.linalg.LinAlgError:
+                raise _singular(x) from None
+            return (S.anchor(x) if A is None else A).T @ y, -acc
 
     def field(t, z):
         x, y = z[:n], z[n:]
-        dx = S.anchor(x).T @ y if n else np.zeros(0)
-        dy = -np.einsum("cab,a,b->c", gamma_at(x), y, y)
+        dx, dy = spray(x, y)
         if force is not None:
             dy += force(x, y)
         if inputs:

@@ -1,13 +1,18 @@
 """Bundle metric, Levi-Civita connection and symmetric product.
 
 The connection is computed pointwise from the Koszul formula in an arbitrary
-basis: the six-term right-hand side is assembled, by one matrix product and
-transposes, from the anchored metric derivatives ``rho(e_A)(G)`` and the
-structure functions, then contracted with the inverse metric in a second
-product.  Every derivative of a field here (metric, section,
-potential) is taken by ``algebroid._differential``: exact for a field backed
-by expression tables, a central difference for an opaque callable.
-Orthogonal-basis shortcuts are deliberately not a separate code path.
+basis.  One assembly, :func:`_koszul`, builds the lowered tensor
+``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` by transposed sums from the
+anchored metric derivatives ``rho(e_A)(G)`` and the lowered structure
+functions ``G(e_A, [e_B, e_C])``.  :func:`christoffel` contracts it with the
+inverse metric; the geodesic spray contracts it with the velocity and makes
+one solve, so it builds no Christoffel tensor.  An algebroid induced on an
+embedded distribution hands over those pointwise terms from one frame and
+one ambient evaluation, its brackets lowered without a projection.  Every
+derivative of a field here (metric, section, potential) is taken by
+``algebroid._differential``: exact for a field backed by expression tables,
+a central difference for an opaque callable.  Orthogonal-basis shortcuts are
+deliberately not a separate code path.
 """
 
 from __future__ import annotations
@@ -111,14 +116,18 @@ class BundleMetric:
         return bool(np.all(np.linalg.eigvalsh(matrices.reshape(-1, self.m, self.m)) > 0))
 
 
+def _singular(x) -> SingularMetricError:
+    return SingularMetricError(f"metric is singular at {np.asarray(x)}")
+
+
 def _invert(G: np.ndarray, x) -> np.ndarray:
     """Inverse of the metric matrix ``G`` at ``x``; raises when it is singular."""
     try:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        raise SingularMetricError(f"metric is singular at {np.asarray(x)}") from None
+        raise _singular(x) from None
     if not np.isfinite(inv).all():
-        raise SingularMetricError(f"metric is singular at {np.asarray(x)}")
+        raise _singular(x)
     return inv
 
 
@@ -217,32 +226,71 @@ def sharp(Gm: BundleMetric, kappa, p) -> np.ndarray:
 # --- connection ------------------------------------------------------------------
 
 
-def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
-    """Connection coefficients at ``p`` from the Koszul formula.
+def _pointwise(S: AlgebroidStructure, Gm: BundleMetric, p):
+    """``(A, G, rhoG, GC)`` at ``p``: the anchor, the metric, ``rhoG[A, C, D] =
+    rho(e_A)(G_CD)`` and ``GC[A, B, C] = G(e_A, [e_B, e_C])``.
 
-    Assembles ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` for all index
-    triples — three metric derivatives along the anchored basis fields and
-    three structure-function pairings — and contracts with the inverse
-    metric.  The pairings are transposes of one product ``GC[B, E, C] =
-    G(e_B, [e_E, e_C])``, by the antisymmetry of the structure functions, so
-    the assembly is two matrix products and a few transposed sums.
+    A structure and a metric from the same :func:`systems.induced_algebroid`
+    call, with the frame as the anchor, read all four from one frame and one
+    ambient evaluation, the brackets in lowered form and so without the
+    projection solve; every other pair reads the anchor, the metric
+    derivative and the structure functions.  A coordinate-free metric needs
+    no anchor for its zero derivatives, so ``A`` is then None: reading it
+    would compile the anchor table of a freshly loaded document.
     """
-    p = S.check_point(p)
+    induced = getattr(Gm._fn, "koszul_terms", None)
+    if (induced is not None and induced is getattr(S._structure_fn, "koszul_terms", None)
+            and S._anchor_fn is induced.frame):
+        A, G, rhoG, GC = induced(p)
+        if A.shape != (S.m, S.n):
+            raise ValueError(f"anchor returned shape {A.shape}, expected ({S.m}, {S.n})")
+        return A, G, rhoG, GC
     m = S.m
-    # rho(e_A)(G_CD); a coordinate-free metric needs no anchor for its zeros
     if Gm.is_constant:
-        G, rhoG = Gm.matrix(p), np.zeros((m,) * 3)
+        A, G, rhoG = None, Gm.matrix(p), np.zeros((m,) * 3)
     else:
+        A = S.anchor(p)
         G, dG = _differential(Gm, p)
-        rhoG = dG(S.anchor(p))
-    Ginv = _invert(G, p)
+        rhoG = dG(A)
     GC = (G @ S.structure(p).reshape(m, m * m)).reshape(m, m, m)
+    return A, G, rhoG, GC
+
+
+def _koszul(S: AlgebroidStructure, Gm: BundleMetric, p):
+    """``(A, G, K)`` at ``p``: the anchor (None when it was not needed, see
+    :func:`_pointwise`), the metric and the lowered Koszul tensor
+    ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``.
+
+    Three metric derivatives along the anchored basis fields and three
+    structure-function pairings; the pairings are transposes of ``GC``, by
+    the antisymmetry of the structure functions, so the assembly is a few
+    transposed sums.
+    """
+    A, G, rhoG, GC = _pointwise(S, Gm, p)
     # W[B, C, E] = rho(e_B)(G_CE) + G(e_B, [e_E, e_C]); K adds W with B and C
     # swapped and subtracts rho(e_E)(G_BC) + G(e_E, [e_C, e_B])
     W = rhoG + GC.transpose(0, 2, 1)
     K = W + W.transpose(1, 0, 2) - (rhoG - GC).transpose(1, 2, 0)
+    return A, G, K
+
+
+def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
+    """Connection coefficients at ``p`` from the Koszul formula.
+
+    Contracts the lowered Koszul tensor of :func:`_koszul` with the inverse
+    metric in one matrix product.
+    """
+    p = S.check_point(p)
+    m = S.m
+    _, G, K = _koszul(S, Gm, p)
+    Ginv = _invert(G, p)
     gamma = (0.5 * (K.reshape(m * m, m) @ Ginv.T)).reshape(m, m, m).transpose(2, 0, 1)
     return ChristoffelTensor(gamma, p)
+
+
+def _fixed_coefficients(S: AlgebroidStructure, Gm: BundleMetric) -> bool:
+    """True when the connection coefficients do not depend on the point."""
+    return (Gm.is_constant and S.constant_structure) or S.n == 0
 
 
 def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
@@ -251,7 +299,7 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     When both the metric and the structure functions are coordinate-free the
     tensor is computed once; otherwise each call computes it at ``p``.
     """
-    if (Gm.is_constant and S.constant_structure) or S.n == 0:
+    if _fixed_coefficients(S, Gm):
         fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
         return lambda p: fixed
     return lambda p: christoffel(S, Gm, p).gamma

@@ -7,7 +7,9 @@ a concrete witness on failure, and never claim more than pass-on-samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,7 +130,7 @@ class Projector:
             for W in declared:
                 w = W(p)
                 scale = np.sqrt(max(float(w @ G @ w), 1e-30))
-                worst = max(worst, float(np.max(np.abs(P @ w))) / scale)
+                worst = _max(worst, float(np.max(np.abs(P @ w))) / scale)
         return worst
 
 
@@ -175,8 +177,8 @@ class VerificationReport:
     def __post_init__(self):
         if self.verdict not in ("pass", "fail", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "pass" and self.worst_residual > self.tolerance:
-            raise ValueError("pass verdict with residual above tolerance")
+        if self.verdict == "pass" and not self.worst_residual <= self.tolerance:
+            raise ValueError("pass verdict with residual above tolerance or not finite")
         if self.verdict == "fail" and self.witness_point is None:
             raise ValueError("fail verdict requires a witness point")
 
@@ -198,24 +200,49 @@ class VerificationReport:
         return doc
 
 
+def _max(a, b):
+    """``max(a, b)`` that keeps a NaN on either side; ``max`` drops one in ``b``."""
+    return a if a > b or a != a else b
+
+
+def _worst_of(pairs):
+    """The largest residual of ``(residual, point)`` pairs and its point, or
+    the first residual that is not finite and its point, where the scan
+    stops: a NaN never compares larger, so ``>`` alone would drop it."""
+    worst, witness = -1.0, None
+    for value, p in pairs:
+        value = float(value)
+        if not math.isfinite(value):
+            return value, p
+        if value > worst:
+            worst, witness = value, p
+    return worst, witness
+
+
+def _sweep(points, residual_fn):
+    """Worst residual and its witness over a point sweep (see :func:`_worst_of`)."""
+    return _worst_of((residual_fn(p), np.asarray(p, dtype=float)) for p in np.atleast_2d(points))
+
+
+def _non_finite(details: dict, worst, witness) -> bool:
+    """Whether ``worst`` is not finite; if so, ``details`` gets the reason and
+    the point.  Such a residual shows nothing, so its verdict is inconclusive."""
+    if math.isfinite(worst):
+        return False
+    details["inconclusive_reason"] = f"non-finite residual ({worst})"
+    details["non_finite_point"] = [float(v) for v in witness]
+    return True
+
+
 def _report(predicate, worst, witness, count, tol, details=None, inconclusive=False) -> VerificationReport:
-    if inconclusive:
+    details = dict(details or {})
+    if _non_finite(details, worst, witness) or inconclusive:
         verdict = "inconclusive"
     else:
         verdict = "pass" if worst <= tol else "fail"
     return VerificationReport(predicate, verdict, float(worst),
                               None if verdict == "pass" else witness,
-                              count, float(tol), details or {})
-
-
-def _sweep(points, residual_fn):
-    """Worst residual and its witness over a point sweep."""
-    worst, witness = -1.0, None
-    for p in np.atleast_2d(points):
-        value = float(residual_fn(p))
-        if value > worst:
-            worst, witness = value, np.asarray(p, dtype=float)
-    return worst, witness
+                              count, float(tol), details)
 
 
 def project(P: Projector, X, p) -> np.ndarray:
@@ -230,14 +257,17 @@ def _force_precheck(predicate, P, force, points, probe_sections,
     control distribution (at the zero fiber or the probe sections), else None."""
     if force is None:
         return None
-    worst = 0.0
-    for p in points:
-        Q = P.q_matrix(p)
-        for y in [np.zeros(P.m)] + [X(p) for X in probe_sections]:
-            worst = max(worst, float(np.max(np.abs(Q @ force(p, y)))))
+
+    def residuals():
+        for p in points:
+            Q = P.q_matrix(p)
+            for y in [np.zeros(P.m)] + [X(p) for X in probe_sections]:
+                yield np.max(np.abs(Q @ force(p, y))), p
+
+    worst, witness = _worst_of(residuals())
     if worst <= tol:
         return None
-    return _report(predicate, worst, None, len(points), tol,
+    return _report(predicate, worst, witness, len(points), tol,
                    {"force_complement_residual": worst}, inconclusive=True)
 
 
@@ -248,7 +278,7 @@ def _product_residual(S, Gm, spans, Q, p, gamma) -> float:
     for i, A in enumerate(spans):
         for B in spans[i:]:
             prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
-            worst = max(worst, float(np.max(np.abs(Q @ prod))))
+            worst = _max(worst, float(np.max(np.abs(Q @ prod))))
     return worst
 
 
@@ -274,7 +304,7 @@ def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAI
         if force is not None:
             nabla = nabla - force(p, X(p))
         r2 = np.max(np.abs(Q @ nabla))
-        return max(r1, r2)
+        return _max(r1, r2)
 
     worst, witness = _sweep(points, residual)
     return _report("is_decoupling", worst, witness, len(points), tol,
@@ -296,8 +326,8 @@ def kinematic_reduction_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points
 
     def residual(p):
         Q = P.q_matrix(p)
-        worst = max(float(np.max(np.abs(Q @ X(p)))) for X in spans)
-        return max(worst, _product_residual(S, Gm, spans, Q, p, gamma_at(p)))
+        worst = reduce(_max, (float(np.max(np.abs(Q @ X(p)))) for X in spans), 0.0)
+        return _max(worst, _product_residual(S, Gm, spans, Q, p, gamma_at(p)))
 
     worst, witness = _sweep(points, residual)
     return _report("kinematic_reduction", worst, witness, len(points), tol,
@@ -358,26 +388,30 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
 
     rng = np.random.default_rng(seed)
     field_fn = spray_field(S, Gm)
-    emp_worst, emp_witness = 0.0, None
-    for p in points[: min(3, len(points))]:
-        coeffs = rng.uniform(-1.0, 1.0, size=len(spans))
-        y0 = candidate.matrix(p).T @ coeffs
-        scale = max(1.0, float(np.max(np.abs(y0))))
-        traj = integrate(field_fn, TotalPoint(p, y0 / scale), 0.0, horizon, step, chart=chart)
-        for k in range(len(traj)):
-            value = float(np.max(np.abs(P.q_matrix(traj.base[k]) @ traj.fiber[k])))
-            if value > emp_worst:
-                emp_worst, emp_witness = value, traj.base[k]
 
-    failed_alg = alg_worst > tol
-    failed_emp = emp_worst > traj_tol
-    verdict = "fail" if (failed_alg or failed_emp) else "pass"
-    witness = alg_witness if failed_alg else emp_witness
+    def trajectory_residuals():
+        for p in points[: min(3, len(points))]:
+            coeffs = rng.uniform(-1.0, 1.0, size=len(spans))
+            y0 = candidate.matrix(p).T @ coeffs
+            scale = max(1.0, float(np.max(np.abs(y0))))
+            traj = integrate(field_fn, TotalPoint(p, y0 / scale), 0.0, horizon, step, chart=chart)
+            for x, y in zip(traj.base, traj.fiber):
+                yield np.max(np.abs(P.q_matrix(x) @ y)), x
+
+    emp_worst, emp_witness = _worst_of(trajectory_residuals())
+    details = {"algebraic_residual": alg_worst, "trajectory_residual": emp_worst,
+               "trajectory_tolerance": traj_tol}
+    if _non_finite(details, alg_worst, alg_witness):
+        verdict, witness = "inconclusive", alg_witness
+    elif _non_finite(details, emp_worst, emp_witness):
+        verdict, witness = "inconclusive", emp_witness
+    else:
+        failed_alg = alg_worst > tol
+        verdict = "fail" if (failed_alg or emp_worst > traj_tol) else "pass"
+        witness = alg_witness if failed_alg else emp_witness
     return VerificationReport(
-        "geodesic_invariance", verdict, float(max(alg_worst, emp_worst)),
-        witness if verdict == "fail" else None, len(points), float(tol),
-        {"algebraic_residual": alg_worst, "trajectory_residual": emp_worst,
-         "trajectory_tolerance": traj_tol})
+        "geodesic_invariance", verdict, float(_max(alg_worst, emp_worst)),
+        None if verdict == "pass" else witness, len(points), float(tol), details)
 
 
 def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points,
@@ -398,9 +432,9 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
     def residual(p):
         Qc = Pc.q_matrix(p)
         Qd = Pd.q_matrix(p)
-        worst = max(float(np.max(np.abs(Qc @ X(p)))) for X in candidate.sections)
-        worst = max(worst, max(float(np.max(np.abs(Qd @ Y(p)))) for Y in Dc.sections))
-        return max(worst, _product_residual(S, Gm, Dc.sections, Qc, p, gamma_at(p)))
+        worst = reduce(_max, (float(np.max(np.abs(Qc @ X(p)))) for X in candidate.sections), 0.0)
+        worst = reduce(_max, (float(np.max(np.abs(Qd @ Y(p)))) for Y in Dc.sections), worst)
+        return _max(worst, _product_residual(S, Gm, Dc.sections, Qc, p, gamma_at(p)))
 
     worst, witness = _sweep(points, residual)
     return _report("maximal_reducibility", worst, witness, len(points), tol)
@@ -454,7 +488,7 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
         return hj
 
     worst, witness = _sweep(points, residual)
-    details = {"closedness_residual": max(closedness, default=0.0),
+    details = {"closedness_residual": reduce(_max, closedness, 0.0),
                "section": getattr(X, "label", "")}
     if Dc is None:
         energies = [energy(S, Gm, V, (p, X(p))) for p in points]
@@ -483,28 +517,32 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
         grad_V = lambda x: gradient(S, Gm, V, x)
     projector = Projector(Dc, Gm) if Dc is not None else None
 
-    worst, witness = 0.0, None
     count = len(gamma_traj)
-    for k in range(1, count - 1):
-        t = gamma_traj.times[k]
-        value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber, t,
-                                           gamma=gammas[k])
-        if grad_V is not None:
-            value = value + grad_V(gamma_traj.base[k])
-        if projector is not None:
-            value = projector.q_matrix(gamma_traj.base[k]) @ value
-        residual = float(np.max(np.abs(value)))
-        if residual > worst:
-            worst, witness = residual, gamma_traj.base[k]
+
+    def residuals():
+        for k in range(1, count - 1):
+            t = gamma_traj.times[k]
+            value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber, t,
+                                               gamma=gammas[k])
+            if grad_V is not None:
+                value = value + grad_V(gamma_traj.base[k])
+            if projector is not None:
+                value = projector.q_matrix(gamma_traj.base[k]) @ value
+            yield np.max(np.abs(value)), gamma_traj.base[k]
+
+    worst, witness = _worst_of(residuals())
+    worst = _max(worst, 0.0)  # 0 when there is no interior sample
 
     stride = max(1, count // 16)
-    closedness = max(
-        hj_residual(S, Gm, V, Dc, X, gamma_traj.base[k], gamma=gammas[k])[0]
+    closedness, closed_witness = _worst_of(
+        (hj_residual(S, Gm, V, Dc, X, gamma_traj.base[k], gamma=gammas[k])[0], gamma_traj.base[k])
         for k in range(0, count, stride))
 
     details = {"closedness_residual": closedness, "horizon": horizon,
                "truncated": gamma_traj.truncated}
-    if closedness > DEFAULT_ALGEBRAIC_TOL:
+    if _non_finite(details, closedness, closed_witness) or _non_finite(details, worst, witness):
+        verdict = "inconclusive"
+    elif closedness > DEFAULT_ALGEBRAIC_TOL:
         # The equivalence theorem assumes closedness; without it the measured
         # residual says nothing about the Hamilton-Jacobi equation.
         verdict = "inconclusive"
@@ -526,7 +564,7 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
 
     def residual(p):
         rho_f = d_function(S, fn, p)
-        return max((abs(float(y @ rho_f)) for y in P.complement_basis(p)), default=0.0)
+        return reduce(_max, (abs(float(y @ rho_f)) for y in P.complement_basis(p)), 0.0)
 
     worst, witness = _sweep(points, residual)
     return _report("reparam_admissible", worst, witness, len(points), tol)

@@ -24,6 +24,7 @@ from .algebroid import (
     Exclusion,
     OneForm,
     Section,
+    _along,
     _as_expr,
     _differential,
     _ExprTable,
@@ -181,7 +182,7 @@ class SystemDefinition:
             if self.declared_complement:
                 residual = Projector(self.controls, self.metric).declared_complement_residual(
                     self.declared_complement, points)
-                if residual > tol:
+                if not residual <= tol:  # a NaN residual is no orthogonality
                     raise SpecError(f"{self.name}.complement",
                                     f"declared complement is not orthogonal to the controls "
                                     f"(worst residual {residual:.3e})")
@@ -212,6 +213,15 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     opaque callable).  Returns ``(structure_fn, gram_fn)`` as pointwise
     callables; when both the frame and the ambient metric carry
     ``value_and_jacobian``, so does ``gram_fn``, by the product rule.
+
+    Then both also carry the same ``koszul_terms``, which the connection
+    reads when a structure with this frame as its anchor is paired with this
+    Gram metric: one frame ``value_and_jacobian`` and one ambient evaluation
+    give the anchor, the Gram matrix, its derivatives along the frame and the
+    lowered brackets ``g(U_a, [U_b, U_c])``.  The lowered form needs no
+    solve, since the structure functions are ``C = G^-1 (B g) lie^T``.  The
+    product rule and the brackets are written once, in ``frame_terms`` and
+    ``lie_rows``.
     """
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
@@ -219,7 +229,10 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
         B = frame_fn(x)
         return B @ metric_fn(x) @ B.T
 
-    def gram_value_and_jacobian(x):
+    def frame_terms(x):
+        """``(B, dB, BG, gram, dgram)`` from one frame ``value_and_jacobian``
+        and one ambient evaluation: ``BG = B g`` and the Gram matrix
+        ``B g B^T`` with its Jacobian by the product rule."""
         B, dB = frame_fn.value_and_jacobian(x)
         if ambient_moves:
             G, dG = metric_fn.value_and_jacobian(x)
@@ -232,22 +245,41 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
         dgram = half + half.transpose(1, 0, 2)
         if ambient_moves:
             dgram += B @ (B @ dG.reshape(n, n * n)).reshape(m, n, n)
-        return BG @ B.T, dgram
+        return B, dB, BG, BG @ B.T, dgram
+
+    def lie_rows(J):
+        """``[U_a, U_b]`` at row ``a*m + b``, from ``J[a, b]``, the derivative
+        of field ``b`` along field ``a``."""
+        m, _, n = J.shape
+        return (J - J.transpose(1, 0, 2)).reshape(m * m, n)
+
+    def gram_value_and_jacobian(x):
+        _, _, _, gram, dgram = frame_terms(x)
+        return gram, dgram
 
     def structure_fn(x):
         B, dB = _differential(frame_fn, x)
-        J = dB(B)  # J[a, b] is the derivative of field b along field a
         BG = B @ metric_fn(x)
-        m, n = B.shape
-        lie = (J - J.transpose(1, 0, 2)).reshape(m * m, n)  # [U_a, U_b] at row a*m + b
+        m = B.shape[0]
         try:
-            coeffs = np.linalg.solve(BG @ B.T, BG @ lie.T)
+            coeffs = np.linalg.solve(BG @ B.T, BG @ lie_rows(dB(B)).T)
         except np.linalg.LinAlgError:
             raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
         return coeffs.reshape(m, m, m)
 
+    def koszul_terms(x):
+        """``(A, G, rhoG, GC)`` for the Koszul assembly: the frame, the Gram
+        matrix, its derivatives along the frame fields and the lowered
+        brackets ``GC[a, b, c] = g(U_a, [U_b, U_c])``, which need no solve."""
+        B, dB, BG, gram, dgram = frame_terms(x)
+        m = B.shape[0]
+        lie = lie_rows(_along(dB, B))
+        return B, gram, _along(dgram, B), (BG @ lie.T).reshape(m, m, m)
+
     if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian
+        koszul_terms.frame = frame_fn
+        structure_fn.koszul_terms = gram_fn.koszul_terms = koszul_terms
     return structure_fn, gram_fn
 
 

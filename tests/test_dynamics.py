@@ -28,6 +28,23 @@ def planar_exact_fiber(t, y0):
     return np.array([a, (u + k) / 2.0, (u - k) / 2.0])
 
 
+def opaque_frame_system(sysd):
+    """The embedded system ``sysd`` rebuilt around a lambda frame, which
+    carries no Jacobian: its brackets and Gram derivative are differences."""
+    from algmech import AlgebroidStructure, BundleMetric
+    from algmech.algebroid import _ExprTable
+    from algmech.systems import induced_algebroid
+
+    doc = sysd.document
+    n = len(doc["base"])
+    ambient = _ExprTable([e for row in doc["ambient"]["metric"] for e in row], (n, n),
+                         sysd.coords, sysd.params, differentiable=True)
+    table = sysd.embedded["distribution"]
+    frame = lambda x: table(x)
+    structure_fn, gram_fn = induced_algebroid(ambient, frame)
+    return AlgebroidStructure(sysd.coords, sysd.m, frame, structure_fn), BundleMetric(gram_fn, sysd.m)
+
+
 def field_at(sysd, q, t=0.0, **terms):
     """One evaluation of the packed field of ``sysd`` at the total point ``q``."""
     return spray_field(sysd.structure, sysd.metric, **terms)(t, q.packed())
@@ -68,6 +85,44 @@ class TestSpray:
         G = christoffel(S, Gm, p).gamma
         sym = -0.5 * np.einsum("cab,a,b->c", G + np.transpose(G, (0, 2, 1)), y, z)
         assert np.max(np.abs(polarized - sym)) < 1e-9
+
+
+class TestSprayContraction:
+    def test_fiber_part_is_the_christoffel_form(self, all_builtins, planar, unicycle, rng):
+        """Contracting the lowered Koszul tensor with the velocity and solving
+        with the metric equals minus gamma(y, y), to rounding, at 20 chart
+        samples of every builtin, of an embedded system with a moving ambient
+        metric, of one with an opaque frame, and of the planar body with its
+        structure functions opaque (a coordinate-free metric off the
+        constant-coefficient shortcut)."""
+        from algmech import AlgebroidStructure, christoffel
+
+        opaque = AlgebroidStructure(planar.coords, planar.m, planar.structure.anchor,
+                                    lambda x: planar.structure.structure(x))
+        cases = [(sysd.structure, sysd.metric, sysd) for sysd in all_builtins]
+        cases += [(unicycle.structure, unicycle.metric, unicycle),
+                  (*opaque_frame_system(unicycle), unicycle),
+                  (opaque, planar.metric, planar)]
+        for S, Gm, sysd in cases:
+            field = spray_field(S, Gm)
+            for p in sysd.sample(20, seed=29):
+                y = rng.uniform(-1.0, 1.0, size=S.m)
+                out = field(0.0, np.concatenate([p, y]))
+                expected = -np.einsum("cab,a,b->c", christoffel(S, Gm, p).gamma, y, y)
+                assert np.array_equal(out[:S.n], S.anchor(p).T @ y)
+                assert (np.max(np.abs(out[S.n:] - expected))
+                        <= 1e-14 * np.max(np.abs(expected))), (sysd.name, p)
+
+    def test_singular_metric_raises(self):
+        """A metric that vanishes, or is not finite, at the point raises the
+        singular-metric error that integrate reports."""
+        from algmech import AlgebroidStructure, BundleMetric, SingularMetricError
+
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        for value in (0.0, np.nan):
+            Gm = BundleMetric(lambda x, value=value: np.array([[value]]), 1)
+            with pytest.raises(SingularMetricError, match=r"metric is singular at \[0.2\]"):
+                spray_field(S, Gm)(0.0, np.array([0.2, 1.0]))
 
 
 class TestForcedField:
@@ -186,6 +241,20 @@ class TestIntegrate:
         assert traj.reason.startswith("field evaluation failed: metric is singular at")
         assert 1 < len(traj) < 21
         assert np.all(np.isfinite(traj.fiber))
+
+    def test_nan_structure_truncates(self):
+        """Structure functions that turn NaN along the path stop the
+        integration; the samples kept are finite."""
+        from algmech import AlgebroidStructure, BundleMetric
+
+        S = AlgebroidStructure(("x",), 2, lambda x: np.array([[1.0], [0.0]]),
+                               lambda x: np.zeros((2, 2, 2)) if x[0] < 0.25
+                               else np.full((2, 2, 2), np.nan))
+        Gm = BundleMetric.from_exprs([["1", "0"], ["0", "1"]], ("x",))
+        traj = integrate(spray_field(S, Gm), TotalPoint([0.0], [1.0, 0.5]), 0.0, 1.0, 0.05)
+        assert traj.truncated and traj.reason
+        assert 1 < len(traj) < 21
+        assert np.all(np.isfinite(traj.base)) and np.all(np.isfinite(traj.fiber))
 
     def test_metric_kink_truncates(self):
         """A geodesic started where the metric's exact Jacobian does not

@@ -105,12 +105,90 @@ class TestVerificationReport:
         with pytest.raises(ValueError):
             VerificationReport("x", "fail", 1.0, None, 5, 1e-3)
 
+    def test_pass_requires_a_finite_residual(self):
+        with pytest.raises(ValueError, match="not finite"):
+            VerificationReport("x", "pass", float("nan"), None, 5, 1e-3)
+
     def test_serialization_keys(self):
         rep = VerificationReport("x", "fail", 1.0, np.array([0.0, 1.0]), 5, 1e-3)
         doc = rep.to_dict()
         assert set(doc) >= {"predicate", "verdict", "worst_residual",
                             "witness_point", "samples", "tolerance"}
         assert doc["witness_point"] == [0.0, 1.0]
+
+
+NAN_SECTION = Section(lambda x: np.full(3, np.nan), 3, label="nan")
+
+
+def only_at(points, row):
+    """A section equal to ``row`` at the given points and NaN elsewhere, so
+    its value is finite at the samples and every difference of it is NaN."""
+    return Section(lambda x: np.array(row, dtype=float)
+                   if any(np.array_equal(x, q) for q in points) else np.full(len(row), np.nan),
+                   len(row))
+
+
+def assert_non_finite(rep, point):
+    assert rep.verdict == "inconclusive", rep
+    assert rep.details["inconclusive_reason"].startswith("non-finite residual")
+    assert np.array_equal(rep.details["non_finite_point"], point)
+
+
+class TestNonFiniteResiduals:
+    """A residual that is not finite never passes: the report is inconclusive
+    and names the reason and the first such point."""
+
+    def test_nan_section_sweeps(self, planar):
+        S, Gm, Dc = planar.structure, planar.metric, planar.controls
+        points = planar.sample(4, seed=0)
+        assert_non_finite(is_decoupling(S, Gm, Dc, NAN_SECTION, points), points[0])
+        assert_non_finite(hj_algebraic_check(planar, NAN_SECTION, points), points[0])
+        nan_factor = lambda x: float("nan")
+        assert_non_finite(reparam_admissible(S, Gm, Dc, nan_factor, points), points[0])
+
+    def test_nan_force(self, planar):
+        points = planar.sample(3, seed=2)
+        F = ForceField(lambda x, y: np.full(3, np.nan), 3)
+        rep = is_decoupling(planar.structure, planar.metric, planar.controls, basis(0),
+                            points, force=F)
+        assert_non_finite(rep, points[0])
+
+    def test_nan_symmetric_product(self, planar):
+        """The spans are finite at the samples; their symmetric products,
+        which difference them, are not."""
+        points = planar.sample(3, seed=1)
+        candidate = Subbundle((only_at(points, [1.0, 0.0, 0.0]),))
+        rep = kinematic_reduction_check(planar.structure, planar.metric, planar.controls,
+                                        candidate, points)
+        assert_non_finite(rep, points[0])
+
+    def test_nan_along_invariance_trajectory(self, planar):
+        """The candidate turns NaN once the geodesic leaves |x| < 0.05."""
+        X = Section(lambda x: np.array([1.0, 0.0, 0.0]) if abs(x[0]) < 0.05
+                    else np.full(3, np.nan), 3)
+        rep = geodesic_invariance_check(planar.structure, planar.metric, Subbundle((X,)),
+                                        np.zeros((1, 3)), horizon=1.0, step=1e-2)
+        assert rep.verdict == "inconclusive"
+        assert np.isfinite(rep.details["algebraic_residual"])
+        assert abs(rep.details["non_finite_point"][0]) >= 0.05
+
+    def test_nan_generator_in_maximal_reducibility(self, leg):
+        candidate = Subbundle(leg.controls.sections + (NAN_SECTION,))
+        points = leg.sample(3, seed=0)
+        rep = maximal_reducibility_check(leg.structure, leg.metric, leg.controls, candidate,
+                                         points)
+        assert_non_finite(rep, points[0])
+
+    def test_nan_hj_closedness(self, planar):
+        p0 = planar.sample(1, seed=0)[0]
+        rep = hj_trajectory_equivalence(planar.structure, planar.metric, None,
+                                        planar.controls, NAN_SECTION, p0, 1.0, 1e-2)
+        assert_non_finite(rep, p0)
+
+    def test_nan_declared_complement(self, planar):
+        residual = Projector(planar.controls, planar.metric).declared_complement_residual(
+            [NAN_SECTION], planar.sample(2, seed=0))
+        assert np.isnan(residual)
 
 
 class TestDecoupling:

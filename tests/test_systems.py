@@ -326,11 +326,10 @@ class TestInducedAlgebroid:
             assert np.array_equal(board.structure.anchor(p), B)
 
     def test_spray_evaluation_table_calls(self, board, monkeypatch):
-        """One snakeboard spray evaluation makes 6 expression-table calls:
-        the frame as the anchor of the base velocity and of rho(e_A)(G) (2),
-        the frame's values and Jacobian for the structure functions and for
-        the Gram matrix (2 ``value_and_jacobian`` calls), and the constant
-        ambient metric for each of those two (2)."""
+        """One snakeboard spray evaluation makes 2 expression-table calls:
+        one frame ``value_and_jacobian``, which gives the anchor, the Gram
+        matrix and its derivative, and the brackets, and one call of the
+        constant ambient metric."""
         from algmech import algebroid, spray_field
 
         field = spray_field(board.structure, board.metric)
@@ -344,7 +343,62 @@ class TestInducedAlgebroid:
 
             monkeypatch.setattr(algebroid._ExprTable, method, counted)
         field(0.0, np.array([0.0, 0.0, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05]))
-        assert sorted(calls) == ["__call__"] * 4 + ["value_and_jacobian"] * 2
+        assert sorted(calls) == ["__call__", "value_and_jacobian"]
+
+    def test_paired_terms_agree_with_the_generic_path(self, board, unicycle):
+        """A structure and a metric from one ``induced_algebroid`` call take
+        the Koszul terms from one frame evaluation; a wrapped Gram function
+        forces the generic path, which agrees to rounding when the wrapper
+        carries the exact Jacobian and to difference error when it does not."""
+        from algmech import christoffel, spray_field
+
+        for sysd in (board, unicycle):
+            S, Gm, m = sysd.structure, sysd.metric, sysd.m
+            gram_fn = Gm._fn
+            exact = lambda x: gram_fn(x)
+            exact.value_and_jacobian = gram_fn.value_and_jacobian
+            for wrapped, tol in ((exact, 1e-13), (lambda x: gram_fn(x), 1e-6)):
+                generic = BundleMetric(wrapped, m)
+                for p in sysd.sample(10, seed=31):
+                    gamma = christoffel(S, Gm, p).gamma
+                    scale = np.max(np.abs(gamma))
+                    assert np.max(np.abs(christoffel(S, generic, p).gamma - gamma)) <= tol * scale
+                    z = np.concatenate([p, np.linspace(0.3, -0.2, m)])
+                    paired, other = spray_field(S, Gm)(0.0, z), spray_field(S, generic)(0.0, z)
+                    assert np.max(np.abs(paired - other)) <= tol * np.max(np.abs(paired))
+
+    def test_foreign_pairing_takes_the_generic_path(self, board, monkeypatch):
+        """Only a structure whose anchor is the frame and whose structure and
+        Gram functions come from the same ``induced_algebroid`` call skip the
+        structure functions; every other pairing reads them."""
+        from algmech import AlgebroidStructure, christoffel
+        from algmech.algebroid import _ExprTable
+
+        doc = dump_spec(board)
+        n, m = board.n, board.m
+        ambient = _ExprTable([e for row in doc["ambient"]["metric"] for e in row], (n, n),
+                             board.coords, board.params, differentiable=True)
+        frame = board.embedded["distribution"]
+        structure_fn, gram_fn = induced_algebroid(ambient, frame)
+        other_structure, other_gram = induced_algebroid(ambient, frame)
+        reads = []
+        original = AlgebroidStructure.structure
+        monkeypatch.setattr(AlgebroidStructure, "structure",
+                            lambda S, x: reads.append(1) or original(S, x))
+        p = board.sample(1, seed=5)[0]
+        expected = christoffel(board.structure, board.metric, p).gamma
+        cases = [
+            (frame, structure_fn, gram_fn, 0),
+            (frame, structure_fn, other_gram, 1),
+            (frame, other_structure, gram_fn, 1),
+            (lambda x: frame(x), structure_fn, gram_fn, 1),
+        ]
+        for anchor, structure, gram, count in cases:
+            reads.clear()
+            S = AlgebroidStructure(board.coords, m, anchor, structure, params=board.params)
+            gamma = christoffel(S, BundleMetric(gram, m), p).gamma
+            assert len(reads) == count
+            assert np.max(np.abs(gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_gram_jacobian_by_the_product_rule(self, leg):
         """Frame and ambient metric as tables, the ambient one moving: the
