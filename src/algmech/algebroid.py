@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _SV_THRESHOLD = 1e-8
+_FLOAT = np.dtype(float)
 # Mirror entries (metric symmetry, structure antisymmetry) are one function
 # written twice; at a probe point they may differ only by the rounding of a
 # different operation order.
@@ -170,18 +171,24 @@ class ChartDomain:
             raise ValueError("chart bounds must have matching shapes")
         if np.any(self.lower >= self.upper) and self.lower.size:
             raise ValueError("chart box must have positive extent")
+        # The bounds as Python floats: contains runs once per RK4 step.
+        object.__setattr__(self, "_bounds", tuple(zip(self.lower.tolist(), self.upper.tolist())))
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
     def contains(self, x, pad: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.dim == 0:
-            return True
-        if np.any(x < self.lower - pad) or np.any(x > self.upper + pad):
-            return False
-        return not any(exc.violated(x) for exc in self.exclusions)
+        """Whether the point ``x`` lies in the box widened by ``pad`` (a
+        negative ``pad`` shrinks it) and off every exclusion.  A NaN
+        coordinate compares false, so it counts as inside."""
+        values = x.tolist() if isinstance(x, np.ndarray) else x
+        if len(values) != len(self._bounds):
+            raise ValueError(f"point has dimension {len(values)}, chart has {len(self._bounds)}")
+        for v, (lo, hi) in zip(values, self._bounds):
+            if v < lo - pad or v > hi + pad:
+                return False
+        return not any(exc.violated(values) for exc in self.exclusions)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -351,7 +358,12 @@ class AlgebroidStructure:
 
     def anchor(self, x) -> np.ndarray:
         """Anchor coefficients at ``x`` as an ``(m, n)`` array; row ``A`` is rho(e_A)."""
-        out = np.asarray(self._anchor_fn(np.asarray(x, dtype=float)), dtype=float)
+        # Converted only when needed: the spray reads the anchor at every stage.
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
+        out = self._anchor_fn(x)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
         if out.shape != (self.m, self.n):
             raise ValueError(f"anchor returned shape {out.shape}, expected ({self.m}, {self.n})")
         return out
@@ -458,21 +470,22 @@ class Trajectory:
 # --- operations ----------------------------------------------------------------
 
 
-def _differential(f, x, step=None) -> tuple:
+def _differential(f, x, step=None, value=True) -> tuple:
     """``(f(x), along)``: ``along(directions)`` stacks the derivatives of ``f``
     at ``x`` along the rows of ``directions``, as ``(k, *shape)``.
 
     Exact, ``directions . J``, when ``f`` carries ``value_and_jacobian`` (an
     expression table, or a section, metric or potential wrapping one);
-    otherwise one :func:`expr.fd_directional` per row.  This is the only
-    place that chooses between the two.
+    otherwise one :func:`expr.fd_directional` per row, and with
+    ``value=False`` the difference path skips ``f(x)`` and returns None in
+    its place.  This is the only place that chooses between the two.
     """
     exact = getattr(f, "value_and_jacobian", None)
     if exact is None:
-        return f(x), lambda directions: np.array([fd_directional(f, x, v, step)
-                                                  for v in directions])
-    value, jacobian = exact(x)
-    return value, lambda directions: _along(jacobian, directions)
+        return f(x) if value else None, lambda directions: np.array(
+            [fd_directional(f, x, v, step) for v in directions])
+    fx, jacobian = exact(x)
+    return fx, lambda directions: _along(jacobian, directions)
 
 
 def _along(jacobian, directions) -> np.ndarray:
@@ -523,7 +536,7 @@ def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
     points, build its field once (``Potential.from_expr``) and pass that.
     """
     p = S.check_point(p)
-    return _differential(_as_scalar_field(f, S), p, step)[1](S.anchor(p))
+    return _differential(_as_scalar_field(f, S), p, step, value=False)[1](S.anchor(p))
 
 
 def d_oneform(S: AlgebroidStructure, kappa: OneForm, X: Section, Y: Section, p, step=None) -> float:

@@ -140,10 +140,12 @@ def _resolve_function(sysdef, ref: str) -> dict:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    print(json.dumps(payload, indent=2) if args.format == "json" else text)
+    # allow_nan=False: a NaN or an infinity that reached the payload raises
+    # here instead of printing invalid JSON.
+    print(json.dumps(payload, indent=2, allow_nan=False) if args.format == "json" else text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps(payload, indent=2) + "\n")
+            stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_christoffel(args) -> int:

@@ -7,6 +7,7 @@ here than adaptive accuracy.  Fields evaluate on the total space packed as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
 from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _fixed_coefficients,
-                       _koszul, _singular, christoffel_field)
+                       _koszul, _singular, christoffel)
 
 __all__ = [
     "TotalPoint",
@@ -97,11 +98,10 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     control ``signal`` is given.  The signal must have one coefficient per
     input section.
 
-    Coordinate-free coefficients are computed once
-    (:func:`geometry.christoffel_field`).  Otherwise each evaluation reads
-    the anchor, the metric and the lowered Koszul tensor ``K`` once
-    (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for the
-    quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
+    Coordinate-free coefficients are computed once.  Otherwise each
+    evaluation reads the anchor, the metric and the lowered Koszul tensor
+    ``K`` once (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for
+    the quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
     singular or non-finite metric raises ``SingularMetricError``.
     """
     inputs = tuple(inputs)
@@ -111,17 +111,16 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
                          f"for {len(inputs)} input section(s)")
     n, m = S.n, S.m
     if _fixed_coefficients(S, Gm):
-        gamma_at = christoffel_field(S, Gm)
+        # Negation is exact, so this is bitwise -einsum(gamma, y, y).
+        minus_gamma = -christoffel(S, Gm, np.zeros(n)).gamma
 
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
-            return dx, -np.einsum("cab,a,b->c", gamma_at(x), y, y)
+            return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
     else:
         def spray(x, y):
             # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor
             A, G, K = _koszul(S, Gm, x)
-            if not np.isfinite(G).all():
-                raise _singular(x)
             try:
                 acc = np.linalg.solve(G, 0.5 * (np.outer(y, y).ravel() @ K.reshape(m * m, m)))
             except np.linalg.LinAlgError:
@@ -166,8 +165,9 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
 
     count = max(1, int(round((t1 - t0) / step)))
     h = (t1 - t0) / count
-    times = [t0]
-    states = [z.copy()]
+    half, sixth = h / 2.0, h / 6.0
+    samples = np.empty((count + 1, z.size))
+    samples[0] = z
     truncated = False
     reason = ""
 
@@ -175,25 +175,27 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
         t = t0 + k * h
         try:
             k1 = field(t, z)
-            k2 = field(t + h / 2.0, z + (h / 2.0) * k1)
-            k3 = field(t + h / 2.0, z + (h / 2.0) * k2)
+            k2 = field(t + half, z + half * k1)
+            k3 = field(t + half, z + half * k2)
             k4 = field(t + h, z + h * k3)
         except (EvalError, SingularMetricError) as err:
             truncated, reason = True, f"field evaluation failed: {err}"
             break
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Before the chart test: NaN compares false, so the chart contains it.
-        if not np.all(np.isfinite(z)):
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # One list feeds both tests.  Finiteness first: NaN compares false,
+        # so the chart contains it.
+        values = z.tolist()
+        if not all(map(math.isfinite, values)):
             truncated, reason = True, f"non-finite state at t={t + h:g}"
             break
-        if chart is not None and not chart.contains(z[:n]):
+        if chart is not None and not chart.contains(values[:n]):
             truncated, reason = True, "left the chart domain"
             break
-        times.append(t0 + (k + 1) * h)
-        states.append(z.copy())
+        samples[k + 1] = z
 
-    states = np.array(states)
-    return Trajectory(np.array(times), states[:, :n], states[:, n:] if m else np.zeros((len(times), 0)),
+    kept = k + 1 if truncated else count + 1
+    samples = samples[:kept]
+    return Trajectory(t0 + np.arange(kept) * h, samples[:, :n], samples[:, n:],
                       step=h, integrator="rk4", truncated=truncated, reason=reason)
 
 

@@ -247,11 +247,15 @@ def _pointwise(S: AlgebroidStructure, Gm: BundleMetric, p):
         return A, G, rhoG, GC
     m = S.m
     if Gm.is_constant:
-        A, G, rhoG = None, Gm.matrix(p), np.zeros((m,) * 3)
+        A, G, dG = None, Gm.matrix(p), None
     else:
         A = S.anchor(p)
         G, dG = _differential(Gm, p)
-        rhoG = dG(A)
+    # Before anything is computed from G, whose non-finite entries would
+    # only turn into warnings and NaNs there.
+    if not np.isfinite(G).all():
+        raise _singular(p)
+    rhoG = np.zeros((m,) * 3) if dG is None else dG(A)
     GC = (G @ S.structure(p).reshape(m, m * m)).reshape(m, m, m)
     return A, G, rhoG, GC
 

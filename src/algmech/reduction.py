@@ -187,6 +187,8 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
+        """The report as plain data for strict JSON: a non-finite number,
+        which ``details["inconclusive_reason"]`` names, is written as None."""
         doc = {
             "predicate": self.predicate,
             "verdict": self.verdict,
@@ -197,7 +199,19 @@ class VerificationReport:
         }
         if self.details:
             doc["details"] = self.details
-        return doc
+        return _finite_or_none(doc)
+
+
+def _finite_or_none(value):
+    """``value`` with every non-finite float, at any depth of dicts, lists
+    and tuples, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_finite_or_none(item) for item in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _max(a, b):
@@ -492,7 +506,9 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
                "section": getattr(X, "label", "")}
     if Dc is None:
         energies = [energy(S, Gm, V, (p, X(p))) for p in points]
-        details["energy_spread"] = float(max(energies) - min(energies))
+        # numpy's max and min keep a NaN wherever it is; Python's drop one
+        # that is not first.  Python floats subtract inf - inf without a warning.
+        details["energy_spread"] = float(np.max(energies)) - float(np.min(energies))
     return _report("hj_residual", worst, witness, len(points), tol, details)
 
 

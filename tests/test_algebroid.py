@@ -164,6 +164,21 @@ class TestAlmostDifferential:
         assert exact == pytest.approx(rows, rel=1e-14, abs=1e-14)
         assert np.max(np.abs(exact - d_function(leg.structure, lambda x: table(x), p))) < 1e-8
 
+    def test_opaque_callable_is_evaluated_only_to_difference(self, planar):
+        """Two evaluations per frame direction and none at the point itself."""
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(x[0] * x[1] + np.sin(x[2]))
+
+        p = np.array([0.3, -0.2, 0.4])
+        out = d_function(planar.structure, f, p)
+        assert len(calls) == 2 * planar.m
+        assert not any(np.array_equal(x, p) for x in calls)
+        exact = d_function(planar.structure, "x*y + sin(theta)", p)
+        assert np.max(np.abs(out - exact)) < 1e-8
+
 
 class TestDOneForm:
     def test_squared_differential_vanishes_for_lie_algebroid(self, planar, flat2, rng):
@@ -313,6 +328,34 @@ class TestChartDomain:
         assert chart.contains([0.2])
         assert not chart.contains([0.55])
         assert not chart.contains([1.4])
+        # NaN compares false against every bound, so it counts as inside.
+        assert chart.contains([np.nan]) and chart.contains(np.array([np.nan]))
+        # The box is closed and the exclusion band open: a point 0.25 from
+        # 0.5 is off a margin of 0.25 (all three values are exact in binary).
+        edge = ChartDomain([0.0], [1.0], (Exclusion(0, 0.5, margin=0.25),))
+        assert edge.contains([0.75]) and edge.contains([0.25])
+        assert not edge.contains([0.7]) and not edge.contains([0.3])
+        assert edge.contains([0.0]) and edge.contains([1.0])
+
+    def test_contains_with_pad(self):
+        """A positive pad widens the box; a negative one shrinks it."""
+        chart = ChartDomain([-1.0, -2.0], [1.0, 2.0])
+        point = np.array([0.9, -1.9])
+        assert chart.contains(point)
+        assert not chart.contains(point, pad=-0.2)
+        assert chart.contains(point, pad=-0.1)
+        assert chart.contains([1.25, 0.0], pad=0.25) and not chart.contains([1.25, 0.0])
+        assert not chart.contains([1.5, 0.0], pad=0.25)
+
+    def test_contains_checks_the_dimension(self):
+        chart = ChartDomain([0.0, 0.0], [1.0, 1.0])
+        for point in ([0.5], [0.5, 0.5, 0.5], np.array([0.5]), np.zeros(3)):
+            with pytest.raises(ValueError, match="dimension"):
+                chart.contains(point)
+        point_base = ChartDomain([], [])
+        assert point_base.contains([]) and point_base.contains(np.zeros(0))
+        with pytest.raises(ValueError, match="dimension"):
+            point_base.contains([0.0])
 
 
 class TestTrajectory:

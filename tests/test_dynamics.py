@@ -45,6 +45,54 @@ def opaque_frame_system(sysd):
     return AlgebroidStructure(sysd.coords, sysd.m, frame, structure_fn), BundleMetric(gram_fn, sysd.m)
 
 
+def rk4_reference(field, q0, t0, t1, step, chart=None):
+    """A plain RK4 loop: array finiteness and chart tests, a list of state
+    copies stacked at the end.  ``integrate`` must reproduce it bit for bit."""
+    from algmech.algebroid import Trajectory
+    from algmech.expr import EvalError
+    from algmech.geometry import SingularMetricError
+
+    z, m = q0.packed(), q0.fiber.size
+    n = z.size - m
+    count = max(1, int(round((t1 - t0) / step)))
+    h = (t1 - t0) / count
+    times = [t0]
+    states = [z.copy()]
+    truncated = False
+    reason = ""
+    for k in range(count):
+        t = t0 + k * h
+        try:
+            k1 = field(t, z)
+            k2 = field(t + h / 2.0, z + (h / 2.0) * k1)
+            k3 = field(t + h / 2.0, z + (h / 2.0) * k2)
+            k4 = field(t + h, z + h * k3)
+        except (EvalError, SingularMetricError) as err:
+            truncated, reason = True, f"field evaluation failed: {err}"
+            break
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            truncated, reason = True, f"non-finite state at t={t + h:g}"
+            break
+        if chart is not None and not chart.contains(z[:n]):
+            truncated, reason = True, "left the chart domain"
+            break
+        times.append(t0 + (k + 1) * h)
+        states.append(z.copy())
+    states = np.array(states)
+    return Trajectory(np.array(times), states[:, :n], states[:, n:] if m else np.zeros((len(times), 0)),
+                      step=h, integrator="rk4", truncated=truncated, reason=reason)
+
+
+def assert_same_trajectory(traj, ref):
+    """Equal bit for bit: every sample, the times and the truncation."""
+    for name in ("times", "base", "fiber"):
+        a, b = getattr(traj, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (traj.truncated, traj.reason, traj.step) == (ref.truncated, ref.reason, ref.step)
+
+
 def field_at(sysd, q, t=0.0, **terms):
     """One evaluation of the packed field of ``sysd`` at the total point ``q``."""
     return spray_field(sysd.structure, sysd.metric, **terms)(t, q.packed())
@@ -276,6 +324,102 @@ class TestIntegrate:
             integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), 0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), 1.0, 0.5, 0.1)
+
+
+class TestLeanStep:
+    """``integrate`` against the reference loop, bit for bit."""
+
+    def test_geodesics_of_every_builtin(self, all_builtins, rng):
+        for sysd in all_builtins:
+            field = spray_field(sysd.structure, sysd.metric)
+            for p in sysd.sample(2, seed=41):
+                q0 = TotalPoint(p, rng.uniform(-0.5, 0.5, size=sysd.m))
+                args = (field, q0, 0.0, 0.3, 1e-3)
+                traj = integrate(*args, chart=sysd.chart)
+                assert_same_trajectory(traj, rk4_reference(*args, chart=sysd.chart))
+                assert len(traj) == 301 or traj.truncated
+
+    def test_chart_exit(self, planar, board):
+        field = spray_field(planar.structure, planar.metric)
+        args = (field, TotalPoint([7.9, 0.0, 0.0], [1.0, 0.0, 0.0]), 0.0, 2.0, 1e-2)
+        traj = integrate(*args, chart=planar.chart)
+        assert traj.truncated and traj.reason == "left the chart domain"
+        assert_same_trajectory(traj, rk4_reference(*args, chart=planar.chart))
+        # The snakeboard leaves through an exclusion, not a face of its box.
+        field = spray_field(board.structure, board.metric)
+        args = (field, TotalPoint([0.0, 0.0, 0.0, 0.0, 1.3], [0.0, 0.0, 0.5]), 0.0, 2.0, 1e-2)
+        traj = integrate(*args, chart=board.chart)
+        assert traj.truncated and traj.reason == "left the chart domain"
+        assert_same_trajectory(traj, rk4_reference(*args, chart=board.chart))
+
+    def test_non_finite_state(self):
+        from algmech import euclidean
+
+        line = euclidean(1)
+        blowup = ForceField.from_exprs(["y1*y1*y1*1e300"], line.coords, line.params)
+        args = (spray_field(line.structure, line.metric, force=blowup),
+                TotalPoint([0.0], [10.0]), 0.0, 1.0, 0.1)
+        traj = integrate(*args, chart=line.chart)
+        assert traj.truncated and traj.reason.startswith("non-finite state at t=")
+        assert_same_trajectory(traj, rk4_reference(*args, chart=line.chart))
+
+    def test_nan_state_inside_the_chart(self):
+        """A field that turns NaN stops at the finiteness test, which runs
+        before the chart test."""
+        from algmech import euclidean
+
+        line = euclidean(1)
+        field = lambda t, z: np.array([1.0, np.nan if t > 0.25 else 0.0])
+        args = (field, TotalPoint([0.0], [1.0]), 0.0, 1.0, 0.1)
+        traj = integrate(*args, chart=line.chart)
+        assert traj.reason == "non-finite state at t=0.3"
+        assert_same_trajectory(traj, rk4_reference(*args, chart=line.chart))
+
+    def test_evaluation_errors(self):
+        from algmech import AlgebroidStructure, BundleMetric, load_spec
+
+        # The metric's table raises EvalError once x turns negative.
+        rooted = load_spec({"name": "rooted", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                            "anchor": [["1"]], "metric": [["1 + sqrt(x)"]],
+                            "chart": {"box": {"x": [0.0, 1.0]}}})
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        nan_metric = BundleMetric(lambda x: np.array([[1.0 if x[0] < 0.25 else np.nan]]), 1)
+        cases = [(spray_field(rooted.structure, rooted.metric), [0.5], [-1.0],
+                  "sqrt of a negative value"),
+                 (spray_field(S, nan_metric), [0.0], [1.0], "metric is singular at")]
+        for field, base, fiber, message in cases:
+            args = (field, TotalPoint(base, fiber), 0.0, 2.0, 0.05)
+            traj = integrate(*args)
+            assert traj.truncated and message in traj.reason, traj.reason
+            assert 1 < len(traj) < 41
+            assert_same_trajectory(traj, rk4_reference(*args))
+
+    def test_empty_base_or_fiber(self, top, planar):
+        """A point base (all fiber) and a base flow (no fiber)."""
+        field = spray_field(top.structure, top.metric)
+        args = (field, TotalPoint(np.zeros(0), [0.3, 0.4, 0.2]), 0.0, 0.5, 1e-2)
+        traj = integrate(*args, chart=top.chart)
+        assert traj.base.shape == (51, 0)
+        assert_same_trajectory(traj, rk4_reference(*args, chart=top.chart))
+        anchored = planar.structure.anchored_field(Section.basis(1, 3))
+        args = (lambda t, z: anchored(z), TotalPoint([0.1, 0.2, 0.3], np.zeros(0)), 0.0, 0.5, 1e-2)
+        traj = integrate(*args, chart=planar.chart)
+        assert traj.fiber.shape == (51, 0)
+        assert_same_trajectory(traj, rk4_reference(*args, chart=planar.chart))
+
+    def test_infinite_metric_is_singular(self):
+        """An infinite metric is rejected where it is read, before its
+        difference (inf - inf) or its product with the structure functions
+        can warn; the suite turns such warnings into errors."""
+        from algmech import AlgebroidStructure, BundleMetric, SingularMetricError, christoffel
+
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        Gm = BundleMetric(lambda x: np.array([[np.inf]]), 1)
+        traj = integrate(spray_field(S, Gm), TotalPoint([0.2], [1.0]), 0.0, 1.0, 0.1)
+        assert traj.truncated and len(traj) == 1
+        assert traj.reason == "field evaluation failed: metric is singular at [0.2]"
+        with pytest.raises(SingularMetricError, match=r"metric is singular at \[0.2\]"):
+            christoffel(S, Gm, np.array([0.2]))
 
 
 class TestBaseFlowAndLift:

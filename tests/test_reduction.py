@@ -185,6 +185,32 @@ class TestNonFiniteResiduals:
                                         planar.controls, NAN_SECTION, p0, 1.0, 1e-2)
         assert_non_finite(rep, p0)
 
+    def test_non_finite_reports_are_strict_json(self, planar):
+        """A non-finite residual is written as null, and the reason names it."""
+        import json
+
+        points = planar.sample(4, seed=0)
+        rep = is_decoupling(planar.structure, planar.metric, planar.controls, NAN_SECTION, points)
+        doc = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert doc["verdict"] == "inconclusive" and doc["worst_residual"] is None
+        assert doc["details"]["inconclusive_reason"] == "non-finite residual (nan)"
+        assert doc["details"]["non_finite_point"] == points[0].tolist()
+
+    def test_energy_spread_keeps_a_later_nan(self, flat2):
+        """The candidate's energy is NaN from the second sample on; the
+        spread says so, and the report still serializes strictly."""
+        import json
+
+        points = flat2.sample(6, seed=0)
+        first = points[0]
+        X = Section(lambda x: np.array([0.6, -0.8]) if np.array_equal(x, first)
+                    else np.full(2, np.nan), 2)
+        rep = hj_algebraic_check(flat2, X, points, 1e-5)
+        assert rep.verdict == "inconclusive"
+        assert np.isnan(rep.details["energy_spread"])
+        doc = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert doc["details"]["energy_spread"] is None
+
     def test_nan_declared_complement(self, planar):
         residual = Projector(planar.controls, planar.metric).declared_complement_residual(
             [NAN_SECTION], planar.sample(2, seed=0))
