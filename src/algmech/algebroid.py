@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _SV_THRESHOLD = 1e-8
-_FLOAT = np.dtype(float)
 # Mirror entries (metric symmetry, structure antisymmetry) are one function
 # written twice; at a probe point they may differ only by the rounding of a
 # different operation order.
@@ -358,12 +357,7 @@ class AlgebroidStructure:
 
     def anchor(self, x) -> np.ndarray:
         """Anchor coefficients at ``x`` as an ``(m, n)`` array; row ``A`` is rho(e_A)."""
-        # Converted only when needed: the spray reads the anchor at every stage.
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-            x = np.asarray(x, dtype=float)
-        out = self._anchor_fn(x)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
+        out = np.asarray(self._anchor_fn(np.asarray(x, dtype=float)), dtype=float)
         if out.shape != (self.m, self.n):
             raise ValueError(f"anchor returned shape {out.shape}, expected ({self.m}, {self.n})")
         return out

@@ -16,7 +16,7 @@ import numpy as np
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
 from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _fixed_coefficients,
-                       _koszul, _singular, christoffel)
+                       _koszul, _singular, christoffel_field)
 
 __all__ = [
     "TotalPoint",
@@ -98,10 +98,11 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     control ``signal`` is given.  The signal must have one coefficient per
     input section.
 
-    Coordinate-free coefficients are computed once.  Otherwise each
-    evaluation reads the anchor, the metric and the lowered Koszul tensor
-    ``K`` once (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for
-    the quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
+    Coordinate-free coefficients are computed once
+    (:func:`geometry.christoffel_field`).  Otherwise each evaluation reads
+    the anchor, the metric and the lowered Koszul tensor ``K`` once
+    (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for the
+    quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
     singular or non-finite metric raises ``SingularMetricError``.
     """
     inputs = tuple(inputs)
@@ -112,7 +113,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     n, m = S.n, S.m
     if _fixed_coefficients(S, Gm):
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
-        minus_gamma = -christoffel(S, Gm, np.zeros(n)).gamma
+        minus_gamma = -christoffel_field(S, Gm)(np.zeros(n))
 
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
@@ -193,8 +194,9 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
             break
         samples[k + 1] = z
 
+    # A truncated run keeps a copy of its samples, not the whole buffer.
     kept = k + 1 if truncated else count + 1
-    samples = samples[:kept]
+    samples = samples[:kept].copy() if truncated else samples
     return Trajectory(t0 + np.arange(kept) * h, samples[:, :n], samples[:, n:],
                       step=h, integrator="rk4", truncated=truncated, reason=reason)
 

@@ -170,10 +170,12 @@ def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
 
 def check_line(check: dict) -> str:
     """One check entry as text: verdict, label, worst residual, and the
-    witness of a check that did not pass."""
+    witness of a check that did not pass.  A non-finite worst residual is
+    None in the entry and reads "non-finite"."""
     mark = {"pass": "PASS", "fail": "FAIL", "inconclusive": "????"}[check["verdict"]]
-    line = (f"[{mark}] {check['label']}: worst residual "
-            f"{check['worst_residual']:.3e} (tol {check['tolerance']:g})")
+    worst = check["worst_residual"]
+    worst = "non-finite" if worst is None else f"{worst:.3e}"
+    line = f"[{mark}] {check['label']}: worst residual {worst} (tol {check['tolerance']:g})"
     if check["verdict"] != "pass" and check.get("witness_point") is not None:
         line += f"\n       witness: {np.round(check['witness_point'], 6).tolist()}"
     return line

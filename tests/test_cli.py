@@ -338,6 +338,47 @@ class TestReportCommand:
         assert code == 0
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteResidualOutput:
+    # Python floats overflow to inf without raising, and inf - inf is NaN:
+    # a section whose first coefficient is NaN everywhere.
+    NAN = "1e308*10 - 1e308*10"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_command(self, capsys, fmt):
+        code, out, _ = run(capsys, "check-decoupling", "--system", "planar_body", "--samples", "4",
+                           "--section", f"{self.NAN};0;0", "--format", fmt)
+        assert code == 1
+        if fmt == "text":
+            assert out.startswith(f"[????] decoupling:{self.NAN};0;0: worst residual non-finite")
+        else:
+            (check,) = _strict_json(out)["checks"]
+            assert check["verdict"] == "inconclusive"
+            assert check["worst_residual"] is None
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_report_command(self, capsys, tmp_path, fmt):
+        doc = dump_spec(planar_body())
+        doc["candidates"] = {"sections": {"nanY": [self.NAN, "0", "0"]}}
+        path = tmp_path / "nan_candidate.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "report", "--system", str(path), "--samples", "4",
+                           "--format", fmt)
+        assert code == 1
+        if fmt == "text":
+            assert "[????] hj:nanY: worst residual non-finite" in out
+        else:
+            report = _strict_json(out)
+            assert report["verdicts"]["hj:nanY"] == "inconclusive"
+            (entry,) = [check for check in report["checks"] if check["label"] == "hj:nanY"]
+            assert entry["worst_residual"] is None
+
+
 class TestReportModule:
     def test_empty_battery_for_uncontrolled_system(self, flat2):
         doc = run_battery(flat2, samples=4)

@@ -351,6 +351,8 @@ class TestLeanStep:
         traj = integrate(*args, chart=board.chart)
         assert traj.truncated and traj.reason == "left the chart domain"
         assert_same_trajectory(traj, rk4_reference(*args, chart=board.chart))
+        # The samples kept do not hold on to the buffer sized for the horizon.
+        assert traj.base.base.shape[0] == len(traj) < 201
 
     def test_non_finite_state(self):
         from algmech import euclidean
