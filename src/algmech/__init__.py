@@ -13,6 +13,7 @@ from .expr import (
     fd_directional,
     fd_gradient,
     fd_partial,
+    diff,
     parse,
     partial,
 )
@@ -23,7 +24,6 @@ from .algebroid import (
     OneForm,
     Section,
     Trajectory,
-    admissibility_residual,
     anchor_apply,
     bracket,
     d_function,
@@ -46,7 +46,6 @@ from .geometry import (
     flat,
     gradient,
     gradient_section,
-    metric_eval,
     sharp,
     symmetric_product,
     symprod_via_lifts,
@@ -70,8 +69,6 @@ from .reduction import (
     is_decoupling,
     kinematic_reduction_check,
     maximal_reducibility_check,
-    project,
-    recover_controls,
     reparam_admissible,
     symmetric_closure,
 )

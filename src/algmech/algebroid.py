@@ -31,7 +31,6 @@ __all__ = [
     "d_function",
     "d_oneform",
     "jacobiator",
-    "admissibility_residual",
     "lie_closure_rank",
     "vector_field_bracket",
     "span_rank",
@@ -105,9 +104,9 @@ class _ExprTable:
 
     def value_and_jacobian(self, x) -> tuple:
         """The values at ``x``, bitwise those of a call, and their exact
-        coordinate Jacobian of shape ``(*shape, n)``, by forward mode over
-        the compiled nodes; at a kink, such as ``abs`` at 0, it raises
-        ``EvalError`` (the kinks are listed at :func:`expr._compile_table`).
+        coordinate Jacobian of shape ``(*shape, n)``, compiled from the
+        :func:`expr.diff` trees of the entries; at a kink, such as ``abs`` at
+        0, it raises ``EvalError`` (the kinks are listed at :func:`expr.diff`).
         """
         point = np.asarray(x, dtype=float)
         if point.shape != (len(self.coords),):
@@ -560,25 +559,6 @@ def jacobiator(S: AlgebroidStructure, X: Section, Y: Section, Z: Section, p, ste
     for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
         total += bracket(S, A, _bracket_section(S, B, C, step), p, step)
     return total
-
-
-def admissibility_residual(S: AlgebroidStructure, traj: Trajectory) -> float:
-    """Worst mismatch between base velocity and the anchor image of the fiber.
-
-    The base velocity is estimated with central differences over interior
-    samples; a perfectly admissible sampled curve reports O(step^2).
-    """
-    if traj.fiber is None:
-        raise ValueError("admissibility needs fiber samples")
-    if len(traj) < 3 or S.n == 0:
-        return 0.0
-    worst = 0.0
-    for k in range(1, len(traj) - 1):
-        dt = traj.times[k + 1] - traj.times[k - 1]
-        velocity = (traj.base[k + 1] - traj.base[k - 1]) / dt
-        anchored = S.anchor(traj.base[k]).T @ traj.fiber[k]
-        worst = max(worst, float(np.max(np.abs(velocity - anchored))))
-    return worst
 
 
 def vector_field_bracket(U: Callable, V: Callable, x, step=None) -> np.ndarray:

@@ -24,6 +24,7 @@ from .report import (
     CHECKS,
     check_entries,
     check_line,
+    christoffel_lines,
     christoffel_table,
     closure_ranks,
     render_text,
@@ -162,12 +163,8 @@ def _cmd_christoffel(args) -> int:
             with open(args.out, "w", encoding="utf-8") as stream:
                 stream.write(body + "\n")
         return 0
-    text_lines = [f"christoffel symbols for {sysdef.name} at {np.round(point, 6).tolist()}"]
-    for e in table["entries"]:
-        b, c = e["lower"]
-        text_lines.append(f"  gamma^{e['upper']}_{b}{c} = {e['value']:.6g}")
-    if not table["entries"]:
-        text_lines.append("  (all coefficients vanish)")
+    text_lines = [f"christoffel symbols for {sysdef.name} at {np.round(point, 6).tolist()}",
+                  *christoffel_lines(table)]
     _emit(args, {"system": sysdef.name, **table}, "\n".join(text_lines))
     return 0
 

@@ -1,4 +1,4 @@
-"""Scalar expression language, its compiled tables with exact Jacobians, and
+"""Scalar expression language, its exact derivatives and compiled tables, and
 the finite-difference helpers for everything else.
 
 Expressions are immutable trees over real literals, named variables, the
@@ -6,9 +6,11 @@ arithmetic operators ``+ - * / ^`` (with ``^`` right-associative), unary
 negation and a fixed catalogue of functions.  Evaluation is pure: given a
 binding for every free variable it touches nothing else, so expressions can
 be shared freely across threads.  ``Expr.eval`` walks the tree and is the
-reference semantics; :func:`_compile_table` turns a table of expressions into
-one straight-line Python function with bitwise-equal results and, on request,
-a second one that also returns the table's Jacobian by forward mode.
+reference semantics.  :func:`diff` is the one derivative mechanism: it turns
+a tree into the tree of its partial derivative.  :func:`_compile_table` turns
+a table of expressions into one straight-line Python function with
+bitwise-equal results and, on request, a second one that also returns the
+table's Jacobian, emitted from the ``diff`` trees by the same code generator.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
+    "diff",
     "partial",
     "fd_partial",
     "fd_gradient",
@@ -146,7 +149,7 @@ class Call(Expr):
 
     def eval(self, bindings):
         values = [arg.eval(bindings) for arg in self.args]
-        return _FUNCTIONS[self.func][1](*values)
+        return (_FUNCTIONS.get(self.func) or _DERIVATIVE_FUNCTIONS[self.func])[1](*values)
 
     def variables(self):
         out = frozenset()
@@ -367,20 +370,12 @@ def _format(expr: Expr, parent: int) -> str:
     raise AssertionError(f"unknown node {expr!r}")
 
 
-# --- compiled tables ----------------------------------------------------------
+# --- derivatives ----------------------------------------------------------------
 
-# Binary operators as code over two operand names; division and powers go
-# through the tree-walk's helpers, so they raise the same EvalError.
-_OPERATOR_CODE = {
-    "+": "{} + {}",
-    "-": "{} - {}",
-    "*": "{} * {}",
-    "/": "_div({}, {})",
-    "^": "_power({}, {})",
-}
-
-# A partial derivative that is identically one, as code.
-_ONE = "1.0"
+# The structural zero and one of the derivative rules.  The rules test for them
+# by identity, so a literal 0 or 1 written in an expression never counts as one.
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
 
 
 def _dabs(x: float) -> float:
@@ -404,6 +399,159 @@ def _sqnorm(y: float, x: float) -> float:
     return out
 
 
+# Functions only derivative trees call, which raise at the kinks of abs, sqrt
+# and atan2; evaluation and the compiler accept them, the parser does not.
+_DERIVATIVE_FUNCTIONS = {
+    "_dabs": (1, _dabs),
+    "_dsqrt": (1, _dsqrt),
+    "_sqnorm": (2, _sqnorm),
+}
+
+# d f(u) = f'(u) du, the weight f'(u) built from the argument u and the node f(u).
+_WEIGHTS = {
+    "sin": lambda u, f: Call("cos", (u,)),
+    "cos": lambda u, f: Neg(Call("sin", (u,))),
+    "tan": lambda u, f: BinOp("+", Num(1.0), BinOp("*", f, f)),
+    "exp": lambda u, f: f,
+    "sqrt": lambda u, f: Call("_dsqrt", (f,)),
+    "abs": lambda u, f: Call("_dabs", (u,)),
+}
+
+
+def _plus(u: Expr, v: Expr) -> Expr:
+    if u is _ZERO or v is _ZERO:
+        return v if u is _ZERO else u
+    return BinOp("+", u, v)
+
+
+def _minus(u: Expr, v: Expr) -> Expr:
+    if v is _ZERO:
+        return u
+    return Neg(v) if u is _ZERO else BinOp("-", u, v)
+
+
+def _times(du: Expr, weight: Expr) -> Expr:
+    """A derivative times a weight."""
+    if du is _ZERO or du is _ONE:
+        return weight if du is _ONE else _ZERO
+    return BinOp("*", du, weight)
+
+
+def _literal(node: Expr):
+    return node.value if type(node) is Num else None
+
+
+def diff(node: Expr, var: str, constant: Callable[[Expr], object] = _literal) -> Expr:
+    """The partial derivative of ``node`` with respect to ``var``, as a tree.
+
+    Subtrees free of ``var`` contribute nothing, a derivative of one is not
+    multiplied, and subtrees of ``node`` are reused: the quotient in
+    ``d(a/b) = (da - (a/b) db) / b``, ``tan`` in ``1 + tan^2``, ``exp``, and
+    ``a^b`` in ``(db ln(a) + da b/a) a^b`` when the exponent reads ``var``.
+    ``constant(sub)`` is the value of a subtree known to be constant, else
+    None (by default a literal's value).  Such a subtree is not walked, and
+    as an exponent ``c`` it gives ``c a^(c-1) da``, or ``0``, ``da`` and
+    ``2 a da`` for 0, 1 and 2; any other exponent free of ``var`` gives
+    ``b a^(b-1) da``.
+
+    Evaluating the tree raises ``EvalError`` at a kink, where the value
+    exists but the derivative does not: ``abs`` and ``sqrt`` at 0 and
+    ``atan2`` at the origin (tested by the derivative-only functions, which
+    have no rule themselves), a constant exponent below one at a zero base,
+    and an exponent that reads ``var`` at a base ``<= 0`` (``ln`` of it).
+    """
+    memo = {}  # keyed by node identity; every node is alive in `node`
+
+    def d(sub: Expr) -> Expr:
+        key = id(sub)
+        if key not in memo:
+            memo[key] = _ZERO if constant(sub) is not None else rule(sub)
+        return memo[key]
+
+    def rule(sub: Expr) -> Expr:
+        kind = type(sub)
+        if kind is BinOp:
+            a, b = sub.left, sub.right
+            da, db = d(a), d(b)
+            if da is _ZERO and db is _ZERO:
+                return _ZERO
+            if sub.op == "+":
+                return _plus(da, db)
+            if sub.op == "-":
+                return _minus(da, db)
+            if sub.op == "*":
+                return _plus(_times(da, b), _times(db, a))
+            if sub.op == "/":
+                # b != 0 wherever the value exists
+                return BinOp("/", _minus(da, _times(db, sub)), b)
+            if db is not _ZERO:
+                # ln raises for a base <= 0
+                return _times(_plus(_times(db, Call("ln", (a,))), _times(da, BinOp("/", b, a))), sub)
+            c = constant(b)
+            if c is None:
+                return _times(da, BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))))
+            if c == 0.0:
+                return _ZERO
+            if c == 1.0:
+                return da
+            if c == 2.0:
+                return _times(da, BinOp("*", b, a))
+            return _times(da, BinOp("*", b, BinOp("^", a, Num(c - 1.0))))
+        if kind is Var:
+            return _ONE if sub.name == var else _ZERO
+        if kind is Num:
+            return _ZERO
+        if kind is Neg:
+            return _minus(_ZERO, d(sub.arg))
+        if kind is Call:
+            u, du = sub.args[0], d(sub.args[0])
+            if sub.func == "atan2":
+                # d atan2(y, x) = (x dy - y dx) / (y^2 + x^2)
+                x, dx = sub.args[1], d(sub.args[1])
+                if du is _ZERO and dx is _ZERO:
+                    return _ZERO
+                norm = Call("_sqnorm", (u, x))
+                return _plus(_times(du, BinOp("/", x, norm)), _times(dx, BinOp("/", Neg(u), norm)))
+            if du is _ZERO:
+                return _ZERO
+            if sub.func == "ln":
+                return BinOp("/", du, u)
+            if sub.func not in _WEIGHTS:
+                raise ExprError(f"no derivative rule for '{sub.func}'")
+            return _times(du, _WEIGHTS[sub.func](u, sub))
+        raise AssertionError(f"unknown node {sub!r}")
+
+    return d(node)
+
+
+def partial(expr: Union[Expr, str], var: str, bindings: Bindings) -> float:
+    """Exact partial derivative of ``expr`` with respect to ``var`` at ``bindings``.
+
+    The Jacobian entry of a table compiled over the one coordinate ``var``,
+    so bitwise the tree-walk of its :func:`diff` tree.  It raises where the
+    value fails and, at a kink, ``EvalError``.
+    """
+    if isinstance(expr, str):
+        expr = parse(expr)
+    if var not in bindings:
+        raise EvalError(f"unbound variable '{var}'")
+    value_and_jacobian = _compile_table([expr], (var,), bindings, jacobian=True)[1]
+    return float(value_and_jacobian([float(bindings[var])])[1][0])
+
+
+# --- compiled tables ----------------------------------------------------------
+
+# Binary operators as code over two operand names; division and powers go
+# through the tree-walk's helpers, so they raise the same EvalError.
+_OPERATOR_CODE = {
+    "+": "{} + {}",
+    "-": "{} - {}",
+    "*": "{} * {}",
+    "/": "_div({}, {})",
+    "^": "_power({}, {})",
+}
+
+
 def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings,
                    jacobian: bool = False):
     """Compile a table of expressions into one function of a point.
@@ -422,33 +570,31 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     When every entry folds, no code is generated and the function returns
     a copy of the folded values.
 
-    With ``jacobian`` the same pass also emits a second function, and the
-    pair ``(values, value_and_jacobian)`` is returned; ``values`` is the
+    With ``jacobian`` a second function is compiled beside the first, and
+    the pair ``(values, value_and_jacobian)`` is returned; ``values`` is the
     function above, unchanged.  ``value_and_jacobian`` runs the same value
     code and returns the values with the flat row-major
-    ``(len(exprs), len(coords))`` Jacobian, by forward mode over the same
-    nodes (Griewank & Walther, *Evaluating Derivatives*, 2008).  Partials
-    that vanish identically are folded away here.  A value that fails raises
-    as above; otherwise the Jacobian raises ``EvalError`` at a kink, where
-    the value exists but the derivative does not: ``abs`` and ``sqrt`` at 0,
-    ``atan2`` at the origin, a constant exponent below one at a zero base
-    (``_power`` refuses the negative power), and a ``^`` whose exponent
-    reads a coordinate at a base ``<= 0`` (its derivative takes ``ln`` of
-    the base).
+    ``(len(exprs), len(coords))`` Jacobian.  Its entries are the :func:`diff`
+    trees of each entry by the coordinates it reads, told which subtrees
+    fold to constants here, and emitted like the values: each is bitwise its
+    tree's ``Expr.eval``.  A value that fails raises as above; otherwise the
+    Jacobian raises ``EvalError`` at a kink (listed at :func:`diff`), at the
+    first failing entry in row-major order.
     """
     coord_names = {name: f"c{i}" for i, name in enumerate(coords)}
-    index = {name: i for i, name in enumerate(coords)}
     env = dict(params)
     namespace = {"_div": _div, "_power": _power, "_array": np.array, "_params": env,
-                 "_zeros": np.zeros, "_dabs": _dabs, "_dsqrt": _dsqrt, "_sqnorm": _sqnorm}
-    namespace.update((f"_f_{name}", fn) for name, (_, fn) in _FUNCTIONS.items())
+                 "_zeros": np.zeros}
+    namespace.update((f"_f_{name}", fn)
+                     for name, (_, fn) in {**_FUNCTIONS, **_DERIVATIVE_FUNCTIONS}.items())
     constants = {}  # exact key of a value -> its name in `namespace`
     temporaries = {}  # right-hand side -> the local assigned it
     lines = []
-    # Keyed by node identity; every node is alive in `exprs` while this runs.
+    # Keyed by node identity; every node is alive in `exprs` or `derivatives`
+    # while this runs.
     reads = {}  # node -> whether it reads a coordinate
     names = {}  # node -> the name holding its value
-    partials = {}  # node -> {coordinate index: the name holding that partial}
+    derivatives = []
 
     def constant(value) -> str:
         # Bits, not ==, so that 0.0 and -0.0 stay apart (atan2 tells them apart).
@@ -509,101 +655,6 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             return assign(f"_f_{node.func}({', '.join(args)})")
         raise AssertionError(f"unknown node {node!r}")
 
-    # Forward mode.  The partials of a node map the index of each coordinate
-    # it may depend on to the name holding that partial; a missing index is
-    # an identically-zero partial, folded away here.
-    def add(u, v):
-        if u is None or v is None:
-            return v if u is None else u
-        return assign(f"{u} + {v}")
-
-    def sub(u, v):
-        if v is None:
-            return u
-        return assign(f"-{v}") if u is None else assign(f"{u} - {v}")
-
-    def mul(u, w):
-        return w if u == _ONE else assign(f"{u} * {w}")
-
-    def scale(du, weight) -> dict:
-        return {i: mul(u, weight) for i, u in du.items()}
-
-    def combine(du, wu, dv, wv) -> dict:
-        """``du * wu + dv * wv``; a ``None`` weight drops its term."""
-        su = scale(du, wu) if wu is not None else {}
-        sv = scale(dv, wv) if wv is not None else {}
-        return {i: add(su.get(i), sv.get(i)) for i in {**su, **sv}}
-
-    def partial_of(node: Expr) -> dict:
-        key = id(node)
-        if key not in partials:
-            partials[key] = emit_partials(node) if reads_coords(node) else {}
-        return partials[key]
-
-    def emit_partials(node: Expr) -> dict:
-        value = emit(node)
-        if isinstance(node, Var):
-            return {index[node.name]: _ONE}
-        if isinstance(node, Neg):
-            return {i: sub(None, u) for i, u in partial_of(node.arg).items()}
-        if isinstance(node, Call):
-            arg = emit(node.args[0])
-            du = partial_of(node.args[0])
-            func = node.func
-            if func == "atan2":
-                # d atan2(y, x) = (x dy - y dx) / (y^2 + x^2)
-                x, dx = emit(node.args[1]), partial_of(node.args[1])
-                norm = assign(f"_sqnorm({arg}, {x})")
-                return combine(du, assign(f"{x} / {norm}") if du else None,
-                               dx, assign(f"-{arg} / {norm}") if dx else None)
-            if func == "ln":
-                return {i: assign(f"{u} / {arg}") for i, u in du.items()}
-            if func == "sin":
-                weight = assign(f"_f_cos({arg})")
-            elif func == "cos":
-                weight = assign(f"-{assign(f'_f_sin({arg})')}")
-            elif func == "tan":
-                weight = assign(f"1.0 + {value} * {value}")
-            elif func == "exp":
-                weight = value
-            elif func == "sqrt":
-                weight = assign(f"_dsqrt({value})")
-            elif func == "abs":
-                weight = assign(f"_dabs({arg})")
-            else:
-                raise AssertionError(f"unknown function {func!r}")
-            return scale(du, weight)
-        if not isinstance(node, BinOp):
-            raise AssertionError(f"unknown node {node!r}")
-        a, b = emit(node.left), emit(node.right)
-        da, db = partial_of(node.left), partial_of(node.right)
-        op = node.op
-        if op == "+":
-            return {i: add(da.get(i), db.get(i)) for i in {**da, **db}}
-        if op == "-":
-            return {i: sub(da.get(i), db.get(i)) for i in {**da, **db}}
-        if op == "*":
-            return combine(da, b, db, a)
-        if op == "/":
-            # d(a/b) = (da - (a/b) db) / b; b != 0 once the value exists
-            return {i: assign(f"{sub(da.get(i), mul(db[i], value) if i in db else None)} / {b}")
-                    for i in {**da, **db}}
-        if not db:
-            # d(a^c) = c a^(c-1) da, for an exponent free of coordinates
-            exponent = namespace.get(b) if b in constants.values() else None
-            if exponent == 0.0:
-                return {}
-            if exponent == 1.0:
-                return da
-            if exponent == 2.0:
-                return scale(da, assign(f"{b} * {a}"))
-            lower = constant(exponent - 1.0) if exponent is not None else f"{b} - 1.0"
-            return scale(da, assign(f"{b} * _power({a}, {lower})"))
-        # d(a^b) = a^b (ln(a) db + (b/a) da); ln raises for a base <= 0
-        log = assign(f"_f_ln({a})")
-        inner = combine(db, log, da, assign(f"{b} / {a}") if da else None)
-        return scale(inner, value)
-
     results = [emit(e) for e in exprs]
     size = len(exprs) * len(coords)
     if set(results) <= set(constants.values()):
@@ -618,39 +669,32 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     unpack = [f"    {', '.join(coord_names.values())}, = point"] if coord_names else []
     source = ["def _table(point):", *unpack, *lines, f"    return _array([{', '.join(results)}])"]
     if jacobian:
-        # Only the nonzero partials are listed; the rest of the Jacobian stays zero.
-        nonzero = {}
+        # Only the entries that are not structurally zero are listed; the rest
+        # of the Jacobian stays zero.
+        nonzero = {}  # flat index, in row-major order -> the name holding the entry
+
+        def folded(node: Expr):
+            # diff asks only about nodes emitted with the values, since it
+            # walks no folded subtree; a folded node is named by a constant.
+            return namespace.get(names[id(node)])
+
         for row, e in enumerate(exprs):
-            nonzero.update((row * len(coords) + i, name) for i, name in partial_of(e).items())
-        namespace["_nonzero"] = np.array(sorted(nonzero), dtype=int)
+            free = e.variables()
+            for i, name in enumerate(coords):
+                if name in free:
+                    derivatives.append(diff(e, name, folded))
+                    if derivatives[-1] is not _ZERO:
+                        nonzero[row * len(coords) + i] = emit(derivatives[-1])
+        namespace["_nonzero"] = np.array(list(nonzero), dtype=int)
         source += ["def _table_jacobian(point):", *unpack, *lines,
                    f"    _jacobian = _zeros({size})",
-                   f"    _jacobian[_nonzero] = [{', '.join(nonzero[k] for k in sorted(nonzero))}]",
+                   f"    _jacobian[_nonzero] = [{', '.join(nonzero.values())}]",
                    f"    return _array([{', '.join(results)}]), _jacobian"]
     exec(compile("\n".join(source), "<expression table>", "exec"), namespace)
     return (namespace["_table"], namespace["_table_jacobian"]) if jacobian else namespace["_table"]
 
 
 # --- finite differences -------------------------------------------------------
-
-
-def partial(expr: Union[Expr, str], var: str, bindings: Bindings, step: float = None) -> float:
-    """Central-difference partial derivative of ``expr`` with respect to ``var``.
-
-    ``step`` (default ``1e-6``) is a base step, scaled by ``max(1, |x|)`` at
-    the expansion point like every other difference in the package.
-    """
-    if isinstance(expr, str):
-        expr = parse(expr)
-    if var not in bindings:
-        raise EvalError(f"unbound variable '{var}'")
-    env = dict(bindings)
-
-    def along(t):
-        env[var] = t[0]
-        return expr.eval(env)
-
-    return float(fd_directional(along, [float(bindings[var])], [1.0], step))
 
 
 def fd_partial(fn: Callable, x: np.ndarray, index: int, step: float = None):

@@ -17,6 +17,7 @@ deliberately not a separate code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +33,6 @@ __all__ = [
     "ChristoffelTensor",
     "Potential",
     "ForceField",
-    "metric_eval",
     "flat",
     "sharp",
     "christoffel",
@@ -208,11 +208,6 @@ def _coeffs(X, x) -> np.ndarray:
     return X(x) if isinstance(X, Section) else np.asarray(X, dtype=float)
 
 
-def metric_eval(Gm: BundleMetric, X, Y, p) -> float:
-    """``G(X, Y)`` at ``p``; arguments are sections or coefficient vectors."""
-    return float(_coeffs(X, p) @ Gm.matrix(p) @ _coeffs(Y, p))
-
-
 def flat(Gm: BundleMetric, X, p) -> np.ndarray:
     """Musical isomorphism fiber -> covector at ``p``."""
     return Gm.matrix(p) @ _coeffs(X, p)
@@ -316,14 +311,20 @@ def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
     coefficient rows, for which the result stacks one ``nabla_X Y`` per row
     (``np.eye(m)`` gives every ``nabla_{e_A} Y`` from one derivative of
     ``Y``).  Local form: derivative of the target coefficients along the
-    anchored direction plus the Christoffel contraction.
+    anchored direction plus the Christoffel contraction; NaN where a value
+    of ``X`` or ``Y`` is not finite.
     """
     p = S.check_point(p)
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
     Xp, (Yp, dY) = _coeffs(X, p), _differential(Y, p)
     rows = np.atleast_2d(Xp)
-    out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
+    # Python floats: at these sizes a fraction of the cost of np.isfinite.
+    if all(map(math.isfinite, rows.ravel().tolist() + Yp.tolist())):
+        out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
+    else:
+        # Undefined; 0 * inf in the contractions would only warn on the way to NaN.
+        out = np.full(rows.shape, np.nan)
     return out if Xp.ndim == 2 else out[0]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebroid import (
     Section,
-    Trajectory,
     _as_scalar_field,
     _span_ranks,
     d_function,
@@ -39,7 +38,6 @@ __all__ = [
     "Subbundle",
     "Projector",
     "VerificationReport",
-    "project",
     "is_decoupling",
     "kinematic_reduction_check",
     "symmetric_closure",
@@ -49,7 +47,6 @@ __all__ = [
     "hj_algebraic_check",
     "hj_trajectory_equivalence",
     "reparam_admissible",
-    "recover_controls",
 ]
 
 DEFAULT_ALGEBRAIC_TOL = 1e-5
@@ -259,12 +256,6 @@ def _report(predicate, worst, witness, count, tol, details=None, inconclusive=Fa
                               count, float(tol), details)
 
 
-def project(P: Projector, X, p) -> np.ndarray:
-    """Apply the span projector to a section or a raw fiber vector at ``p``."""
-    coeffs = X(p) if isinstance(X, Section) else np.asarray(X, dtype=float)
-    return P.p_matrix(p) @ coeffs
-
-
 def _force_precheck(predicate, P, force, points, probe_sections,
                     tol) -> Optional[VerificationReport]:
     """The inconclusive report of ``predicate`` when ``force`` leaves the
@@ -312,11 +303,14 @@ def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAI
     gamma_at = christoffel_field(S, Gm)
 
     def residual(p):
+        Xp = X(p)
+        if not all(map(math.isfinite, Xp.tolist())):
+            return math.nan  # Q @ Xp would warn on 0 * inf on its way to NaN
         Q = P.q_matrix(p)
-        r1 = np.max(np.abs(Q @ X(p)))
+        r1 = np.max(np.abs(Q @ Xp))
         nabla = covariant_derivative(S, Gm, X, X, p, gamma=gamma_at(p))
         if force is not None:
-            nabla = nabla - force(p, X(p))
+            nabla = nabla - force(p, Xp)
         r2 = np.max(np.abs(Q @ nabla))
         return _max(r1, r2)
 
@@ -584,21 +578,3 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
 
     worst, witness = _sweep(points, residual)
     return _report("reparam_admissible", worst, witness, len(points), tol)
-
-
-def recover_controls(S, candidate: Subbundle, traj: Trajectory):
-    """Least-squares driftless controls reproducing a fiber trajectory.
-
-    Returns per-sample coefficients against the candidate spans and the
-    coefficient-space reconstruction residuals.
-    """
-    if traj.fiber is None:
-        raise ValueError("trajectory carries no fiber samples")
-    coeffs = np.zeros((len(traj), candidate.rank))
-    residuals = np.zeros(len(traj))
-    for k in range(len(traj)):
-        B = candidate.matrix(traj.base[k]).T
-        sol, *_ = np.linalg.lstsq(B, traj.fiber[k], rcond=None)
-        coeffs[k] = sol
-        residuals[k] = float(np.max(np.abs(B @ sol - traj.fiber[k])))
-    return coeffs, residuals

@@ -20,8 +20,8 @@ from .reduction import (
 )
 from .systems import SystemDefinition
 
-__all__ = ["CHECKS", "check_entries", "check_line", "christoffel_table", "closure_ranks",
-           "hj_algebraic_check", "run_battery", "render_text"]
+__all__ = ["CHECKS", "check_entries", "check_line", "christoffel_lines", "christoffel_table",
+           "closure_ranks", "hj_algebraic_check", "run_battery", "render_text"]
 
 
 def christoffel_table(sysdef: SystemDefinition, point=None) -> dict:
@@ -33,6 +33,13 @@ def christoffel_table(sysdef: SystemDefinition, point=None) -> dict:
         if abs(value) > 1e-9:
             entries.append({"upper": a + 1, "lower": [b + 1, c + 1], "value": float(value)})
     return {"point": [float(v) for v in p], "entries": entries}
+
+
+def christoffel_lines(table: dict) -> list:
+    """The entries of a :func:`christoffel_table` as indented text lines,
+    or one line saying that all coefficients vanish."""
+    return [f"  gamma^{e['upper']}_{e['lower'][0]}{e['lower'][1]} = {e['value']:.6g}"
+            for e in table["entries"]] or ["  (all coefficients vanish)"]
 
 
 def closure_ranks(sysdef: SystemDefinition, point, depth: int = 3) -> dict:
@@ -190,11 +197,7 @@ def render_text(report: dict) -> str:
     table = report.get("christoffel", {})
     if table:
         lines.append(f"christoffel at {np.round(table['point'], 6).tolist()}:")
-        if not table["entries"]:
-            lines.append("  (all coefficients vanish)")
-        for entry in table["entries"]:
-            b, c = entry["lower"]
-            lines.append(f"  gamma^{entry['upper']}_{b}{c} = {entry['value']:.6g}")
+        lines.extend(christoffel_lines(table))
     lines.extend(check_line(check) for check in report.get("checks", []))
     for kind, info in report.get("ranks", {}).items():
         lines.append(f"{kind}: rank {info['rank']} at depth {info['depth']}")

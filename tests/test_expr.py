@@ -118,18 +118,26 @@ class TestEval:
 
 class TestPartial:
     def test_quadratic(self):
-        assert partial(parse("x^2"), "x", {"x": 3.0}, 1e-5) == pytest.approx(6.0, abs=1e-8)
+        assert partial(parse("x^2"), "x", {"x": 3.0}) == 6.0
 
     def test_sine_at_zero(self):
-        assert partial(parse("sin(theta)"), "theta", {"theta": 0.0}) == pytest.approx(1.0, abs=1e-8)
+        assert partial(parse("sin(theta)"), "theta", {"theta": 0.0}) == 1.0
 
     def test_cubic_against_analytic_derivative(self):
         # oracle: d/dr r^3 = 3 r^2, evaluated exactly
-        assert partial(parse("r^3"), "r", {"r": 2.0}, 1e-5) == pytest.approx(12.0, abs=1e-6)
+        assert partial(parse("r^3"), "r", {"r": 2.0}) == 12.0
+
+    @pytest.mark.parametrize("n, want", [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.0)])
+    def test_exponent_bound_to_a_constant(self, n, want):
+        """A bound exponent is a constant, as in a compiled table: x^0 has
+        the derivative 0 at x = 0, where n x^(n-1) would divide by zero."""
+        assert partial(parse("x^n"), "x", {"x": 0.0, "n": n}) == want
+
+    def test_unbound_variable(self):
+        with pytest.raises(EvalError, match="unbound variable 'y'"):
+            partial(parse("x"), "y", {"x": 1.0})
 
     def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            partial(parse("x"), "x", {"x": 1.0}, step=-1e-6)
         fn, x = (lambda z: z[0] * z[1]), np.array([1.0, 2.0])
         with pytest.raises(ValueError):
             fd_partial(fn, x, 0, step=-1e-6)
@@ -146,10 +154,10 @@ class TestPartial:
             combo = BinOp("+", BinOp("*", Num(a), e1), BinOp("*", Num(b), e2))
             lhs = partial(combo, "x", {"x": x})
             rhs = a * partial(e1, "x", {"x": x}) + b * partial(e2, "x", {"x": x})
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_product_rule(self, rng):
-        # random cubic polynomial pairs; second-order central differences
+        # random cubic polynomial pairs
         for _ in range(20):
             c = [float(v) for v in rng.uniform(-1, 1, size=8)]
             p = parse(f"{c[0]!r} + {c[1]!r}*x + {c[2]!r}*x^2 + {c[3]!r}*x^3")
@@ -158,7 +166,7 @@ class TestPartial:
             env = {"x": x}
             lhs = partial(BinOp("*", p, q), "x", env)
             rhs = partial(p, "x", env) * q.eval(env) + p.eval(env) * partial(q, "x", env)
-            assert lhs == pytest.approx(rhs, abs=5e-8)
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 class TestCallableDifferences:
@@ -397,6 +405,42 @@ class TestCompiledTable:
                 kinks += 1
         assert kinks > 0
 
+    def test_jacobian_is_the_diff_tree_walk(self):
+        """Every Jacobian entry of a random table is bitwise the tree-walk of
+        its ``diff`` tree, told which subtrees fold to constants; where a
+        value or a derivative fails, the Jacobian raises what the values
+        raise, else what the first failing entry in row-major order raises."""
+        rng = random.Random(20261018)
+        raised = 0
+        for case in range(2000):
+            shared = []
+            exprs = [_random_expr(rng, 4, shared) for _ in range(rng.randint(1, 4))]
+            point = [_random_value(rng) for _ in COORDS]
+            params = {name: _random_value(rng) for name in PARAMS}
+            both = ex._compile_table(exprs, COORDS, params, jacobian=True)[1]
+            env = dict(params)
+            env.update(zip(COORDS, point))
+
+            def constant(node):
+                # What the table folds: a subtree that reads no coordinate
+                # and evaluates.
+                if node.variables().isdisjoint(COORDS):
+                    try:
+                        return node.eval(params)
+                    except (ArithmeticError, TypeError, ValueError):
+                        pass
+                return None
+
+            def reference():
+                _tree_walk(exprs, point, params)
+                return np.array([ex.diff(e, name, constant).eval(env)
+                                 for e in exprs for name in COORDS])
+
+            want = _outcome(reference)
+            assert _outcome(lambda: both(point)[1]) == want, (case, exprs, point, params)
+            raised += isinstance(want[0], type)
+        assert 200 < raised < 1800  # both values and failures are compared
+
     def test_jacobian_matches_central_differences(self):
         """Every partial of a random table at a finite point matches central
         differences where the entry is smooth: where differences at the base
@@ -427,8 +471,9 @@ class TestCompiledTable:
         assert compared > 1000
 
     def test_jacobian_matches_sympy(self):
-        """Every partial of a random table matches ``sympy.diff`` evaluated
-        in 30 digits, where that derivative is real and finite."""
+        """Every partial of a random table, compiled and as the tree-walk of
+        its ``diff`` tree, matches ``sympy.diff`` evaluated in 30 digits,
+        where that derivative is real and finite."""
         sympy = pytest.importorskip("sympy")
         symbols = {name: sympy.Symbol(name, real=True) for name in COORDS}
         functions = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
@@ -460,6 +505,7 @@ class TestCompiledTable:
                 continue
             jac = jac.reshape(len(exprs), len(COORDS))
             at = {symbols[name]: sympy.Float(x, 30) for name, x in zip(COORDS, point)}
+            env = {**params, **dict(zip(COORDS, point))}
             for k, e in enumerate(exprs):
                 if not np.isfinite(value[k]):
                     continue
@@ -469,8 +515,9 @@ class TestCompiledTable:
                     # 1e-7, not rounding: nested exponentials such as
                     # cos(exp(exp(y))) amplify the rounding of the point.
                     if want.imag == 0.0 and abs(want.real) < 1e12:
-                        assert abs(jac[k, i] - want.real) <= 1e-7 * max(1.0, abs(want.real)), \
-                            (case, e, point, name)
+                        for got in (jac[k, i], ex.diff(e, name).eval(env)):
+                            assert abs(got - want.real) <= 1e-7 * max(1.0, abs(want.real)), \
+                                (case, e, point, name)
                         compared += 1
         assert compared > 100
 

@@ -15,7 +15,6 @@ from algmech import (
     flat,
     gradient,
     integrate,
-    metric_eval,
     sharp,
     spray_field,
     symmetric_product,
@@ -70,11 +69,11 @@ class TestMetricOps:
         # m(cos^2 + sin^2)/m^2 = 1/m = 1 at the default parameters
         for theta in (0.0, 0.7, -2.1):
             p = np.array([0.0, 0.0, theta])
-            assert metric_eval(planar.metric, basis(0), basis(0), p) == pytest.approx(1.0)
+            assert planar.metric.matrix(p)[0, 0] == pytest.approx(1.0)
 
     def test_planar_frame_orthogonality(self, planar):
         p = np.array([1.0, -1.0, 0.3])
-        assert metric_eval(planar.metric, basis(1), basis(2), p) == pytest.approx(0.0, abs=1e-14)
+        assert planar.metric.matrix(p)[1, 2] == pytest.approx(0.0, abs=1e-14)
 
     def test_sharp_inverts_flat(self, planar, board, rng):
         for sysd in (planar, board):

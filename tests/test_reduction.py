@@ -7,14 +7,13 @@ from algmech import (
     Section,
     Subbundle,
     VerificationReport,
+    covariant_derivative,
     geodesic_invariance_check,
     hj_residual,
     hj_trajectory_equivalence,
     is_decoupling,
     kinematic_reduction_check,
     maximal_reducibility_check,
-    project,
-    recover_controls,
     reparam_admissible,
     symmetric_closure,
 )
@@ -65,7 +64,7 @@ class TestProjector:
         P = Projector(planar.controls, planar.metric)
         p = np.array([0.4, -0.3, 1.0])
         X = basis(0).plus(basis(1))
-        assert np.max(np.abs(project(P, X, p) - X(p))) < 1e-9
+        assert np.max(np.abs(P.p_matrix(p) @ X(p) - X(p))) < 1e-9
 
     def test_reconstruction_on_random_vectors(self, board, rng):
         P = Projector(board.controls, board.metric)
@@ -145,6 +144,21 @@ class TestNonFiniteResiduals:
         assert_non_finite(hj_algebraic_check(planar, NAN_SECTION, points), points[0])
         nan_factor = lambda x: float("nan")
         assert_non_finite(reparam_admissible(S, Gm, Dc, nan_factor, points), points[0])
+
+    def test_infinite_section_raises_no_warning(self, planar):
+        """An infinite section value is tested before the arithmetic, where
+        0 * inf would warn: the covariant derivatives are NaN, the verdict
+        inconclusive."""
+        import warnings
+
+        S, Gm, Dc = planar.structure, planar.metric, planar.controls
+        X = Section(lambda x: np.full(3, np.inf), 3)
+        points = planar.sample(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_non_finite(is_decoupling(S, Gm, Dc, X, points), points[0])
+            assert np.isnan(covariant_derivative(S, Gm, X, X, points[0])).all()
+            assert np.isnan(covariant_derivative(S, Gm, np.eye(3), X, points[0])).all()
 
     def test_nan_force(self, planar):
         points = planar.sample(3, seed=2)
@@ -540,27 +554,6 @@ class TestReparametrization:
                                  board.reparam_candidates["coord_x"], points)
         assert good.verdict == "pass"
         assert bad.verdict == "fail"
-
-
-class TestControlRecovery:
-    def test_recovers_driftless_coefficients(self, planar):
-        from algmech import base_flow, lift
-
-        X = basis(0).scaled_by(0.7).plus(basis(1).scaled_by(-0.4))
-        sigma = base_flow(planar.structure, X, [0.1, 0.0, 0.2], 0.0, 1.0, 1e-2)
-        traj = lift(X, sigma)
-        coeffs, residuals = recover_controls(planar.structure, planar.controls, traj)
-        assert np.max(np.abs(coeffs - [0.7, -0.4])) < 1e-12
-        assert np.max(residuals) < 1e-12
-
-    def test_reports_residual_outside_span(self, planar):
-        from algmech import base_flow, lift
-
-        X = basis(2)
-        sigma = base_flow(planar.structure, X, [0.1, 0.0, 0.2], 0.0, 0.5, 1e-2)
-        traj = lift(X, sigma)
-        coeffs, residuals = recover_controls(planar.structure, planar.controls, traj)
-        assert np.max(residuals) > 0.5
 
 
 @pytest.fixture(scope="module")
