@@ -304,6 +304,19 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     return lambda p: christoffel(S, Gm, p).gamma
 
 
+def _finite(*arrays) -> bool:
+    """Whether every entry of the arrays is finite.
+
+    Tested before arithmetic on a value that may not be finite: there the
+    result is undefined, and 0 * inf would only warn on its way to NaN.
+    """
+    # Python floats: at these sizes a fraction of the cost of np.isfinite.
+    for a in arrays:
+        if not all(map(math.isfinite, a.ravel().tolist())):
+            return False
+    return True
+
+
 def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
     """Coefficients of ``nabla_X Y`` at ``p``.
 
@@ -319,11 +332,9 @@ def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
         gamma = christoffel(S, Gm, p).gamma
     Xp, (Yp, dY) = _coeffs(X, p), _differential(Y, p)
     rows = np.atleast_2d(Xp)
-    # Python floats: at these sizes a fraction of the cost of np.isfinite.
-    if all(map(math.isfinite, rows.ravel().tolist() + Yp.tolist())):
+    if _finite(rows, Yp):
         out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
     else:
-        # Undefined; 0 * inf in the contractions would only warn on the way to NaN.
         out = np.full(rows.shape, np.nan)
     return out if Xp.ndim == 2 else out[0]
 
@@ -353,11 +364,14 @@ def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.
 
 
 def symmetric_product(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarray:
-    """``nabla_X Y + nabla_Y X`` at ``p``; symmetric in its arguments by construction."""
+    """``nabla_X Y + nabla_Y X`` at ``p``; symmetric in its arguments by
+    construction, and NaN where a value of ``X`` or ``Y`` is not finite."""
     p = S.check_point(p)
     if gamma is None:
         gamma = christoffel(S, Gm, p).gamma
     (Xp, dX), (Yp, dY) = _differential(X, p), _differential(Y, p)
+    if not _finite(Xp, Yp):
+        return np.full(Xp.shape, np.nan)
     R = S.anchor(p)
     out = np.einsum("abc,b,c->a", gamma + np.transpose(gamma, (0, 2, 1)), Xp, Yp)
     return out + dY([R.T @ Xp])[0] + dX([R.T @ Yp])[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain, combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .geometry import (
     BundleMetric,
     ForceField,
     Potential,
+    _finite,
     christoffel,
     christoffel_field,
     covariant_derivative,
@@ -104,6 +106,8 @@ class Projector:
         """The projector onto the span at ``p``; ``G`` is the metric there, when known."""
         B = self.subbundle.matrix(p)
         G = self.metric.matrix(p) if G is None else G
+        if not _finite(B, G):
+            return np.full((self.m, self.m), np.nan)
         gram = B @ G @ B.T
         try:
             solved = np.linalg.solve(gram, B @ G)
@@ -235,56 +239,79 @@ def _sweep(points, residual_fn):
     return _worst_of((residual_fn(p), np.asarray(p, dtype=float)) for p in np.atleast_2d(points))
 
 
-def _non_finite(details: dict, worst, witness) -> bool:
-    """Whether ``worst`` is not finite; if so, ``details`` gets the reason and
-    the point.  Such a residual shows nothing, so its verdict is inconclusive."""
-    if math.isfinite(worst):
-        return False
-    details["inconclusive_reason"] = f"non-finite residual ({worst})"
-    details["non_finite_point"] = [float(v) for v in witness]
-    return True
+def _report(predicate, worst, witness, count, tol, details=None, hypothesis=None,
+            route=None) -> VerificationReport:
+    """The one verdict rule: the report of ``worst``, found at ``witness``,
+    against ``tol``.
 
-
-def _report(predicate, worst, witness, count, tol, details=None, inconclusive=False) -> VerificationReport:
+    ``hypothesis`` and ``route`` are further ``(residual, point, tolerance)``
+    measurements.  The predicate says nothing where its hypothesis fails, so
+    a hypothesis above its tolerance makes the verdict inconclusive; a route
+    is a second test of the predicate, which fails above its tolerance.  A
+    residual that is not finite shows nothing: the first one, taking the
+    hypothesis, the report's own and the route in turn, makes the verdict
+    inconclusive, and ``details`` gets the reason and its point.  The
+    witness is the point of the measurement that decided the verdict; a
+    failed hypothesis keeps the report's own.
+    """
     details = dict(details or {})
-    if _non_finite(details, worst, witness) or inconclusive:
+    own = (worst, witness, tol)
+    non_finite = [m for m in (hypothesis, own, route) if m is not None and not math.isfinite(m[0])]
+    failed = [m for m in (own, route) if m is not None and m[0] > m[2]]
+    if non_finite:
+        value, witness, _ = non_finite[0]
+        details["inconclusive_reason"] = f"non-finite residual ({value})"
+        details["non_finite_point"] = [float(v) for v in witness]
         verdict = "inconclusive"
+    elif hypothesis is not None and hypothesis[0] > hypothesis[2]:
+        verdict = "inconclusive"
+    elif failed:
+        verdict, witness = "fail", failed[0][1]
     else:
-        verdict = "pass" if worst <= tol else "fail"
-    return VerificationReport(predicate, verdict, float(worst),
-                              None if verdict == "pass" else witness,
-                              count, float(tol), details)
+        verdict, witness = "pass", None
+    return VerificationReport(predicate, verdict, float(worst), witness, count, float(tol), details)
 
 
-def _force_precheck(predicate, P, force, points, probe_sections,
-                    tol) -> Optional[VerificationReport]:
-    """The inconclusive report of ``predicate`` when ``force`` leaves the
-    control distribution (at the zero fiber or the probe sections), else None."""
-    if force is None:
-        return None
-
-    def residuals():
-        for p in points:
-            Q = P.q_matrix(p)
-            for y in [np.zeros(P.m)] + [X(p) for X in probe_sections]:
-                yield np.max(np.abs(Q @ force(p, y))), p
-
-    worst, witness = _worst_of(residuals())
-    if worst <= tol:
-        return None
-    return _report(predicate, worst, witness, len(points), tol,
-                   {"force_complement_residual": worst}, inconclusive=True)
-
-
-def _product_residual(S, Gm, spans, Q, p, gamma) -> float:
-    """Largest complement component ``Q <A : B>`` over the symmetric products of
-    every unordered pair of ``spans``, squares included."""
+def _outside(Q, vectors) -> float:
+    """The largest complement component ``|Q v|`` over ``vectors``, or NaN at
+    the first vector that is not finite, tested before ``Q @ v`` runs."""
     worst = 0.0
-    for i, A in enumerate(spans):
-        for B in spans[i:]:
-            prod = symmetric_product(S, Gm, A, B, p, gamma=gamma)
-            worst = _max(worst, float(np.max(np.abs(Q @ prod))))
+    for v in vectors:
+        if not _finite(v):
+            return math.nan
+        # The array method: np.max dispatches at several times its cost here.
+        worst = _max(worst, float(abs(Q @ v).max()))
     return worst
+
+
+def _products(S, Gm, spans, p, gamma):
+    """The symmetric products ``<A : B>`` at ``p`` of every unordered pair of
+    ``spans``, squares included."""
+    return (symmetric_product(S, Gm, A, B, p, gamma=gamma)
+            for A, B in combinations_with_replacement(spans, 2))
+
+
+def _containment(predicate, S, Gm, Dc: Subbundle, points, tol, force, probes, residual,
+                 details=None) -> VerificationReport:
+    """The report of ``predicate`` from the sweep of ``residual(p, Q, gamma)``,
+    where ``Q`` is the complement projector of ``Dc`` at ``p`` and ``gamma``
+    the Christoffel tensor there.
+
+    A force must lie in ``Dc`` at the zero fiber and at the ``probes``
+    sections; where it does not, the predicate's hypothesis fails and the
+    report, of that force residual, is inconclusive.
+    """
+    P = Projector(Dc, Gm)
+    points = np.atleast_2d(points)
+    if force is not None:
+        worst, witness = _sweep(points, lambda p: _outside(
+            P.q_matrix(p), (force(p, y) for y in [np.zeros(P.m)] + [X(p) for X in probes])))
+        if not worst <= tol:
+            return _report(predicate, worst, witness, len(points), tol,
+                           {"force_complement_residual": worst}, hypothesis=(worst, witness, tol))
+    gamma_at = christoffel_field(S, Gm)
+    worst, witness = _sweep(points, lambda p: residual(p, P.q_matrix(p), gamma_at(p)))
+    return _report(predicate, worst, witness, len(points), tol, details)
 
 
 def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL,
@@ -295,28 +322,15 @@ def is_decoupling(S, Gm, Dc: Subbundle, X: Section, points, tol=DEFAULT_ALGEBRAI
     When a force is supplied its complement component is checked first; the
     predicate is inconclusive if that hypothesis fails.
     """
-    P = Projector(Dc, Gm)
-    points = np.atleast_2d(points)
-    pre = _force_precheck("is_decoupling", P, force, points, (X,), tol)
-    if pre is not None:
-        return pre
-    gamma_at = christoffel_field(S, Gm)
-
-    def residual(p):
+    def vectors(p, gamma):
         Xp = X(p)
-        if not all(map(math.isfinite, Xp.tolist())):
-            return math.nan  # Q @ Xp would warn on 0 * inf on its way to NaN
-        Q = P.q_matrix(p)
-        r1 = np.max(np.abs(Q @ Xp))
-        nabla = covariant_derivative(S, Gm, X, X, p, gamma=gamma_at(p))
-        if force is not None:
-            nabla = nabla - force(p, Xp)
-        r2 = np.max(np.abs(Q @ nabla))
-        return _max(r1, r2)
+        yield Xp
+        nabla = covariant_derivative(S, Gm, X, X, p, gamma=gamma)
+        yield nabla if force is None else nabla - force(p, Xp)
 
-    worst, witness = _sweep(points, residual)
-    return _report("is_decoupling", worst, witness, len(points), tol,
-                   {"section": X.label} if X.label else None)
+    return _containment("is_decoupling", S, Gm, Dc, points, tol, force, (X,),
+                        lambda p, Q, gamma: _outside(Q, vectors(p, gamma)),
+                        {"section": X.label} if X.label else None)
 
 
 def kinematic_reduction_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points,
@@ -324,22 +338,13 @@ def kinematic_reduction_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points
                               force: Optional[ForceField] = None) -> VerificationReport:
     """Test a candidate driftless distribution: every spanning section and
     every pairwise symmetric product must lie in the control distribution."""
-    P = Projector(Dc, Gm)
-    points = np.atleast_2d(points)
-    pre = _force_precheck("kinematic_reduction", P, force, points, candidate.sections, tol)
-    if pre is not None:
-        return pre
-    gamma_at = christoffel_field(S, Gm)
     spans = candidate.sections
 
-    def residual(p):
-        Q = P.q_matrix(p)
-        worst = reduce(_max, (float(np.max(np.abs(Q @ X(p)))) for X in spans), 0.0)
-        return _max(worst, _product_residual(S, Gm, spans, Q, p, gamma_at(p)))
+    def residual(p, Q, gamma):
+        return _outside(Q, chain((X(p) for X in spans), _products(S, Gm, spans, p, gamma)))
 
-    worst, witness = _sweep(points, residual)
-    return _report("kinematic_reduction", worst, witness, len(points), tol,
-                   {"candidate": candidate.label} if candidate.label else None)
+    return _containment("kinematic_reduction", S, Gm, Dc, points, tol, force, spans, residual,
+                        {"candidate": candidate.label} if candidate.label else None)
 
 
 def _product_section(S, Gm, A: Section, B: Section, gamma_at) -> Section:
@@ -361,10 +366,8 @@ def symmetric_closure(S, Gm, candidate: Subbundle, max_depth: int, p):
     for _ in range(max_depth):
         if rank == S.m:
             break
-        products = []
-        for i, A in enumerate(generators):
-            for B in generators[i:]:
-                products.append(_product_section(S, Gm, A, B, gamma_at))
+        products = [_product_section(S, Gm, A, B, gamma_at)
+                    for A, B in combinations_with_replacement(generators, 2)]
         new_rank = span_rank([X(p) for X in generators + products])
         if new_rank == rank:
             break
@@ -380,9 +383,13 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     """Two-route test of geodesic invariance.
 
     Algebraic route: pairwise symmetric products of the spans stay inside the
-    candidate.  Empirical route: geodesics seeded inside the candidate keep
+    candidate; its residual is the report's ``worst_residual``, against
+    ``tol``.  Empirical route: geodesics seeded inside the candidate keep
     their complement components below the trajectory tolerance over the
-    horizon.  The verdict requires both.
+    horizon; its residual and tolerance are ``details["trajectory_residual"]``
+    and ``details["trajectory_tolerance"]``.  The verdict requires both.  A
+    non-finite algebraic residual ends the check before any geodesic is
+    integrated.
     """
     if traj_tol is None:
         traj_tol = max(tol, DEFAULT_TRAJECTORY_TOL)
@@ -391,8 +398,11 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     points = np.atleast_2d(points)
     spans = candidate.sections
 
-    alg_worst, alg_witness = _sweep(
-        points, lambda p: _product_residual(S, Gm, spans, P.q_matrix(p), p, gamma_at(p)))
+    worst, witness = _sweep(
+        points, lambda p: _outside(P.q_matrix(p), _products(S, Gm, spans, p, gamma_at(p))))
+    if not math.isfinite(worst):
+        return _report("geodesic_invariance", worst, witness, len(points), tol,
+                       {"algebraic_residual": worst, "trajectory_tolerance": traj_tol})
 
     rng = np.random.default_rng(seed)
     field_fn = spray_field(S, Gm)
@@ -404,22 +414,13 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
             scale = max(1.0, float(np.max(np.abs(y0))))
             traj = integrate(field_fn, TotalPoint(p, y0 / scale), 0.0, horizon, step, chart=chart)
             for x, y in zip(traj.base, traj.fiber):
-                yield np.max(np.abs(P.q_matrix(x) @ y)), x
+                yield _outside(P.q_matrix(x), (y,)), x
 
     emp_worst, emp_witness = _worst_of(trajectory_residuals())
-    details = {"algebraic_residual": alg_worst, "trajectory_residual": emp_worst,
+    details = {"algebraic_residual": worst, "trajectory_residual": emp_worst,
                "trajectory_tolerance": traj_tol}
-    if _non_finite(details, alg_worst, alg_witness):
-        verdict, witness = "inconclusive", alg_witness
-    elif _non_finite(details, emp_worst, emp_witness):
-        verdict, witness = "inconclusive", emp_witness
-    else:
-        failed_alg = alg_worst > tol
-        verdict = "fail" if (failed_alg or emp_worst > traj_tol) else "pass"
-        witness = alg_witness if failed_alg else emp_witness
-    return VerificationReport(
-        "geodesic_invariance", verdict, float(_max(alg_worst, emp_worst)),
-        None if verdict == "pass" else witness, len(points), float(tol), details)
+    return _report("geodesic_invariance", worst, witness, len(points), tol, details,
+                   route=(emp_worst, emp_witness, traj_tol))
 
 
 def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, points,
@@ -432,20 +433,14 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
     """
     if force is not None:
         raise ValueError("maximal reducibility requires a force-free system")
-    Pc = Projector(Dc, Gm)
     Pd = Projector(candidate, Gm)
-    gamma_at = christoffel_field(S, Gm)
-    points = np.atleast_2d(points)
 
-    def residual(p):
-        Qc = Pc.q_matrix(p)
-        Qd = Pd.q_matrix(p)
-        worst = reduce(_max, (float(np.max(np.abs(Qc @ X(p)))) for X in candidate.sections), 0.0)
-        worst = reduce(_max, (float(np.max(np.abs(Qd @ Y(p)))) for Y in Dc.sections), worst)
-        return _max(worst, _product_residual(S, Gm, Dc.sections, Qc, p, gamma_at(p)))
+    def residual(p, Qc, gamma):
+        inside = _outside(Qc, chain((X(p) for X in candidate.sections),
+                                    _products(S, Gm, Dc.sections, p, gamma)))
+        return _max(inside, _outside(Pd.q_matrix(p), (Y(p) for Y in Dc.sections)))
 
-    worst, witness = _sweep(points, residual)
-    return _report("maximal_reducibility", worst, witness, len(points), tol)
+    return _containment("maximal_reducibility", S, Gm, Dc, points, tol, None, (), residual)
 
 
 # --- Hamilton-Jacobi ---------------------------------------------------------
@@ -522,23 +517,17 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     gamma_at = christoffel_field(S, Gm)
     gammas = [gamma_at(x) for x in gamma_traj.base]
 
-    grad_V = None
-    if V is not None:
-        grad_V = lambda x: gradient(S, Gm, V, x)
-    projector = Projector(Dc, Gm) if Dc is not None else None
-
+    q_at = (lambda x: np.eye(S.m)) if Dc is None else Projector(Dc, Gm).q_matrix
     count = len(gamma_traj)
 
     def residuals():
         for k in range(1, count - 1):
-            t = gamma_traj.times[k]
-            value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber, t,
-                                               gamma=gammas[k])
-            if grad_V is not None:
-                value = value + grad_V(gamma_traj.base[k])
-            if projector is not None:
-                value = projector.q_matrix(gamma_traj.base[k]) @ value
-            yield np.max(np.abs(value)), gamma_traj.base[k]
+            x = gamma_traj.base[k]
+            value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber,
+                                               gamma_traj.times[k], gamma=gammas[k])
+            if V is not None:
+                value = value + gradient(S, Gm, V, x)
+            yield _outside(q_at(x), (value,)), x
 
     worst, witness = _worst_of(residuals())
     worst = _max(worst, 0.0)  # 0 when there is no interior sample
@@ -550,19 +539,10 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
 
     details = {"closedness_residual": closedness, "horizon": horizon,
                "truncated": gamma_traj.truncated}
-    if _non_finite(details, closedness, closed_witness) or _non_finite(details, worst, witness):
-        verdict = "inconclusive"
-    elif closedness > DEFAULT_ALGEBRAIC_TOL:
-        # The equivalence theorem assumes closedness; without it the measured
-        # residual says nothing about the Hamilton-Jacobi equation.
-        verdict = "inconclusive"
-    elif worst <= tol:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return VerificationReport("hj_trajectory_equivalence", verdict, worst,
-                              witness if verdict != "pass" else None,
-                              count, float(tol), details)
+    # The equivalence theorem assumes closedness; without it the measured
+    # residual says nothing about the Hamilton-Jacobi equation.
+    return _report("hj_trajectory_equivalence", worst, witness, count, tol, details,
+                   hypothesis=(closedness, closed_witness, DEFAULT_ALGEBRAIC_TOL))
 
 
 def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:

@@ -75,14 +75,35 @@ def _at(path):
 
 
 def _require(doc, key, kind, path, optional=False):
+    """``doc[key]``, of type ``kind`` unless that is None; a boolean is no int."""
+    if not isinstance(doc, dict):
+        raise SpecError(path, "expected an object")
     if key not in doc or doc[key] is None:
         if optional:
             return None
         raise SpecError(f"{path}.{key}", "missing required field")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SpecError(f"{path}.{key}", f"expected {getattr(kind, '__name__', kind)}")
     return value
+
+
+def _rows(doc, key, count, path) -> list:
+    """The required list ``doc[key]`` of ``count`` rows."""
+    rows = _require(doc, key, list, path)
+    if len(rows) != count:
+        raise SpecError(f"{path}.{key}", f"expected {count} rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SpecError(f"{path}.{key}[{i}]", "expected a list")
+    return rows
+
+
+def _number(value, path) -> float:
+    """``value`` as a float: a JSON number, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(path, "expected a number")
+    return float(value)
 
 
 def _parse_expr(text, path) -> Expr:
@@ -102,10 +123,12 @@ def _expr_table(rows, width, coords, params, path, where, differentiable=False) 
 
 
 def _expr_rows(rows, width, path) -> list:
+    if not isinstance(rows, list):
+        raise SpecError(path, "expected a list of rows")
     out = []
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise SpecError(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
+        if not isinstance(row, list) or len(row) != width:
+            raise SpecError(f"{path}[{i}]", f"expected a list of {width} entries")
         out.append([_parse_expr(cell, f"{path}[{i}][{j}]") for j, cell in enumerate(row)])
     return out
 
@@ -294,9 +317,7 @@ def load_spec(document: dict) -> SystemDefinition:
     name = _require(document, "name", str, path)
     params = dict(_require(document, "parameters", dict, path, optional=True) or {})
     for key, value in params.items():
-        if not isinstance(value, (int, float)):
-            raise SpecError(f"$.parameters.{key}", "parameter values must be numbers")
-        params[key] = float(value)
+        params[key] = _number(value, f"$.parameters.{key}")
     coords = tuple(_require(document, "base", list, path))
     for i, c in enumerate(coords):
         if not isinstance(c, str) or not c.isidentifier():
@@ -316,31 +337,20 @@ def load_spec(document: dict) -> SystemDefinition:
     embedded_payload = None
 
     if mode == "intrinsic":
-        anchor_rows = _require(document, "anchor", list, path)
-        if len(anchor_rows) != m:
-            raise SpecError("$.anchor", f"expected {m} rows")
-        anchor_exprs = _expr_rows(anchor_rows, n, "$.anchor")
+        anchor_exprs = _expr_rows(_rows(document, "anchor", m, path), n, "$.anchor")
         structure_map = _require(document, "structure", dict, path, optional=True) or {}
         with _at("$.structure"):
             structure = AlgebroidStructure.from_exprs(coords, m, anchor_exprs, structure_map, params,
                                                       probe_points=probes)
-        metric_rows = _require(document, "metric", list, path)
-        if len(metric_rows) != m:
-            raise SpecError("$.metric", f"expected {m} rows")
+        metric_rows = _rows(document, "metric", m, path)
         with _at("$.metric"):
             metric = BundleMetric.from_exprs(metric_rows, coords, params, probe_points=probes)
     else:
         ambient = _require(document, "ambient", dict, path)
-        ambient_rows = _require(ambient, "metric", list, "$.ambient")
-        if len(ambient_rows) != n:
-            raise SpecError("$.ambient.metric", f"expected {n} rows")
-        ambient_table = _expr_table(ambient_rows, n, coords, params, "$.ambient.metric",
-                                    "ambient metric", differentiable=True)
-        dist_rows = _require(document, "distribution", list, path)
-        if len(dist_rows) != m:
-            raise SpecError("$.distribution", f"expected {m} rows")
-        dist_table = _expr_table(dist_rows, n, coords, params, "$.distribution", "distribution",
-                                 differentiable=True)
+        ambient_table = _expr_table(_rows(ambient, "metric", n, "$.ambient"), n, coords, params,
+                                    "$.ambient.metric", "ambient metric", differentiable=True)
+        dist_table = _expr_table(_rows(document, "distribution", m, path), n, coords, params,
+                                 "$.distribution", "distribution", differentiable=True)
         comp_table = _expr_table(document.get("complement") or [], n, coords, params,
                                  "$.complement", "complement")
         structure_fn, gram_fn = induced_algebroid(ambient_table, dist_table)
@@ -355,8 +365,8 @@ def load_spec(document: dict) -> SystemDefinition:
                 _parse_expr(document["potential"], "$.potential"), coords, params)
 
     force = None
-    if document.get("force") is not None:
-        force_rows = document["force"]
+    force_rows = _require(document, "force", list, path, optional=True)
+    if force_rows is not None:
         if len(force_rows) != m:
             raise SpecError("$.force", f"expected {m} components")
         with _at("$.force"):
@@ -406,21 +416,26 @@ def _load_chart(document, coords) -> ChartDomain:
         if c not in box:
             raise SpecError(f"$.chart.box.{c}", "missing bounds")
         bounds = box[c]
-        if len(bounds) != 2 or bounds[0] >= bounds[1]:
+        if isinstance(bounds, list) and len(bounds) == 2:
+            lower[i], upper[i] = (_number(b, f"$.chart.box.{c}") for b in bounds)
+        if not lower[i] < upper[i]:
             raise SpecError(f"$.chart.box.{c}", "bounds must be [lo, hi] with lo < hi")
-        lower[i], upper[i] = float(bounds[0]), float(bounds[1])
     exclusions = []
-    for j, exc in enumerate(chart_doc.get("exclusions", []) or []):
-        coord = _require(exc, "coord", str, f"$.chart.exclusions[{j}]")
+    listed = _require(chart_doc, "exclusions", list, "$.chart", optional=True) or []
+    for j, exc in enumerate(listed):
+        path = f"$.chart.exclusions[{j}]"
+        coord = _require(exc, "coord", str, path)
         if coord not in coords:
-            raise SpecError(f"$.chart.exclusions[{j}].coord", f"unknown coordinate {coord!r}")
-        exclusions.append(Exclusion(coords.index(coord), float(exc["value"]),
-                                    float(exc.get("margin", 0.1))))
+            raise SpecError(f"{path}.coord", f"unknown coordinate {coord!r}")
+        margin = exc.get("margin")
+        exclusions.append(Exclusion(coords.index(coord),
+                                    _number(_require(exc, "value", None, path), f"{path}.value"),
+                                    0.1 if margin is None else _number(margin, f"{path}.margin")))
     return ChartDomain(lower, upper, tuple(exclusions))
 
 
 def _load_controls(document, coords, params, structure, metric, m) -> Optional[Subbundle]:
-    controls_doc = document.get("controls")
+    controls_doc = _require(document, "controls", dict, "$", optional=True)
     if controls_doc is None:
         return None
     if "sections" in controls_doc:
@@ -450,19 +465,21 @@ def _load_declared_complement(document, coords, params, mode, m):
 
 
 def _load_candidates(document, coords, params, m):
-    candidates_doc = document.get("candidates") or {}
+    candidates_doc = _require(document, "candidates", dict, "$", optional=True) or {}
     sections = {}
-    for name, row in (candidates_doc.get("sections") or {}).items():
-        if len(row) != m:
-            raise SpecError(f"$.candidates.sections.{name}", f"expected {m} coefficients, got {len(row)}")
+    for name, row in (_require(candidates_doc, "sections", dict, "$.candidates", optional=True)
+                      or {}).items():
+        if not isinstance(row, list) or len(row) != m:
+            raise SpecError(f"$.candidates.sections.{name}", f"expected a list of {m} coefficients")
         with _at(f"$.candidates.sections.{name}"):
             sections[name] = Section.from_exprs(row, coords, params, label=name)
     reparams = {}
-    for name, text in (candidates_doc.get("reparam") or {}).items():
+    for name, text in (_require(candidates_doc, "reparam", dict, "$.candidates", optional=True)
+                       or {}).items():
         path = f"$.candidates.reparam.{name}"
-        reparams[name] = _parse_expr(text, path)
+        factor = _parse_expr(text, path)
         with _at(path):
-            _ExprTable([reparams[name]], (), coords, params, "reparametrization factor")
+            reparams[name] = _ExprTable([factor], (), coords, params, "reparametrization factor")
     return sections, reparams
 
 

@@ -93,6 +93,13 @@ class TestVerdictCommands:
                          "--samples", "6", "--horizon", "0.5")
         assert code == 1
 
+    def test_geoinv_reports_the_algebraic_residual(self, capsys):
+        """The trajectory residual, about 1e-16 here, is held to the trajectory
+        tolerance, not to --tol: a pass under a tiny --tol is no error."""
+        code, out, err = run(capsys, "check-geoinv", "--system", "robotic_leg", "--tol", "1e-17")
+        assert (code, err) == (0, "")
+        assert out.startswith("[PASS] geodesic_invariance:controls")
+
     def test_reparam(self, capsys):
         code, _, _ = run(capsys, "check-reparam", "--system", "planar_body",
                          "--function", "candidate:g", "--samples", "8")

@@ -16,6 +16,7 @@ from algmech import (
     maximal_reducibility_check,
     reparam_admissible,
     symmetric_closure,
+    symmetric_product,
 )
 from algmech.report import hj_algebraic_check
 
@@ -159,6 +160,28 @@ class TestNonFiniteResiduals:
             assert_non_finite(is_decoupling(S, Gm, Dc, X, points), points[0])
             assert np.isnan(covariant_derivative(S, Gm, X, X, points[0])).all()
             assert np.isnan(covariant_derivative(S, Gm, np.eye(3), X, points[0])).all()
+
+    @pytest.mark.parametrize("check", [
+        lambda S, Gm, Dc, X, points: kinematic_reduction_check(S, Gm, Dc, Subbundle((X,)), points),
+        lambda S, Gm, Dc, X, points: maximal_reducibility_check(S, Gm, Dc, Subbundle((X,)), points),
+        lambda S, Gm, Dc, X, points: geodesic_invariance_check(S, Gm, Subbundle((X,)), points),
+        lambda S, Gm, Dc, X, points: symmetric_product(S, Gm, X, X, points[0]),
+    ], ids=["kinematic_reduction", "maximal_reducibility", "geodesic_invariance",
+            "symmetric_product"])
+    def test_infinite_span_raises_no_warning(self, planar, check):
+        """A span whose value is infinite is tested before any projector or
+        product touches it: the product is NaN, the verdict inconclusive."""
+        import warnings
+
+        X = Section(lambda x: np.full(3, np.inf), 3)
+        points = planar.sample(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = check(planar.structure, planar.metric, planar.controls, X, points)
+        if isinstance(result, VerificationReport):
+            assert_non_finite(result, points[0])
+        else:
+            assert np.isnan(result).all()
 
     def test_nan_force(self, planar):
         points = planar.sample(3, seed=2)
@@ -545,6 +568,26 @@ class TestReparametrization:
             rep = reparam_admissible(sysd.structure, sysd.metric, sysd.controls,
                                      "3.5", sysd.sample(10, seed=0))
             assert rep.verdict == "pass"
+
+    def test_loaded_factors_compile_once(self, monkeypatch):
+        """The loader keeps each factor's table, so a second battery compiles
+        no factor again."""
+        from algmech import expr as ex
+        from algmech.report import run_battery
+        from algmech.systems import planar_body
+
+        sysdef = planar_body()
+        run_battery(sysdef)
+        compiles = []
+        compile_table = ex._compile_table
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return compile_table(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "_compile_table", counted)
+        run_battery(sysdef)
+        assert compiles == []
 
     def test_snakeboard_candidates(self, board):
         points = board.sample(10, seed=0)

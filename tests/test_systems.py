@@ -269,6 +269,20 @@ class TestLoader:
          "$.complement: complement: unknown variable(s) ['zz']"),
         ("snakeboard:control_complement", (0, 0), "zz",
          "$.control_complement: expression table: unknown variable(s) ['zz']"),
+        # Values of the wrong JSON type, which used to escape as bare
+        # TypeError, ValueError, KeyError or AttributeError.
+        ("chart", ("box", "x"), 5, "$.chart.box.x: bounds must be [lo, hi] with lo < hi"),
+        ("chart", ("box", "x"), ["a", "b"], "$.chart.box.x: expected a number"),
+        ("snakeboard:chart", ("exclusions", 0), {"coord": "phi"},
+         "$.chart.exclusions[0].value: missing required field"),
+        ("snakeboard:chart", ("exclusions", 0), {"coord": "phi", "value": "1.5"},
+         "$.chart.exclusions[0].value: expected a number"),
+        ("candidates", "sections", [1], "$.candidates.sections: expected dict"),
+        ("force", None, 3, "$.force: expected list"),
+        ("anchor", (0,), 5, "$.anchor[0]: expected a list"),
+        ("metric", (0,), 5, "$.metric[0]: expected a list"),
+        ("fiber", None, True, "$.fiber: expected int"),
+        ("parameters", "m", True, "$.parameters.m: expected a number"),
     ]
 
     @pytest.mark.parametrize("block, key, entry, message", SINGLE_FAULTS)
@@ -277,7 +291,8 @@ class TestLoader:
         a sqrt entry); ``key`` is a key or a path into the block, or None for
         the whole block."""
         system, _, block = block.rpartition(":")
-        doc = dump_spec(board if system == "snakeboard" else leg if "sqrt" in entry else planar)
+        doc = dump_spec(board if system == "snakeboard"
+                        else leg if isinstance(entry, str) and "sqrt" in entry else planar)
         keys = [block, *((key,) if isinstance(key, str) else key or ())]
         target = doc
         for k in keys[:-1]:
