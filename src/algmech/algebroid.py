@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import expr as ex
-from .expr import Expr, fd_directional
+from .expr import Expr, _finite, fd_directional
 
 __all__ = [
     "ChartDomain",
@@ -69,7 +69,7 @@ class _ExprTable:
         self.shape = shape
         self.coords = tuple(coords)
         self.params = dict(params)
-        free = set().union(*(e.variables() for e in self.exprs))
+        free = ex._free_variables(self.exprs)
         extra = free - set(self.coords) - set(self.params)
         if extra:
             raise ValueError(f"{where}: unknown variable(s) {sorted(extra)}")
@@ -291,6 +291,9 @@ class AlgebroidStructure:
         self._structure_fn = structure_fn
         # Only an expression table knows it is coordinate-free.
         self.constant_structure = getattr(structure_fn, "is_constant", False)
+        # (metric, table): the compiled Koszul table of the spray, built on
+        # its first use with that metric (geometry._koszul_table).
+        self._koszul_table = None
 
     # -- construction ----------------------------------------------------
 
@@ -375,8 +378,13 @@ class AlgebroidStructure:
         return [self.basis_section(i) for i in range(self.m)]
 
     def anchored_field(self, X: Section) -> Callable:
-        """The vector field rho(X) on the base, as a callable of the point."""
-        return lambda x: self.anchor(x).T @ X(x)
+        """The vector field rho(X) on the base, as a callable of the point;
+        NaN where a value of ``X`` is not finite."""
+        def field(x):
+            R, Xp = self.anchor(x), X(x)
+            return R.T @ Xp if _finite(Xp) else np.full(self.n, np.nan)
+
+        return field
 
     def check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -570,16 +578,26 @@ def vector_field_bracket(U: Callable, V: Callable, x, step=None) -> np.ndarray:
 def span_rank(vectors) -> int:
     """Numerical rank of a list of vectors via singular values.
 
-    Singular values below ``1e-8 * max(largest, 1)`` count as zero.
+    Singular values below ``1e-8 * max(largest, 1)`` count as zero.  A
+    vector that is not finite has no rank: it raises ``ValueError``.
     """
     return int(_span_ranks(np.atleast_2d(np.asarray(vectors, dtype=float))[None])[0])
 
 
-def _span_ranks(stack) -> np.ndarray:
-    """:func:`span_rank` of each matrix of a ``(count, rows, dim)`` stack, in one SVD."""
+def _span_ranks(stack, points=None) -> np.ndarray:
+    """:func:`span_rank` of each matrix of a ``(count, rows, dim)`` stack, in one SVD.
+
+    A matrix that is not finite raises ``ValueError``, named by its point
+    when ``points`` holds one per matrix, before the SVD, which would not
+    converge.
+    """
     stack = np.asarray(stack, dtype=float)
     if stack.size == 0:
         return np.zeros(len(stack), dtype=int)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError("span is not finite" + ("" if points is None else f" at {points[i]}"))
     sv = np.linalg.svd(stack, compute_uv=False)
     return np.sum(sv > _SV_THRESHOLD * np.maximum(sv[:, :1], 1.0), axis=1)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
-from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _fixed_coefficients,
-                       _koszul, _singular, christoffel_field)
+from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _finite,
+                       _fixed_coefficients, _koszul, _koszul_table, _singular, christoffel_field)
 
 __all__ = [
     "TotalPoint",
@@ -100,10 +100,13 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
 
     Coordinate-free coefficients are computed once
     (:func:`geometry.christoffel_field`).  Otherwise each evaluation reads
-    the anchor, the metric and the lowered Koszul tensor ``K`` once
-    (``geometry._koszul``) and solves ``G a = K(y, y) / 2`` for the
-    quadratic form ``a = gamma(y, y)``, with no Christoffel tensor; a
-    singular or non-finite metric raises ``SingularMetricError``.
+    the anchor, the metric and the lowered Koszul tensor ``K`` once and
+    solves ``G a = K(y, y) / 2`` for the quadratic form ``a = gamma(y,
+    y)``, with no Christoffel tensor; a singular or non-finite metric raises
+    ``SingularMetricError``.  When the anchor, the structure and the metric
+    are expression tables (every loaded document), all three come from one
+    call of the pair's compiled Koszul table (``geometry._koszul_table``),
+    built on the pair's first field; otherwise from ``geometry._koszul``.
     """
     inputs = tuple(inputs)
     coefficients = signal.k if signal is not None else 0
@@ -111,14 +114,16 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
         raise ValueError(f"control signal has {coefficients} coefficient(s) "
                          f"for {len(inputs)} input section(s)")
     n, m = S.n, S.m
-    if _fixed_coefficients(S, Gm):
+    fixed = _fixed_coefficients(S, Gm)
+    table = None if fixed else _koszul_table(S, Gm)
+    if fixed:
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
         minus_gamma = -christoffel_field(S, Gm)(np.zeros(n))
 
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
             return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
-    else:
+    elif table is None:
         def spray(x, y):
             # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor
             A, G, K = _koszul(S, Gm, x)
@@ -127,6 +132,20 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             except np.linalg.LinAlgError:
                 raise _singular(x) from None
             return (S.anchor(x) if A is None else A).T @ y, -acc
+    else:
+        metric_at, koszul_at = n * m, n * m + m * m
+
+        def spray(x, y):
+            # The same solve, with A, G and K from one call of the compiled table
+            values = table(x)
+            G, K = values[metric_at:koszul_at], values[koszul_at:].reshape(m * m, m)
+            if not _finite(G):
+                raise _singular(x)
+            try:
+                acc = np.linalg.solve(G.reshape(m, m), 0.5 * ((y[:, None] * y).ravel() @ K))
+            except np.linalg.LinAlgError:
+                raise _singular(x) from None
+            return values[:metric_at].reshape(m, n).T @ y, -acc
 
     def field(t, z):
         x, y = z[:n], z[n:]

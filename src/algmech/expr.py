@@ -158,6 +158,31 @@ class Call(Expr):
         return out
 
 
+def _free_variables(exprs: Sequence[Expr]) -> set:
+    """The free variables of a table of expressions, each shared subtree
+    walked once (``Expr.variables`` walks it once per parent)."""
+    names, seen = set(), set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            names.add(node.name)
+        elif kind is Num or id(node) in seen:  # every node is alive in `exprs`
+            continue
+        else:
+            seen.add(id(node))
+            if kind is BinOp:
+                stack += (node.left, node.right)
+            elif kind is Neg:
+                stack.append(node.arg)
+            elif kind is Call:
+                stack += node.args
+            else:
+                names |= node.variables()
+    return names
+
+
 def _div(a: float, b: float) -> float:
     if b == 0.0:
         raise EvalError("division by zero")
@@ -697,6 +722,19 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
 # --- finite differences -------------------------------------------------------
 
 
+def _finite(*arrays) -> bool:
+    """Whether every entry of the arrays is finite.
+
+    Tested before arithmetic on a value that may not be finite: there the
+    result is undefined, and 0 * inf would only warn on its way to NaN.
+    """
+    # Python floats: at these sizes a fraction of the cost of np.isfinite.
+    for a in arrays:
+        if not all(map(math.isfinite, a.ravel().tolist())):
+            return False
+    return True
+
+
 def fd_partial(fn: Callable, x: np.ndarray, index: int, step: float = None):
     """Central difference of ``fn`` along coordinate ``index`` at ``x``."""
     return fd_directional(fn, x, np.eye(np.size(x))[index], step)
@@ -714,13 +752,20 @@ def fd_directional(fn: Callable, x: np.ndarray, direction: np.ndarray, step: flo
     product for array-valued ``fn``; only two evaluations either way.  This is
     the one step rule of the package: the base step (``step``, default
     ``1e-6``) is scaled by ``max(1, |x|_inf) / max(1, |direction|_inf)``.
+    Where ``x``, ``direction`` or either value is not finite the derivative
+    is NaN, shaped as the values, and no difference is taken.
     """
     base = _DEFAULT_STEP if step is None else float(step)
     if not base > 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    if not _finite(x, direction):
+        return np.full(np.shape(fn(x)), np.nan)[()]
     # Python max: at these few coordinates a numpy reduction costs more.
     h = base * max([1.0, *np.abs(x).tolist()]) / max([1.0, *np.abs(direction).tolist()])
     shift = h * direction
-    return (np.asarray(fn(x + shift)) - np.asarray(fn(x - shift))) / (2.0 * h)
+    ahead, behind = np.asarray(fn(x + shift)), np.asarray(fn(x - shift))
+    if not _finite(ahead, behind):
+        return np.full(ahead.shape, np.nan)[()]
+    return (ahead - behind) / (2.0 * h)

@@ -8,7 +8,10 @@ functions ``G(e_A, [e_B, e_C])``.  :func:`christoffel` contracts it with the
 inverse metric; the geodesic spray contracts it with the velocity and makes
 one solve, so it builds no Christoffel tensor.  An algebroid induced on an
 embedded distribution hands over those pointwise terms from one frame and
-one ambient evaluation, its brackets lowered without a projection.  Every
+one ambient evaluation, its brackets lowered without a projection.  For a
+pair whose fields are all expression tables the spray reads the anchor, the
+metric and ``K`` from one compiled table instead (:func:`_koszul_table`), the
+same assembly written as expression trees.  Every
 derivative of a field here (metric, section, potential) is taken by
 ``algebroid._differential``: exact for a field backed by expression tables,
 a central difference for an opaque callable.  Orthogonal-basis shortcuts are
@@ -17,7 +20,6 @@ deliberately not a separate code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _as_scalar_field,
                         _check_mirrors, _differential, _ExprTable, _probe_points, d_function)
-from .expr import fd_directional
+from . import expr as ex
+from .expr import _finite, fd_directional
 
 __all__ = [
     "BundleMetric",
@@ -273,6 +276,158 @@ def _koszul(S: AlgebroidStructure, Gm: BundleMetric, p):
     return A, G, K
 
 
+# --- compiled Koszul table ---------------------------------------------------------
+#
+# The symbolic mirror of _koszul: the trees of (A, G, K) for a pair whose
+# fields are all expression tables, compiled as one table over the base point.
+# The tree builders fold what the arithmetic makes exact: a zero term, a
+# factor one, and a negation taken into the operator (a + -b is a - b, and
+# (-a) b is -(a b)).  A zero factor folds too, which differs from the numeric
+# product only where the other factor is not finite.
+
+
+def _is_zero(node) -> bool:
+    return type(node) is ex.Num and node.value == 0.0
+
+
+def _neg(a):
+    if _is_zero(a):
+        return Num0
+    return a.arg if type(a) is ex.Neg else ex.Neg(a)
+
+
+def _plus(a, b):
+    if _is_zero(a) or _is_zero(b):
+        return b if _is_zero(a) else a
+    if type(b) is ex.Neg:
+        return _minus(a, b.arg)
+    return _minus(b, a.arg) if type(a) is ex.Neg else ex.BinOp("+", a, b)
+
+
+def _minus(a, b):
+    if _is_zero(b) or _is_zero(a):
+        return a if _is_zero(b) else _neg(b)
+    return _plus(a, b.arg) if type(b) is ex.Neg else ex.BinOp("-", a, b)
+
+
+def _product(a, b):
+    if _is_zero(a) or _is_zero(b):
+        return Num0
+    if type(a) is ex.Neg or type(b) is ex.Neg:
+        return _neg(_product(_neg(a), b) if type(a) is ex.Neg else _product(a, _neg(b)))
+    if type(a) is ex.Num and a.value == 1.0:
+        return b
+    return a if type(b) is ex.Num and b.value == 1.0 else ex.BinOp("*", a, b)
+
+
+def _dot(pairs):
+    """``sum a * b`` over ``pairs``, left to right, without its zero terms."""
+    out = Num0
+    for a, b in pairs:
+        out = _plus(out, _product(a, b))
+    return out
+
+
+def _grid(table, *shape):
+    """The entries of an expression table as nested lists of ``shape``."""
+    entries = iter(table.exprs)
+
+    def nest(dims):
+        return [nest(dims[1:]) if len(dims) > 1 else next(entries) for _ in range(dims[0])]
+
+    return nest(shape)
+
+
+def _symbolic_terms(S: AlgebroidStructure, Gm: BundleMetric):
+    """The trees of ``(A, G, rhoG, GC)`` of :func:`_pointwise`, or None when
+    a field of the pair is not an expression table over ``S.coords``.
+
+    An intrinsic pair differentiates its metric entries; a pair from one
+    :func:`systems.induced_algebroid` call applies the product rule to the
+    frame ``B`` and the ambient metric ``g``, as ``koszul_terms`` does:
+    ``BG = B g``, ``G = BG B^T``, the brackets ``J - J^T`` with ``J[a, b] =
+    B[a] . dB[b]``, and ``GC = BG lie^T``.  Every intermediate is one tree,
+    shared by the entries that read it.
+    """
+    m, n = S.m, S.n
+    induced = getattr(Gm._fn, "koszul_terms", None)
+    embedded = (induced is not None and induced is getattr(S._structure_fn, "koszul_terms", None)
+                and S._anchor_fn is induced.frame)
+    if embedded:
+        tables = ((induced.frame, (m, n)), (induced.metric, (n, n)))
+    else:
+        tables = ((S._anchor_fn, (m, n)), (Gm._fn, (m, m)), (S._structure_fn, (m, m, m)))
+    params = getattr(tables[0][0], "params", None)
+    for table, shape in tables:
+        if not (isinstance(table, _ExprTable) and table.shape == shape
+                and table.coords == S.coords and table.params == params):
+            return None
+    rn, rm = range(n), range(m)
+
+    def d(node, i):
+        return ex.diff(node, S.coords[i])
+
+    if not embedded:
+        A, G, C = (_grid(table, *shape) for table, shape in tables)
+        dG = [[[d(G[c][e], i) for i in rn] for e in rm] for c in rm]
+        rhoG = [[[_dot((A[a][i], dG[c][e][i]) for i in rn) for e in rm] for c in rm] for a in rm]
+        GC = [[[_dot((G[a][e], C[e][b][c]) for e in rm) for c in rm] for b in rm] for a in rm]
+        return A, G, rhoG, GC
+    B, g = (_grid(table, *shape) for table, shape in tables)
+    dB = [[[d(B[a][k], i) for i in rn] for k in rn] for a in rm]
+    dg = [[[d(g[l][k], i) for i in rn] for k in rn] for l in rn]
+    BG = [[_dot((B[a][l], g[l][k]) for l in rn) for k in rn] for a in rm]
+    G = [[_dot((BG[a][k], B[b][k]) for k in rn) for b in rm] for a in rm]
+    # d(B g B^T) = B g dB^T + its transpose + B dg B^T
+    half = [[[_dot((BG[a][k], dB[b][k][i]) for k in rn) for i in rn] for b in rm] for a in rm]
+    Bdg = [[[_dot((B[a][l], dg[l][k][i]) for l in rn) for i in rn] for k in rn] for a in rm]
+    dgram = [[[_plus(_plus(half[a][b][i], half[b][a][i]),
+                     _dot((B[b][k], Bdg[a][k][i]) for k in rn)) for i in rn] for b in rm]
+             for a in rm]
+    J = [[[_dot((B[a][i], dB[b][k][i]) for i in rn) for k in rn] for b in rm] for a in rm]
+    rhoG = [[[_dot((B[a][i], dgram[b][c][i]) for i in rn) for c in rm] for b in rm] for a in rm]
+    # The brackets and their pairings are antisymmetric in (b, c), exactly
+    # as the numeric ones are: only b < c is computed.
+    GC = [[[Num0] * m for _ in rm] for _ in rm]
+    for b in rm:
+        for c in range(b + 1, m):
+            lie = [_minus(J[b][c][k], J[c][b][k]) for k in rn]
+            for a in rm:
+                GC[a][b][c] = _dot((BG[a][k], lie[k]) for k in rn)
+                GC[a][c][b] = _neg(GC[a][b][c])
+    return B, G, rhoG, GC
+
+
+def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
+    """The pair's ``(A, G, K)`` of :func:`_koszul` as one expression table
+    over the base point, its flat entries the anchor, the metric and ``K``;
+    None when a field of the pair is an opaque callable.
+
+    Built and compiled on the first call for a pair, and kept on the
+    structure with the metric it was built for.
+    """
+    kept = S._koszul_table
+    if kept is not None and kept[0] is Gm:
+        return kept[1]
+    terms = _symbolic_terms(S, Gm)
+    if terms is None:
+        return None
+    A, G, rhoG, GC = terms
+    rm = range(S.m)
+    # As in _koszul: K = W + W^T(B, C) - (rhoG - GC)^T(E, B, C), with
+    # W[B, C, E] = rhoG[B, C, E] + GC[B, E, C]
+    W = [[[_plus(rhoG[b][c][e], GC[b][e][c]) for e in rm] for c in rm] for b in rm]
+    K = [_minus(_plus(W[b][c][e], W[c][b][e]), _minus(rhoG[e][b][c], GC[e][b][c]))
+         for b in rm for c in rm for e in rm]
+    entries = [e for row in A for e in row] + [e for row in G for e in row] + K
+    table = _ExprTable(entries, (len(entries),), S.coords, S._anchor_fn.params, "Koszul table")
+    table._compile(False)
+    # Threads racing here each build an equal table and store it; the last
+    # store wins and no caller sees a partial one.
+    S._koszul_table = (Gm, table)
+    return table
+
+
 def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
     """Connection coefficients at ``p`` from the Koszul formula.
 
@@ -302,19 +457,6 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
         fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
         return lambda p: fixed
     return lambda p: christoffel(S, Gm, p).gamma
-
-
-def _finite(*arrays) -> bool:
-    """Whether every entry of the arrays is finite.
-
-    Tested before arithmetic on a value that may not be finite: there the
-    result is undefined, and 0 * inf would only warn on its way to NaN.
-    """
-    # Python floats: at these sizes a fraction of the cost of np.isfinite.
-    for a in arrays:
-        if not all(map(math.isfinite, a.ravel().tolist())):
-            return False
-    return True
 
 
 def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:

@@ -88,7 +88,7 @@ class Subbundle:
 
     def validate_rank(self, points) -> None:
         points = np.atleast_2d(points)
-        ranks = _span_ranks([self.matrix(p) for p in points])
+        ranks = _span_ranks([self.matrix(p) for p in points], points)
         if np.any(ranks != self.rank):
             p = points[np.argmax(ranks != self.rank)]
             raise ValueError(f"subbundle {self.label or ''} drops rank at {p}")
@@ -123,13 +123,17 @@ class Projector:
         return _orthonormal_complement(self.metric.matrix(p), self.subbundle.matrix(p), p)
 
     def declared_complement_residual(self, declared: Sequence[Section], points) -> float:
-        """Worst projection of declared complement sections back onto the span."""
+        """Worst projection of declared complement sections back onto the
+        span; NaN at the first value of a section or of the metric that is
+        not finite, tested before the arithmetic."""
         worst = 0.0
         for p in np.atleast_2d(points):
             G = self.metric.matrix(p)
             P = self.p_matrix(p, G)
             for W in declared:
                 w = W(p)
+                if not _finite(w, G):
+                    return math.nan
                 scale = np.sqrt(max(float(w @ G @ w), 1e-30))
                 worst = _max(worst, float(np.max(np.abs(P @ w))) / scale)
         return worst
@@ -357,18 +361,25 @@ def symmetric_closure(S, Gm, candidate: Subbundle, max_depth: int, p):
 
     Returns ``(rank, generators)`` where the generator list extends the input
     spans with every product appended before the rank reached a fixpoint (or
-    the depth limit).  The rank is monotone in depth by construction.
+    the depth limit).  The rank is monotone in depth by construction.  A
+    generator or product value that is not finite at ``p`` has no rank: it
+    raises ``ValueError`` with that reason and ``p``.
     """
     p = S.check_point(p)
     gamma_at = christoffel_field(S, Gm)
+
+    def rank_of(sections):
+        # A value that is not finite raises ValueError, naming p.
+        return int(_span_ranks([[X(p) for X in sections]], [p])[0])
+
     generators = list(candidate.sections)
-    rank = span_rank([X(p) for X in generators])
+    rank = rank_of(generators)
     for _ in range(max_depth):
         if rank == S.m:
             break
         products = [_product_section(S, Gm, A, B, gamma_at)
                     for A, B in combinations_with_replacement(generators, 2)]
-        new_rank = span_rank([X(p) for X in generators + products])
+        new_rank = rank_of(generators + products)
         if new_rank == rank:
             break
         generators.extend(products)

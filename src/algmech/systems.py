@@ -201,18 +201,23 @@ class SystemDefinition:
             for p in points:
                 self.metric.inverse(p)  # raises when singular
         if self.controls is not None:
-            self.controls.validate_rank(points)
+            with _at("$.controls"):
+                self.controls.validate_rank(points)
             if self.declared_complement:
                 residual = Projector(self.controls, self.metric).declared_complement_residual(
                     self.declared_complement, points)
-                if not residual <= tol:  # a NaN residual is no orthogonality
+                if math.isnan(residual):
+                    raise SpecError(f"{self.name}.complement", "declared complement or metric "
+                                    "is not finite at a sampled point")
+                if not residual <= tol:
                     raise SpecError(f"{self.name}.complement",
                                     f"declared complement is not orthogonal to the controls "
                                     f"(worst residual {residual:.3e})")
         if self.embedded is not None:
             distribution, complement = self.embedded["distribution"], self.embedded["complement"]
             rows = np.array([np.vstack([distribution(p), complement(p)]) for p in points])
-            dropped = _span_ranks(rows) != min(rows.shape[1], self.n)
+            with _at("$.distribution"):
+                dropped = _span_ranks(rows, points) != min(rows.shape[1], self.n)
             if np.any(dropped):
                 raise SpecError(f"{self.name}.distribution",
                                 f"embedded frame drops rank at {points[np.argmax(dropped)]}")
@@ -244,7 +249,9 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     lowered brackets ``g(U_a, [U_b, U_c])``.  The lowered form needs no
     solve, since the structure functions are ``C = G^-1 (B g) lie^T``.  The
     product rule and the brackets are written once, in ``frame_terms`` and
-    ``lie_rows``.
+    ``lie_rows``; ``koszul_terms.frame`` and ``koszul_terms.metric`` are the
+    two fields, from whose expressions the spray compiles the same terms
+    (``geometry._koszul_table``).
     """
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
@@ -301,7 +308,7 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
 
     if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian
-        koszul_terms.frame = frame_fn
+        koszul_terms.frame, koszul_terms.metric = frame_fn, metric_fn
         structure_fn.koszul_terms = gram_fn.koszul_terms = koszul_terms
     return structure_fn, gram_fn
 

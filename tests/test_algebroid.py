@@ -298,6 +298,16 @@ class TestLieClosure:
         assert span_rank(vectors) == 1
         assert span_rank(np.zeros((2, 0))) == 0
 
+    def test_span_rank_of_non_finite_vectors_is_refused(self):
+        """An SVD of them would not converge: the reason is given instead."""
+        from algmech.algebroid import _span_ranks
+
+        with pytest.raises(ValueError, match="span is not finite"):
+            span_rank([[1.0, 0.0], [np.inf, 1.0]])
+        stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match=r"span is not finite at \[0\.5\]"):
+            _span_ranks(stack, [np.array([0.0]), np.array([0.5])])
+
 
 class TestChartDomain:
     def test_sampling_respects_box_and_exclusions(self):

@@ -296,6 +296,16 @@ class TestUsageErrors:
         code, _, err = run(capsys, "christoffel", "--system", str(bad))
         assert code == 2
 
+    def test_non_finite_controls_name_the_block(self, capsys, tmp_path):
+        """Not an SVD that did not converge: the path and the point."""
+        doc = dump_spec(builtin("robotic_leg"))
+        doc["controls"]["sections"][0][0] = "1e308*10 - 1e308*10"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "christoffel", "--system", str(bad))
+        assert code == 2
+        assert err.startswith("error: $.controls: span is not finite at [")
+
 
 class TestParserReuse:
     COMMANDS = [

@@ -500,3 +500,193 @@ class TestEnergy:
             E = [energy(sysd.structure, sysd.metric, None, (traj.base[k], traj.fiber[k]))
                  for k in range(0, len(traj), 37)]
             assert max(E) - min(E) < 1e-9
+
+
+def koszul_field(S, Gm):
+    """The spray evaluated from the numeric Koszul assembly, as every pair
+    was evaluated before the compiled table: the reference of its tests."""
+    from algmech.geometry import _koszul
+
+    n, m = S.n, S.m
+
+    def field(t, z):
+        x, y = z[:n], z[n:]
+        A, G, K = _koszul(S, Gm, x)
+        acc = np.linalg.solve(G, 0.5 * (np.outer(y, y).ravel() @ K.reshape(m * m, m)))
+        return np.concatenate([(S.anchor(x) if A is None else A).T @ y, -acc])
+
+    return field
+
+
+# Documents beside the builtins whose spray takes the compiled table: the
+# leg's frame embedded in R^3 with a moving ambient metric, and an intrinsic
+# snakeboard whose metric and structure functions move with phi.
+LEG_EMBEDDED = {
+    "name": "leg_embedded", "parameters": {"m": 1.3, "J": 0.7}, "base": ["r", "theta", "psi"],
+    "fiber": 3, "mode": "embedded",
+    "ambient": {"metric": [["m", "0", "0"], ["0", "m*r^2", "0"], ["0", "0", "J"]]},
+    "distribution": [["0", "1/(m*r^2)", "-1/J"], ["1/m", "0", "0"], ["0", "1", "1"]],
+    "chart": {"box": {"r": [0.5, 3.0], "theta": [-3.15, 3.15], "psi": [-3.15, 3.15]}},
+}
+BOARD_INTRINSIC = {
+    "name": "board_intrinsic", "base": ["x", "y", "theta", "psi", "phi"], "fiber": 3,
+    "mode": "intrinsic",
+    "anchor": [["cos(phi)*cos(theta)", "cos(phi)*sin(theta)", "-sin(phi)", "0", "0"],
+               ["0", "0", "-sin(phi)^2/(4 + 2*sin(phi)^2)", "1", "0"],
+               ["0", "0", "0", "0", "1"]],
+    "structure": {"1,1,3": "-2*sin(phi)*cos(phi)/(4 + 2*sin(phi)^2)",
+                  "2,1,3": "4*cos(phi)/(4 + sin(phi)^2)"},
+    "metric": [["4 + 2*sin(phi)^2", "0", "0"], ["0", "(4 + sin(phi)^2)/(4 + 2*sin(phi)^2)", "0"],
+               ["0", "0", "2"]],
+    "chart": {"box": {"x": [-5.0, 5.0], "y": [-5.0, 5.0], "theta": [-3.15, 3.15],
+                      "psi": [-3.15, 3.15], "phi": [-1.4, 1.4]}},
+}
+
+
+class TestKoszulTable:
+    """The compiled Koszul table of a pair of expression tables against the
+    numeric assembly ``geometry._koszul`` it replaces in the spray."""
+
+    def test_entries_match_the_numeric_assembly(self, all_builtins, unicycle):
+        """The anchor bitwise, the metric bitwise (an induced Gram matrix to
+        a few ulps: the numeric one is a BLAS product) and K to 1e-14 of its
+        scale, at chart samples."""
+        from algmech import load_spec
+        from algmech.geometry import _koszul, _koszul_table
+
+        systems = all_builtins + [unicycle, load_spec(LEG_EMBEDDED), load_spec(BOARD_INTRINSIC)]
+        for sysd in systems:
+            S, Gm, n, m = sysd.structure, sysd.metric, sysd.n, sysd.m
+            table = _koszul_table(S, Gm)
+            for p in sysd.sample(20, seed=43):
+                values = table(p)
+                A, G, K = _koszul(S, Gm, p)
+                A = S.anchor(p) if A is None else A
+                assert np.array_equal(values[:n * m].reshape(m, n), A), sysd.name
+                metric = values[n * m:n * m + m * m].reshape(m, m)
+                if sysd.mode == "intrinsic":
+                    assert np.array_equal(metric, G), sysd.name
+                else:
+                    assert np.max(np.abs(metric - G)) <= 4e-16 * np.max(np.abs(G)), sysd.name
+                scale = max(np.max(np.abs(K)), 1.0)
+                assert np.max(np.abs(values[n * m + m * m:].reshape(m, m, m) - K)) <= 1e-14 * scale
+
+    def test_benchmark_geodesics_match_the_numeric_assembly(self, leg, board):
+        """Geodesics from the benchmark's seeded start states, 0-2."""
+        starts = {"robotic_leg": ([1.5, 0.3, -0.2], [0.2, 0.05, 0.1], 400),
+                  "snakeboard": ([0.0, 0.0, 0.2, 0.1, 0.3], [0.15, 0.1, 0.05], 60)}
+        for seed in range(3):
+            rng = np.random.default_rng([seed, 1])
+            rng.uniform(-0.1, 0.1, size=3), rng.uniform(0.8, 1.2, size=3)  # planar_body's draws
+            for sysd in (leg, board):
+                base, fiber, steps = starts[sysd.name]
+                base = np.array(base) + rng.uniform(-0.1, 0.1, size=len(base))
+                fiber = np.array(fiber) * rng.uniform(0.8, 1.2, size=len(fiber))
+                args = (TotalPoint(base, fiber), 0.0, steps * 1e-3, 1e-3)
+                traj = integrate(spray_field(sysd.structure, sysd.metric), *args, chart=sysd.chart)
+                ref = integrate(koszul_field(sysd.structure, sysd.metric), *args, chart=sysd.chart)
+                assert not traj.truncated and len(traj) == steps + 1
+                for a, b in ((traj.base, ref.base), (traj.fiber, ref.fiber)):
+                    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_truncations_match_the_numeric_assembly(self):
+        """A metric that is not finite, a kink of the metric and a domain
+        error along the path stop at the same step, for the same reason."""
+        from algmech import AlgebroidStructure, BundleMetric, load_spec
+
+        def line(metric, lo=-1.0):
+            return load_spec({"name": "line", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                              "anchor": [["1"]], "metric": [[metric]],
+                              "chart": {"box": {"x": [lo, 1.0]}}})
+
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        # 1e308*10 is inf: this metric reads NaN at x = 0 and inf elsewhere.
+        infinite = BundleMetric.from_exprs([["1 + 1e308*10*x*x"]], ("x",), probe_points=[])
+        kinked, rooted = line("1 + abs(x)"), line("1 + sqrt(x)", 0.0)
+        cases = [(S, infinite, [0.0], "metric is singular at [0.]", 1),
+                 (S, infinite, [0.2], "metric is singular at [0.2]", 1),
+                 (kinked.structure, kinked.metric, [0.0], "abs is not differentiable at 0", 1),
+                 (rooted.structure, rooted.metric, [0.5], "sqrt of a negative value", 10)]
+        for S_, Gm, base, reason, count in cases:
+            args = (TotalPoint(base, [1.0 if count == 1 else -1.0]), 0.0, 2.0, 0.05)
+            traj = integrate(spray_field(S_, Gm), *args)
+            ref = integrate(koszul_field(S_, Gm), *args)
+            assert traj.truncated and traj.reason == f"field evaluation failed: {reason}"
+            assert (len(traj), traj.reason) == (count, ref.reason) and len(ref) == count
+            assert np.array_equal(traj.fiber, ref.fiber)
+
+    def test_opaque_callables_take_the_numeric_assembly(self, leg, unicycle, monkeypatch):
+        from algmech import AlgebroidStructure, BundleMetric, dynamics
+        from algmech.geometry import _koszul, _koszul_table
+
+        calls = []
+        monkeypatch.setattr(dynamics, "_koszul", lambda *args: calls.append(1) or _koszul(*args))
+        S, Gm = leg.structure, leg.metric
+        opaque = [(AlgebroidStructure(leg.coords, 3, S.anchor, lambda x: S.structure(x)), Gm, leg),
+                  (S, BundleMetric(lambda x: Gm.matrix(x), 3), leg),
+                  (*opaque_frame_system(unicycle), unicycle)]
+        for S_, Gm_, sysd in opaque:
+            assert _koszul_table(S_, Gm_) is None
+            calls.clear()
+            spray_field(S_, Gm_)(0.0, np.concatenate([sysd.center(), np.linspace(0.3, -0.2, S_.m)]))
+            assert calls == [1]
+        calls.clear()
+        spray_field(S, Gm)(0.0, np.concatenate([leg.center(), [0.3, 0.1, -0.2]]))
+        assert calls == []
+
+    def test_loading_builds_no_table(self, monkeypatch, tmp_path):
+        """Loading a document and its Christoffel table, in process and from
+        the command line, never builds a Koszul table."""
+        import contextlib
+        import io
+        import json
+
+        from algmech import cli, dump_spec, geometry, load_spec, report, robotic_leg, snakeboard
+
+        def refuse(S, Gm):
+            raise AssertionError("a Koszul table was built")
+
+        monkeypatch.setattr(geometry, "_symbolic_terms", refuse)
+        for document in (dump_spec(robotic_leg()), dump_spec(snakeboard())):
+            sysdef = load_spec(document)
+            report.christoffel_table(sysdef)
+            assert sysdef.structure._koszul_table is None
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(document))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["christoffel", "--system", str(path), "--format", "json"]) == 0
+
+    def test_threads_racing_on_the_first_spray(self):
+        """More threads than cores that build the table of a fresh pair at
+        once, with a short switch interval, get equal fields, and the pair
+        keeps one table that gives the same."""
+        import os
+        import sys
+        import threading
+
+        from algmech import snakeboard
+
+        sysd = snakeboard()
+        z = np.array([0.1, -0.2, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05])
+        count = min((os.cpu_count() or 1) + 1, 16)
+        barrier = threading.Barrier(count, timeout=30)
+        out = [None] * count
+
+        def first_spray(k):
+            barrier.wait()
+            out[k] = spray_field(sysd.structure, sysd.metric)(0.0, z)
+
+        threads = [threading.Thread(target=first_spray, args=(k,)) for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(field, out[0]) for field in out)
+        assert sysd.structure._koszul_table[0] is sysd.metric
+        assert np.array_equal(out[0], spray_field(sysd.structure, sysd.metric)(0.0, z))

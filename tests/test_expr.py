@@ -186,6 +186,17 @@ class TestCallableDifferences:
         out = fd_directional(fn, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         assert out == pytest.approx([2.0, 0.0], abs=1e-8)
 
+    def test_directional_of_non_finite_values_is_nan(self):
+        """No difference is taken of a value, point or direction that is not
+        finite (inf - inf would warn): the derivative is NaN, shaped as the
+        values."""
+        x, v = np.array([1.0, 2.0]), np.array([1.0, 0.0])
+        scalar = fd_directional(lambda x: np.inf, x, v)
+        assert np.shape(scalar) == () and np.isnan(scalar)
+        vector = fd_directional(lambda x: np.array([x[0], np.inf * x[1]]), x, v)
+        assert vector.shape == (2,) and np.isnan(vector).all()
+        assert np.isnan(fd_directional(lambda x: x, x, np.array([np.inf, 0.0]))).all()
+
 
 # --- compiled tables against the tree-walk ------------------------------------
 

@@ -183,6 +183,40 @@ class TestNonFiniteResiduals:
         else:
             assert np.isnan(result).all()
 
+    def test_infinite_section_hj_trajectory(self, planar):
+        """The anchored field of an infinite section is NaN, tested before
+        ``anchor.T @ X``: the base flow truncates at once and the
+        equivalence check is inconclusive, without a warning."""
+        X = Section(lambda x: np.full(3, np.inf), 3)
+        p0 = planar.sample(1, seed=0)[0]
+        assert np.isnan(planar.structure.anchored_field(X)(p0)).all()
+        rep = hj_trajectory_equivalence(planar.structure, planar.metric, None,
+                                        planar.controls, X, p0, 0.5, 0.05)
+        assert_non_finite(rep, p0)
+        assert rep.details["truncated"]
+
+    def test_infinite_reparametrization_factor(self, planar):
+        """The difference of an infinite factor is NaN, tested before inf -
+        inf is taken: inconclusive, without a warning."""
+        points = planar.sample(4, seed=0)
+        rep = reparam_admissible(planar.structure, planar.metric, planar.controls,
+                                 lambda x: np.inf, points)
+        assert_non_finite(rep, points[0])
+
+    def test_infinite_declared_complement(self, planar):
+        """An infinite declared complement section gives a NaN residual,
+        tested before ``P @ w``, without a warning."""
+        X = Section(lambda x: np.full(3, np.inf), 3)
+        P = Projector(planar.controls, planar.metric)
+        assert np.isnan(P.declared_complement_residual((X,), planar.sample(4, seed=0)))
+
+    def test_infinite_span_closure_names_the_reason(self, planar):
+        """A span that is not finite has no rank: the symmetric closure says
+        so and names the point, where the SVD would not converge."""
+        X = Section(lambda x: np.full(3, np.inf), 3)
+        with pytest.raises(ValueError, match=r"span is not finite at \[0\. 0\. 0\.\]"):
+            symmetric_closure(planar.structure, planar.metric, Subbundle((X,)), 2, np.zeros(3))
+
     def test_nan_force(self, planar):
         points = planar.sample(3, seed=2)
         F = ForceField(lambda x, y: np.full(3, np.nan), 3)

@@ -216,6 +216,31 @@ class TestLoader:
         assert outside.effective_force() is not None
         assert planar.effective_force() is None
 
+    def test_non_finite_spans_are_path_addressed(self, leg, board):
+        """A control section or an embedded frame that is not finite at a
+        sampled point is a document error at its block, naming the point,
+        not an SVD that does not converge."""
+        doc = dump_spec(leg)
+        doc["controls"]["sections"][0][0] = "1e308*10 - 1e308*10"
+        with pytest.raises(SpecError, match=r"^\$\.controls: span is not finite at \["):
+            load_spec(doc)
+        doc = dump_spec(board)
+        doc["complement"][0][0] = "1e308*10 - 1e308*10"
+        with pytest.raises(SpecError, match=r"^\$\.distribution: span is not finite at \["):
+            load_spec(doc)
+
+    def test_controls_rank_drop_is_path_addressed(self, leg):
+        doc = dump_spec(leg)
+        doc["controls"]["sections"][0] = ["0", "r - r", "0"]
+        with pytest.raises(SpecError, match=r"^\$\.controls: subbundle controls drops rank"):
+            load_spec(doc)
+
+    def test_non_finite_declared_complement_is_named(self, planar):
+        doc = dump_spec(planar)
+        doc["complement"] = [["0", "0", "1e308*10"]]
+        with pytest.raises(SpecError, match="declared complement or metric is not finite"):
+            load_spec(doc)
+
     def test_indefinite_metric_allowed_when_nondegenerate_requested(self):
         doc = {
             "name": "lorentz_like", "parameters": {}, "base": ["x"], "fiber": 2,
@@ -341,10 +366,9 @@ class TestInducedAlgebroid:
             assert np.array_equal(board.structure.anchor(p), B)
 
     def test_spray_evaluation_table_calls(self, board, monkeypatch):
-        """One snakeboard spray evaluation makes 2 expression-table calls:
-        one frame ``value_and_jacobian``, which gives the anchor, the Gram
-        matrix and its derivative, and the brackets, and one call of the
-        constant ambient metric."""
+        """One snakeboard spray evaluation makes 1 expression-table call:
+        the compiled Koszul table gives the anchor, the Gram matrix and the
+        lowered Koszul tensor."""
         from algmech import algebroid, spray_field
 
         field = spray_field(board.structure, board.metric)
@@ -358,7 +382,7 @@ class TestInducedAlgebroid:
 
             monkeypatch.setattr(algebroid._ExprTable, method, counted)
         field(0.0, np.array([0.0, 0.0, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05]))
-        assert sorted(calls) == ["__call__", "value_and_jacobian"]
+        assert calls == ["__call__"]
 
     def test_paired_terms_agree_with_the_generic_path(self, board, unicycle):
         """A structure and a metric from one ``induced_algebroid`` call take
