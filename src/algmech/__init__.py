@@ -5,6 +5,9 @@ and the verification battery for kinematic reduction, decoupling sections and
 Hamilton-Jacobi solutions of nonholonomic control systems.
 """
 
+# Before the submodules: the report documents carry it.
+__version__ = "0.1.0"
+
 from .expr import (
     EvalError,
     Expr,
@@ -89,4 +92,3 @@ from .systems import (
 )
 from .report import christoffel_table, hj_algebraic_check, render_text, run_battery
 
-__version__ = "0.1.0"

@@ -5,8 +5,10 @@ basis.  One assembly, :func:`_koszul`, builds the lowered tensor
 ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` by transposed sums from the
 anchored metric derivatives ``rho(e_A)(G)`` and the lowered structure
 functions ``G(e_A, [e_B, e_C])``.  :func:`christoffel` contracts it with the
-inverse metric; the geodesic spray contracts it with the velocity and makes
-one solve, so it builds no Christoffel tensor.  An algebroid induced on an
+inverse metric, and the evaluator of :func:`christoffel_field` does so at a
+stack of points in one stacked assembly, inversion and contraction; the
+geodesic spray contracts it with the velocity and makes one solve, so it
+builds no Christoffel tensor.  An algebroid induced on an
 embedded distribution hands over those pointwise terms from one frame and
 one ambient evaluation, its brackets lowered without a projection.  For a
 pair whose fields are all expression tables the spray reads the anchor, the
@@ -269,11 +271,16 @@ def _koszul(S: AlgebroidStructure, Gm: BundleMetric, p):
     transposed sums.
     """
     A, G, rhoG, GC = _pointwise(S, Gm, p)
+    return A, G, _assemble(rhoG, GC)
+
+
+def _assemble(rhoG, GC):
+    """``K`` from ``rhoG`` and ``GC`` of :func:`_pointwise`, of one point or
+    stacked along a leading axis."""
     # W[B, C, E] = rho(e_B)(G_CE) + G(e_B, [e_E, e_C]); K adds W with B and C
     # swapped and subtracts rho(e_E)(G_BC) + G(e_E, [e_C, e_B])
-    W = rhoG + GC.transpose(0, 2, 1)
-    K = W + W.transpose(1, 0, 2) - (rhoG - GC).transpose(1, 2, 0)
-    return A, G, K
+    W = rhoG + GC.swapaxes(-1, -2)
+    return W + W.swapaxes(-3, -2) - (rhoG - GC).swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 # --- compiled Koszul table ---------------------------------------------------------
@@ -442,21 +449,50 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     return ChristoffelTensor(gamma, p)
 
 
+def _christoffel_stack(S: AlgebroidStructure, Gm: BundleMetric, points) -> np.ndarray:
+    """The ``(N, m, m, m)`` stack of :func:`christoffel` tensors at a
+    ``(N, n)`` stack of points, bitwise equal to them.
+
+    The pointwise terms are read one point at a time; the Koszul assembly,
+    the inverse metrics and the contraction are one stacked operation each.
+    Where the stack fails, the points are re-run one at a time, so the
+    error is the one :func:`christoffel` raises at the first failing point.
+    """
+    points = [S.check_point(p) for p in points]
+    m, count = S.m, len(points)
+    try:
+        terms = [_pointwise(S, Gm, p) for p in points]
+        G = np.array([t[1] for t in terms]).reshape(count, m, m)
+        K = _assemble(*(np.array([t[i] for t in terms]).reshape(count, m, m, m) for i in (2, 3)))
+        Ginv = np.linalg.inv(G)
+        # Tested before the arithmetic, where a non-finite value would only warn.
+        if np.isfinite(Ginv).all():
+            gamma = 0.5 * (K.reshape(count, m * m, m) @ Ginv.transpose(0, 2, 1))
+            if np.isfinite(gamma).all():
+                return gamma.reshape(count, m, m, m).transpose(0, 3, 1, 2)
+    except Exception:
+        pass
+    return np.array([christoffel(S, Gm, p).gamma for p in points]).reshape(count, m, m, m)
+
+
 def _fixed_coefficients(S: AlgebroidStructure, Gm: BundleMetric) -> bool:
     """True when the connection coefficients do not depend on the point."""
     return (Gm.is_constant and S.constant_structure) or S.n == 0
 
 
 def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
-    """``p -> gamma`` evaluator.
+    """``p -> gamma`` evaluator: the ``(m, m, m)`` tensor at a point ``(n,)``,
+    or the ``(N, m, m, m)`` stack of them at a stack ``(N, n)`` of points,
+    bitwise the tensors of the points one at a time.
 
     When both the metric and the structure functions are coordinate-free the
-    tensor is computed once; otherwise each call computes it at ``p``.
+    tensor is computed once; otherwise each call computes it at ``p``, a
+    stack of points in one stacked assembly and inversion.
     """
     if _fixed_coefficients(S, Gm):
         fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
-        return lambda p: fixed
-    return lambda p: christoffel(S, Gm, p).gamma
+        return lambda p: fixed if np.ndim(p) < 2 else np.broadcast_to(fixed, (len(p), *fixed.shape))
+    return lambda p: christoffel(S, Gm, p).gamma if np.ndim(p) < 2 else _christoffel_stack(S, Gm, p)
 
 
 def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:

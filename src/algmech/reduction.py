@@ -31,7 +31,6 @@ from .geometry import (
     christoffel,
     christoffel_field,
     covariant_derivative,
-    covariant_derivative_along,
     gradient,
     symmetric_product,
 )
@@ -103,7 +102,17 @@ class Projector:
         self.m = metric.m
 
     def p_matrix(self, p, G=None) -> np.ndarray:
-        """The projector onto the span at ``p``; ``G`` is the metric there, when known."""
+        """The projector onto the span at a point ``p``, ``(m, m)``, or the
+        ``(N, m, m)`` stack of them at a stack ``(N, n)`` of points, bitwise
+        the projectors of the points one at a time; ``G`` is the metric
+        there (stacked alike), when known.
+
+        NaN where the span or the metric is not finite, tested before the
+        arithmetic; a degenerate span raises ``ValueError`` naming its point,
+        the first such point of a stack.
+        """
+        if np.ndim(p) == 2:
+            return self._p_stack(p, G)
         B = self.subbundle.matrix(p)
         G = self.metric.matrix(p) if G is None else G
         if not _finite(B, G):
@@ -115,7 +124,31 @@ class Projector:
             raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}") from None
         return B.T @ solved
 
+    def _p_stack(self, points, G=None) -> np.ndarray:
+        """:meth:`p_matrix` at a stack of points: the spans and metrics are
+        read one point at a time, the Gram solve is one stacked solve over
+        the points where both are finite.  Where the stack fails, the points
+        are taken one at a time, so the error is the one the first failing
+        point raises."""
+        count, m = len(points), self.m
+        try:
+            B = np.array([self.subbundle.matrix(p) for p in points])
+            B = B.reshape(count, self.subbundle.rank, m)
+            Gs = np.array([self.metric.matrix(p) for p in points]) if G is None else G
+            Gs = Gs.reshape(count, m, m)
+            finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(Gs).all(axis=(1, 2))
+            B, BG = B[finite], B[finite] @ Gs[finite]
+            out = np.full((count, m, m), np.nan)
+            out[finite] = B.transpose(0, 2, 1) @ np.linalg.solve(BG @ B.transpose(0, 2, 1), BG)
+            return out
+        except Exception:
+            pass
+        Gs = [None] * count if G is None else G
+        return np.array([self.p_matrix(p, Gp) for p, Gp in zip(points, Gs)]).reshape(count, m, m)
+
     def q_matrix(self, p) -> np.ndarray:
+        """The projector onto the metric-orthogonal complement, ``I - P``,
+        at a point or a stack of points (see :meth:`p_matrix`)."""
         return np.eye(self.m) - self.p_matrix(p)
 
     def complement_basis(self, p) -> np.ndarray:
@@ -243,6 +276,26 @@ def _sweep(points, residual_fn):
     return _worst_of((residual_fn(p), np.asarray(p, dtype=float)) for p in np.atleast_2d(points))
 
 
+def _stacked_sweep(points, residuals):
+    """Worst residual and its witness over a point sweep (see :func:`_worst_of`),
+    where ``residuals(ks)`` evaluates its stacked terms (projectors,
+    Christoffel tensors) at the points ``points[ks]`` of an index array in
+    one call each and returns the residuals there, as an array or lazily.
+
+    Where that evaluation raises, the sweep takes one point at a time, as a
+    pointwise sweep does: it stops at its first non-finite residual and
+    raises only at a point it reaches, with the error raised there.
+    """
+    points = np.atleast_2d(points)
+    try:
+        values = residuals(np.arange(len(points)))
+    except Exception:
+        # Whatever was raised: the replay raises it again if, and where, the
+        # pointwise sweep reaches it.
+        values = (r for k in range(len(points)) for r in residuals(np.array([k])))
+    return _worst_of(zip(values, points))
+
+
 def _report(predicate, worst, witness, count, tol, details=None, hypothesis=None,
             route=None) -> VerificationReport:
     """The one verdict rule: the report of ``worst``, found at ``witness``,
@@ -288,6 +341,15 @@ def _outside(Q, vectors) -> float:
     return worst
 
 
+def _outside_each(Q, vectors) -> np.ndarray:
+    """:func:`_outside` of one vector per point over stacks: ``|Q[k] v[k]|``,
+    or NaN where ``v[k]`` is not finite, tested before the product."""
+    finite = np.isfinite(vectors).all(axis=1)
+    out = np.full(len(vectors), np.nan)
+    out[finite] = np.abs((Q[finite] @ vectors[finite][:, :, None])[:, :, 0]).max(axis=1)
+    return out
+
+
 def _products(S, Gm, spans, p, gamma):
     """The symmetric products ``<A : B>`` at ``p`` of every unordered pair of
     ``spans``, squares included."""
@@ -296,10 +358,12 @@ def _products(S, Gm, spans, p, gamma):
 
 
 def _containment(predicate, S, Gm, Dc: Subbundle, points, tol, force, probes, residual,
-                 details=None) -> VerificationReport:
-    """The report of ``predicate`` from the sweep of ``residual(p, Q, gamma)``,
-    where ``Q`` is the complement projector of ``Dc`` at ``p`` and ``gamma``
-    the Christoffel tensor there.
+                 details=None, stacks=()) -> VerificationReport:
+    """The report of ``predicate`` from the sweep of ``residual(p, Q, gamma,
+    *more)``, where ``Q`` is the complement projector of ``Dc`` at ``p``,
+    ``gamma`` the Christoffel tensor there and ``more`` the values there of
+    the ``stacks``, evaluators of a stack of points.  Each is evaluated once
+    for the whole sweep (see :func:`_stacked_sweep`).
 
     A force must lie in ``Dc`` at the zero fiber and at the ``probes``
     sections; where it does not, the predicate's hypothesis fails and the
@@ -308,13 +372,21 @@ def _containment(predicate, S, Gm, Dc: Subbundle, points, tol, force, probes, re
     P = Projector(Dc, Gm)
     points = np.atleast_2d(points)
     if force is not None:
-        worst, witness = _sweep(points, lambda p: _outside(
-            P.q_matrix(p), (force(p, y) for y in [np.zeros(P.m)] + [X(p) for X in probes])))
+        def forced(ks):
+            return (_outside(Q, (force(p, y) for y in [np.zeros(P.m)] + [X(p) for X in probes]))
+                    for p, Q in zip(points[ks], P.q_matrix(points[ks])))
+
+        worst, witness = _stacked_sweep(points, forced)
         if not worst <= tol:
             return _report(predicate, worst, witness, len(points), tol,
                            {"force_complement_residual": worst}, hypothesis=(worst, witness, tol))
     gamma_at = christoffel_field(S, Gm)
-    worst, witness = _sweep(points, lambda p: residual(p, P.q_matrix(p), gamma_at(p)))
+
+    def residuals(ks):
+        xs = points[ks]
+        return map(residual, xs, P.q_matrix(xs), gamma_at(xs), *(f(xs) for f in stacks))
+
+    worst, witness = _stacked_sweep(points, residuals)
     return _report(predicate, worst, witness, len(points), tol, details)
 
 
@@ -409,27 +481,34 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     points = np.atleast_2d(points)
     spans = candidate.sections
 
-    worst, witness = _sweep(
-        points, lambda p: _outside(P.q_matrix(p), _products(S, Gm, spans, p, gamma_at(p))))
+    def algebraic(ks):
+        xs = points[ks]
+        return (_outside(Q, _products(S, Gm, spans, p, gamma))
+                for p, Q, gamma in zip(xs, P.q_matrix(xs), gamma_at(xs)))
+
+    worst, witness = _stacked_sweep(points, algebraic)
     if not math.isfinite(worst):
         return _report("geodesic_invariance", worst, witness, len(points), tol,
                        {"algebraic_residual": worst, "trajectory_tolerance": traj_tol})
 
     rng = np.random.default_rng(seed)
     field_fn = spray_field(S, Gm)
-
-    def trajectory_residuals():
-        for p in points[: min(3, len(points))]:
-            coeffs = rng.uniform(-1.0, 1.0, size=len(spans))
-            y0 = candidate.matrix(p).T @ coeffs
-            scale = max(1.0, float(np.max(np.abs(y0))))
-            traj = integrate(field_fn, TotalPoint(p, y0 / scale), 0.0, horizon, step, chart=chart)
-            for x, y in zip(traj.base, traj.fiber):
-                yield _outside(P.q_matrix(x), (y,)), x
-
-    emp_worst, emp_witness = _worst_of(trajectory_residuals())
+    trajectories = []
+    for p in points[: min(3, len(points))]:
+        coeffs = rng.uniform(-1.0, 1.0, size=len(spans))
+        y0 = candidate.matrix(p).T @ coeffs
+        scale = max(1.0, float(np.max(np.abs(y0))))
+        trajectories.append(
+            integrate(field_fn, TotalPoint(p, y0 / scale), 0.0, horizon, step, chart=chart))
+    # Every sample of the trajectories, in order, projected in one stack.
+    base = np.concatenate([np.zeros((0, S.n))] + [traj.base for traj in trajectories])
+    fiber = np.concatenate([np.zeros((0, S.m))] + [traj.fiber for traj in trajectories])
+    emp_worst, emp_witness = _stacked_sweep(
+        base, lambda ks: _outside_each(P.q_matrix(base[ks]), fiber[ks]))
+    reasons = [traj.reason for traj in trajectories if traj.truncated]
     details = {"algebraic_residual": worst, "trajectory_residual": emp_worst,
-               "trajectory_tolerance": traj_tol}
+               "trajectory_tolerance": traj_tol, "trajectories": len(trajectories),
+               "truncated": len(reasons), "truncation_reasons": reasons}
     return _report("geodesic_invariance", worst, witness, len(points), tol, details,
                    route=(emp_worst, emp_witness, traj_tol))
 
@@ -444,14 +523,14 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
     """
     if force is not None:
         raise ValueError("maximal reducibility requires a force-free system")
-    Pd = Projector(candidate, Gm)
 
-    def residual(p, Qc, gamma):
+    def residual(p, Qc, gamma, Qd):
         inside = _outside(Qc, chain((X(p) for X in candidate.sections),
                                     _products(S, Gm, Dc.sections, p, gamma)))
-        return _max(inside, _outside(Pd.q_matrix(p), (Y(p) for Y in Dc.sections)))
+        return _max(inside, _outside(Qd, (Y(p) for Y in Dc.sections)))
 
-    return _containment("maximal_reducibility", S, Gm, Dc, points, tol, None, (), residual)
+    return _containment("maximal_reducibility", S, Gm, Dc, points, tol, None, (), residual,
+                        stacks=(Projector(candidate, Gm).q_matrix,))
 
 
 # --- Hamilton-Jacobi ---------------------------------------------------------
@@ -525,22 +604,29 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     p0 = S.check_point(p0)
     sigma = base_flow(S, X, p0, 0.0, horizon, step, chart=chart)
     gamma_traj = lift(X, sigma)
-    gamma_at = christoffel_field(S, Gm)
-    gammas = [gamma_at(x) for x in gamma_traj.base]
+    base, fiber, times = gamma_traj.base, gamma_traj.fiber, gamma_traj.times
+    gammas = christoffel_field(S, Gm)(base)
+    m, count = S.m, len(gamma_traj)
+    finite = np.isfinite(fiber).all(axis=1)
+    q_at = ((lambda xs: np.broadcast_to(np.eye(m), (len(xs), m, m))) if Dc is None
+            else Projector(Dc, Gm).q_matrix)
 
-    q_at = (lambda x: np.eye(S.m)) if Dc is None else Projector(Dc, Gm).q_matrix
-    count = len(gamma_traj)
+    def residuals(ks):
+        # The interior samples ks + 1, stacked: covariant_derivative_along of
+        # the lifted curve plus the metric gradient, projected on the
+        # complement of the controls.  A non-finite neighbourhood is NaN,
+        # before the difference.
+        k = ks + 1
+        x, ok = base[k], finite[k - 1] & finite[k] & finite[k + 1]
+        j = k[ok]
+        value = np.full((len(k), m), np.nan)
+        value[ok] = ((fiber[j + 1] - fiber[j - 1]) / (times[j + 1] - times[j - 1])[:, None]
+                     + np.einsum("ncab,na,nb->nc", gammas[j], fiber[j], fiber[j]))
+        if V is not None:
+            value = value + _gradients(S, Gm, V, x)
+        return _outside_each(q_at(x), value)
 
-    def residuals():
-        for k in range(1, count - 1):
-            x = gamma_traj.base[k]
-            value = covariant_derivative_along(S, Gm, gamma_traj, gamma_traj.fiber,
-                                               gamma_traj.times[k], gamma=gammas[k])
-            if V is not None:
-                value = value + gradient(S, Gm, V, x)
-            yield _outside(q_at(x), (value,)), x
-
-    worst, witness = _worst_of(residuals())
+    worst, witness = _stacked_sweep(base[1:count - 1], residuals)
     worst = _max(worst, 0.0)  # 0 when there is no interior sample
 
     stride = max(1, count // 16)
@@ -550,10 +636,28 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
 
     details = {"closedness_residual": closedness, "horizon": horizon,
                "truncated": gamma_traj.truncated}
+    if gamma_traj.truncated:
+        details["truncation_reason"] = gamma_traj.reason
     # The equivalence theorem assumes closedness; without it the measured
     # residual says nothing about the Hamilton-Jacobi equation.
     return _report("hj_trajectory_equivalence", worst, witness, count, tol, details,
                    hypothesis=(closedness, closed_witness, DEFAULT_ALGEBRAIC_TOL))
+
+
+def _gradients(S, Gm, V, points) -> np.ndarray:
+    """:func:`geometry.gradient` at each point of a ``(N, n)`` stack, bitwise:
+    the differentials and metrics are read one point at a time, the metrics
+    inverted in one stacked inversion.  Where the stack fails the points are
+    taken one at a time, so the error is the one ``gradient`` raises first."""
+    count, m = len(points), S.m
+    try:
+        dV = np.array([d_function(S, V, x) for x in points]).reshape(count, m, 1)
+        Ginv = np.linalg.inv(np.array([Gm.matrix(x) for x in points]).reshape(count, m, m))
+        if np.isfinite(Ginv).all():
+            return (Ginv @ dV)[:, :, 0]
+    except Exception:
+        pass
+    return np.array([gradient(S, Gm, V, x) for x in points]).reshape(count, m)
 
 
 def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:

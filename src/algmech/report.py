@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import __version__
 from .algebroid import lie_closure_rank
 from .geometry import christoffel
 from .reduction import (
@@ -155,7 +156,8 @@ def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
                 horizon: float = 1.0, traj_step: float = 1e-2, depth: int = 3) -> dict:
     """Run every registry check that applies to the system and aggregate.
 
-    Returns a JSON-serializable document embedding the seed and tolerances.
+    Returns a JSON-serializable document embedding the package version, the
+    seed and the tolerances.
     """
     points = sysdef.sample(samples, seed)
     options = {"tol": tol, "traj_tol": traj_tol, "seed": seed,
@@ -164,6 +166,7 @@ def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
               for entry in check_entries(name, sysdef, points, options)]
     return {
         "system": sysdef.name,
+        "version": __version__,
         "parameters": sysdef.params,
         "seed": seed,
         "samples": samples,
@@ -190,8 +193,8 @@ def check_line(check: dict) -> str:
 
 def render_text(report: dict) -> str:
     """Human-readable summary of a battery report."""
-    lines = [f"system: {report['system']}  "
-             f"params: {report['parameters']}  seed: {report['seed']}"]
+    lines = [f"system: {report['system']}  params: {report['parameters']}  "
+             f"seed: {report['seed']}  version: {report['version']}"]
     lines.append(f"tolerances: algebraic {report['tolerances']['algebraic']:g}, "
                  f"trajectory {report['tolerances']['trajectory']:g}")
     table = report.get("christoffel", {})

@@ -190,27 +190,30 @@ class SystemDefinition:
         when omitted): sampled, not proofs."""
         if points is None:
             points = self.sample(_VALIDATE_SAMPLES)
+        embedded = self.mode == "embedded"
+        metric_path = "$.ambient.metric" if embedded else "$.metric"
         check = self.document.get("metric_check", "definite")
         if check not in ("definite", "nondegenerate"):
-            raise SpecError(f"{self.name}.metric_check", f"unknown mode {check!r}")
-        if check == "definite":
-            if not self.metric.positive_definite_on(points):
-                raise SpecError(f"{self.name}.metric",
-                                "not positive definite at a sampled point")
-        else:
-            for p in points:
-                self.metric.inverse(p)  # raises when singular
+            raise SpecError("$.metric_check", f"unknown mode {check!r}")
+        with _at(metric_path):
+            if check == "definite":
+                if not self.metric.positive_definite_on(points):
+                    raise SpecError(metric_path, "not positive definite at a sampled point")
+            else:
+                for p in points:
+                    self.metric.inverse(p)  # raises when singular
         if self.controls is not None:
             with _at("$.controls"):
                 self.controls.validate_rank(points)
             if self.declared_complement:
+                complement_path = "$.control_complement" if embedded else "$.complement"
                 residual = Projector(self.controls, self.metric).declared_complement_residual(
                     self.declared_complement, points)
                 if math.isnan(residual):
-                    raise SpecError(f"{self.name}.complement", "declared complement or metric "
+                    raise SpecError(complement_path, "declared complement or metric "
                                     "is not finite at a sampled point")
                 if not residual <= tol:
-                    raise SpecError(f"{self.name}.complement",
+                    raise SpecError(complement_path,
                                     f"declared complement is not orthogonal to the controls "
                                     f"(worst residual {residual:.3e})")
         if self.embedded is not None:
@@ -219,7 +222,7 @@ class SystemDefinition:
             with _at("$.distribution"):
                 dropped = _span_ranks(rows, points) != min(rows.shape[1], self.n)
             if np.any(dropped):
-                raise SpecError(f"{self.name}.distribution",
+                raise SpecError("$.distribution",
                                 f"embedded frame drops rank at {points[np.argmax(dropped)]}")
 
 

@@ -421,6 +421,18 @@ class TestReportModule:
         assert v["decoupling:Y2"] == "pass"
         assert v["maximal_reducibility"] == "fail"
 
+    def test_documents_carry_the_version(self, planar, capsys):
+        import algmech
+
+        doc = run_battery(planar, samples=4)
+        assert doc["version"] == algmech.__version__
+        header = render_text(doc).splitlines()[0]
+        assert header.startswith("system: planar_body ")
+        assert header.endswith(f"  version: {algmech.__version__}")
+        code, out, _ = run(capsys, "report", "--system", "planar_body", "--samples", "4",
+                           "--format", "json")
+        assert code == 1 and json.loads(out)["version"] == algmech.__version__
+
     def test_document_is_json_serializable(self, leg):
         doc = run_battery(leg, samples=6)
         json.dumps(doc)

@@ -234,6 +234,29 @@ class TestChristoffel:
                 assert np.max(np.abs(tensor.antisymmetric_part()
                                      - sysd.structure.structure(p))) < 1e-4
 
+    def test_stacked_evaluator_is_the_per_point_one(self, all_builtins, unicycle):
+        """A stack of points gives the per-point tensors bitwise: one stacked
+        Koszul assembly, inversion and contraction."""
+        for sysd in all_builtins + [unicycle]:
+            S, Gm = sysd.structure, sysd.metric
+            points = sysd.sample(200, seed=6)
+            stacked = christoffel_field(S, Gm)(points)
+            assert stacked.shape == (200,) + (sysd.m,) * 3
+            for p, gamma in zip(points, stacked):
+                assert np.array_equal(gamma, christoffel(S, Gm, p).gamma), sysd.name
+
+    def test_stacked_evaluator_raises_at_the_first_failing_point(self):
+        """The metric is singular at x = 0 and x = 2: a stack fails as the
+        per-point calls do, at the first of them in the stack."""
+        S = AlgebroidStructure.from_exprs(("x",), 2, [["1"], ["0"]], {})
+        Gm = BundleMetric.from_exprs([["1", "0"], ["0", "x*(x - 2)"]], ("x",))
+        at = christoffel_field(S, Gm)
+        assert at(np.array([[1.0], [-1.0]])).shape == (2, 2, 2, 2)
+        with pytest.raises(SingularMetricError, match=r"metric is singular at \[2\.\]"):
+            at(np.array([[1.0], [2.0], [-1.0], [0.0]]))
+        with pytest.raises(SingularMetricError, match=r"metric is singular at \[0\.\]"):
+            at(np.array([[0.0], [2.0]]))
+
     def test_constant_field_shortcut_matches_direct(self, planar):
         at = christoffel_field(planar.structure, planar.metric)
         p = np.array([2.0, -3.0, 0.9])

@@ -8,11 +8,13 @@ from algmech import (
     Subbundle,
     VerificationReport,
     covariant_derivative,
+    dump_spec,
     geodesic_invariance_check,
     hj_residual,
     hj_trajectory_equivalence,
     is_decoupling,
     kinematic_reduction_check,
+    load_spec,
     maximal_reducibility_check,
     reparam_admissible,
     symmetric_closure,
@@ -94,6 +96,187 @@ class TestProjector:
         G = board.metric.matrix(p)
         assert rows.shape == (1, 3)
         assert rows[0] @ G @ rows[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def pointwise_worst(residuals, points):
+    """The worst residual and its witness of a per-point pass, which stops at
+    its first non-finite residual."""
+    worst, witness = -1.0, None
+    for value, p in zip(residuals, points):
+        if not np.isfinite(value):
+            return value, p
+        if value > worst:
+            worst, witness = value, p
+    return worst, witness
+
+
+def outside(Q, v):
+    return float(np.max(np.abs(Q @ v))) if np.isfinite(v).all() else np.nan
+
+
+class TestStackedPasses:
+    """A stack ``(N, n)`` of points gives the per-point projectors, and the
+    passes that read them give the per-point residuals, bitwise; a stack
+    fails where the per-point calls fail, and a sweep only at a point that
+    the per-point sweep reaches."""
+
+    def test_stacked_projectors_are_the_per_point_ones(self, all_builtins, unicycle):
+        for sysd in all_builtins + [unicycle]:
+            span = sysd.controls or Subbundle((Section.basis(0, sysd.m),))
+            P = Projector(span, sysd.metric)
+            points = sysd.sample(200, seed=4)
+            Q, Pm = P.q_matrix(points), P.p_matrix(points)
+            assert Q.shape == Pm.shape == (200, sysd.m, sysd.m)
+            G = np.array([sysd.metric.matrix(p) for p in points])
+            assert np.array_equal(P.p_matrix(points, G), Pm)
+            for p, Qp, Pp in zip(points, Q, Pm):
+                assert np.array_equal(Qp, P.q_matrix(p)), sysd.name
+                assert np.array_equal(Pp, P.p_matrix(p)), sysd.name
+
+    def test_empty_stack(self, planar):
+        P = Projector(planar.controls, planar.metric)
+        assert P.q_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
+
+    def test_non_finite_points_give_nan_rows_without_a_warning(self, planar):
+        import warnings
+
+        X = Section(lambda x: np.full(3, np.inf) if x[0] > 0 else np.array([1.0, 0.0, 0.0]), 3)
+        P = Projector(Subbundle((X, basis(1))), planar.metric)
+        points = planar.sample(8, seed=0)
+        assert (points[:, 0] > 0).any() and (points[:, 0] <= 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = P.q_matrix(points)
+        for p, Qp in zip(points, Q):
+            if p[0] > 0:
+                assert np.isnan(Qp).all()
+            else:
+                assert np.array_equal(Qp, P.q_matrix(p))
+
+    @staticmethod
+    def degenerate_span(points, k, nan_at=None):
+        """A one-section span that is zero at ``points[k]``, NaN at
+        ``points[nan_at]`` and ``e1`` elsewhere."""
+        def value(x):
+            if np.array_equal(x, points[k]):
+                return np.zeros(3)
+            if nan_at is not None and np.array_equal(x, points[nan_at]):
+                return np.full(3, np.nan)
+            return np.array([1.0, 0.0, 0.0])
+
+        return Subbundle((Section(value, 3),))
+
+    def test_degenerate_span_raises_at_its_point(self, planar):
+        import re
+
+        points = planar.sample(6, seed=3)
+        message = re.escape(f"subbundle span is degenerate at {points[3]}")
+        P = Projector(self.degenerate_span(points, 3, nan_at=1), planar.metric)
+        with pytest.raises(ValueError, match=message):
+            P.q_matrix(points)
+        # The per-point sweep reaches the degenerate point and raises there.
+        Dc = self.degenerate_span(points, 3)
+        with pytest.raises(ValueError, match=message):
+            is_decoupling(planar.structure, planar.metric, Dc, basis(0), points)
+
+    def test_earlier_nan_stops_the_sweep_first(self, planar):
+        """The per-point sweep stops at the NaN point and never reaches the
+        degenerate one; so does the stacked sweep."""
+        points = planar.sample(6, seed=3)
+        Dc = self.degenerate_span(points, 3, nan_at=1)
+        assert_non_finite(is_decoupling(planar.structure, planar.metric, Dc, basis(0), points),
+                          points[1])
+        assert_non_finite(kinematic_reduction_check(planar.structure, planar.metric, Dc,
+                                                    Subbundle((basis(0),)), points), points[1])
+        rep = geodesic_invariance_check(planar.structure, planar.metric, Dc, points)
+        assert_non_finite(rep, points[1])
+        assert "trajectories" not in rep.details
+
+    def test_geodesic_route_is_the_per_point_one(self, planar, leg, board):
+        """The trajectory route integrates its geodesics, with the seeded
+        draws in trajectory order, and projects all their samples at once:
+        its residual and witness are those of the per-point pass."""
+        from algmech import TotalPoint, integrate, spray_field
+
+        for sysd in (planar, leg, board):
+            S, Gm, span = sysd.structure, sysd.metric, sysd.controls
+            points = sysd.sample(5, seed=2)
+            rep = geodesic_invariance_check(S, Gm, span, points, seed=7)
+            rng, P = np.random.default_rng(7), Projector(span, Gm)
+            residuals, where = [], []
+            for p in points[:3]:
+                y0 = span.matrix(p).T @ rng.uniform(-1.0, 1.0, size=span.rank)
+                y0 = y0 / max(1.0, float(np.max(np.abs(y0))))
+                traj = integrate(spray_field(S, Gm), TotalPoint(p, y0), 0.0, 1.0, 1e-2)
+                residuals += [outside(P.q_matrix(x), y) for x, y in zip(traj.base, traj.fiber)]
+                where += list(traj.base)
+            worst, _ = pointwise_worst(residuals, where)
+            assert rep.details["trajectory_residual"] == worst, sysd.name
+            assert rep.details["trajectories"] == 3
+
+    def test_hj_route_is_the_per_point_one(self, planar, leg, board):
+        """The stacked difference, Christoffel contraction, metric gradient
+        and projection give the per-point residuals, with a potential too."""
+        from algmech import base_flow, covariant_derivative_along, gradient, lift
+
+        doc = dump_spec(planar)
+        doc["potential"] = "0.1*x^2 + cos(theta)"
+        with_potential = load_spec(doc)
+        cases = [(planar, "gY1"), (planar, "xY1"), (with_potential, "gY2"), (leg, "fY1"),
+                 (board, "psiX3"), (board, "xX2")]
+        for sysd, name in cases:
+            S, Gm, V, Dc, X = (sysd.structure, sysd.metric, sysd.potential, sysd.controls,
+                               sysd.candidates[name])
+            p0 = sysd.sample(3, seed=5)[1]
+            rep = hj_trajectory_equivalence(S, Gm, V, Dc, X, p0, 1.0, 1e-2)
+            traj = lift(X, base_flow(S, X, p0, 0.0, 1.0, 1e-2))
+            P = Projector(Dc, Gm)
+            residuals = []
+            for k in range(1, len(traj) - 1):
+                x = traj.base[k]
+                value = covariant_derivative_along(S, Gm, traj, traj.fiber, traj.times[k])
+                if V is not None:
+                    value = value + gradient(S, Gm, V, x)
+                residuals.append(outside(P.q_matrix(x), value))
+            worst, _ = pointwise_worst(residuals, traj.base[1:-1])
+            assert rep.worst_residual == worst, (sysd.name, name)
+
+
+class TestTruncationDetails:
+    """Trajectory checks say how many trajectories they integrated and why
+    any was cut short; the verdict rule does not read it."""
+
+    def test_geodesic_invariance_counts_truncations(self):
+        from algmech import AlgebroidStructure, BundleMetric
+
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        # The metric turns NaN once a geodesic leaves |x| < 0.25.
+        Gm = BundleMetric(lambda x: np.array([[1.0 if abs(x[0]) < 0.25 else np.nan]]), 1)
+        rep = geodesic_invariance_check(S, Gm, Subbundle((Section.basis(0, 1),)),
+                                        np.zeros((2, 1)), horizon=5.0, step=0.05)
+        assert rep.details["trajectories"] == 2
+        assert rep.details["truncated"] == 2
+        reasons = rep.details["truncation_reasons"]
+        assert len(reasons) == 2 and all(reasons)
+        assert rep.verdict == "pass"
+
+    def test_complete_geodesics_report_none(self, leg):
+        rep = geodesic_invariance_check(leg.structure, leg.metric, leg.controls,
+                                        leg.sample(4, seed=0))
+        assert (rep.details["trajectories"], rep.details["truncated"]) == (3, 0)
+        assert rep.details["truncation_reasons"] == []
+
+    def test_hj_trajectory_names_its_truncation(self, planar):
+        from algmech import ChartDomain
+
+        chart = ChartDomain(np.full(3, -0.1), np.full(3, 0.1))
+        args = (planar.structure, planar.metric, None, planar.controls, basis(0), np.zeros(3),
+                1.0, 1e-2)
+        rep = hj_trajectory_equivalence(*args, chart=chart)
+        assert rep.details["truncated"]
+        assert rep.details["truncation_reason"] == "left the chart domain"
+        rep = hj_trajectory_equivalence(*args)
+        assert not rep.details["truncated"] and "truncation_reason" not in rep.details
 
 
 class TestVerificationReport:

@@ -241,6 +241,42 @@ class TestLoader:
         with pytest.raises(SpecError, match="declared complement or metric is not finite"):
             load_spec(doc)
 
+    # The sampled load-time checks of SystemDefinition.validate, each with a
+    # fault and the document path it is reported under.
+    VALIDATION_FAULTS = [
+        ("planar_body", ("complement",), [["1", "0", "1"]],
+         r"^\$\.complement: declared complement is not orthogonal"),
+        ("snakeboard", ("control_complement",), [["1", "1", "0"]],
+         r"^\$\.control_complement: declared complement is not orthogonal"),
+        ("snakeboard", ("control_complement",), [["1e308*10", "0", "0"]],
+         r"^\$\.control_complement: declared complement or metric is not finite"),
+        ("planar_body", ("metric", 2), ["0", "0", "-1"],
+         r"^\$\.metric: not positive definite"),
+        ("snakeboard", ("ambient", "metric", 4), ["0", "0", "0", "0", "-2*Jw"],
+         r"^\$\.ambient\.metric: not positive definite"),
+        ("planar_body", ("metric_check",), "bogus", r"^\$\.metric_check: unknown mode 'bogus'"),
+        ("snakeboard", ("complement", 0), ["0", "0", "0", "0", "1"],
+         r"^\$\.distribution: embedded frame drops rank at \["),
+    ]
+
+    @pytest.mark.parametrize("system, where, value, message", VALIDATION_FAULTS,
+                             ids=[f"{f[0]}:{'.'.join(map(str, f[1]))}" for f in VALIDATION_FAULTS])
+    def test_validation_faults_name_document_paths(self, system, where, value, message):
+        doc = dump_spec(builtin(system))
+        block = doc
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = value
+        with pytest.raises(SpecError, match=message):
+            load_spec(doc)
+
+    def test_singular_metric_names_the_metric_block(self):
+        doc = {"name": "degenerate", "base": ["x"], "fiber": 2, "mode": "intrinsic",
+               "anchor": [["1"], ["0"]], "metric": [["1", "0"], ["0", "0"]],
+               "metric_check": "nondegenerate", "chart": {"box": {"x": [-1.0, 1.0]}}}
+        with pytest.raises(SpecError, match=r"^\$\.metric: metric is singular at \["):
+            load_spec(doc)
+
     def test_indefinite_metric_allowed_when_nondegenerate_requested(self):
         doc = {
             "name": "lorentz_like", "parameters": {}, "base": ["x"], "fiber": 2,
