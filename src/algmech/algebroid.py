@@ -448,11 +448,20 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"time {t} is not a trajectory sample")
-        return k
+    def index_of(self, t):
+        """The index of the sample nearest to a time ``t``, or the array of
+        them for an array of times; ``ValueError`` for a time farther than
+        ``1e-9`` (absolute and relative) from every sample."""
+        t = np.asarray(t, dtype=float)
+        order = np.argsort(self.times, kind="stable")
+        ordered = self.times[order]
+        hi = np.minimum(np.searchsorted(ordered, t), ordered.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        k = order[np.where(np.abs(ordered[lo] - t) <= np.abs(ordered[hi] - t), lo, hi)]
+        far = np.abs(self.times[k] - t) > 1e-9 + 1e-9 * np.abs(t)
+        if far.any():
+            raise ValueError(f"time {float(t[far].flat[0])} is not a trajectory sample")
+        return int(k) if k.ndim == 0 else k
 
     def to_csv(self, path) -> None:
         """Write ``t,x1..xn,y1..ym`` rows with 17 significant digits."""

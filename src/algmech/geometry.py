@@ -518,27 +518,36 @@ def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
 
 
 def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.ndarray:
-    """Covariant derivative of a section-along-curve at sample time ``t``.
+    """Covariant derivative of a section-along-curve at sample time ``t``,
+    ``(m,)``, or at each time of an array of sample times, ``(N, m)``.
 
     ``W`` is either an ``(N, m)`` array of fiber samples aligned with the
     trajectory or a section to evaluate along the base curve.  The time
-    derivative is a central difference over neighbouring samples, so ``t``
-    must be an interior sample time.  ``gamma`` is the Christoffel tensor at
-    that sample, computed when omitted.
+    derivative is a central difference over neighbouring samples, so every
+    ``t`` must be an interior sample time.  ``gamma`` is the Christoffel
+    tensor at that sample, or their stack at those samples, computed by
+    :func:`christoffel_field` when omitted.  NaN where ``W`` at the sample
+    or a neighbour, or the fiber at the sample, is not finite, tested
+    before the difference.
     """
     if traj.fiber is None:
         raise ValueError("trajectory carries no fiber samples")
     if isinstance(W, Section):
         W = np.array([W(x) for x in traj.base])
     W = np.asarray(W, dtype=float)
-    k = traj.index_of(t)
-    if k == 0 or k == len(traj) - 1:
+    k = np.atleast_1d(traj.index_of(t))
+    if ((k == 0) | (k == len(traj) - 1)).any():
         raise ValueError("t must be an interior sample")
-    dt = traj.times[k + 1] - traj.times[k - 1]
-    dW = (W[k + 1] - W[k - 1]) / dt
     if gamma is None:
-        gamma = christoffel(S, Gm, traj.base[k]).gamma
-    return dW + np.einsum("cab,a,b->c", gamma, traj.fiber[k], W[k])
+        gamma = christoffel_field(S, Gm)(traj.base[k])
+    gamma = np.reshape(gamma, (len(k), *np.shape(gamma)[-3:]))
+    finite = np.isfinite(W).all(axis=1)
+    ok = finite[k - 1] & finite[k] & finite[k + 1] & np.isfinite(traj.fiber[k]).all(axis=1)
+    j = k[ok]
+    out = np.full((len(k), W.shape[1]), np.nan)
+    out[ok] = ((W[j + 1] - W[j - 1]) / (traj.times[j + 1] - traj.times[j - 1])[:, None]
+               + np.einsum("ncab,na,nb->nc", gamma[ok], traj.fiber[j], W[j]))
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def symmetric_product(S, Gm, X: Section, Y: Section, p, gamma=None) -> np.ndarray:

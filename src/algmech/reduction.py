@@ -31,6 +31,7 @@ from .geometry import (
     christoffel,
     christoffel_field,
     covariant_derivative,
+    covariant_derivative_along,
     gradient,
     symmetric_product,
 )
@@ -104,15 +105,17 @@ class Projector:
     def p_matrix(self, p, G=None) -> np.ndarray:
         """The projector onto the span at a point ``p``, ``(m, m)``, or the
         ``(N, m, m)`` stack of them at a stack ``(N, n)`` of points, bitwise
-        the projectors of the points one at a time; ``G`` is the metric
-        there (stacked alike), when known.
+        the projectors of the points one at a time; ``G`` is the metric at
+        a single point, when known.
 
         NaN where the span or the metric is not finite, tested before the
         arithmetic; a degenerate span raises ``ValueError`` naming its point,
         the first such point of a stack.
         """
         if np.ndim(p) == 2:
-            return self._p_stack(p, G)
+            if G is not None:
+                raise ValueError("a stack of points reads its own metrics; pass no G")
+            return self._p_stack(p)
         B = self.subbundle.matrix(p)
         G = self.metric.matrix(p) if G is None else G
         if not _finite(B, G):
@@ -124,7 +127,7 @@ class Projector:
             raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}") from None
         return B.T @ solved
 
-    def _p_stack(self, points, G=None) -> np.ndarray:
+    def _p_stack(self, points) -> np.ndarray:
         """:meth:`p_matrix` at a stack of points: the spans and metrics are
         read one point at a time, the Gram solve is one stacked solve over
         the points where both are finite.  Where the stack fails, the points
@@ -134,8 +137,7 @@ class Projector:
         try:
             B = np.array([self.subbundle.matrix(p) for p in points])
             B = B.reshape(count, self.subbundle.rank, m)
-            Gs = np.array([self.metric.matrix(p) for p in points]) if G is None else G
-            Gs = Gs.reshape(count, m, m)
+            Gs = np.array([self.metric.matrix(p) for p in points]).reshape(count, m, m)
             finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(Gs).all(axis=(1, 2))
             B, BG = B[finite], B[finite] @ Gs[finite]
             out = np.full((count, m, m), np.nan)
@@ -143,8 +145,7 @@ class Projector:
             return out
         except Exception:
             pass
-        Gs = [None] * count if G is None else G
-        return np.array([self.p_matrix(p, Gp) for p, Gp in zip(points, Gs)]).reshape(count, m, m)
+        return np.array([self.p_matrix(p) for p in points]).reshape(count, m, m)
 
     def q_matrix(self, p) -> np.ndarray:
         """The projector onto the metric-orthogonal complement, ``I - P``,
@@ -271,22 +272,19 @@ def _worst_of(pairs):
     return worst, witness
 
 
-def _sweep(points, residual_fn):
-    """Worst residual and its witness over a point sweep (see :func:`_worst_of`)."""
-    return _worst_of((residual_fn(p), np.asarray(p, dtype=float)) for p in np.atleast_2d(points))
-
-
 def _stacked_sweep(points, residuals):
     """Worst residual and its witness over a point sweep (see :func:`_worst_of`),
     where ``residuals(ks)`` evaluates its stacked terms (projectors,
     Christoffel tensors) at the points ``points[ks]`` of an index array in
-    one call each and returns the residuals there, as an array or lazily.
+    one call each and returns the residuals there, as an array or lazily;
+    a sweep with no stacked terms returns a generator of its per-point
+    residuals.
 
     Where that evaluation raises, the sweep takes one point at a time, as a
     pointwise sweep does: it stops at its first non-finite residual and
     raises only at a point it reaches, with the error raised there.
     """
-    points = np.atleast_2d(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     try:
         values = residuals(np.arange(len(points)))
     except Exception:
@@ -580,7 +578,7 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
         closedness.append(closed)
         return hj
 
-    worst, witness = _sweep(points, residual)
+    worst, witness = _stacked_sweep(points, lambda ks: (residual(p) for p in points[ks]))
     details = {"closedness_residual": reduce(_max, closedness, 0.0),
                "section": getattr(X, "label", "")}
     if Dc is None:
@@ -607,23 +605,18 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     base, fiber, times = gamma_traj.base, gamma_traj.fiber, gamma_traj.times
     gammas = christoffel_field(S, Gm)(base)
     m, count = S.m, len(gamma_traj)
-    finite = np.isfinite(fiber).all(axis=1)
     q_at = ((lambda xs: np.broadcast_to(np.eye(m), (len(xs), m, m))) if Dc is None
             else Projector(Dc, Gm).q_matrix)
 
     def residuals(ks):
-        # The interior samples ks + 1, stacked: covariant_derivative_along of
+        # The interior samples ks + 1, stacked: the covariant derivative of
         # the lifted curve plus the metric gradient, projected on the
-        # complement of the controls.  A non-finite neighbourhood is NaN,
-        # before the difference.
+        # complement of the controls.
         k = ks + 1
-        x, ok = base[k], finite[k - 1] & finite[k] & finite[k + 1]
-        j = k[ok]
-        value = np.full((len(k), m), np.nan)
-        value[ok] = ((fiber[j + 1] - fiber[j - 1]) / (times[j + 1] - times[j - 1])[:, None]
-                     + np.einsum("ncab,na,nb->nc", gammas[j], fiber[j], fiber[j]))
+        x = base[k]
+        value = covariant_derivative_along(S, Gm, gamma_traj, fiber, times[k], gamma=gammas[k])
         if V is not None:
-            value = value + _gradients(S, Gm, V, x)
+            value = value + np.array([gradient(S, Gm, V, xi) for xi in x]).reshape(len(x), m)
         return _outside_each(q_at(x), value)
 
     worst, witness = _stacked_sweep(base[1:count - 1], residuals)
@@ -644,22 +637,6 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
                    hypothesis=(closedness, closed_witness, DEFAULT_ALGEBRAIC_TOL))
 
 
-def _gradients(S, Gm, V, points) -> np.ndarray:
-    """:func:`geometry.gradient` at each point of a ``(N, n)`` stack, bitwise:
-    the differentials and metrics are read one point at a time, the metrics
-    inverted in one stacked inversion.  Where the stack fails the points are
-    taken one at a time, so the error is the one ``gradient`` raises first."""
-    count, m = len(points), S.m
-    try:
-        dV = np.array([d_function(S, V, x) for x in points]).reshape(count, m, 1)
-        Ginv = np.linalg.inv(np.array([Gm.matrix(x) for x in points]).reshape(count, m, m))
-        if np.isfinite(Ginv).all():
-            return (Ginv @ dV)[:, :, 0]
-    except Exception:
-        pass
-    return np.array([gradient(S, Gm, V, x) for x in points]).reshape(count, m)
-
-
 def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
     """Reparametrization admissibility: the factor must be annihilated by every
     anchored complement direction."""
@@ -671,5 +648,5 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
         rho_f = d_function(S, fn, p)
         return reduce(_max, (abs(float(y @ rho_f)) for y in P.complement_basis(p)), 0.0)
 
-    worst, witness = _sweep(points, residual)
+    worst, witness = _stacked_sweep(points, lambda ks: (residual(p) for p in points[ks]))
     return _report("reparam_admissible", worst, witness, len(points), tol)

@@ -193,8 +193,10 @@ def check_line(check: dict) -> str:
 
 def render_text(report: dict) -> str:
     """Human-readable summary of a battery report."""
-    lines = [f"system: {report['system']}  params: {report['parameters']}  "
-             f"seed: {report['seed']}  version: {report['version']}"]
+    header = f"system: {report['system']}  params: {report['parameters']}  seed: {report['seed']}"
+    if report.get("version") is not None:
+        header += f"  version: {report['version']}"
+    lines = [header]
     lines.append(f"tolerances: algebraic {report['tolerances']['algebraic']:g}, "
                  f"trajectory {report['tolerances']['trajectory']:g}")
     table = report.get("christoffel", {})

@@ -433,6 +433,15 @@ class TestReportModule:
                            "--format", "json")
         assert code == 1 and json.loads(out)["version"] == algmech.__version__
 
+    def test_document_without_a_version_renders(self, planar):
+        """A document made before the version key still renders, with no
+        version on its header line."""
+        doc = run_battery(planar, samples=4)
+        del doc["version"]
+        lines = render_text(doc).splitlines()
+        assert lines[0].endswith(f"seed: {doc['seed']}")
+        assert "version" not in lines[0]
+
     def test_document_is_json_serializable(self, leg):
         doc = run_battery(leg, samples=6)
         json.dumps(doc)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,43 @@ class TestCovariantDerivativeAlong:
         for k in range(1, len(traj) - 1, 101):
             value = covariant_derivative_along(S, Gm, traj, traj.fiber, traj.times[k])
             assert np.max(np.abs(P.q_matrix(traj.base[k]) @ value)) < 1e-3
+
+    def test_array_of_times_stacks_the_per_time_values(self, planar, leg):
+        """An array of sample times gives the ``(N, m)`` stack of the values
+        at each time, bitwise, with the Christoffel tensors passed or not."""
+        for sysd in (planar, leg):
+            S, Gm = sysd.structure, sysd.metric
+            traj = integrate(spray_field(S, Gm), TotalPoint(sysd.sample(1, seed=3)[0],
+                                                            [0.3, -0.2, 0.1]), 0.0, 0.5, 1e-2)
+            times = traj.times[1:-1]
+            out = covariant_derivative_along(S, Gm, traj, traj.fiber, times)
+            assert out.shape == (len(times), S.m)
+            gammas = christoffel_field(S, Gm)(traj.base[1:-1])
+            assert np.array_equal(
+                covariant_derivative_along(S, Gm, traj, traj.fiber, times, gamma=gammas), out)
+            for t, row in zip(times, out):
+                assert np.array_equal(covariant_derivative_along(S, Gm, traj, traj.fiber, t), row)
+
+    def test_non_finite_neighbourhood_is_nan_without_a_warning(self, flat2):
+        field = spray_field(flat2.structure, flat2.metric)
+        traj = integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.5]), 0.0, 0.1, 1e-2)
+        W = np.tile([0.7, -0.4], (len(traj), 1))
+        W[4] = [np.inf, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = covariant_derivative_along(flat2.structure, flat2.metric, traj, W,
+                                             traj.times[1:-1])
+        assert np.isnan(out[2:5]).all()
+        assert np.isfinite(np.delete(out, [2, 3, 4], axis=0)).all()
+
+    def test_sample_index_of_an_array_of_times(self, flat2):
+        field = spray_field(flat2.structure, flat2.metric)
+        traj = integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), 0.0, 0.1, 1e-2)
+        assert traj.index_of(traj.times[3]) == 3
+        assert traj.index_of(traj.times[-1] + 1e-12) == len(traj) - 1
+        assert traj.index_of(traj.times[[5, 0, 2]]).tolist() == [5, 0, 2]
+        with pytest.raises(ValueError, match="not a trajectory sample"):
+            traj.index_of([traj.times[1], 0.015])
 
     def test_interior_time_required(self, flat2):
         field = spray_field(flat2.structure, flat2.metric)

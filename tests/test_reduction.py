@@ -127,8 +127,8 @@ class TestStackedPasses:
             points = sysd.sample(200, seed=4)
             Q, Pm = P.q_matrix(points), P.p_matrix(points)
             assert Q.shape == Pm.shape == (200, sysd.m, sysd.m)
-            G = np.array([sysd.metric.matrix(p) for p in points])
-            assert np.array_equal(P.p_matrix(points, G), Pm)
+            with pytest.raises(ValueError, match="pass no G"):
+                P.p_matrix(points, sysd.metric.matrix(points[0]))
             for p, Qp, Pp in zip(points, Q, Pm):
                 assert np.array_equal(Qp, P.q_matrix(p)), sysd.name
                 assert np.array_equal(Pp, P.p_matrix(p)), sysd.name
@@ -215,8 +215,8 @@ class TestStackedPasses:
             assert rep.details["trajectories"] == 3
 
     def test_hj_route_is_the_per_point_one(self, planar, leg, board):
-        """The stacked difference, Christoffel contraction, metric gradient
-        and projection give the per-point residuals, with a potential too."""
+        """The stacked covariant derivative along the curve and projection
+        give the per-point residuals, with a potential too."""
         from algmech import base_flow, covariant_derivative_along, gradient, lift
 
         doc = dump_spec(planar)
