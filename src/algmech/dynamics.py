@@ -107,6 +107,14 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     are expression tables (every loaded document), all three come from one
     call of the pair's compiled Koszul table (``geometry._koszul_table``),
     built on the pair's first field; otherwise from ``geometry._koszul``.
+
+    The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
+    which it returns the ``(N, d)`` stack of the fields there, bitwise the
+    field at each state.  From the compiled table, a stack without force or
+    controls makes its table calls per state and one stacked contraction,
+    solve and anchor product; every other stack is evaluated state by
+    state, as is a stack where an evaluation fails, so the error is the one
+    its first failing state raises.
     """
     inputs = tuple(inputs)
     coefficients = signal.k if signal is not None else 0
@@ -116,6 +124,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     n, m = S.n, S.m
     fixed = _fixed_coefficients(S, Gm)
     table = None if fixed else _koszul_table(S, Gm)
+    stacked = None
     if fixed:
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
         minus_gamma = -christoffel_field(S, Gm)(np.zeros(n))
@@ -147,7 +156,33 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
                 raise _singular(x) from None
             return values[:metric_at].reshape(m, n).T @ y, -acc
 
+        def spray_stack(z):
+            # The field at a stack of states: the table calls per point, then
+            # one stacked contraction, solve and anchor product, each bitwise
+            # the product of spray at every point
+            count = len(z)
+            values = np.array([table(x) for x in z[:, :n]]).reshape(count, -1)
+            G = values[:, metric_at:koszul_at].reshape(count, m, m)
+            if not np.isfinite(G).all():
+                raise SingularMetricError("metric is not finite at a stacked point")
+            y = z[:, n:]
+            yy = (y[:, :, None] * y[:, None, :]).reshape(count, 1, m * m)
+            K = values[:, koszul_at:].reshape(count, m * m, m)
+            acc = np.linalg.solve(G, (0.5 * (yy @ K)).transpose(0, 2, 1))[:, :, 0]
+            dx = (y[:, None, :] @ values[:, :metric_at].reshape(count, m, n))[:, 0]
+            return np.concatenate([dx, -acc], axis=1)
+
+        if force is None and not inputs:
+            stacked = spray_stack
+
     def field(t, z):
+        if getattr(z, "ndim", 1) == 2:
+            if stacked is not None and len(z):
+                try:
+                    return stacked(z)
+                except (EvalError, SingularMetricError, np.linalg.LinAlgError):
+                    pass  # the members one at a time raise at the first one at fault
+            return np.array([field(t, row) for row in z]).reshape(z.shape)
         x, y = z[:n], z[n:]
         dx, dy = spray(x, y)
         if force is not None:
@@ -160,31 +195,80 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     return field
 
 
+def _steps(t0: float, t1: float, step: float):
+    """``(count, h)``: the number of uniform RK4 steps from ``t0`` to ``t1``
+    nearest to ``step`` in size, and their size."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if t1 <= t0:
+        raise ValueError("t1 must exceed t0")
+    count = max(1, int(round((t1 - t0) / step)))
+    return count, (t1 - t0) / count
+
+
+def _fault(values: list, n: int, chart: Optional[ChartDomain], t: float) -> str:
+    """Why a state, as a list, ends its trajectory at time ``t``, or "": the
+    tests of the loop in :func:`integrate`.
+
+    Finiteness first: NaN compares false, so the chart contains it.  Python
+    floats: at these sizes a fraction of the cost of numpy's tests.
+    """
+    if not all(map(math.isfinite, values)):
+        return f"non-finite state at t={t:g}"
+    if chart is not None and not chart.contains(values[:n]):
+        return "left the chart domain"
+    return ""
+
+
+def _rk4(field, t: float, z, h: float):
+    """One classical RK4 step of a state ``(d,)`` or of a stack ``(N, d)``,
+    the step of the loop in :func:`integrate`."""
+    half = h / 2.0
+    k1 = field(t, z)
+    k2 = field(t + half, z + half * k1)
+    k3 = field(t + half, z + half * k2)
+    k4 = field(t + h, z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(field: Callable, q0, t0: float, t1: float, step: float,
-              chart: Optional[ChartDomain] = None, fiber_rank: Optional[int] = None) -> Trajectory:
-    """Classical fixed-step RK4 from ``t0`` to ``t1``.
+              chart: Optional[ChartDomain] = None, fiber_rank: Optional[int] = None):
+    """Classical fixed-step RK4 from ``t0`` to ``t1`` of one state, or of a
+    stack of them.
 
     The interval is split into uniform steps of (approximately) the requested
     size.  If a sample is not finite, leaves the chart box or hits an
     exclusion, or if the field raises an evaluation error, integration stops
     and the partial trajectory is returned flagged as truncated.
+
+    ``q0`` is a ``TotalPoint``, or a packed state ``(d,)`` with
+    ``fiber_rank``; the result is its ``Trajectory``.  A stack, a sequence
+    of ``TotalPoint``s or an ``(N, d)`` array of packed states with
+    ``fiber_rank``, is integrated as one ensemble and comes back as a list
+    of ``Trajectory``s, one per member, each bitwise the trajectory of that
+    member on its own (see :func:`_ensemble`).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
+    count, h = _steps(t0, t1, step)
     if isinstance(q0, TotalPoint):
         z = q0.packed()
         m = q0.fiber.size
+    elif isinstance(q0, (list, tuple)) and q0 and all(isinstance(q, TotalPoint) for q in q0):
+        if len({(q.base.size, q.fiber.size) for q in q0}) != 1:
+            raise ValueError("stacked total points have different shapes")
+        return _ensemble(field, np.array([q.packed() for q in q0]), q0[0].fiber.size,
+                         t0, t1, step, chart)
     else:
-        z = np.asarray(q0, dtype=float).reshape(-1)
+        z = np.asarray(q0, dtype=float)
         if fiber_rank is None:
             raise ValueError("fiber_rank is required for packed initial states")
         m = int(fiber_rank)
+        if z.ndim == 2:
+            return _ensemble(field, z, m, t0, t1, step, chart)
+        z = z.reshape(-1)
     n = z.size - m
 
-    count = max(1, int(round((t1 - t0) / step)))
-    h = (t1 - t0) / count
+    # The loop of _rk4 and _fault written out: a single state pays no call
+    # for them on its step.
     half, sixth = h / 2.0, h / 6.0
     samples = np.empty((count + 1, z.size))
     samples[0] = z
@@ -218,6 +302,63 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
     samples = samples[:kept].copy() if truncated else samples
     return Trajectory(t0 + np.arange(kept) * h, samples[:, :n], samples[:, n:],
                       step=h, integrator="rk4", truncated=truncated, reason=reason)
+
+
+def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float,
+              chart: Optional[ChartDomain] = None) -> list:
+    """:func:`integrate` of a stack ``(N, d)`` of packed states with fiber
+    rank ``m``: the list of their trajectories.
+
+    Each RK4 stage calls ``field`` once with the ``(N', d)`` stack of the
+    members still running, so the field must take a stack as well as a
+    state (every :func:`spray_field` does), and its rows must be bitwise the
+    field at each row.  Each member stops on its own, at the step and for
+    the reason its integration on its own gives, and keeps its own samples:
+    the finiteness and chart tests are those of one state, made on every
+    member, and where a stage raises an evaluation error the step is
+    replayed one member at a time, so only the member at fault stops, with
+    its own error.
+    """
+    count, h = _steps(t0, t1, step)
+    z = np.array(states, dtype=float)
+    members, d = z.shape
+    n = d - m
+    samples = np.empty((members, count + 1, d))
+    samples[:, 0] = z
+    live = np.arange(members)  # the members still running, in order
+    kept, reasons = [count + 1] * members, [""] * members
+
+    for k in range(count):
+        if not len(live):
+            break
+        t = t0 + k * h
+        try:
+            z = _rk4(field, t, z, h)
+        except (EvalError, SingularMetricError):
+            running, rows = [], []
+            for i, state in zip(live.tolist(), z):
+                try:
+                    rows.append(_rk4(field, t, state, h))
+                    running.append(i)
+                except (EvalError, SingularMetricError) as err:
+                    kept[i], reasons[i] = k + 1, f"field evaluation failed: {err}"
+            live, z = np.array(running, dtype=int), np.array(rows).reshape(len(rows), d)
+        faults = [_fault(values, n, chart, t + h) for values in z.tolist()]
+        if any(faults):
+            for i, fault in zip(live.tolist(), faults):
+                if fault:
+                    kept[i], reasons[i] = k + 1, fault
+            fine = [not fault for fault in faults]
+            live, z = live[fine], z[fine]
+        samples[live, k + 1] = z
+
+    out = []
+    for i in range(members):
+        # A member that stopped keeps a copy of its samples, not the buffer.
+        own = samples[i, :kept[i]].copy() if reasons[i] else samples[i]
+        out.append(Trajectory(t0 + np.arange(kept[i]) * h, own[:, :n], own[:, n:], step=h,
+                              integrator="rk4", truncated=bool(reasons[i]), reason=reasons[i]))
+    return out
 
 
 def base_flow(S, X: Section, p0, t0: float, t1: float, step: float,

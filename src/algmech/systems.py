@@ -207,8 +207,9 @@ class SystemDefinition:
                 self.controls.validate_rank(points)
             if self.declared_complement:
                 complement_path = "$.control_complement" if embedded else "$.complement"
-                residual = Projector(self.controls, self.metric).declared_complement_residual(
-                    self.declared_complement, points)
+                with _at(complement_path):
+                    residual = Projector(self.controls, self.metric).declared_complement_residual(
+                        self.declared_complement, points)
                 if math.isnan(residual):
                     raise SpecError(complement_path, "declared complement or metric "
                                     "is not finite at a sampled point")
@@ -343,7 +344,8 @@ def load_spec(document: dict) -> SystemDefinition:
     chart = _load_chart(document, coords)
     # The mirror probes of the expression tables run at the validation sample,
     # where every expression must evaluate anyway.
-    probes = chart.sample(_VALIDATE_SAMPLES)
+    with _at("$.chart"):
+        probes = chart.sample(_VALIDATE_SAMPLES)
     embedded_payload = None
 
     if mode == "intrinsic":

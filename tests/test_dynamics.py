@@ -424,6 +424,151 @@ class TestLeanStep:
             christoffel(S, Gm, np.array([0.2]))
 
 
+def seeded_starts(sysd, seed, count=3):
+    """``count`` seeded start states inside the chart of ``sysd``."""
+    rng = np.random.default_rng([seed, 7])
+    return [TotalPoint(p, rng.uniform(-0.5, 0.5, size=sysd.m))
+            for p in sysd.sample(count, seed=seed)]
+
+
+def assert_members_alone(field, starts, t1, step, chart=None):
+    """The stack of ``starts`` integrated as one ensemble, in both stack
+    forms, against each member integrated on its own, bit for bit."""
+    alone = [integrate(field, q, 0.0, t1, step, chart=chart) for q in starts]
+    for ref, traj in zip(alone, integrate(field, starts, 0.0, t1, step, chart=chart)):
+        assert_same_trajectory(traj, ref)
+    packed = np.array([q.packed() for q in starts])
+    stack = integrate(field, packed, 0.0, t1, step, chart=chart, fiber_rank=starts[0].fiber.size)
+    assert len(stack) == len(starts)
+    for ref, traj in zip(alone, stack):
+        assert_same_trajectory(traj, ref)
+    return alone
+
+
+class TestEnsemble:
+    """``integrate`` of a stack of states against each state on its own."""
+
+    def test_stacks_of_every_builtin(self, all_builtins, rng):
+        for sysd in all_builtins:
+            field = spray_field(sysd.structure, sysd.metric)
+            # The starts of TestLeanStep, then stacks of three seeded starts.
+            lean = [TotalPoint(p, rng.uniform(-0.5, 0.5, size=sysd.m))
+                    for p in sysd.sample(2, seed=41)]
+            for starts in [lean] + [seeded_starts(sysd, seed) for seed in range(3)]:
+                alone = assert_members_alone(field, starts, 0.3, 1e-3, chart=sysd.chart)
+                assert all(len(traj) == 301 or traj.truncated for traj in alone)
+
+    def test_compiled_tables_beside_the_builtins(self):
+        from algmech import load_spec
+
+        for document in (LEG_EMBEDDED, BOARD_INTRINSIC):
+            sysd = load_spec(document)
+            field = spray_field(sysd.structure, sysd.metric)
+            assert_members_alone(field, seeded_starts(sysd, 5), 0.2, 1e-2, chart=sysd.chart)
+
+    def test_forced_and_controlled_stacks(self, planar, leg):
+        drag = ForceField.from_exprs(["-y1", "-y2", "-y3"], leg.coords, leg.params)
+        push = ControlSignal(["1", "0"], planar.coords, planar.params, mode="time-driven")
+        cases = [(leg, spray_field(leg.structure, leg.metric, force=drag)),
+                 (planar, spray_field(planar.structure, planar.metric,
+                                      inputs=planar.controls.sections, signal=push))]
+        for sysd, field in cases:
+            assert_members_alone(field, seeded_starts(sysd, 3), 0.5, 1e-2, chart=sysd.chart)
+
+    def test_mixed_stacks_truncate_member_by_member(self, planar, board):
+        """One healthy member beside each way to stop, in either order: only
+        the member at fault stops, at its own step, with its own reason."""
+        from algmech import AlgebroidStructure, BundleMetric, euclidean, load_spec
+
+        line = euclidean(1)
+        blowup = ForceField.from_exprs(["y1*y1*y1*1e300"], line.coords, line.params)
+        rooted = load_spec({"name": "rooted", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                            "anchor": [["1"]], "metric": [["1 + sqrt(x)"]],
+                            "chart": {"box": {"x": [0.0, 1.0]}}})
+        S = AlgebroidStructure.from_exprs(("x",), 1, [["1"]], {})
+        nan_metric = BundleMetric(lambda x: np.array([[1.0 if x[0] < 0.25 else np.nan]]), 1)
+        cases = [
+            # A face of the chart box, and an exclusion of the snakeboard.
+            (spray_field(planar.structure, planar.metric), planar.chart,
+             TotalPoint([7.9, 0.0, 0.0], [1.0, 0.0, 0.0]),
+             TotalPoint([0.1, 0.2, 0.3], [0.1, 0.2, -0.1]), "left the chart domain"),
+            (spray_field(board.structure, board.metric), board.chart,
+             TotalPoint([0.0, 0.0, 0.0, 0.0, 1.3], [0.0, 0.0, 0.5]),
+             TotalPoint([0.0, 0.0, 0.2, 0.1, 0.3], [0.15, 0.1, 0.05]), "left the chart domain"),
+            # A state that overflows, a domain error of the compiled table,
+            # and a metric that turns NaN.
+            (spray_field(line.structure, line.metric, force=blowup), line.chart,
+             TotalPoint([0.0], [10.0]), TotalPoint([0.0], [0.0]), "non-finite state at t="),
+            (spray_field(rooted.structure, rooted.metric), None,
+             TotalPoint([0.5], [-1.0]), TotalPoint([0.5], [0.1]),
+             "field evaluation failed: sqrt of a negative value"),
+            (spray_field(S, nan_metric), None, TotalPoint([0.0], [1.0]), TotalPoint([0.0], [-1.0]),
+             "field evaluation failed: metric is singular at"),
+        ]
+        for field, chart, faulty, healthy, reason in cases:
+            for starts in ([faulty, healthy], [healthy, faulty, healthy]):
+                alone = assert_members_alone(field, starts, 2.0, 5e-2, chart=chart)
+                for q, traj in zip(starts, alone):
+                    if q is faulty:
+                        assert traj.truncated and traj.reason.startswith(reason), traj.reason
+                        assert 1 <= len(traj) < 41
+                    else:
+                        assert not traj.truncated and len(traj) == 41
+
+    def test_every_member_stops(self, planar):
+        field = spray_field(planar.structure, planar.metric)
+        starts = [TotalPoint([7.9, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                  TotalPoint([-7.9, 0.0, 0.0], [-1.0, 0.0, 0.0])]
+        alone = assert_members_alone(field, starts, 2.0, 1e-2, chart=planar.chart)
+        assert all(traj.truncated for traj in alone)
+
+    def test_stack_forms(self, planar):
+        field = spray_field(planar.structure, planar.metric)
+        assert integrate(field, np.zeros((0, 6)), 0.0, 1.0, 0.1, fiber_rank=3) == []
+        with pytest.raises(ValueError, match="fiber_rank is required"):
+            integrate(field, np.zeros((2, 6)), 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="different shapes"):
+            integrate(field, [TotalPoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                              TotalPoint([0.0, 0.0], [1.0, 0.0, 0.0, 0.0])], 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="step must be positive"):
+            integrate(field, np.zeros((2, 6)), 0.0, 1.0, 0.0, fiber_rank=3)
+
+
+class TestStackedSpray:
+    """The field of ``spray_field`` at a stack of states against the field
+    at each state."""
+
+    def test_stacks_equal_the_states_one_at_a_time(self, all_builtins, unicycle, planar, leg):
+        from algmech import load_spec
+
+        systems = all_builtins + [unicycle, load_spec(LEG_EMBEDDED), load_spec(BOARD_INTRINSIC)]
+        fields = [(sysd, spray_field(sysd.structure, sysd.metric)) for sysd in systems]
+        drag = ForceField.from_exprs(["-y1", "-y2", "-y3"], leg.coords, leg.params)
+        push = ControlSignal(["1", "0"], planar.coords, planar.params)
+        fields += [(leg, spray_field(leg.structure, leg.metric, force=drag)),
+                   (planar, spray_field(planar.structure, planar.metric,
+                                        inputs=planar.controls.sections, signal=push)),
+                   (unicycle, spray_field(*opaque_frame_system(unicycle)))]
+        for sysd, field in fields:
+            rng = np.random.default_rng(11)
+            for count in (1, 3, 8):
+                Z = np.array([np.concatenate([p, rng.uniform(-2.0, 2.0, size=sysd.m)])
+                              for p in sysd.sample(count, seed=count)])
+                stacked = field(0.3, Z)
+                assert stacked.shape == Z.shape, sysd.name
+                assert stacked.tobytes() == np.array([field(0.3, z) for z in Z]).tobytes(), sysd.name
+
+    def test_a_failing_stack_raises_at_its_first_failing_state(self):
+        from algmech import EvalError, load_spec
+
+        rooted = load_spec({"name": "rooted", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                            "anchor": [["1"]], "metric": [["1 + sqrt(x)"]],
+                            "chart": {"box": {"x": [0.0, 1.0]}}})
+        field = spray_field(rooted.structure, rooted.metric)
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
+            field(0.0, np.array([[0.5, 1.0], [-0.5, 1.0], [0.2, 1.0]]))
+
+
 class TestBaseFlowAndLift:
     def test_first_control_flow_moves_straight(self, planar):
         sigma = base_flow(planar.structure, Section.basis(0, 3), [0.0, 0.0, 0.0],

@@ -242,6 +242,51 @@ class TestStackedPasses:
             assert rep.worst_residual == worst, (sysd.name, name)
 
 
+    def test_hj_sweep_is_the_per_point_one(self, planar, leg, board, monkeypatch):
+        """The algebraic HJ sweep reads the Christoffel tensors of one
+        stack: its residuals are those of ``hj_residual`` point by point,
+        and it computes no tensor of its own at any sample."""
+        import dataclasses
+
+        from algmech import reduction
+
+        unconstrained = dataclasses.replace(planar, controls=None)
+        cases = [(planar, "gY1"), (planar, "xY1"), (leg, "fY1"), (board, "psiX3"),
+                 (unconstrained, "gY1")]
+        expected = []
+        for sysd, name in cases:
+            S, Gm, V, Dc, X = (sysd.structure, sysd.metric, sysd.potential, sysd.controls,
+                               sysd.candidates[name])
+            points = sysd.sample(12, seed=6)
+            pairs = [hj_residual(S, Gm, V, Dc, X, p) for p in points]
+            expected.append((pointwise_worst([hj for _, hj in pairs], points),
+                             max(closed for closed, _ in pairs)))
+        calls = []
+        original = reduction.christoffel
+        monkeypatch.setattr(reduction, "christoffel", lambda *a: calls.append(1) or original(*a))
+        for (sysd, name), ((worst, witness), closedness) in zip(cases, expected):
+            rep = hj_algebraic_check(sysd, sysd.candidates[name], sysd.sample(12, seed=6))
+            assert rep.worst_residual == worst, (sysd.name, name)
+            assert rep.details["closedness_residual"] == closedness, (sysd.name, name)
+            assert rep.verdict == "pass" or np.array_equal(rep.witness_point, witness)
+        assert calls == []
+
+    def test_hj_sweep_under_spanning_controls_takes_no_tensor(self, planar, monkeypatch):
+        """Controls that span the fiber leave no complement, where
+        ``hj_residual`` needs no tensor: the sweep then evaluates none."""
+        import dataclasses
+
+        from algmech import reduction
+
+        def refuse(S, Gm):
+            raise AssertionError("a Christoffel evaluator was built")
+
+        spanning = dataclasses.replace(planar, controls=Subbundle((basis(0), basis(1), basis(2))))
+        monkeypatch.setattr(reduction, "christoffel_field", refuse)
+        rep = hj_algebraic_check(spanning, planar.candidates["gY1"], planar.sample(6, seed=1))
+        assert rep.verdict == "pass" and rep.worst_residual == 0.0
+
+
 class TestTruncationDetails:
     """Trajectory checks say how many trajectories they integrated and why
     any was cut short; the verdict rule does not read it."""

@@ -257,6 +257,17 @@ class TestLoader:
         ("planar_body", ("metric_check",), "bogus", r"^\$\.metric_check: unknown mode 'bogus'"),
         ("snakeboard", ("complement", 0), ["0", "0", "0", "0", "1"],
          r"^\$\.distribution: embedded frame drops rank at \["),
+        # An evaluation error of a declared complement entry, and exclusions
+        # that leave the sampler no room, once escaped without a path.
+        ("robotic_leg", ("complement", 0), ["0", "0", "1/0"],
+         r"^\$\.complement: division by zero$"),
+        ("snakeboard", ("control_complement",), [["sqrt(-1)", "0", "0"]],
+         r"^\$\.control_complement: sqrt of a negative value$"),
+        ("snakeboard", ("chart", "exclusions"),
+         [{"coord": "phi", "value": 1.5707963267948966, "margin": 0.1},
+          {"coord": "phi", "value": -1.5707963267948966, "margin": 0.1},
+          {"coord": "phi", "value": 0.0, "margin": 1.39}],
+         r"^\$\.chart: chart exclusions leave too little room to sample$"),
     ]
 
     @pytest.mark.parametrize("system, where, value, message", VALIDATION_FAULTS,
