@@ -427,7 +427,6 @@ class Trajectory:
     base: np.ndarray
     fiber: Optional[np.ndarray]
     step: float
-    integrator: str = "rk4"
     truncated: bool = False
     reason: str = ""
 
@@ -452,13 +451,11 @@ class Trajectory:
         """The index of the sample nearest to a time ``t``, or the array of
         them for an array of times; ``ValueError`` for a time farther than
         ``1e-9`` (absolute and relative) from every sample."""
-        t = np.asarray(t, dtype=float)
-        order = np.argsort(self.times, kind="stable")
-        ordered = self.times[order]
-        hi = np.minimum(np.searchsorted(ordered, t), ordered.size - 1)
+        t, times = np.asarray(t, dtype=float), self.times
+        hi = np.minimum(np.searchsorted(times, t), times.size - 1)
         lo = np.maximum(hi - 1, 0)
-        k = order[np.where(np.abs(ordered[lo] - t) <= np.abs(ordered[hi] - t), lo, hi)]
-        far = np.abs(self.times[k] - t) > 1e-9 + 1e-9 * np.abs(t)
+        k = np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
+        far = np.abs(times[k] - t) > 1e-9 + 1e-9 * np.abs(t)
         if far.any():
             raise ValueError(f"time {float(t[far].flat[0])} is not a trajectory sample")
         return int(k) if k.ndim == 0 else k

@@ -8,7 +8,7 @@ here than adaptive accuracy.  Fields evaluate on the total space packed as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -301,7 +301,7 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
     kept = k + 1 if truncated else count + 1
     samples = samples[:kept].copy() if truncated else samples
     return Trajectory(t0 + np.arange(kept) * h, samples[:, :n], samples[:, n:],
-                      step=h, integrator="rk4", truncated=truncated, reason=reason)
+                      step=h, truncated=truncated, reason=reason)
 
 
 def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float,
@@ -357,7 +357,7 @@ def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float
         # A member that stopped keeps a copy of its samples, not the buffer.
         own = samples[i, :kept[i]].copy() if reasons[i] else samples[i]
         out.append(Trajectory(t0 + np.arange(kept[i]) * h, own[:, :n], own[:, n:], step=h,
-                              integrator="rk4", truncated=bool(reasons[i]), reason=reasons[i]))
+                              truncated=bool(reasons[i]), reason=reasons[i]))
     return out
 
 
@@ -368,15 +368,13 @@ def base_flow(S, X: Section, p0, t0: float, t1: float, step: float,
     anchored = S.anchored_field(X)
     traj = integrate(lambda t, z: anchored(z), np.asarray(p0), t0, t1, step,
                      chart=chart, fiber_rank=0)
-    return Trajectory(traj.times, traj.base, None, step=traj.step,
-                      integrator=traj.integrator, truncated=traj.truncated, reason=traj.reason)
+    return replace(traj, fiber=None)
 
 
 def lift(X: Section, sigma: Trajectory) -> Trajectory:
     """Compose a base trajectory with a section: admissible by construction."""
     fiber = np.array([X(x) for x in sigma.base])
-    return Trajectory(sigma.times, sigma.base, fiber, step=sigma.step,
-                      integrator=sigma.integrator, truncated=sigma.truncated, reason=sigma.reason)
+    return replace(sigma, fiber=fiber)
 
 
 def energy(S, Gm, V: Optional[Potential], q) -> float:

@@ -4,10 +4,10 @@ The connection is computed pointwise from the Koszul formula in an arbitrary
 basis.  One assembly, :func:`_koszul`, builds the lowered tensor
 ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` by transposed sums from the
 anchored metric derivatives ``rho(e_A)(G)`` and the lowered structure
-functions ``G(e_A, [e_B, e_C])``.  :func:`christoffel` contracts it with the
-inverse metric, and the evaluator of :func:`christoffel_field` does so at a
-stack of points in one stacked assembly, inversion and contraction; the
-geodesic spray contracts it with the velocity and makes one solve, so it
+functions ``G(e_A, [e_B, e_C])``.  The Christoffel tensors of a stack of
+points are one stacked assembly, inversion and contraction with the inverse
+metric, and :func:`christoffel` is the stack of one point; the
+geodesic spray contracts ``K`` with the velocity and makes one solve, so it
 builds no Christoffel tensor.  An algebroid induced on an
 embedded distribution hands over those pointwise terms from one frame and
 one ambient evaluation, its brackets lowered without a projection.  For a
@@ -112,7 +112,15 @@ class BundleMetric:
         return self.matrix(x)
 
     def inverse(self, x) -> np.ndarray:
-        return _invert(self.matrix(x), x)
+        """The inverse metric matrix at ``x``; ``SingularMetricError`` when
+        the metric is singular there."""
+        try:
+            inv = np.linalg.inv(self.matrix(x))
+        except np.linalg.LinAlgError:
+            raise _singular(x) from None
+        if not np.isfinite(inv).all():
+            raise _singular(x)
+        return inv
 
     def positive_definite_on(self, points) -> bool:
         """Sampled diagnostic: True when every eigenvalue at every point is
@@ -123,17 +131,6 @@ class BundleMetric:
 
 def _singular(x) -> SingularMetricError:
     return SingularMetricError(f"metric is singular at {np.asarray(x)}")
-
-
-def _invert(G: np.ndarray, x) -> np.ndarray:
-    """Inverse of the metric matrix ``G`` at ``x``; raises when it is singular."""
-    try:
-        inv = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        raise _singular(x) from None
-    if not np.isfinite(inv).all():
-        raise _singular(x)
-    return inv
 
 
 @dataclass(frozen=True)
@@ -436,27 +433,19 @@ def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
 
 
 def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
-    """Connection coefficients at ``p`` from the Koszul formula.
-
-    Contracts the lowered Koszul tensor of :func:`_koszul` with the inverse
-    metric in one matrix product.
-    """
+    """Connection coefficients at ``p`` from the Koszul formula: the
+    one-point stack of :func:`_christoffel_stack`."""
     p = S.check_point(p)
-    m = S.m
-    _, G, K = _koszul(S, Gm, p)
-    Ginv = _invert(G, p)
-    gamma = (0.5 * (K.reshape(m * m, m) @ Ginv.T)).reshape(m, m, m).transpose(2, 0, 1)
-    return ChristoffelTensor(gamma, p)
+    return ChristoffelTensor(_christoffel_stack(S, Gm, [p])[0], p)
 
 
 def _christoffel_stack(S: AlgebroidStructure, Gm: BundleMetric, points) -> np.ndarray:
-    """The ``(N, m, m, m)`` stack of :func:`christoffel` tensors at a
-    ``(N, n)`` stack of points, bitwise equal to them.
-
-    The pointwise terms are read one point at a time; the Koszul assembly,
-    the inverse metrics and the contraction are one stacked operation each.
-    Where the stack fails, the points are re-run one at a time, so the
-    error is the one :func:`christoffel` raises at the first failing point.
+    """The ``(N, m, m, m)`` stack of Christoffel tensors at a ``(N, n)``
+    stack of points: the pointwise Koszul terms, then one stacked assembly,
+    inversion and contraction.  A one-point stack raises
+    ``SingularMetricError`` naming its point, or ``ValueError`` for
+    non-finite coefficients; a larger stack that fails is re-run as
+    one-point stacks, so the error is the first failing point's.
     """
     points = [S.check_point(p) for p in points]
     m, count = S.m, len(points)
@@ -464,15 +453,21 @@ def _christoffel_stack(S: AlgebroidStructure, Gm: BundleMetric, points) -> np.nd
         terms = [_pointwise(S, Gm, p) for p in points]
         G = np.array([t[1] for t in terms]).reshape(count, m, m)
         K = _assemble(*(np.array([t[i] for t in terms]).reshape(count, m, m, m) for i in (2, 3)))
-        Ginv = np.linalg.inv(G)
+        try:
+            Ginv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            raise _singular(points[0]) from None
         # Tested before the arithmetic, where a non-finite value would only warn.
-        if np.isfinite(Ginv).all():
-            gamma = 0.5 * (K.reshape(count, m * m, m) @ Ginv.transpose(0, 2, 1))
-            if np.isfinite(gamma).all():
-                return gamma.reshape(count, m, m, m).transpose(0, 3, 1, 2)
+        if not np.isfinite(Ginv).all():
+            raise _singular(points[0])
+        gamma = 0.5 * (K.reshape(count, m * m, m) @ Ginv.transpose(0, 2, 1))
+        if not np.isfinite(gamma).all():
+            raise ValueError("non-finite Christoffel entries")
+        return gamma.reshape(count, m, m, m).transpose(0, 3, 1, 2)
     except Exception:
-        pass
-    return np.array([christoffel(S, Gm, p).gamma for p in points]).reshape(count, m, m, m)
+        if count == 1:
+            raise
+    return np.array([_christoffel_stack(S, Gm, [p])[0] for p in points]).reshape(count, m, m, m)
 
 
 def _fixed_coefficients(S: AlgebroidStructure, Gm: BundleMetric) -> bool:
@@ -486,8 +481,8 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     bitwise the tensors of the points one at a time.
 
     When both the metric and the structure functions are coordinate-free the
-    tensor is computed once; otherwise each call computes it at ``p``, a
-    stack of points in one stacked assembly and inversion.
+    tensor is computed once; otherwise each call computes it at ``p`` by
+    :func:`_christoffel_stack`.
     """
     if _fixed_coefficients(S, Gm):
         fixed = christoffel(S, Gm, np.zeros(S.n)).gamma

@@ -98,50 +98,33 @@ class Projector:
         self.metric = metric
         self.m = metric.m
 
-    def p_matrix(self, p, G=None) -> np.ndarray:
+    def p_matrix(self, p) -> np.ndarray:
         """The projector onto the span at a point ``p``, ``(m, m)``, or the
-        ``(N, m, m)`` stack of them at a stack ``(N, n)`` of points, bitwise
-        the projectors of the points one at a time; ``G`` is the metric at
-        a single point, when known.
-
-        NaN where the span or the metric is not finite, tested before the
-        arithmetic; a degenerate span raises ``ValueError`` naming its point,
-        the first such point of a stack.
+        ``(N, m, m)`` stack of them at a stack ``(N, n)`` of points, a point
+        being a stack of one: one stacked Gram solve over the points where
+        the span and the metric are finite, NaN elsewhere, tested before the
+        arithmetic.  A degenerate span raises ``ValueError`` naming its
+        point; a larger stack that fails is re-run one point at a time, so
+        the error is the first failing point's.
         """
-        if np.ndim(p) == 2:
-            if G is not None:
-                raise ValueError("a stack of points reads its own metrics; pass no G")
-            return self._p_stack(p)
-        B = self.subbundle.matrix(p)
-        G = self.metric.matrix(p) if G is None else G
-        if not _finite(B, G):
-            return np.full((self.m, self.m), np.nan)
-        gram = B @ G @ B.T
-        try:
-            solved = np.linalg.solve(gram, B @ G)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}") from None
-        return B.T @ solved
-
-    def _p_stack(self, points) -> np.ndarray:
-        """:meth:`p_matrix` at a stack of points: the spans and metrics are
-        read one point at a time, the Gram solve is one stacked solve over
-        the points where both are finite.  Where the stack fails, the points
-        are taken one at a time, so the error is the one the first failing
-        point raises."""
+        points = np.atleast_2d(p)
         count, m = len(points), self.m
         try:
-            B = np.array([self.subbundle.matrix(p) for p in points])
+            B = np.array([self.subbundle.matrix(x) for x in points])
             B = B.reshape(count, self.subbundle.rank, m)
-            Gs = np.array([self.metric.matrix(p) for p in points]).reshape(count, m, m)
+            Gs = np.array([self.metric.matrix(x) for x in points]).reshape(count, m, m)
             finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(Gs).all(axis=(1, 2))
             B, BG = B[finite], B[finite] @ Gs[finite]
             out = np.full((count, m, m), np.nan)
-            out[finite] = B.transpose(0, 2, 1) @ np.linalg.solve(BG @ B.transpose(0, 2, 1), BG)
-            return out
+            try:
+                out[finite] = B.transpose(0, 2, 1) @ np.linalg.solve(BG @ B.transpose(0, 2, 1), BG)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"subbundle span is degenerate at {points[0]}") from None
+            return out if np.ndim(p) == 2 else out[0]
         except Exception:
-            pass
-        return np.array([self.p_matrix(p) for p in points]).reshape(count, m, m)
+            if count == 1:
+                raise
+        return np.array([self.p_matrix(x) for x in points]).reshape(count, m, m)
 
     def q_matrix(self, p) -> np.ndarray:
         """The projector onto the metric-orthogonal complement, ``I - P``,
@@ -154,19 +137,22 @@ class Projector:
 
     def declared_complement_residual(self, declared: Sequence[Section], points) -> float:
         """Worst projection of declared complement sections back onto the
-        span; NaN at the first value of a section or of the metric that is
-        not finite, tested before the arithmetic."""
-        worst = 0.0
-        for p in np.atleast_2d(points):
-            G = self.metric.matrix(p)
-            P = self.p_matrix(p, G)
-            for W in declared:
-                w = W(p)
-                if not _finite(w, G):
-                    return math.nan
-                scale = np.sqrt(max(float(w @ G @ w), 1e-30))
-                worst = _max(worst, float(np.max(np.abs(P @ w))) / scale)
-        return worst
+        span, relative to their metric norms, with all points projected in
+        one stacked call; NaN where a value of a section or of the metric is
+        not finite, tested before the arithmetic.  Each value is scaled by a
+        power of two to entries below one, exactly: the residual does not
+        depend on the scale, and a huge value's norm then cannot overflow.
+        """
+        points = np.atleast_2d(points)
+        count, m = len(points), self.m
+        P = self.p_matrix(points)
+        G = np.array([self.metric.matrix(p) for p in points]).reshape(count, m, m)
+        W = np.array([[Wk(p) for Wk in declared] for p in points]).reshape(count, len(declared), m)
+        if not (np.isfinite(W).all() and np.isfinite(G).all()):
+            return math.nan
+        W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=2, keepdims=True))[1])
+        norms = np.sqrt(np.maximum(np.einsum("nkm,nkm->nk", W @ G, W), 1e-30))
+        return float(np.max(np.abs(W @ P.transpose(0, 2, 1)).max(axis=2) / norms, initial=0.0))
 
 
 def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p) -> np.ndarray:

@@ -100,10 +100,16 @@ def _rows(doc, key, count, path) -> list:
 
 
 def _number(value, path) -> float:
-    """``value`` as a float: a JSON number, not a boolean."""
+    """``value`` as a float: a finite JSON number, not a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(path, "expected a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(path, "expected a finite number")
+    return value
 
 
 def _parse_expr(text, path) -> Expr:
@@ -195,6 +201,19 @@ class SystemDefinition:
         check = self.document.get("metric_check", "definite")
         if check not in ("definite", "nondegenerate"):
             raise SpecError("$.metric_check", f"unknown mode {check!r}")
+        if self.embedded is not None:
+            # The frame before the metric, which is its Gram matrix; each
+            # block is evaluated under its own path.
+            blocks = []
+            for key in ("distribution", "complement"):
+                with _at(f"$.{key}"):
+                    blocks.append(np.array([self.embedded[key](p) for p in points]))
+            rows = np.concatenate(blocks, axis=1)
+            with _at("$.distribution"):
+                dropped = _span_ranks(rows, points) != min(rows.shape[1], self.n)
+            if np.any(dropped):
+                raise SpecError("$.distribution",
+                                f"embedded frame drops rank at {points[np.argmax(dropped)]}")
         with _at(metric_path):
             if check == "definite":
                 if not self.metric.positive_definite_on(points):
@@ -217,14 +236,6 @@ class SystemDefinition:
                     raise SpecError(complement_path,
                                     f"declared complement is not orthogonal to the controls "
                                     f"(worst residual {residual:.3e})")
-        if self.embedded is not None:
-            distribution, complement = self.embedded["distribution"], self.embedded["complement"]
-            rows = np.array([np.vstack([distribution(p), complement(p)]) for p in points])
-            with _at("$.distribution"):
-                dropped = _span_ranks(rows, points) != min(rows.shape[1], self.n)
-            if np.any(dropped):
-                raise SpecError("$.distribution",
-                                f"embedded frame drops rank at {points[np.argmax(dropped)]}")
 
 
 def induced_algebroid(metric_fn: Callable, frame_fn: Callable):

@@ -81,7 +81,7 @@ def rk4_reference(field, q0, t0, t1, step, chart=None):
         states.append(z.copy())
     states = np.array(states)
     return Trajectory(np.array(times), states[:, :n], states[:, n:] if m else np.zeros((len(times), 0)),
-                      step=h, integrator="rk4", truncated=truncated, reason=reason)
+                      step=h, truncated=truncated, reason=reason)
 
 
 def assert_same_trajectory(traj, ref):

@@ -247,6 +247,19 @@ class TestChristoffel:
             for p, gamma in zip(points, stacked):
                 assert np.array_equal(gamma, christoffel(S, Gm, p).gamma), sysd.name
 
+    def test_one_point_stack_is_the_pointwise_contraction(self, all_builtins, unicycle):
+        """``christoffel`` is the one-point stack: bitwise the Koszul tensor
+        of one point contracted with that point's inverse metric."""
+        from algmech.geometry import _koszul
+
+        for sysd in all_builtins + [unicycle]:
+            S, Gm, m = sysd.structure, sysd.metric, sysd.m
+            for p in sysd.sample(20, seed=5):
+                _, G, K = _koszul(S, Gm, p)
+                expected = (0.5 * (K.reshape(m * m, m) @ np.linalg.inv(G).T)).reshape(m, m, m)
+                assert np.array_equal(christoffel(S, Gm, p).gamma,
+                                      expected.transpose(2, 0, 1)), sysd.name
+
     def test_stacked_evaluator_raises_at_the_first_failing_point(self):
         """The metric is singular at x = 0 and x = 2: a stack fails as the
         per-point calls do, at the first of them in the stack."""

@@ -127,11 +127,20 @@ class TestStackedPasses:
             points = sysd.sample(200, seed=4)
             Q, Pm = P.q_matrix(points), P.p_matrix(points)
             assert Q.shape == Pm.shape == (200, sysd.m, sysd.m)
-            with pytest.raises(ValueError, match="pass no G"):
-                P.p_matrix(points, sysd.metric.matrix(points[0]))
             for p, Qp, Pp in zip(points, Q, Pm):
                 assert np.array_equal(Qp, P.q_matrix(p)), sysd.name
                 assert np.array_equal(Pp, P.p_matrix(p)), sysd.name
+
+    def test_one_point_projector_is_the_gram_solve(self, all_builtins, unicycle):
+        """A point is a stack of one: its projector is bitwise the Gram solve
+        ``B^T (B G B^T)^-1 B G`` at that point."""
+        for sysd in all_builtins + [unicycle]:
+            span = sysd.controls or Subbundle((Section.basis(0, sysd.m),))
+            P = Projector(span, sysd.metric)
+            for p in sysd.sample(200, seed=4):
+                B, G = span.matrix(p), sysd.metric.matrix(p)
+                expected = B.T @ np.linalg.solve(B @ G @ B.T, B @ G)
+                assert np.array_equal(P.p_matrix(p), expected), sysd.name
 
     def test_empty_stack(self, planar):
         P = Projector(planar.controls, planar.metric)
@@ -437,6 +446,20 @@ class TestNonFiniteResiduals:
         X = Section(lambda x: np.full(3, np.inf), 3)
         P = Projector(planar.controls, planar.metric)
         assert np.isnan(P.declared_complement_residual((X,), planar.sample(4, seed=0)))
+
+    def test_huge_declared_complement_is_normalised(self, leg):
+        """A finite huge value gives the residual of its unit-scale copy,
+        without overflowing its norm: the residual is scale invariant."""
+        P = Projector(leg.controls, leg.metric)
+        points = leg.sample(6, seed=1)
+        for row in (["0", "0", "1"], ["1", "0", "0"], ["0.3", "-2", "0.7"]):
+            unit = leg.section_from_exprs(row)
+            huge = Section(lambda x, unit=unit: unit(x) / np.max(np.abs(unit(x))) * 1e308, 3)
+            scaled = Section(lambda x, unit=unit: 0.5 * unit(x) / np.max(np.abs(unit(x))), 3)
+            expected = P.declared_complement_residual((scaled,), points)
+            for section in (huge, unit):
+                residual = P.declared_complement_residual((section,), points)
+                assert residual == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_infinite_span_closure_names_the_reason(self, planar):
         """A span that is not finite has no rank: the symmetric closure says

@@ -1,9 +1,13 @@
 import json
+import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
 from algmech import (
+    BUILTINS,
     BundleMetric,
     Section,
     SingularMetricError,
@@ -268,6 +272,24 @@ class TestLoader:
           {"coord": "phi", "value": -1.5707963267948966, "margin": 0.1},
           {"coord": "phi", "value": 0.0, "margin": 1.39}],
          r"^\$\.chart: chart exclusions leave too little room to sample$"),
+        # The embedded frame is evaluated under its own blocks' paths before
+        # the metric, its Gram matrix: these once escaped as a bare
+        # EvalError, or were reported under $.ambient.metric (a huge entry
+        # after an overflow warning).
+        ("snakeboard", ("complement", 0, 0), "ln(0)",
+         r"^\$\.complement: ln of a non-positive value$"),
+        ("snakeboard", ("distribution", 0, 0), "ln(0)",
+         r"^\$\.distribution: ln of a non-positive value$"),
+        ("snakeboard", ("distribution", 1, 2), "1e308",
+         r"^\$\.distribution: embedded frame drops rank at \["),
+        # A finite huge declared complement value once overflowed its norm
+        # and passed with residual 0.
+        ("robotic_leg", ("complement",), [["1e308", "0", "0"]],
+         r"^\$\.complement: declared complement is not orthogonal"),
+        ("planar_body", ("chart", "box", "y", 0), -math.inf,
+         r"^\$\.chart\.box\.y: expected a finite number$"),
+        ("snakeboard", ("parameters", "Jc"), math.inf,
+         r"^\$\.parameters\.Jc: expected a finite number$"),
     ]
 
     @pytest.mark.parametrize("system, where, value, message", VALIDATION_FAULTS,
@@ -373,6 +395,62 @@ class TestLoader:
         with pytest.raises(SpecError) as caught:
             load_spec(doc)
         assert str(caught.value) == message
+
+
+class TestLoaderFuzz:
+    """Seeded fuzz of the loader: the builtin documents with one or two
+    values replaced by a value from a fixed bad pool, or deleted."""
+
+    DELETE = object()
+    POOL = (math.nan, math.inf, -math.inf, 1e308, "1e308", True, None, [], {}, 7, "x",
+            "1/0", "sqrt(-1)", "ln(0)", "zz", DELETE)
+    TRIALS = 1000
+
+    @staticmethod
+    def nodes(value, path=()):
+        """The path of every value inside a document, at any depth."""
+        items = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, list) else ())
+        out = []
+        for key, item in items:
+            out += [path + (key,)] + TestLoaderFuzz.nodes(item, path + (key,))
+        return out
+
+    def test_load_returns_or_raises_a_path_addressed_spec_error(self):
+        """Under warnings as errors, ``load_spec`` either returns or raises
+        a ``SpecError`` whose path starts with ``$``: never another
+        exception, and never a warning."""
+        rng = random.Random(0)
+        documents = [json.dumps(dump_spec(builtin(name))) for name in sorted(BUILTINS)]
+        escapes = []
+        for _ in range(self.TRIALS):
+            doc, changes = json.loads(rng.choice(documents)), []
+            for _ in range(rng.randint(1, 2)):
+                nodes = self.nodes(doc)
+                if not nodes:
+                    break
+                path, value = rng.choice(nodes), rng.choice(self.POOL)
+                block = doc
+                try:
+                    for key in path[:-1]:
+                        block = block[key]
+                    if value is self.DELETE:
+                        del block[path[-1]]
+                    else:
+                        block[path[-1]] = value
+                except (KeyError, IndexError, TypeError):  # an earlier change moved the path
+                    continue
+                changes.append((path, "<deleted>" if value is self.DELETE else value))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    load_spec(doc)
+                except SpecError as err:
+                    if not err.path.startswith("$"):
+                        escapes.append((changes, err))
+                except Exception as err:  # noqa: BLE001 - every escape is listed
+                    escapes.append((changes, repr(err)))
+        assert not escapes, escapes[:5]
 
 
 class TestInducedAlgebroid:
