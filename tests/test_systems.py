@@ -286,6 +286,8 @@ class TestLoader:
         # and passed with residual 0.
         ("robotic_leg", ("complement",), [["1e308", "0", "0"]],
          r"^\$\.complement: declared complement is not orthogonal"),
+        # A number that is not finite is rejected where it is read, not
+        # left to warn in the sampler or in the Gram product.
         ("planar_body", ("chart", "box", "y", 0), -math.inf,
          r"^\$\.chart\.box\.y: expected a finite number$"),
         ("snakeboard", ("parameters", "Jc"), math.inf,
