@@ -103,18 +103,19 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     the anchor, the metric and the lowered Koszul tensor ``K`` once and
     solves ``G a = K(y, y) / 2`` for the quadratic form ``a = gamma(y,
     y)``, with no Christoffel tensor; a singular or non-finite metric raises
-    ``SingularMetricError``.  When the anchor, the structure and the metric
-    are expression tables (every loaded document), all three come from one
-    call of the pair's compiled Koszul table (``geometry._koszul_table``),
-    built on the pair's first field; otherwise from ``geometry._koszul``.
+    ``SingularMetricError``.  The three come as the flat values of the
+    pair's compiled Koszul table (``geometry._koszul_table``, built on the
+    pair's first field) when the anchor, the structure and the metric are
+    expression tables (every loaded document); for a pair with an opaque
+    callable, as the terms of ``geometry._koszul`` laid out the same way.
 
     The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
     which it returns the ``(N, d)`` stack of the fields there, bitwise the
-    field at each state.  From the compiled table, a stack without force or
-    controls makes its table calls per state and one stacked contraction,
-    solve and anchor product; every other stack is evaluated state by
-    state, as is a stack where an evaluation fails, so the error is the one
-    its first failing state raises.
+    field at each state.  A stack without force or controls makes its
+    ``(A, G, K)`` evaluations per state and one stacked contraction, solve
+    and anchor product; every other stack is evaluated state by state, as
+    is a stack where an evaluation fails, so the error is the one its first
+    failing state raises.
     """
     inputs = tuple(inputs)
     coefficients = signal.k if signal is not None else 0
@@ -132,20 +133,18 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
             return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
-    elif table is None:
-        def spray(x, y):
-            # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor
-            A, G, K = _koszul(S, Gm, x)
-            try:
-                acc = np.linalg.solve(G, 0.5 * (np.outer(y, y).ravel() @ K.reshape(m * m, m)))
-            except np.linalg.LinAlgError:
-                raise _singular(x) from None
-            return (S.anchor(x) if A is None else A).T @ y, -acc
     else:
+        if table is None:
+            def table(x):
+                # The compiled table's flat (A, G, K) from the numeric assembly
+                A, G, K = _koszul(S, Gm, x)
+                return np.concatenate([(S.anchor(x) if A is None else A).ravel(),
+                                       G.ravel(), K.ravel()])
+
         metric_at, koszul_at = n * m, n * m + m * m
 
         def spray(x, y):
-            # The same solve, with A, G and K from one call of the compiled table
+            # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor
             values = table(x)
             G, K = values[metric_at:koszul_at], values[koszul_at:].reshape(m * m, m)
             if not _finite(G):
@@ -180,7 +179,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             if stacked is not None and len(z):
                 try:
                     return stacked(z)
-                except (EvalError, SingularMetricError, np.linalg.LinAlgError):
+                except ValueError:  # EvalError, SingularMetricError, LinAlgError
                     pass  # the members one at a time raise at the first one at fault
             return np.array([field(t, row) for row in z]).reshape(z.shape)
         x, y = z[:n], z[n:]
@@ -208,7 +207,7 @@ def _steps(t0: float, t1: float, step: float):
 
 def _fault(values: list, n: int, chart: Optional[ChartDomain], t: float) -> str:
     """Why a state, as a list, ends its trajectory at time ``t``, or "": the
-    tests of the loop in :func:`integrate`.
+    tests of every step of :func:`_ensemble`.
 
     Finiteness first: NaN compares false, so the chart contains it.  Python
     floats: at these sizes a fraction of the cost of numpy's tests.
@@ -221,8 +220,8 @@ def _fault(values: list, n: int, chart: Optional[ChartDomain], t: float) -> str:
 
 
 def _rk4(field, t: float, z, h: float):
-    """One classical RK4 step of a state ``(d,)`` or of a stack ``(N, d)``,
-    the step of the loop in :func:`integrate`."""
+    """One classical RK4 step of a state ``(d,)`` or of a stack ``(N, d)``:
+    the step of :func:`_ensemble`, and of its replay of a failing stack."""
     half = h / 2.0
     k1 = field(t, z)
     k2 = field(t + half, z + half * k1)
@@ -246,119 +245,99 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
     of ``TotalPoint``s or an ``(N, d)`` array of packed states with
     ``fiber_rank``, is integrated as one ensemble and comes back as a list
     of ``Trajectory``s, one per member, each bitwise the trajectory of that
-    member on its own (see :func:`_ensemble`).
+    member on its own.  Every form runs the one loop, :func:`_ensemble`.
     """
-    count, h = _steps(t0, t1, step)
     if isinstance(q0, TotalPoint):
-        z = q0.packed()
-        m = q0.fiber.size
+        z, m = q0.packed(), q0.fiber.size
     elif isinstance(q0, (list, tuple)) and q0 and all(isinstance(q, TotalPoint) for q in q0):
         if len({(q.base.size, q.fiber.size) for q in q0}) != 1:
             raise ValueError("stacked total points have different shapes")
-        return _ensemble(field, np.array([q.packed() for q in q0]), q0[0].fiber.size,
-                         t0, t1, step, chart)
+        z, m = np.array([q.packed() for q in q0]), q0[0].fiber.size
     else:
         z = np.asarray(q0, dtype=float)
         if fiber_rank is None:
             raise ValueError("fiber_rank is required for packed initial states")
         m = int(fiber_rank)
-        if z.ndim == 2:
-            return _ensemble(field, z, m, t0, t1, step, chart)
-        z = z.reshape(-1)
-    n = z.size - m
-
-    # The loop of _rk4 and _fault written out: a single state pays no call
-    # for them on its step.
-    half, sixth = h / 2.0, h / 6.0
-    samples = np.empty((count + 1, z.size))
-    samples[0] = z
-    truncated = False
-    reason = ""
-
-    for k in range(count):
-        t = t0 + k * h
-        try:
-            k1 = field(t, z)
-            k2 = field(t + half, z + half * k1)
-            k3 = field(t + half, z + half * k2)
-            k4 = field(t + h, z + h * k3)
-        except (EvalError, SingularMetricError) as err:
-            truncated, reason = True, f"field evaluation failed: {err}"
-            break
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # One list feeds both tests.  Finiteness first: NaN compares false,
-        # so the chart contains it.
-        values = z.tolist()
-        if not all(map(math.isfinite, values)):
-            truncated, reason = True, f"non-finite state at t={t + h:g}"
-            break
-        if chart is not None and not chart.contains(values[:n]):
-            truncated, reason = True, "left the chart domain"
-            break
-        samples[k + 1] = z
-
-    # A truncated run keeps a copy of its samples, not the whole buffer.
-    kept = k + 1 if truncated else count + 1
-    samples = samples[:kept].copy() if truncated else samples
-    return Trajectory(t0 + np.arange(kept) * h, samples[:, :n], samples[:, n:],
-                      step=h, truncated=truncated, reason=reason)
+        if z.ndim != 2:
+            z = z.reshape(-1)
+    return _ensemble(field, z, m, t0, t1, step, chart)
 
 
 def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float,
-              chart: Optional[ChartDomain] = None) -> list:
-    """:func:`integrate` of a stack ``(N, d)`` of packed states with fiber
-    rank ``m``: the list of their trajectories.
+              chart: Optional[ChartDomain] = None):
+    """The RK4 loop of :func:`integrate`: a packed state ``(d,)`` or a stack
+    ``(N, d)`` of them with fiber rank ``m``, integrated to the state's
+    ``Trajectory`` or to the list of the members' trajectories.
 
-    Each RK4 stage calls ``field`` once with the ``(N', d)`` stack of the
-    members still running, so the field must take a stack as well as a
-    state (every :func:`spray_field` does), and its rows must be bitwise the
-    field at each row.  Each member stops on its own, at the step and for
-    the reason its integration on its own gives, and keeps its own samples:
-    the finiteness and chart tests are those of one state, made on every
-    member, and where a stage raises an evaluation error the step is
-    replayed one member at a time, so only the member at fault stops, with
-    its own error.
+    A state's field is called with ``(d,)`` arrays only, so a field that
+    takes one state serves.  Each RK4 stage of a stack calls ``field`` once
+    with the ``(N', d)`` stack of the members still running, so the field
+    must take a stack as well as a state (every :func:`spray_field` does),
+    and its rows must be bitwise the field at each row.  Each member stops
+    on its own, at the step and for the reason its integration on its own
+    gives, and keeps its own samples: the finiteness and chart tests of
+    :func:`_fault` are made on every member, and where a stage of a stack
+    raises an evaluation error the step is replayed one member at a time,
+    so only the member at fault stops, with its own error.
     """
     count, h = _steps(t0, t1, step)
     z = np.array(states, dtype=float)
-    members, d = z.shape
+    single = z.ndim == 1
+    members, d = (1, z.size) if single else z.shape
+    if not members:
+        return []
     n = d - m
-    samples = np.empty((members, count + 1, d))
-    samples[:, 0] = z
-    live = np.arange(members)  # the members still running, in order
+    # Step-major, so a step of every member is one slice write.
+    samples = np.empty((count + 1,) + z.shape)
+    samples[0] = z
+    # The members still running, and their rows in samples: all of them (a
+    # basic index, the cheaper write) until one stops.
+    live, rows = np.arange(members), Ellipsis
     kept, reasons = [count + 1] * members, [""] * members
 
     for k in range(count):
-        if not len(live):
-            break
         t = t0 + k * h
         try:
             z = _rk4(field, t, z, h)
-        except (EvalError, SingularMetricError):
-            running, rows = [], []
+        except (EvalError, SingularMetricError) as err:
+            if single:
+                kept[0], reasons[0] = k + 1, f"field evaluation failed: {err}"
+                break
+            running, stepped = [], []
             for i, state in zip(live.tolist(), z):
                 try:
-                    rows.append(_rk4(field, t, state, h))
+                    stepped.append(_rk4(field, t, state, h))
                     running.append(i)
-                except (EvalError, SingularMetricError) as err:
-                    kept[i], reasons[i] = k + 1, f"field evaluation failed: {err}"
-            live, z = np.array(running, dtype=int), np.array(rows).reshape(len(rows), d)
-        faults = [_fault(values, n, chart, t + h) for values in z.tolist()]
+                except (EvalError, SingularMetricError) as failure:
+                    kept[i], reasons[i] = k + 1, f"field evaluation failed: {failure}"
+            if not running:
+                break
+            live = rows = np.array(running)
+            z = np.array(stepped)
+        values = z.tolist()
+        faults = ([_fault(values, n, chart, t + h)] if single
+                  else [_fault(row, n, chart, t + h) for row in values])
         if any(faults):
             for i, fault in zip(live.tolist(), faults):
                 if fault:
                     kept[i], reasons[i] = k + 1, fault
             fine = [not fault for fault in faults]
-            live, z = live[fine], z[fine]
-        samples[live, k + 1] = z
+            if not any(fine):
+                break
+            live = rows = live[fine]
+            z = z[fine]
+        samples[k + 1, rows] = z
 
-    out = []
+    out, by_member = [], samples.reshape(count + 1, members, d)
     for i in range(members):
-        # A member that stopped keeps a copy of its samples, not the buffer.
-        own = samples[i, :kept[i]].copy() if reasons[i] else samples[i]
+        # A member that stopped, or one of several, keeps a copy of its
+        # samples, not a view of the whole buffer.
+        own = by_member[:kept[i], i]
+        if reasons[i] or members > 1:
+            own = own.copy()
         out.append(Trajectory(t0 + np.arange(kept[i]) * h, own[:, :n], own[:, n:], step=h,
                               truncated=bool(reasons[i]), reason=reasons[i]))
-    return out
+    return out[0] if single else out
 
 
 def base_flow(S, X: Section, p0, t0: float, t1: float, step: float,

@@ -113,9 +113,13 @@ class BundleMetric:
 
     def inverse(self, x) -> np.ndarray:
         """The inverse metric matrix at ``x``; ``SingularMetricError`` when
-        the metric is singular there."""
+        the metric is not finite or singular there."""
+        G = self.matrix(x)
+        # An infinite entry can have a finite inverse.
+        if not np.isfinite(G).all():
+            raise _not_finite(x)
         try:
-            inv = np.linalg.inv(self.matrix(x))
+            inv = np.linalg.inv(G)
         except np.linalg.LinAlgError:
             raise _singular(x) from None
         if not np.isfinite(inv).all():
@@ -124,13 +128,22 @@ class BundleMetric:
 
     def positive_definite_on(self, points) -> bool:
         """Sampled diagnostic: True when every eigenvalue at every point is
-        positive (a NaN is not)."""
-        matrices = np.array([self.matrix(p) for p in np.atleast_2d(points)])
-        return bool(np.all(np.linalg.eigvalsh(matrices.reshape(-1, self.m, self.m)) > 0))
+        positive.  ``SingularMetricError`` names the first point where the
+        metric is not finite, tested before the eigenvalues."""
+        points = np.atleast_2d(points)
+        matrices = np.array([self.matrix(p) for p in points]).reshape(-1, self.m, self.m)
+        finite = np.isfinite(matrices).all(axis=(1, 2))
+        if not finite.all():
+            raise _not_finite(points[np.argmin(finite)])
+        return bool(np.all(np.linalg.eigvalsh(matrices) > 0))
 
 
 def _singular(x) -> SingularMetricError:
     return SingularMetricError(f"metric is singular at {np.asarray(x)}")
+
+
+def _not_finite(x) -> SingularMetricError:
+    return SingularMetricError(f"metric is not finite at {np.asarray(x)}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .algebroid import (
     _ExprTable,
     _span_ranks,
 )
-from .expr import Expr
+from .expr import Expr, _finite
 from .geometry import BundleMetric, ForceField, Potential, SingularMetricError, sharp
 from .reduction import Projector, Subbundle
 
@@ -216,7 +216,11 @@ class SystemDefinition:
                                 f"embedded frame drops rank at {points[np.argmax(dropped)]}")
         with _at(metric_path):
             if check == "definite":
-                if not self.metric.positive_definite_on(points):
+                try:
+                    definite = self.metric.positive_definite_on(points)
+                except SingularMetricError as err:  # a metric that is not finite
+                    raise SpecError(metric_path, f"not positive definite: {err}") from None
+                if not definite:
                     raise SpecError(metric_path, "not positive definite at a sampled point")
             else:
                 for p in points:
@@ -255,7 +259,8 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     exact for an expression table, ``m`` directional differences of an
     opaque callable).  Returns ``(structure_fn, gram_fn)`` as pointwise
     callables; when both the frame and the ambient metric carry
-    ``value_and_jacobian``, so does ``gram_fn``, by the product rule.
+    ``value_and_jacobian``, so does ``gram_fn``, by the product rule.  A
+    frame or ambient value that is not finite gives a NaN Gram matrix.
 
     Then both also carry the same ``koszul_terms``, which the connection
     reads when a structure with this frame as its anchor is paired with this
@@ -271,8 +276,12 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
     def gram_fn(x):
-        B = frame_fn(x)
-        return B @ metric_fn(x) @ B.T
+        B, g = frame_fn(x), np.asarray(metric_fn(x))
+        # Tested before the products, where a value that is not finite
+        # would only warn.
+        if not _finite(B, g):
+            return np.full((len(B), len(B)), np.nan)
+        return B @ g @ B.T
 
     def frame_terms(x):
         """``(B, dB, BG, gram, dgram)`` from one frame ``value_and_jacobian``

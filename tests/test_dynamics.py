@@ -534,6 +534,42 @@ class TestEnsemble:
             integrate(field, np.zeros((2, 6)), 0.0, 1.0, 0.0, fiber_rank=3)
 
 
+    def test_four_forms_of_one_start(self, planar, board):
+        """A ``TotalPoint``, a packed ``(d,)`` state, a one-member list and a
+        ``(1, d)`` array of the same start give bitwise the same trajectory
+        and truncation, and the field of a single state never sees a stack."""
+        from algmech import load_spec
+
+        def single_only(field):
+            def checked(t, z):
+                if np.ndim(z) != 1:
+                    raise AssertionError(f"a single state's field got shape {np.shape(z)}")
+                return field(t, z)
+            return checked
+
+        rooted = load_spec({"name": "rooted", "base": ["x"], "fiber": 1, "mode": "intrinsic",
+                            "anchor": [["1"]], "metric": [["1 + sqrt(x)"]],
+                            "chart": {"box": {"x": [0.0, 1.0]}}})
+        cases = [(planar, TotalPoint([0.1, 0.2, 0.3], [0.3, 0.2, -0.1]), ""),
+                 (planar, TotalPoint([7.9, 0.0, 0.0], [1.0, 0.0, 0.0]), "left the chart domain"),
+                 (board, TotalPoint([0.0, 0.0, 0.2, 0.1, 0.3], [0.15, 0.1, 0.05]), ""),
+                 (board, TotalPoint([0.0, 0.0, 0.0, 0.0, 1.3], [0.0, 0.0, 0.5]),
+                  "left the chart domain"),
+                 (rooted, TotalPoint([0.5], [-1.0]),
+                  "field evaluation failed: sqrt of a negative value")]
+        for sysd, q0, reason in cases:
+            field = spray_field(sysd.structure, sysd.metric)
+            args, chart = (0.0, 2.0, 5e-2), sysd.chart
+            alone = integrate(single_only(field), q0, *args, chart=chart)
+            assert alone.reason == reason, alone.reason
+            packed = integrate(single_only(field), q0.packed(), *args, chart=chart,
+                               fiber_rank=sysd.m)
+            [listed] = integrate(field, [q0], *args, chart=chart)
+            [stacked] = integrate(field, q0.packed()[None], *args, chart=chart, fiber_rank=sysd.m)
+            for traj in (packed, listed, stacked):
+                assert_same_trajectory(traj, alone)
+
+
 class TestStackedSpray:
     """The field of ``spray_field`` at a stack of states against the field
     at each state."""

@@ -312,6 +312,27 @@ class TestLoader:
         with pytest.raises(SpecError, match=r"^\$\.metric: metric is singular at \["):
             load_spec(doc)
 
+    @pytest.mark.parametrize("system, where, path", [
+        ("snakeboard", ("ambient", "metric", 2, 2), r"\$\.ambient\.metric"),
+        ("robotic_leg", ("metric", 1, 1), r"\$\.metric"),
+    ])
+    def test_overflowing_metric_is_not_finite_at_a_point(self, system, where, path):
+        """A metric entry that overflows to inf is a metric that is not
+        finite at a sampled point, under either metric check: not an invalid
+        value warning of the Gram product, nor LAPACK's "Eigenvalues did not
+        converge", and not an inverse that is finite."""
+        doc = dump_spec(builtin(system))
+        block = doc
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = "1e308*3"
+        for check, prefix in (("definite", "not positive definite: "), ("nondegenerate", "")):
+            doc["metric_check"] = check
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SpecError, match=rf"^{path}: {prefix}metric is not finite at \["):
+                    load_spec(doc)
+
     def test_indefinite_metric_allowed_when_nondegenerate_requested(self):
         doc = {
             "name": "lorentz_like", "parameters": {}, "base": ["x"], "fiber": 2,
@@ -405,7 +426,7 @@ class TestLoaderFuzz:
 
     DELETE = object()
     POOL = (math.nan, math.inf, -math.inf, 1e308, "1e308", True, None, [], {}, 7, "x",
-            "1/0", "sqrt(-1)", "ln(0)", "zz", DELETE)
+            "1/0", "sqrt(-1)", "ln(0)", "zz", "1e308*3", DELETE)
     TRIALS = 1000
 
     @staticmethod
