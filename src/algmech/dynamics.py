@@ -254,12 +254,9 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
             raise ValueError("stacked total points have different shapes")
         z, m = np.array([q.packed() for q in q0]), q0[0].fiber.size
     else:
-        z = np.asarray(q0, dtype=float)
         if fiber_rank is None:
             raise ValueError("fiber_rank is required for packed initial states")
-        m = int(fiber_rank)
-        if z.ndim != 2:
-            z = z.reshape(-1)
+        z, m = q0, int(fiber_rank)
     return _ensemble(field, z, m, t0, t1, step, chart)
 
 
@@ -282,17 +279,17 @@ def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float
     """
     count, h = _steps(t0, t1, step)
     z = np.array(states, dtype=float)
-    single = z.ndim == 1
+    single = z.ndim != 2
+    z = z.reshape(-1) if single else z
     members, d = (1, z.size) if single else z.shape
     if not members:
         return []
     n = d - m
-    # Step-major, so a step of every member is one slice write.
+    # Step-major, so a step of every running member is one write, by a basic
+    # index until a member stops.
     samples = np.empty((count + 1,) + z.shape)
     samples[0] = z
-    # The members still running, and their rows in samples: all of them (a
-    # basic index, the cheaper write) until one stops.
-    live, rows = np.arange(members), Ellipsis
+    live, rows = np.arange(members), Ellipsis  # the members still running, their rows
     kept, reasons = [count + 1] * members, [""] * members
 
     for k in range(count):

@@ -277,8 +277,7 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
 
     def gram_fn(x):
         B, g = frame_fn(x), np.asarray(metric_fn(x))
-        # Tested before the products, where a value that is not finite
-        # would only warn.
+        # Tested first: a value that is not finite would only warn in the products.
         if not _finite(B, g):
             return np.full((len(B), len(B)), np.nan)
         return B @ g @ B.T
