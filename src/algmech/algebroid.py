@@ -291,8 +291,9 @@ class AlgebroidStructure:
         self._structure_fn = structure_fn
         # Only an expression table knows it is coordinate-free.
         self.constant_structure = getattr(structure_fn, "is_constant", False)
-        # (metric, table): the compiled Koszul table of the spray, built on
-        # its first use with that metric (geometry._koszul_table).
+        # (metric, table): the compiled Koszul table of the spray and the
+        # Christoffel evaluator, built on the first of them with that metric
+        # (geometry._koszul_table).
         self._koszul_table = None
 
     # -- construction ----------------------------------------------------

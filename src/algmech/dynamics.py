@@ -16,7 +16,7 @@ import numpy as np
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
 from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _finite,
-                       _fixed_coefficients, _koszul, _koszul_table, _singular, christoffel_field)
+                       _fixed_coefficients, _koszul_values, _singular, christoffel_field)
 
 __all__ = [
     "TotalPoint",
@@ -103,11 +103,12 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     the anchor, the metric and the lowered Koszul tensor ``K`` once and
     solves ``G a = K(y, y) / 2`` for the quadratic form ``a = gamma(y,
     y)``, with no Christoffel tensor; a singular or non-finite metric raises
-    ``SingularMetricError``.  The three come as the flat values of the
-    pair's compiled Koszul table (``geometry._koszul_table``, built on the
-    pair's first field) when the anchor, the structure and the metric are
-    expression tables (every loaded document); for a pair with an opaque
-    callable, as the terms of ``geometry._koszul`` laid out the same way.
+    ``SingularMetricError``.  The three come as the flat values of
+    ``geometry._koszul_values``, which the Christoffel evaluator reads too:
+    the pair's compiled Koszul table when the anchor, the structure and the
+    metric are expression tables (every loaded document), built on the
+    pair's first field or evaluator; for a pair with an opaque callable, the
+    numeric terms of ``geometry._koszul`` laid out the same way.
 
     The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
     which it returns the ``(N, d)`` stack of the fields there, bitwise the
@@ -124,7 +125,6 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
                          f"for {len(inputs)} input section(s)")
     n, m = S.n, S.m
     fixed = _fixed_coefficients(S, Gm)
-    table = None if fixed else _koszul_table(S, Gm)
     stacked = None
     if fixed:
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
@@ -134,14 +134,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             dx = S.anchor(x).T @ y if n else np.zeros(0)
             return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
     else:
-        if table is None:
-            def table(x):
-                # The compiled table's flat (A, G, K) from the numeric assembly
-                A, G, K = _koszul(S, Gm, x)
-                return np.concatenate([(S.anchor(x) if A is None else A).ravel(),
-                                       G.ravel(), K.ravel()])
-
-        metric_at, koszul_at = n * m, n * m + m * m
+        table, metric_at, koszul_at = _koszul_values(S, Gm), n * m, n * m + m * m
 
         def spray(x, y):
             # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor

@@ -1,23 +1,23 @@
 """Bundle metric, Levi-Civita connection and symmetric product.
 
-The connection is computed pointwise from the Koszul formula in an arbitrary
-basis.  One assembly, :func:`_koszul`, builds the lowered tensor
-``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)`` by transposed sums from the
-anchored metric derivatives ``rho(e_A)(G)`` and the lowered structure
-functions ``G(e_A, [e_B, e_C])``.  The Christoffel tensors of a stack of
-points are one stacked assembly, inversion and contraction with the inverse
-metric, and :func:`christoffel` is the stack of one point; the
-geodesic spray contracts ``K`` with the velocity and makes one solve, so it
-builds no Christoffel tensor.  An algebroid induced on an
-embedded distribution hands over those pointwise terms from one frame and
-one ambient evaluation, its brackets lowered without a projection.  For a
-pair whose fields are all expression tables the spray reads the anchor, the
-metric and ``K`` from one compiled table instead (:func:`_koszul_table`), the
-same assembly written as expression trees.  Every
-derivative of a field here (metric, section, potential) is taken by
-``algebroid._differential``: exact for a field backed by expression tables,
-a central difference for an opaque callable.  Orthogonal-basis shortcuts are
-deliberately not a separate code path.
+The connection is computed from the Koszul formula in an arbitrary basis,
+the lowered tensor ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``, which comes
+from one of two sources per pair.  For a pair whose fields are all
+expression tables (every loaded document) it is one compiled table of the
+anchor, the metric and ``K`` (:func:`_koszul_table`), built from their
+derivative trees; a pair with an opaque callable assembles it numerically
+(:func:`_koszul`) by transposed sums from the anchored metric derivatives
+``rho(e_A)(G)`` and the lowered structure functions ``G(e_A, [e_B,
+e_C])``, laid out the same way (:func:`_koszul_values`).  The geodesic
+spray and the :func:`christoffel_field` evaluator read those values: the
+spray contracts ``K`` with the velocity and makes one solve, so it builds
+no Christoffel tensor, and the evaluator makes one stacked inversion and
+contraction for a point or a stack.  :func:`christoffel` at one point
+assembles numerically and builds no table.  Every derivative of a field
+here (metric, section, potential) is taken by ``algebroid._differential``:
+exact for a field backed by expression tables, a central difference for an
+opaque callable.  Orthogonal-basis shortcuts are deliberately not a
+separate code path.
 """
 
 from __future__ import annotations
@@ -236,25 +236,18 @@ def sharp(Gm: BundleMetric, kappa, p) -> np.ndarray:
 # --- connection ------------------------------------------------------------------
 
 
-def _pointwise(S: AlgebroidStructure, Gm: BundleMetric, p):
-    """``(A, G, rhoG, GC)`` at ``p``: the anchor, the metric, ``rhoG[A, C, D] =
-    rho(e_A)(G_CD)`` and ``GC[A, B, C] = G(e_A, [e_B, e_C])``.
+def _koszul(S: AlgebroidStructure, Gm: BundleMetric, p):
+    """``(A, G, K)`` at ``p``: the anchor, the metric and the lowered Koszul
+    tensor ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``.
 
-    A structure and a metric from the same :func:`systems.induced_algebroid`
-    call, with the frame as the anchor, read all four from one frame and one
-    ambient evaluation, the brackets in lowered form and so without the
-    projection solve; every other pair reads the anchor, the metric
-    derivative and the structure functions.  A coordinate-free metric needs
-    no anchor for its zero derivatives, so ``A`` is then None: reading it
-    would compile the anchor table of a freshly loaded document.
+    From the anchored metric derivatives ``rhoG[A, C, D] = rho(e_A)(G_CD)``
+    and the lowered structure functions ``GC[A, B, C] = G(e_A, [e_B,
+    e_C])``: the three pairings of the formula are transposes of ``GC``, by
+    the antisymmetry of the structure functions, so the assembly is a few
+    transposed sums.  A coordinate-free metric needs no anchor for its zero
+    derivatives, so ``A`` is then None: reading it would compile the anchor
+    table of a freshly loaded document.
     """
-    induced = getattr(Gm._fn, "koszul_terms", None)
-    if (induced is not None and induced is getattr(S._structure_fn, "koszul_terms", None)
-            and S._anchor_fn is induced.frame):
-        A, G, rhoG, GC = induced(p)
-        if A.shape != (S.m, S.n):
-            raise ValueError(f"anchor returned shape {A.shape}, expected ({S.m}, {S.n})")
-        return A, G, rhoG, GC
     m = S.m
     if Gm.is_constant:
         A, G, dG = None, Gm.matrix(p), None
@@ -267,30 +260,10 @@ def _pointwise(S: AlgebroidStructure, Gm: BundleMetric, p):
         raise _singular(p)
     rhoG = np.zeros((m,) * 3) if dG is None else dG(A)
     GC = (G @ S.structure(p).reshape(m, m * m)).reshape(m, m, m)
-    return A, G, rhoG, GC
-
-
-def _koszul(S: AlgebroidStructure, Gm: BundleMetric, p):
-    """``(A, G, K)`` at ``p``: the anchor (None when it was not needed, see
-    :func:`_pointwise`), the metric and the lowered Koszul tensor
-    ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``.
-
-    Three metric derivatives along the anchored basis fields and three
-    structure-function pairings; the pairings are transposes of ``GC``, by
-    the antisymmetry of the structure functions, so the assembly is a few
-    transposed sums.
-    """
-    A, G, rhoG, GC = _pointwise(S, Gm, p)
-    return A, G, _assemble(rhoG, GC)
-
-
-def _assemble(rhoG, GC):
-    """``K`` from ``rhoG`` and ``GC`` of :func:`_pointwise`, of one point or
-    stacked along a leading axis."""
     # W[B, C, E] = rho(e_B)(G_CE) + G(e_B, [e_E, e_C]); K adds W with B and C
     # swapped and subtracts rho(e_E)(G_BC) + G(e_E, [e_C, e_B])
-    W = rhoG + GC.swapaxes(-1, -2)
-    return W + W.swapaxes(-3, -2) - (rhoG - GC).swapaxes(-3, -2).swapaxes(-2, -1)
+    W = rhoG + GC.transpose(0, 2, 1)
+    return A, G, W + W.transpose(1, 0, 2) - (rhoG - GC).transpose(1, 2, 0)
 
 
 # --- compiled Koszul table ---------------------------------------------------------
@@ -356,22 +329,25 @@ def _grid(table, *shape):
 
 
 def _symbolic_terms(S: AlgebroidStructure, Gm: BundleMetric):
-    """The trees of ``(A, G, rhoG, GC)`` of :func:`_pointwise`, or None when
-    a field of the pair is not an expression table over ``S.coords``.
+    """The trees of ``A``, ``G``, ``rhoG`` and ``GC`` of :func:`_koszul`, or
+    None when a field of the pair is not an expression table over
+    ``S.coords``.
 
-    An intrinsic pair differentiates its metric entries; a pair from one
-    :func:`systems.induced_algebroid` call applies the product rule to the
-    frame ``B`` and the ambient metric ``g``, as ``koszul_terms`` does:
+    An intrinsic pair differentiates its metric entries.  A structure and a
+    metric from one :func:`systems.induced_algebroid` call, which marks both
+    with its ``(frame, ambient)`` fields, and with the frame as the anchor,
+    apply the product rule to the frame ``B`` and the ambient metric ``g``:
     ``BG = B g``, ``G = BG B^T``, the brackets ``J - J^T`` with ``J[a, b] =
-    B[a] . dB[b]``, and ``GC = BG lie^T``.  Every intermediate is one tree,
-    shared by the entries that read it.
+    B[a] . dB[b]``, and ``GC = BG lie^T``, lowered without the projection
+    solve.  Every intermediate is one tree, shared by the entries that read
+    it.
     """
     m, n = S.m, S.n
-    induced = getattr(Gm._fn, "koszul_terms", None)
-    embedded = (induced is not None and induced is getattr(S._structure_fn, "koszul_terms", None)
-                and S._anchor_fn is induced.frame)
+    induced = getattr(Gm._fn, "induced", None)
+    embedded = (induced is not None and induced is getattr(S._structure_fn, "induced", None)
+                and S._anchor_fn is induced[0])
     if embedded:
-        tables = ((induced.frame, (m, n)), (induced.metric, (n, n)))
+        tables = ((induced[0], (m, n)), (induced[1], (n, n)))
     else:
         tables = ((S._anchor_fn, (m, n)), (Gm._fn, (m, m)), (S._structure_fn, (m, m, m)))
     params = getattr(tables[0][0], "params", None)
@@ -445,42 +421,61 @@ def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
     return table
 
 
+def _koszul_values(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
+    """``x ->`` the pair's ``(A, G, K)`` at ``x`` as one flat array, the
+    anchor, the metric and ``K`` raveled in turn: the compiled Koszul table
+    (:func:`_koszul_table`), or for a pair with an opaque callable the terms
+    of :func:`_koszul` laid out the same way."""
+    table = _koszul_table(S, Gm)
+    if table is not None:
+        return table
+
+    def values(x):
+        A, G, K = _koszul(S, Gm, x)
+        return np.concatenate([(S.anchor(x) if A is None else A).ravel(), G.ravel(), K.ravel()])
+
+    return values
+
+
 def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
     """Connection coefficients at ``p`` from the Koszul formula: the
-    one-point stack of :func:`_christoffel_stack`."""
+    one-point stack of :func:`_christoffel_stack` over :func:`_koszul`,
+    which builds no table."""
     p = S.check_point(p)
-    return ChristoffelTensor(_christoffel_stack(S, Gm, [p])[0], p)
+    return ChristoffelTensor(_christoffel_stack(S, lambda x: _koszul(S, Gm, x)[1:], [p])[0], p)
 
 
-def _christoffel_stack(S: AlgebroidStructure, Gm: BundleMetric, points) -> np.ndarray:
+def _christoffel_stack(S: AlgebroidStructure, terms: Callable, points) -> np.ndarray:
     """The ``(N, m, m, m)`` stack of Christoffel tensors at a ``(N, n)``
-    stack of points: the pointwise Koszul terms, then one stacked assembly,
+    stack of points, where ``terms(p)`` gives the metric and the lowered
+    Koszul tensor at ``p``, in any layout of their entries: one stacked
     inversion and contraction.  A one-point stack raises
-    ``SingularMetricError`` naming its point, or ``ValueError`` for
-    non-finite coefficients; a larger stack that fails is re-run as
-    one-point stacks, so the error is the first failing point's.
+    ``SingularMetricError`` naming its point, tested before the arithmetic,
+    or ``ValueError`` for non-finite coefficients; a larger stack that
+    fails is re-run as one-point stacks, so the error is the first failing
+    point's.
     """
     points = [S.check_point(p) for p in points]
     m, count = S.m, len(points)
     try:
-        terms = [_pointwise(S, Gm, p) for p in points]
-        G = np.array([t[1] for t in terms]).reshape(count, m, m)
-        K = _assemble(*(np.array([t[i] for t in terms]).reshape(count, m, m, m) for i in (2, 3)))
+        G, K = zip(*[terms(p) for p in points])
+        G, K = np.reshape(G, (count, m, m)), np.reshape(K, (count, m * m, m))
+        if not np.isfinite(G).all():
+            raise _singular(points[0])
         try:
             Ginv = np.linalg.inv(G)
         except np.linalg.LinAlgError:
             raise _singular(points[0]) from None
-        # Tested before the arithmetic, where a non-finite value would only warn.
         if not np.isfinite(Ginv).all():
             raise _singular(points[0])
-        gamma = 0.5 * (K.reshape(count, m * m, m) @ Ginv.transpose(0, 2, 1))
+        gamma = 0.5 * (K @ Ginv.transpose(0, 2, 1))
         if not np.isfinite(gamma).all():
             raise ValueError("non-finite Christoffel entries")
         return gamma.reshape(count, m, m, m).transpose(0, 3, 1, 2)
     except Exception:
         if count == 1:
             raise
-    return np.array([_christoffel_stack(S, Gm, [p])[0] for p in points]).reshape(count, m, m, m)
+    return np.array([_christoffel_stack(S, terms, [p])[0] for p in points]).reshape(count, m, m, m)
 
 
 def _fixed_coefficients(S: AlgebroidStructure, Gm: BundleMetric) -> bool:
@@ -494,13 +489,22 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     bitwise the tensors of the points one at a time.
 
     When both the metric and the structure functions are coordinate-free the
-    tensor is computed once; otherwise each call computes it at ``p`` by
-    :func:`_christoffel_stack`.
+    tensor is computed once by :func:`christoffel`.  Otherwise each call
+    reads the metric and ``K`` at each point from the flat values of
+    :func:`_koszul_values`, as the spray does, and contracts them by
+    :func:`_christoffel_stack`; a pair of expression tables compiles its
+    Koszul table here, on its first evaluator or spray.
     """
     if _fixed_coefficients(S, Gm):
         fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
         return lambda p: fixed if np.ndim(p) < 2 else np.broadcast_to(fixed, (len(p), *fixed.shape))
-    return lambda p: christoffel(S, Gm, p).gamma if np.ndim(p) < 2 else _christoffel_stack(S, Gm, p)
+    values, metric_at, koszul_at = _koszul_values(S, Gm), S.n * S.m, S.n * S.m + S.m * S.m
+
+    def terms(x):
+        flat = values(x)
+        return flat[metric_at:koszul_at], flat[koszul_at:]
+
+    return lambda p: _christoffel_stack(S, terms, [p])[0] if np.ndim(p) < 2 else _christoffel_stack(S, terms, p)
 
 
 def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:

@@ -132,7 +132,8 @@ class Projector:
         return np.eye(self.m) - self.p_matrix(p)
 
     def complement_basis(self, p) -> np.ndarray:
-        """Metric-orthonormal basis of the complement at ``p`` (deterministic)."""
+        """Metric-orthonormal basis of the complement at ``p`` (deterministic);
+        NaN rows where the span or the metric is not finite there."""
         return _orthonormal_complement(self.metric.matrix(p), self.subbundle.matrix(p), p)
 
     def declared_complement_residual(self, declared: Sequence[Section], points) -> float:
@@ -160,9 +161,13 @@ def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p) -> np.ndarray:
     the rows of ``span`` (``(0, m)`` for all directions).
 
     Gram-Schmidt under ``G`` seeded with the span, then extended by the
-    canonical fiber directions; the span part is discarded.
+    canonical fiber directions; the span part is discarded.  Where ``G`` or
+    the span is not finite, tested before the arithmetic, the rows are NaN,
+    one per complement direction.
     """
     m = len(G)
+    if not _finite(G, span):
+        return np.full((m - len(span), m), np.nan)
     basis = []
 
     def push(v):
@@ -640,6 +645,9 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
 
     def residual(p):
         rho_f = d_function(S, fn, p)
+        # Tested before the products, where 0 * inf would only warn.
+        if not _finite(rho_f):
+            return math.nan
         return reduce(_max, (abs(float(y @ rho_f)) for y in P.complement_basis(p)), 0.0)
 
     worst, witness = _stacked_sweep(points, lambda ks: (residual(p) for p in points[ks]))

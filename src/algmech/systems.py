@@ -24,7 +24,6 @@ from .algebroid import (
     Exclusion,
     OneForm,
     Section,
-    _along,
     _as_expr,
     _differential,
     _ExprTable,
@@ -260,18 +259,16 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     opaque callable).  Returns ``(structure_fn, gram_fn)`` as pointwise
     callables; when both the frame and the ambient metric carry
     ``value_and_jacobian``, so does ``gram_fn``, by the product rule.  A
-    frame or ambient value that is not finite gives a NaN Gram matrix.
+    frame or ambient value that is not finite, tested before the products,
+    gives a NaN Gram matrix and Jacobian and a ``SingularMetricError`` of the
+    structure functions.
 
-    Then both also carry the same ``koszul_terms``, which the connection
-    reads when a structure with this frame as its anchor is paired with this
-    Gram metric: one frame ``value_and_jacobian`` and one ambient evaluation
-    give the anchor, the Gram matrix, its derivatives along the frame and the
-    lowered brackets ``g(U_a, [U_b, U_c])``.  The lowered form needs no
-    solve, since the structure functions are ``C = G^-1 (B g) lie^T``.  The
-    product rule and the brackets are written once, in ``frame_terms`` and
-    ``lie_rows``; ``koszul_terms.frame`` and ``koszul_terms.metric`` are the
-    two fields, from whose expressions the spray compiles the same terms
-    (``geometry._koszul_table``).
+    Both callables carry ``induced = (frame_fn, metric_fn)``, one tuple per
+    call.  By it ``geometry._koszul_table`` knows a structure with this
+    frame as its anchor paired with this Gram metric, and compiles the Gram
+    matrix, its derivatives and the lowered brackets ``g(U_a, [U_b, U_c])``
+    from the two fields when they are expression tables, with no solve.
+    Every other pairing, and ``geometry.christoffel``, reads the callables.
     """
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
@@ -282,57 +279,39 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
             return np.full((len(B), len(B)), np.nan)
         return B @ g @ B.T
 
-    def frame_terms(x):
-        """``(B, dB, BG, gram, dgram)`` from one frame ``value_and_jacobian``
-        and one ambient evaluation: ``BG = B g`` and the Gram matrix
-        ``B g B^T`` with its Jacobian by the product rule."""
+    def gram_value_and_jacobian(x):
+        # d(B g B^T) = B g dB^T + its transpose (g is symmetric) + B dg B^T
         B, dB = frame_fn.value_and_jacobian(x)
-        if ambient_moves:
-            G, dG = metric_fn.value_and_jacobian(x)
-        else:
-            G = metric_fn(x)
-        BG = B @ G
+        g, dg = metric_fn.value_and_jacobian(x) if ambient_moves else (metric_fn(x), None)
         m, n = B.shape
-        # d(B G B^T) = B G dB^T + its transpose (G is symmetric) + B dG B^T
+        if not _finite(B, g):
+            return np.full((m, m), np.nan), np.full((m, m, n), np.nan)
+        BG = B @ g
         half = (BG @ dB).transpose(1, 0, 2)
         dgram = half + half.transpose(1, 0, 2)
         if ambient_moves:
-            dgram += B @ (B @ dG.reshape(n, n * n)).reshape(m, n, n)
-        return B, dB, BG, BG @ B.T, dgram
-
-    def lie_rows(J):
-        """``[U_a, U_b]`` at row ``a*m + b``, from ``J[a, b]``, the derivative
-        of field ``b`` along field ``a``."""
-        m, _, n = J.shape
-        return (J - J.transpose(1, 0, 2)).reshape(m * m, n)
-
-    def gram_value_and_jacobian(x):
-        _, _, _, gram, dgram = frame_terms(x)
-        return gram, dgram
+            dgram += B @ (B @ dg.reshape(n, n * n)).reshape(m, n, n)
+        return BG @ B.T, dgram
 
     def structure_fn(x):
         B, dB = _differential(frame_fn, x)
-        BG = B @ metric_fn(x)
+        g = np.asarray(metric_fn(x))
+        if not _finite(B, g):
+            raise SingularMetricError(f"distribution Gram matrix is not finite at {x}")
+        BG = B @ g
+        # J[a, b] is the derivative of field b along field a; [U_a, U_b] at
+        # row a*m + b
+        J = dB(B)
         m = B.shape[0]
         try:
-            coeffs = np.linalg.solve(BG @ B.T, BG @ lie_rows(dB(B)).T)
+            coeffs = np.linalg.solve(BG @ B.T, BG @ (J - J.transpose(1, 0, 2)).reshape(m * m, -1).T)
         except np.linalg.LinAlgError:
             raise SingularMetricError(f"distribution Gram matrix is singular at {x}") from None
         return coeffs.reshape(m, m, m)
 
-    def koszul_terms(x):
-        """``(A, G, rhoG, GC)`` for the Koszul assembly: the frame, the Gram
-        matrix, its derivatives along the frame fields and the lowered
-        brackets ``GC[a, b, c] = g(U_a, [U_b, U_c])``, which need no solve."""
-        B, dB, BG, gram, dgram = frame_terms(x)
-        m = B.shape[0]
-        lie = lie_rows(_along(dB, B))
-        return B, gram, _along(dgram, B), (BG @ lie.T).reshape(m, m, m)
-
     if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian
-        koszul_terms.frame, koszul_terms.metric = frame_fn, metric_fn
-        structure_fn.koszul_terms = gram_fn.koszul_terms = koszul_terms
+    structure_fn.induced = gram_fn.induced = (frame_fn, metric_fn)
     return structure_fn, gram_fn
 
 

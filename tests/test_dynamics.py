@@ -797,11 +797,11 @@ class TestKoszulTable:
             assert np.array_equal(traj.fiber, ref.fiber)
 
     def test_opaque_callables_take_the_numeric_assembly(self, leg, unicycle, monkeypatch):
-        from algmech import AlgebroidStructure, BundleMetric, dynamics
+        from algmech import AlgebroidStructure, BundleMetric, geometry
         from algmech.geometry import _koszul, _koszul_table
 
         calls = []
-        monkeypatch.setattr(dynamics, "_koszul", lambda *args: calls.append(1) or _koszul(*args))
+        monkeypatch.setattr(geometry, "_koszul", lambda *args: calls.append(1) or _koszul(*args))
         S, Gm = leg.structure, leg.metric
         opaque = [(AlgebroidStructure(leg.coords, 3, S.anchor, lambda x: S.structure(x)), Gm, leg),
                   (S, BundleMetric(lambda x: Gm.matrix(x), 3), leg),

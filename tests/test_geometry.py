@@ -237,15 +237,47 @@ class TestChristoffel:
                                      - sysd.structure.structure(p))) < 1e-4
 
     def test_stacked_evaluator_is_the_per_point_one(self, all_builtins, unicycle):
-        """A stack of points gives the per-point tensors bitwise: one stacked
-        Koszul assembly, inversion and contraction."""
-        for sysd in all_builtins + [unicycle]:
+        """A stack of points gives the evaluator's per-point tensors bitwise:
+        one stacked inversion and contraction of the Koszul values.  Those
+        come from the compiled Koszul table, so they agree with the numeric
+        assembly of ``christoffel`` to rounding."""
+        from algmech import load_spec
+        from test_dynamics import BOARD_INTRINSIC, LEG_EMBEDDED
+
+        systems = all_builtins + [unicycle, load_spec(LEG_EMBEDDED), load_spec(BOARD_INTRINSIC)]
+        for sysd in systems:
             S, Gm = sysd.structure, sysd.metric
+            at = christoffel_field(S, Gm)
             points = sysd.sample(200, seed=6)
-            stacked = christoffel_field(S, Gm)(points)
+            stacked = at(points)
             assert stacked.shape == (200,) + (sysd.m,) * 3
             for p, gamma in zip(points, stacked):
-                assert np.array_equal(gamma, christoffel(S, Gm, p).gamma), sysd.name
+                assert np.array_equal(gamma, at(p)), sysd.name
+                expected = christoffel(S, Gm, p).gamma
+                scale = max(np.max(np.abs(expected)), np.finfo(float).tiny)
+                assert np.max(np.abs(gamma - expected)) <= 1e-14 * scale, sysd.name
+
+    def test_table_pairs_never_take_the_numeric_assembly(self, leg, board, unicycle, monkeypatch):
+        """The evaluator of a pair of expression tables reads its compiled
+        Koszul table, at a point and at a stack; a pair with an opaque
+        callable assembles the Koszul terms numerically at every point."""
+        from algmech import geometry
+        from test_dynamics import opaque_frame_system
+
+        calls = []
+        original = geometry._koszul
+        monkeypatch.setattr(geometry, "_koszul", lambda *args: calls.append(1) or original(*args))
+        opaque_leg = AlgebroidStructure(leg.coords, 3, leg.structure.anchor,
+                                        lambda x: leg.structure.structure(x))
+        pairs = [(leg.structure, leg.metric, leg, 0), (board.structure, board.metric, board, 0),
+                 (opaque_leg, leg.metric, leg, 1), (*opaque_frame_system(unicycle), unicycle, 1)]
+        for S, Gm, sysd, per_point in pairs:
+            at = christoffel_field(S, Gm)
+            points = sysd.sample(4, seed=9)
+            calls.clear()
+            at(points[0])
+            at(points)
+            assert len(calls) == 5 * per_point, sysd.name
 
     def test_one_point_stack_is_the_pointwise_contraction(self, all_builtins, unicycle):
         """``christoffel`` is the one-point stack: bitwise the Koszul tensor

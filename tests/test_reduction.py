@@ -440,6 +440,41 @@ class TestNonFiniteResiduals:
                                  lambda x: np.inf, points)
         assert_non_finite(rep, points[0])
 
+    def test_infinite_span_of_the_complement_checks(self, planar):
+        """A control span whose value is infinite is tested before the
+        Gram-Schmidt of its complement, where it would warn and then read as
+        degenerate: the complement rows are NaN and every check that reads
+        them is inconclusive."""
+        import warnings
+        from dataclasses import replace
+
+        S, Gm = planar.structure, planar.metric
+        Dc = Subbundle((Section(lambda x: np.array([np.inf, 0.0, 0.0]), 3),
+                        planar.controls.sections[1]))
+        X = next(iter(planar.candidates.values()))
+        points = planar.sample(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(Projector(Dc, Gm).complement_basis(points[0])).all()
+            assert np.isnan(hj_residual(S, Gm, None, Dc, X, points[0])).all()
+            assert_non_finite(reparam_admissible(S, Gm, Dc, "x", points), points[0])
+            assert_non_finite(hj_algebraic_check(replace(planar, controls=Dc), X, points), points[0])
+            rep = hj_trajectory_equivalence(S, Gm, None, Dc, X, points[0], 0.5, 0.05)
+            assert rep.verdict == "inconclusive"
+            assert rep.details["inconclusive_reason"].startswith("non-finite residual")
+
+    def test_overflowing_reparametrization_factor(self, planar):
+        """A factor whose derivative overflows to inf is tested before its
+        products with the complement rows, where 0 * inf would warn."""
+        import warnings
+
+        points = planar.sample(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reparam_admissible(planar.structure, planar.metric, planar.controls,
+                                     "1e308*10*x", points)
+        assert_non_finite(rep, points[0])
+
     def test_infinite_declared_complement(self, planar):
         """An infinite declared complement section gives a NaN residual,
         tested before ``P @ w``, without a warning."""

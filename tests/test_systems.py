@@ -533,10 +533,11 @@ class TestInducedAlgebroid:
         assert calls == ["__call__"]
 
     def test_paired_terms_agree_with_the_generic_path(self, board, unicycle):
-        """A structure and a metric from one ``induced_algebroid`` call take
-        the Koszul terms from one frame evaluation; a wrapped Gram function
-        forces the generic path, which agrees to rounding when the wrapper
-        carries the exact Jacobian and to difference error when it does not."""
+        """The spray of a structure and a metric from one ``induced_algebroid``
+        call reads their compiled Koszul table; a wrapped Gram function
+        forces the numeric assembly, which agrees to rounding when the
+        wrapper carries the exact Jacobian and to difference error when it
+        does not, and so does ``christoffel`` with it."""
         from algmech import christoffel, spray_field
 
         for sysd in (board, unicycle):
@@ -554,12 +555,14 @@ class TestInducedAlgebroid:
                     paired, other = spray_field(S, Gm)(0.0, z), spray_field(S, generic)(0.0, z)
                     assert np.max(np.abs(paired - other)) <= tol * np.max(np.abs(paired))
 
-    def test_foreign_pairing_takes_the_generic_path(self, board, monkeypatch):
+    def test_foreign_pairing_takes_the_generic_path(self, board):
         """Only a structure whose anchor is the frame and whose structure and
-        Gram functions come from the same ``induced_algebroid`` call skip the
-        structure functions; every other pairing reads them."""
-        from algmech import AlgebroidStructure, christoffel
+        Gram functions come from the same ``induced_algebroid`` call get a
+        compiled Koszul table; every other pairing is assembled numerically,
+        and both agree to rounding."""
+        from algmech import AlgebroidStructure, christoffel_field
         from algmech.algebroid import _ExprTable
+        from algmech.geometry import _koszul_table
 
         doc = dump_spec(board)
         n, m = board.n, board.m
@@ -568,24 +571,46 @@ class TestInducedAlgebroid:
         frame = board.embedded["distribution"]
         structure_fn, gram_fn = induced_algebroid(ambient, frame)
         other_structure, other_gram = induced_algebroid(ambient, frame)
-        reads = []
-        original = AlgebroidStructure.structure
-        monkeypatch.setattr(AlgebroidStructure, "structure",
-                            lambda S, x: reads.append(1) or original(S, x))
-        p = board.sample(1, seed=5)[0]
-        expected = christoffel(board.structure, board.metric, p).gamma
+        points = board.sample(3, seed=5)
+        expected = christoffel_field(board.structure, board.metric)(points)
         cases = [
-            (frame, structure_fn, gram_fn, 0),
-            (frame, structure_fn, other_gram, 1),
-            (frame, other_structure, gram_fn, 1),
-            (lambda x: frame(x), structure_fn, gram_fn, 1),
+            (frame, structure_fn, gram_fn, True),
+            (frame, structure_fn, other_gram, False),
+            (frame, other_structure, gram_fn, False),
+            (lambda x: frame(x), structure_fn, gram_fn, False),
         ]
-        for anchor, structure, gram, count in cases:
-            reads.clear()
+        for anchor, structure, gram, compiled in cases:
             S = AlgebroidStructure(board.coords, m, anchor, structure, params=board.params)
-            gamma = christoffel(S, BundleMetric(gram, m), p).gamma
-            assert len(reads) == count
+            Gm = BundleMetric(gram, m)
+            assert (_koszul_table(S, Gm) is not None) == compiled
+            gamma = christoffel_field(S, Gm)(points)
             assert np.max(np.abs(gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_ambient_metric_overflowing_off_the_sample(self, board):
+        """An ambient entry that overflows only near the chart's edge loads
+        (the validation sample does not reach it); there the Gram Jacobian
+        is NaN and the structure functions and the connection raise
+        ``SingularMetricError`` naming the point, tested before the
+        products, not an invalid value warning."""
+        from algmech import christoffel, christoffel_field
+
+        doc = dump_spec(board)
+        doc["ambient"]["metric"][2][2] += " + 1e308*(x/4.99)^20000"
+        sysdef = load_spec(doc)
+        S, Gm, p = sysdef.structure, sysdef.metric, np.array([4.999, 0.0, 0.2, 0.1, 0.3])
+        at = r"at \[4\.999 +0\. +0\.2 +0\.1 +0\.3 *\]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram, dgram = Gm.value_and_jacobian(p)
+            assert np.isnan(gram).all() and np.isnan(dgram).all()
+            assert np.isnan(Gm.matrix(p)).all()
+            with pytest.raises(SingularMetricError, match="Gram matrix is not finite " + at):
+                S.structure(p)
+            with pytest.raises(SingularMetricError, match="metric is singular " + at):
+                christoffel(S, Gm, p)
+            with pytest.raises(SingularMetricError, match="metric is singular " + at):
+                christoffel_field(S, Gm)(np.array([board.center(), p]))
+            assert np.isfinite(christoffel(S, Gm, board.center()).gamma).all()
 
     def test_gram_jacobian_by_the_product_rule(self, leg):
         """Frame and ambient metric as tables, the ambient one moving: the
