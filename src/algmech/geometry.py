@@ -504,7 +504,8 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
         flat = values(x)
         return flat[metric_at:koszul_at], flat[koszul_at:]
 
-    return lambda p: _christoffel_stack(S, terms, [p])[0] if np.ndim(p) < 2 else _christoffel_stack(S, terms, p)
+    return lambda p: (_christoffel_stack(S, terms, [p])[0] if np.ndim(p) < 2
+                      else _christoffel_stack(S, terms, p))
 
 
 def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:

@@ -167,7 +167,7 @@ def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p) -> np.ndarray:
     """
     m = len(G)
     if not _finite(G, span):
-        return np.full((m - len(span), m), np.nan)
+        return np.full((max(m - len(span), 0), m), np.nan)
     basis = []
 
     def push(v):
