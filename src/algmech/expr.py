@@ -6,11 +6,14 @@ arithmetic operators ``+ - * / ^`` (with ``^`` right-associative), unary
 negation and a fixed catalogue of functions.  Evaluation is pure: given a
 binding for every free variable it touches nothing else, so expressions can
 be shared freely across threads.  ``Expr.eval`` walks the tree and is the
-reference semantics.  :func:`diff` is the one derivative mechanism: it turns
-a tree into the tree of its partial derivative.  :func:`_compile_table` turns
-a table of expressions into one straight-line Python function with
-bitwise-equal results and, on request, a second one that also returns the
-table's Jacobian, emitted from the ``diff`` trees by the same code generator.
+reference semantics.  :func:`parse` climbs the printer's precedence table, so
+a printed tree parses back to itself, and it rejects a tree of more than
+``_MAX_DEPTH`` levels, which the recursive walks could not finish.
+:func:`diff` is the one derivative mechanism: it turns a tree into the tree
+of its partial derivative.  :func:`_compile_table` turns a table of
+expressions into one straight-line Python function with bitwise-equal
+results and, on request, a second one that also returns the table's
+Jacobian, emitted from the ``diff`` trees by the same code generator.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Expr:
 
     def variables(self) -> frozenset:
         """Free variables of the expression."""
-        raise NotImplementedError
+        return frozenset(_free_variables([self]))
 
     def __str__(self) -> str:
         return _format(self, 0)
@@ -87,9 +90,6 @@ class Num(Expr):
     def eval(self, bindings):
         return self.value
 
-    def variables(self):
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -101,9 +101,6 @@ class Var(Expr):
         except KeyError:
             raise EvalError(f"unbound variable '{self.name}'") from None
 
-    def variables(self):
-        return frozenset((self.name,))
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -111,9 +108,6 @@ class Neg(Expr):
 
     def eval(self, bindings):
         return -self.arg.eval(bindings)
-
-    def variables(self):
-        return self.arg.variables()
 
 
 @dataclass(frozen=True)
@@ -138,9 +132,6 @@ class BinOp(Expr):
             return _power(a, b)
         raise AssertionError(f"unknown operator {op!r}")
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Call(Expr):
@@ -151,16 +142,10 @@ class Call(Expr):
         values = [arg.eval(bindings) for arg in self.args]
         return (_FUNCTIONS.get(self.func) or _DERIVATIVE_FUNCTIONS[self.func])[1](*values)
 
-    def variables(self):
-        out = frozenset()
-        for arg in self.args:
-            out |= arg.variables()
-        return out
-
 
 def _free_variables(exprs: Sequence[Expr]) -> set:
     """The free variables of a table of expressions, each shared subtree
-    walked once (``Expr.variables`` walks it once per parent)."""
+    walked once."""
     names, seen = set(), set()
     stack = list(exprs)
     while stack:
@@ -168,18 +153,14 @@ def _free_variables(exprs: Sequence[Expr]) -> set:
         kind = type(node)
         if kind is Var:
             names.add(node.name)
-        elif kind is Num or id(node) in seen:  # every node is alive in `exprs`
-            continue
-        else:
+        elif kind is not Num and id(node) not in seen:  # every node is alive in `exprs`
             seen.add(id(node))
             if kind is BinOp:
                 stack += (node.left, node.right)
             elif kind is Neg:
                 stack.append(node.arg)
-            elif kind is Call:
-                stack += node.args
             else:
-                names |= node.variables()
+                stack += node.args
     return names
 
 
@@ -256,97 +237,87 @@ def _tokenize(source: str):
     return tokens
 
 
+# Binding power and associativity of each operator, unary minus as "neg".  The
+# parser climbs this table and the printer parenthesizes by it, so a printed
+# tree parses back to itself.
+_PRECEDENCE = {"+": (1, "left"), "-": (1, "left"), "*": (2, "left"), "/": (2, "left"),
+               "neg": (3, "right"), "^": (4, "right")}
+
+# The most levels a parsed tree may have.  The walks of a tree recurse, two
+# Python frames a level, so a tree this deep stays within the default
+# recursion limit of 1000 when the walk starts a few hundred frames down.
+_MAX_DEPTH = 300
+
+
+def _floor(op: str, side: str) -> int:
+    """The least binding power of an operand of ``op`` on ``side`` ("left"
+    or "right") written without parentheses: the operator's own on its
+    associative side, one more on the other."""
+    power, assoc = _PRECEDENCE[op]
+    return power if side == assoc else power + 1
+
+
 class _Parser:
+    """Precedence climbing over ``_PRECEDENCE``, one Python frame per level
+    of nesting: an operator, a call or a pair of parentheses.
+
+    A tree of more than ``_MAX_DEPTH`` levels raises ``ParseError``, and so
+    does nesting deeper than ``2 * _MAX_DEPTH``, which a tree within the
+    bound reaches only inside more than ``_MAX_DEPTH`` pairs of parentheses.
+    """
+
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
     def expect_op(self, symbol: str):
-        kind, text, offset = self.peek()
-        if kind == "op" and text == symbol:
-            return self.advance()
-        raise ParseError(offset, f"expected '{symbol}'")
+        kind, text, offset = self.tokens[self.index]
+        if kind != "op" or text != symbol:
+            raise ParseError(offset, f"expected '{symbol}'")
+        self.index += 1
 
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
-
-    # factor := '-' factor | power   (unary minus binds looser than '^')
-    def factor(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    # power := atom ('^' factor)?   (right-associative, exponent may be signed)
-    def power(self) -> Expr:
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return BinOp("^", node, self.factor())
-        return node
-
-    def atom(self) -> Expr:
-        kind, text, offset = self.advance()
+    def binary(self, floor: int, nesting: int):
+        """The expression at the cursor whose operators bind at least as
+        tightly as ``floor``, and the number of levels of its tree."""
+        kind, text, offset = self.tokens[self.index]
+        self.index += 1
+        if nesting > 2 * _MAX_DEPTH:
+            raise ParseError(offset, f"expression nested deeper than {2 * _MAX_DEPTH} levels")
         if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            peek_kind, peek_text, _ = self.peek()
-            if peek_kind == "op" and peek_text == "(":
-                return self.call(text, offset)
-            return Var(text)
-        if kind == "op" and text == "(":
-            node = self.expr()
+            node, height = Num(float(text)), 1
+        elif kind == "name" and self.tokens[self.index][1] != "(":
+            node, height = Var(text), 1
+        elif kind == "name":
+            if text not in _FUNCTIONS:
+                raise ParseError(offset, f"unknown function '{text}'")
+            self.index += 1
+            args = [self.binary(0, nesting + 1)]
+            while self.tokens[self.index][1] == ",":
+                self.index += 1
+                args.append(self.binary(0, nesting + 1))
             self.expect_op(")")
-            return node
-        raise ParseError(offset, "expected a value")
-
-    def call(self, name: str, offset: int) -> Expr:
-        if name not in _FUNCTIONS:
-            raise ParseError(offset, f"unknown function '{name}'")
-        self.expect_op("(")
-        args = [self.expr()]
+            nodes, heights = zip(*args)
+            arity = _FUNCTIONS[text][0]
+            if len(nodes) != arity:
+                raise ParseError(offset, f"'{text}' takes {arity} argument(s), got {len(nodes)}")
+            node, height = Call(text, nodes), max(heights) + 1
+        elif text == "-":
+            arg, height = self.binary(_floor("neg", "right"), nesting + 1)
+            node, height = Neg(arg), height + 1
+        elif text == "(":
+            node, height = self.binary(0, nesting + 1)
+            self.expect_op(")")
+        else:
+            raise ParseError(offset, "expected a value")
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
-        self.expect_op(")")
-        arity = _FUNCTIONS[name][0]
-        if len(args) != arity:
-            raise ParseError(offset, f"'{name}' takes {arity} argument(s), got {len(args)}")
-        return Call(name, tuple(args))
+            if height > _MAX_DEPTH:
+                raise ParseError(offset, f"expression deeper than {_MAX_DEPTH} levels")
+            kind, text, offset = self.tokens[self.index]
+            if kind != "op" or text not in _PRECEDENCE or _PRECEDENCE[text][0] < floor:
+                return node, height
+            self.index += 1
+            right, right_height = self.binary(_floor(text, "right"), nesting + 1)
+            node, height = BinOp(text, node, right), max(height, right_height) + 1
 
 
 def parse(source: str) -> Expr:
@@ -355,19 +326,18 @@ def parse(source: str) -> Expr:
     The grammar has standard precedence (``^`` right-associative above unary
     minus, above ``*``/``/``, above ``+``/``-``), parentheses and identifiers
     matching ``[A-Za-z_][A-Za-z0-9_]*``.  Raises :class:`ParseError` with the
-    byte offset on malformed input.
+    byte offset on malformed input and on a tree of more than
+    ``_MAX_DEPTH`` levels.
     """
     parser = _Parser(source)
-    node = parser.expr()
-    kind, text, offset = parser.peek()
+    node, _ = parser.binary(0, 0)
+    kind, text, offset = parser.tokens[parser.index]
     if kind != "end":
         raise ParseError(offset, f"unexpected trailing input {text!r}")
     return node
 
 
 # --- printing ----------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _format(expr: Expr, parent: int) -> str:
@@ -378,20 +348,13 @@ def _format(expr: Expr, parent: int) -> str:
     if isinstance(expr, Call):
         return f"{expr.func}({', '.join(_format(a, 0) for a in expr.args)})"
     if isinstance(expr, Neg):
-        text = "-" + _format(expr.arg, _PRECEDENCE["neg"])
-        return f"({text})" if parent > _PRECEDENCE["neg"] else text
+        text = "-" + _format(expr.arg, _floor("neg", "right"))
+        return f"({text})" if parent > _PRECEDENCE["neg"][0] else text
     if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        if expr.op == "^":
-            # right-associative; the printed exponent re-parses at factor level
-            left = _format(expr.left, prec + 1)
-            right = _format(expr.right, prec)
-            text = f"{left}{expr.op}{right}"
-        else:
-            left = _format(expr.left, prec)
-            right = _format(expr.right, prec + 1)
-            text = f"{left} {expr.op} {right}"
-        return f"({text})" if parent > prec else text
+        left = _format(expr.left, _floor(expr.op, "left"))
+        right = _format(expr.right, _floor(expr.op, "right"))
+        text = f"{left}^{right}" if expr.op == "^" else f"{left} {expr.op} {right}"
+        return f"({text})" if parent > _PRECEDENCE[expr.op][0] else text
     raise AssertionError(f"unknown node {expr!r}")
 
 
@@ -676,8 +639,8 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             left = emit(node.left)
             return assign(_OPERATOR_CODE[node.op].format(left, emit(node.right)))
         if isinstance(node, Call):
-            args = [emit(arg) for arg in node.args]
-            return assign(f"_f_{node.func}({', '.join(args)})")
+            # map, not a comprehension: two frames a level, as in the other walks
+            return assign(f"_f_{node.func}({', '.join(map(emit, node.args))})")
         raise AssertionError(f"unknown node {node!r}")
 
     results = [emit(e) for e in exprs]

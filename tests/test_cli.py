@@ -6,6 +6,7 @@ import numpy as np
 
 from algmech import TotalPoint, builtin, dump_spec, integrate, load_spec, planar_body, spray_field
 from algmech.cli import build_parser, main
+from algmech.reduction import hj_trajectory_equivalence
 from algmech.report import render_text, run_battery
 
 
@@ -45,6 +46,15 @@ class TestChristoffelCommand:
         assert code == 0
         assert "gamma^1_22 = 3" in out  # h/J = 1.5/0.5
 
+    def test_param_override_of_a_document_file(self, capsys, tmp_path):
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(dump_spec(planar_body())))
+        args = ("christoffel", "--at", "0.3,-0.2,0.1", "--params", "m=2,J=0.5,h=1.5",
+                "--format", "json")
+        from_file = run(capsys, *args, "--system", str(path))
+        assert from_file == run(capsys, *args, "--system", "planar_body")
+        assert from_file[0] == 0
+
 
 class TestVerdictCommands:
     def test_maxred_leg_passes(self, capsys):
@@ -75,6 +85,21 @@ class TestVerdictCommands:
         assert code == 1
         assert "[FAIL] hj:xY1" in out
         assert "witness" in out
+
+    def test_hj_start_point(self, capsys):
+        """``--p0`` starts the trajectory check there, not at the first sample."""
+        sysdef = planar_body()
+        args = ("check-hj", "--system", "planar_body", "--section", "candidate:xY1",
+                "--samples", "4", "--horizon", "0.5", "--traj-step", "0.01", "--traj-tol", "0.001",
+                "--format", "json")
+        _, out, _ = run(capsys, *args, "--p0", "0.5,-0.3,0.2")
+        _, default, _ = run(capsys, *args)
+        entry = json.loads(out)["checks"][1]
+        want = hj_trajectory_equivalence(sysdef.structure, sysdef.metric, sysdef.potential,
+                                          sysdef.controls, sysdef.candidates["xY1"],
+                                          np.array([0.5, -0.3, 0.2]), 0.5, 0.01, tol=0.001)
+        assert entry == {"label": "hj_trajectory:xY1", **json.loads(json.dumps(want.to_dict()))}
+        assert entry != json.loads(default)["checks"][1]
 
     def test_hj_passing_candidate(self, capsys):
         code, out, _ = run(capsys, "check-hj", "--system", "robotic_leg",

@@ -80,6 +80,57 @@ class TestParse:
         tree = parse(source)
         assert parse(str(tree)) == tree
 
+    def test_print_parse_roundtrip_on_random_trees(self):
+        """The printer and the parser read one precedence table: every tree
+        the parser can build, with nested negations, signed exponents and
+        every function, prints to a string that parses back to it."""
+        rng = random.Random(20261019)
+        printed = []
+        for case in range(2000):
+            tree = _random_expr(rng, 5, [], lambda rng: rng.choice([0.0, 0.5, 1e-7, 1e300, rng.uniform(0, 4)]))
+            printed.append(str(tree))
+            assert parse(printed[-1]) == tree, (case, printed[-1])
+        text = "\n".join(printed)
+        assert all(part in text for part in ("--", "^(-", ")^", "atan2("))
+
+    @pytest.mark.parametrize("source, offset, message", [
+        ("2*(x +", 6, "expected a value"),
+        ("(x", 2, "expected ')'"),
+        ("atan2(x y)", 8, "expected ')'"),
+        ("sin(x,)", 6, "expected a value"),
+        ("x**2", 2, "expected a value"),
+        ("1e", 1, "unexpected trailing input 'e'"),
+        ("sin()", 4, "expected a value"),
+        ("((x)", 4, "expected ')'"),
+        ("", 0, "expected a value"),
+        ("2^", 2, "expected a value"),
+        ("x y", 2, "unexpected trailing input 'y'"),
+        ("1.5.2", 3, "unexpected trailing input '.2'"),
+        ("x (y)", 0, "unknown function 'x'"),
+        ("_dabs(x)", 0, "unknown function '_dabs'"),
+        ("sin(x, y)", 0, "'sin' takes 1 argument(s), got 2"),
+        ("(" * 601 + "x" + ")" * 601, 601, "expression nested deeper than 600 levels"),
+    ])
+    def test_syntax_errors(self, source, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.offset, str(err.value)) == (offset, f"syntax error at offset {offset}: {message}")
+
+    @pytest.mark.parametrize("shape", [
+        lambda k: " + ".join(["x"] * k),
+        lambda k: "^".join(["x"] * k),
+        lambda k: "-" * (k - 1) + "x",
+        lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "x*(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "(" * 250 + "atan2(" * (k - 1) + "x" + ", y)" * (k - 1) + ")" * 250,
+    ], ids=["sum", "powers", "negations", "calls", "products", "parenthesized_calls"])
+    def test_trees_deeper_than_the_bound_raise(self, shape):
+        """A tree of ``_MAX_DEPTH`` levels parses, one level more raises a
+        ``ParseError``, never a ``RecursionError``; parentheses add none."""
+        parse(shape(ex._MAX_DEPTH))
+        with pytest.raises(ParseError, match=f"expression deeper than {ex._MAX_DEPTH} levels"):
+            parse(shape(ex._MAX_DEPTH + 1))
+
 
 class TestEval:
     def test_examples(self):

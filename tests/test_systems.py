@@ -19,7 +19,8 @@ from algmech import (
     planar_body,
     suslov,
 )
-from algmech.report import run_battery
+from algmech import expr as ex
+from algmech.report import christoffel_table, run_battery
 from algmech.systems import induced_algebroid
 
 
@@ -198,6 +199,41 @@ class TestLoader:
         field = spray_field(sysd.structure, sysd.metric, force=sysd.force)
         out = field(0.0, TotalPoint([0.0, 0.0, 0.0], [2.0, 0.0, 0.0]).packed())
         assert out[3] == pytest.approx(-2.0)
+
+    def test_explicit_force_reaches_the_battery(self, planar):
+        """A force off the control span makes the force-free hypotheses
+        inconclusive and drops maximal reducibility; one along the first
+        control leaves every other verdict as it was."""
+        unforced = run_battery(planar, samples=6)["verdicts"]
+        del unforced["maximal_reducibility"]
+        doc = dump_spec(planar)
+        doc["force"] = ["0", "0", "1"]
+        battery = run_battery(load_spec(doc), samples=6)
+        checks = {check["label"]: check for check in battery["checks"]}
+        for label in ("decoupling:Y1", "decoupling:Y2", "kinematic_reduction:controls"):
+            assert checks[label]["verdict"] == "inconclusive"
+            assert checks[label]["details"] == {"force_complement_residual": 1.0}
+        assert "maximal_reducibility" not in battery["verdicts"]
+        doc["force"] = ["-y1", "0", "0"]
+        assert run_battery(load_spec(doc), samples=6)["verdicts"] == unforced
+
+    @pytest.mark.parametrize("nest", [
+        lambda entry, k: entry + " + 0*r" * k,
+        lambda entry, k: "abs(" * k + entry + ")" * k,
+    ], ids=["sum", "calls"])
+    def test_metric_entry_at_the_depth_bound(self, leg, nest):
+        """A metric entry of ``_MAX_DEPTH`` levels (its own five and the
+        nesting) loads, builds its Koszul table and runs the battery to the
+        builtin's verdicts; one level more is a document error."""
+        doc = dump_spec(leg)
+        entry = doc["metric"][0][0]
+        doc["metric"][0][0] = nest(entry, ex._MAX_DEPTH - 5)
+        deep = load_spec(doc)
+        assert christoffel_table(deep) == christoffel_table(leg)
+        assert run_battery(deep, samples=6)["verdicts"] == run_battery(leg, samples=6)["verdicts"]
+        doc["metric"][0][0] = nest(entry, ex._MAX_DEPTH - 4)
+        with pytest.raises(SpecError, match=r"^\$\.metric: syntax error .* deeper than"):
+            load_spec(doc)
 
     def test_force_dimension_checked(self, planar):
         doc = dump_spec(planar)
@@ -426,7 +462,9 @@ class TestLoaderFuzz:
 
     DELETE = object()
     POOL = (math.nan, math.inf, -math.inf, 1e308, "1e308", True, None, [], {}, 7, "x",
-            "1/0", "sqrt(-1)", "ln(0)", "zz", "1e308*3", DELETE)
+            "1/0", "sqrt(-1)", "ln(0)", "zz", "1e308*3", DELETE,
+            "+".join(["1"] * (ex._MAX_DEPTH + 1)),
+            "sin(" * (ex._MAX_DEPTH + 1) + "1" + ")" * (ex._MAX_DEPTH + 1))
     TRIALS = 1000
 
     @staticmethod
