@@ -80,7 +80,7 @@ class Expr:
         return frozenset(_free_variables([self]))
 
     def __str__(self) -> str:
-        return _format(self, 0)
+        return _format(self)
 
 
 @dataclass(frozen=True)
@@ -340,13 +340,13 @@ def parse(source: str) -> Expr:
 # --- printing ----------------------------------------------------------------
 
 
-def _format(expr: Expr, parent: int) -> str:
+def _format(expr: Expr, parent: int = 0) -> str:
     if isinstance(expr, Num):
         return repr(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(_format(a, 0) for a in expr.args)})"
+        return f"{expr.func}({', '.join(map(_format, expr.args))})"
     if isinstance(expr, Neg):
         text = "-" + _format(expr.arg, _floor("neg", "right"))
         return f"({text})" if parent > _PRECEDENCE["neg"][0] else text
@@ -639,8 +639,10 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             left = emit(node.left)
             return assign(_OPERATOR_CODE[node.op].format(left, emit(node.right)))
         if isinstance(node, Call):
-            # map, not a comprehension: two frames a level, as in the other walks
-            return assign(f"_f_{node.func}({', '.join(map(emit, node.args))})")
+            args = []
+            for arg in node.args:  # two frames a level; a comprehension or map takes three
+                args.append(emit(arg))
+            return assign(f"_f_{node.func}({', '.join(args)})")
         raise AssertionError(f"unknown node {node!r}")
 
     results = [emit(e) for e in exprs]

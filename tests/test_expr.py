@@ -87,7 +87,7 @@ class TestParse:
         rng = random.Random(20261019)
         printed = []
         for case in range(2000):
-            tree = _random_expr(rng, 5, [], lambda rng: rng.choice([0.0, 0.5, 1e-7, 1e300, rng.uniform(0, 4)]))
+            tree = _random_expr(rng, 5, [], lambda rng: rng.choice([0.0, 1e-7, 1e300, rng.uniform(0, 4)]))
             printed.append(str(tree))
             assert parse(printed[-1]) == tree, (case, printed[-1])
         text = "\n".join(printed)
@@ -125,9 +125,11 @@ class TestParse:
         lambda k: "(" * 250 + "atan2(" * (k - 1) + "x" + ", y)" * (k - 1) + ")" * 250,
     ], ids=["sum", "powers", "negations", "calls", "products", "parenthesized_calls"])
     def test_trees_deeper_than_the_bound_raise(self, shape):
-        """A tree of ``_MAX_DEPTH`` levels parses, one level more raises a
-        ``ParseError``, never a ``RecursionError``; parentheses add none."""
-        parse(shape(ex._MAX_DEPTH))
+        """A tree of ``_MAX_DEPTH`` levels parses and prints back to itself,
+        one level more raises a ``ParseError``, never a ``RecursionError``;
+        parentheses add none."""
+        printed = str(parse(shape(ex._MAX_DEPTH)))
+        assert str(parse(printed)) == printed
         with pytest.raises(ParseError, match=f"expression deeper than {ex._MAX_DEPTH} levels"):
             parse(shape(ex._MAX_DEPTH + 1))
 
