@@ -30,7 +30,7 @@ from .report import (
     render_text,
     run_battery,
 )
-from .systems import BUILTINS, SpecError, SystemDefinition, builtin, load_spec, load_spec_file
+from .systems import BUILTINS, SpecError, SystemDefinition, builtin, load_spec_file
 
 __all__ = ["main"]
 
@@ -77,12 +77,7 @@ def _load_system(args) -> SystemDefinition:
             overrides[key.strip()] = float(value)
     if args.system in BUILTINS:
         return builtin(args.system, **overrides)
-    sysdef = load_spec_file(args.system)
-    if overrides:
-        document = dict(sysdef.document)
-        document["parameters"] = {**document.get("parameters", {}), **overrides}
-        sysdef = load_spec(document)
-    return sysdef
+    return load_spec_file(args.system, overrides)
 
 
 def _parse_point(text, size, what) -> np.ndarray:

@@ -263,9 +263,7 @@ def _stacked_sweep(points, residuals):
     """Worst residual and its witness over a point sweep (see :func:`_worst_of`),
     where ``residuals(ks)`` evaluates its stacked terms (projectors,
     Christoffel tensors) at the points ``points[ks]`` of an index array in
-    one call each and returns the residuals there, as an array or lazily;
-    a sweep with no stacked terms returns a generator of its per-point
-    residuals.
+    one call each and returns the residuals there, as an array or lazily.
 
     Where that evaluation raises, the sweep takes one point at a time, as a
     pointwise sweep does: it stops at its first non-finite residual and
@@ -279,6 +277,21 @@ def _stacked_sweep(points, residuals):
         # pointwise sweep reaches it.
         values = (r for k in range(len(points)) for r in residuals(np.array([k])))
     return _worst_of(zip(values, points))
+
+
+def _sweep(points, residual, *stacked):
+    """The :func:`_stacked_sweep` of ``residual(p, *values)`` over the
+    points, where ``values`` are those at ``p`` of the ``stacked``
+    evaluators, each called once with the stack of points (a projector's
+    ``q_matrix``, a ``christoffel_field`` evaluator).  The residuals are
+    computed lazily, one point at a time."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+
+    def residuals(ks):
+        xs = points[ks]
+        return map(residual, xs, *(f(xs) for f in stacked))
+
+    return _stacked_sweep(points, residuals)
 
 
 def _report(predicate, worst, witness, count, tol, details=None, hypothesis=None,
@@ -343,35 +356,26 @@ def _products(S, Gm, spans, p, gamma):
 
 
 def _containment(predicate, S, Gm, Dc: Subbundle, points, tol, force, probes, residual,
-                 details=None, stacks=()) -> VerificationReport:
-    """The report of ``predicate`` from the sweep of ``residual(p, Q, gamma,
-    *more)``, where ``Q`` is the complement projector of ``Dc`` at ``p``,
-    ``gamma`` the Christoffel tensor there and ``more`` the values there of
-    the ``stacks``, evaluators of a stack of points.  Each is evaluated once
-    for the whole sweep (see :func:`_stacked_sweep`).
+                 details=None) -> VerificationReport:
+    """The report of ``predicate`` from the :func:`_sweep` of ``residual(p,
+    Q, gamma)``, where ``Q`` is the complement projector of ``Dc`` at ``p``
+    and ``gamma`` the Christoffel tensor there.
 
     A force must lie in ``Dc`` at the zero fiber and at the ``probes``
     sections; where it does not, the predicate's hypothesis fails and the
     report, of that force residual, is inconclusive.
     """
-    P = Projector(Dc, Gm)
+    q_at = Projector(Dc, Gm).q_matrix
     points = np.atleast_2d(points)
     if force is not None:
-        def forced(ks):
-            return (_outside(Q, (force(p, y) for y in [np.zeros(P.m)] + [X(p) for X in probes]))
-                    for p, Q in zip(points[ks], P.q_matrix(points[ks])))
+        def forced(p, Q):
+            return _outside(Q, (force(p, y) for y in [np.zeros(Gm.m)] + [X(p) for X in probes]))
 
-        worst, witness = _stacked_sweep(points, forced)
+        worst, witness = _sweep(points, forced, q_at)
         if not worst <= tol:
             return _report(predicate, worst, witness, len(points), tol,
                            {"force_complement_residual": worst}, hypothesis=(worst, witness, tol))
-    gamma_at = christoffel_field(S, Gm)
-
-    def residuals(ks):
-        xs = points[ks]
-        return map(residual, xs, P.q_matrix(xs), gamma_at(xs), *(f(xs) for f in stacks))
-
-    worst, witness = _stacked_sweep(points, residuals)
+    worst, witness = _sweep(points, residual, q_at, christoffel_field(S, Gm))
     return _report(predicate, worst, witness, len(points), tol, details)
 
 
@@ -462,16 +466,10 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     if traj_tol is None:
         traj_tol = max(tol, DEFAULT_TRAJECTORY_TOL)
     P = Projector(candidate, Gm)
-    gamma_at = christoffel_field(S, Gm)
     points = np.atleast_2d(points)
     spans = candidate.sections
-
-    def algebraic(ks):
-        xs = points[ks]
-        return (_outside(Q, _products(S, Gm, spans, p, gamma))
-                for p, Q, gamma in zip(xs, P.q_matrix(xs), gamma_at(xs)))
-
-    worst, witness = _stacked_sweep(points, algebraic)
+    worst, witness = _sweep(points, lambda p, Q, gamma: _outside(Q, _products(S, Gm, spans, p, gamma)),
+                            P.q_matrix, christoffel_field(S, Gm))
     if not math.isfinite(worst):
         return _report("geodesic_invariance", worst, witness, len(points), tol,
                        {"algebraic_residual": worst, "trajectory_tolerance": traj_tol})
@@ -518,8 +516,10 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
                                     _products(S, Gm, Dc.sections, p, gamma)))
         return _max(inside, _outside(Qd, (Y(p) for Y in Dc.sections)))
 
-    return _containment("maximal_reducibility", S, Gm, Dc, points, tol, None, (), residual,
-                        stacks=(Projector(candidate, Gm).q_matrix,))
+    points = np.atleast_2d(points)
+    worst, witness = _sweep(points, residual, Projector(Dc, Gm).q_matrix, christoffel_field(S, Gm),
+                            Projector(candidate, Gm).q_matrix)
+    return _report("maximal_reducibility", worst, witness, len(points), tol)
 
 
 # --- Hamilton-Jacobi ---------------------------------------------------------
@@ -565,19 +565,14 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
     closedness = []
     # Controls that span the fiber leave no complement: hj_residual then
     # needs no tensor, and none is computed.
-    spanning = Dc is not None and Dc.rank == S.m
-    gamma_at = (lambda xs: [None] * len(xs)) if spanning else christoffel_field(S, Gm)
+    stacked = () if Dc is not None and Dc.rank == S.m else (christoffel_field(S, Gm),)
 
-    def residual(p, gamma):
+    def residual(p, gamma=None):
         closed, hj = hj_residual(S, Gm, V, Dc, X, p, gamma=gamma)
         closedness.append(closed)
         return hj
 
-    def residuals(ks):
-        xs = points[ks]
-        return map(residual, xs, gamma_at(xs))
-
-    worst, witness = _stacked_sweep(points, residuals)
+    worst, witness = _sweep(points, residual, *stacked)
     details = {"closedness_residual": reduce(_max, closedness, 0.0),
                "section": getattr(X, "label", "")}
     if Dc is None:
@@ -650,5 +645,5 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
             return math.nan
         return reduce(_max, (abs(float(y @ rho_f)) for y in P.complement_basis(p)), 0.0)
 
-    worst, witness = _stacked_sweep(points, lambda ks: (residual(p) for p in points[ks]))
+    worst, witness = _sweep(points, residual)
     return _report("reparam_admissible", worst, witness, len(points), tol)

@@ -9,6 +9,7 @@ the shipped systems.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from contextlib import contextmanager
@@ -180,15 +181,17 @@ class SystemDefinition:
         return Section.from_exprs(entries, self.coords, self.params, label=label)
 
     def effective_force(self) -> Optional[ForceField]:
-        """The explicit force map, or the potential-gradient force, or None."""
-        if self.force is not None:
-            return self.force
-        if self.potential is not None:
-            from .geometry import gradient
+        """The explicit force map plus the potential-gradient force, either
+        one alone when only it is declared, or None."""
+        force = self.force
+        if self.potential is None:
+            return force
+        from .geometry import gradient
 
-            S, Gm, V = self.structure, self.metric, self.potential
+        S, Gm, V = self.structure, self.metric, self.potential
+        if force is None:
             return ForceField(lambda x, y: -gradient(S, Gm, V, x), self.rank)
-        return None
+        return ForceField(lambda x, y: force(x, y) - gradient(S, Gm, V, x), self.rank)
 
     def validate(self, points=None, tol: float = 1e-8) -> None:
         """Load-time invariant checks at ``points`` (the seed-0 chart sample
@@ -348,11 +351,15 @@ def load_spec(document: dict) -> SystemDefinition:
 
     if mode == "intrinsic":
         anchor_exprs = _expr_rows(_rows(document, "anchor", m, path), n, "$.anchor")
-        structure_map = _require(document, "structure", dict, path, optional=True) or {}
+        structure_map = {key: _parse_expr(entry, f"$.structure.{key}") for key, entry in
+                         (_require(document, "structure", dict, path, optional=True) or {}).items()}
         with _at("$.structure"):
             structure = AlgebroidStructure.from_exprs(coords, m, anchor_exprs, structure_map, params,
                                                       probe_points=probes)
-        metric_rows = _rows(document, "metric", m, path)
+        # An empty entry below or above the diagonal is filled from its mirror.
+        metric_rows = [[None if cell in (None, "") else _parse_expr(cell, f"$.metric[{i}][{j}]")
+                        for j, cell in enumerate(row)]
+                       for i, row in enumerate(_rows(document, "metric", m, path))]
         with _at("$.metric"):
             metric = BundleMetric.from_exprs(metric_rows, coords, params, probe_points=probes)
     else:
@@ -399,12 +406,17 @@ def load_spec(document: dict) -> SystemDefinition:
     return sysdef
 
 
-def load_spec_file(path) -> SystemDefinition:
+def load_spec_file(path, params=None) -> SystemDefinition:
+    """Load the document at ``path``; the ``params`` dict, when given,
+    overrides entries of its ``parameters`` before the one load."""
     with open(path, "r", encoding="utf-8") as stream:
         try:
             document = json.load(stream)
         except json.JSONDecodeError as err:
             raise SpecError("$", f"not valid JSON: {err}") from None
+    if params and isinstance(document, dict):
+        declared = _require(document, "parameters", dict, "$", optional=True) or {}
+        document = {**document, "parameters": {**declared, **params}}
     return load_spec(document)
 
 
@@ -479,10 +491,12 @@ def _load_candidates(document, coords, params, m):
     sections = {}
     for name, row in (_require(candidates_doc, "sections", dict, "$.candidates", optional=True)
                       or {}).items():
+        path = f"$.candidates.sections.{name}"
         if not isinstance(row, list) or len(row) != m:
-            raise SpecError(f"$.candidates.sections.{name}", f"expected a list of {m} coefficients")
-        with _at(f"$.candidates.sections.{name}"):
-            sections[name] = Section.from_exprs(row, coords, params, label=name)
+            raise SpecError(path, f"expected a list of {m} coefficients")
+        parsed = [_parse_expr(cell, f"{path}[{j}]") for j, cell in enumerate(row)]
+        with _at(path):
+            sections[name] = Section.from_exprs(parsed, coords, params, label=name)
     reparams = {}
     for name, text in (_require(candidates_doc, "reparam", dict, "$.candidates", optional=True)
                        or {}).items():
@@ -725,10 +739,17 @@ BUILTINS = {
 
 
 def builtin(name: str, **params) -> SystemDefinition:
-    """Instantiate a builtin system by name with optional parameter overrides."""
+    """Instantiate a builtin system by name with optional parameter overrides;
+    a name its constructor does not take raises ``SpecError`` under
+    ``$.parameters``."""
     try:
         constructor = BUILTINS[name]
     except KeyError:
         raise SpecError("$.name", f"unknown builtin {name!r}; "
                         f"available: {', '.join(sorted(BUILTINS))}") from None
+    known = inspect.signature(constructor).parameters
+    for key in params:
+        if key not in known:
+            raise SpecError(f"$.parameters.{key}", f"unknown parameter of {name}; "
+                            f"it takes: {', '.join(known)}")
     return constructor(**params)

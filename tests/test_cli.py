@@ -55,6 +55,23 @@ class TestChristoffelCommand:
         assert from_file == run(capsys, *args, "--system", "planar_body")
         assert from_file[0] == 0
 
+    def test_overrides_apply_before_the_one_load_of_a_file(self, capsys, tmp_path, monkeypatch):
+        """A document whose own parameters would not load loads with the
+        overrides, and is loaded once."""
+        from algmech import systems
+
+        doc = dump_spec(builtin("robotic_leg"))
+        doc["parameters"]["m"] = 0
+        path = tmp_path / "leg.json"
+        path.write_text(json.dumps(doc))
+        args = ("christoffel", "--at", "2,0.1,0.2", "--params", "m=1", "--format", "json")
+        expected = run(capsys, *args, "--system", "robotic_leg")
+        loads = []
+        monkeypatch.setattr(systems, "load_spec", lambda d: loads.append(d) or load_spec(d))
+        assert run(capsys, *args, "--system", str(path)) == expected
+        assert expected[0] == 0
+        assert len(loads) == 1 and loads[0]["parameters"] == {"m": 1.0, "J": 1.0}
+
 
 class TestVerdictCommands:
     def test_maxred_leg_passes(self, capsys):
@@ -253,6 +270,22 @@ class TestSimulateCommand:
         integrate(field, start, 0.0, 0.2, 0.01, chart=sysdef.chart).to_csv(expected)
         assert forced.read_text() == expected.read_text()
 
+    def test_zero_force_keeps_the_potential_in_the_simulation(self, capsys, tmp_path):
+        """A declared force adds to the potential's force: with a zero force
+        the CSV is the potential's, not the free system's."""
+        doc = dump_spec(planar_body())
+        doc["potential"] = "10*x"
+        argv = ("simulate", "--t1", "0.3")
+        csvs = []
+        for name, extra in (("alone", {}), ("zero", {"force": ["0", "0", "0"]})):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            path.write_text(json.dumps({**doc, **extra}))
+            assert run(capsys, *argv, "--system", str(path), "--out", str(out))[0] == 0
+            csvs.append(out.read_text())
+        free = tmp_path / "free.csv"
+        assert run(capsys, *argv, "--system", "planar_body", "--out", str(free))[0] == 0
+        assert csvs[0] == csvs[1] != free.read_text()
+
     def test_time_driven_controls(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"
         code, _, _ = run(capsys, "simulate", "--system", "planar_body",
@@ -320,6 +353,14 @@ class TestUsageErrors:
         bad.write_text("{ not json")
         code, _, err = run(capsys, "christoffel", "--system", str(bad))
         assert code == 2
+        # Overrides apply to the document once it is read, so the JSON error stays.
+        assert run(capsys, "christoffel", "--system", str(bad), "--params", "m=1") == (code, "", err)
+        assert err.startswith("error: $: not valid JSON")
+
+    def test_unknown_builtin_parameter(self, capsys):
+        code, _, err = run(capsys, "christoffel", "--system", "planar_body", "--params", "foo=1")
+        assert code == 2
+        assert err == "error: $.parameters.foo: unknown parameter of planar_body; it takes: m, J, h\n"
 
     def test_non_finite_controls_name_the_block(self, capsys, tmp_path):
         """Not an SVD that did not converge: the path and the point."""

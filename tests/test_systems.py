@@ -35,6 +35,8 @@ class TestBuiltins:
         assert sysd.params["m"] == 2.0
         with pytest.raises(SpecError):
             builtin("no_such_system")
+        with pytest.raises(SpecError, match=r"^\$\.parameters\.foo: .*i1, i2, i3, dim_d$"):
+            builtin("suslov", foo=1.0)
 
     def test_parameter_defaults_make_small_rationals(self, planar):
         assert planar.params == {"m": 1.0, "J": 1.0, "h": 1.0}
@@ -232,7 +234,7 @@ class TestLoader:
         assert christoffel_table(deep) == christoffel_table(leg)
         assert run_battery(deep, samples=6)["verdicts"] == run_battery(leg, samples=6)["verdicts"]
         doc["metric"][0][0] = nest(entry, ex._MAX_DEPTH - 4)
-        with pytest.raises(SpecError, match=r"^\$\.metric: syntax error .* deeper than"):
+        with pytest.raises(SpecError, match=r"^\$\.metric\[0\]\[0\]: syntax error .* deeper than"):
             load_spec(doc)
 
     def test_force_dimension_checked(self, planar):
@@ -255,6 +257,22 @@ class TestLoader:
         assert battery["verdicts"]["decoupling:Y1"] == "pass"
         assert outside.effective_force() is not None
         assert planar.effective_force() is None
+
+    def test_a_declared_force_adds_to_the_potential(self, planar):
+        """The effective force is the declared force plus the potential's
+        gradient force: a zero force leaves the potential's battery as it
+        is, and a nonzero one adds its value at every state."""
+        doc = dump_spec(planar)
+        doc["potential"] = "10*x"
+        alone = load_spec(doc)
+        zero = load_spec({**doc, "force": ["0", "0", "0"]})
+        battery = run_battery(zero, seed=0)
+        assert battery == run_battery(alone, seed=0)
+        assert battery["verdicts"]["decoupling:Y1"] == "inconclusive"
+        pushed = load_spec({**doc, "force": ["1", "y2", "cos(theta)"]})
+        x, y = np.array([0.3, -0.2, 0.4]), np.array([0.1, 0.5, -0.7])
+        assert np.array_equal(pushed.effective_force()(x, y),
+                              np.array([1.0, 0.5, math.cos(0.4)]) + alone.effective_force()(x, y))
 
     def test_non_finite_spans_are_path_addressed(self, leg, board):
         """A control section or an embedded frame that is not finite at a
@@ -387,7 +405,7 @@ class TestLoader:
         ("metric", (0, 1), "0.5",
          "$.metric: metric entries (1,2) and (2,1) differ"),
         ("metric", (0, 0), "1+",
-         "$.metric: syntax error at offset 2: expected a value"),
+         "$.metric[0][0]: syntax error at offset 2: expected a value"),
         ("metric", (0, 1), "sqrt(-r)",
          "$.metric: sqrt of a negative value"),
         ("structure", "2,2,1", "h/(J+m*h^2)",
@@ -436,6 +454,13 @@ class TestLoader:
         ("metric", (0,), 5, "$.metric[0]: expected a list"),
         ("fiber", None, True, "$.fiber: expected int"),
         ("parameters", "m", True, "$.parameters.m: expected a number"),
+        # A syntax error names its entry.
+        ("metric", (1, 0), "0*",
+         "$.metric[1][0]: syntax error at offset 2: expected a value"),
+        ("structure", "2,1,2", "h/(",
+         "$.structure.2,1,2: syntax error at offset 3: expected a value"),
+        ("candidates", ("sections", "gY1", 0), "x+",
+         "$.candidates.sections.gY1[0]: syntax error at offset 2: expected a value"),
     ]
 
     @pytest.mark.parametrize("block, key, entry, message", SINGLE_FAULTS)
