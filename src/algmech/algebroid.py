@@ -291,10 +291,9 @@ class AlgebroidStructure:
         self._structure_fn = structure_fn
         # Only an expression table knows it is coordinate-free.
         self.constant_structure = getattr(structure_fn, "is_constant", False)
-        # (metric, table): the compiled Koszul table of the spray and the
-        # Christoffel evaluator, built on the first of them with that metric
-        # (geometry._koszul_table).
-        self._koszul_table = None
+        # (metric, source): the connection of the spray and the Christoffel
+        # evaluator with that metric (geometry._connection).
+        self._connection = None
 
     # -- construction ----------------------------------------------------
 

@@ -73,8 +73,11 @@ def _load_system(args) -> SystemDefinition:
                 continue
             if "=" not in item:
                 raise UsageError(f"malformed parameter override {item!r}")
-            key, value = item.split("=", 1)
-            overrides[key.strip()] = float(value)
+            key, value = (part.strip() for part in item.split("=", 1))
+            try:
+                overrides[key] = float(value)
+            except ValueError:
+                raise SpecError(f"$.parameters.{key}", "expected a number") from None
     if args.system in BUILTINS:
         return builtin(args.system, **overrides)
     return load_spec_file(args.system, overrides)

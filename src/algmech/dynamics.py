@@ -15,8 +15,8 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
 from .expr import EvalError
-from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _finite,
-                       _fixed_coefficients, _koszul_values, _singular, christoffel_field)
+from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _connection,
+                       _finite, _singular)
 
 __all__ = [
     "TotalPoint",
@@ -98,17 +98,11 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     control ``signal`` is given.  The signal must have one coefficient per
     input section.
 
-    Coordinate-free coefficients are computed once
-    (:func:`geometry.christoffel_field`).  Otherwise each evaluation reads
-    the anchor, the metric and the lowered Koszul tensor ``K`` once and
-    solves ``G a = K(y, y) / 2`` for the quadratic form ``a = gamma(y,
-    y)``, with no Christoffel tensor; a singular or non-finite metric raises
-    ``SingularMetricError``.  The three come as the flat values of
-    ``geometry._koszul_values``, which the Christoffel evaluator reads too:
-    the pair's compiled Koszul table when the anchor, the structure and the
-    metric are expression tables (every loaded document), built on the
-    pair's first field or evaluator; for a pair with an opaque callable, the
-    numeric terms of ``geometry._koszul`` laid out the same way.
+    The connection is the pair's one source, ``geometry._connection``: a
+    fixed tensor, or the flat anchor, metric and lowered Koszul tensor
+    ``K`` at ``x``, from which each evaluation solves ``G a = K(y, y) / 2``
+    for the quadratic form ``a = gamma(y, y)``, with no Christoffel tensor;
+    a singular or non-finite metric raises ``SingularMetricError``.
 
     The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
     which it returns the ``(N, d)`` stack of the fields there, bitwise the
@@ -124,17 +118,17 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
         raise ValueError(f"control signal has {coefficients} coefficient(s) "
                          f"for {len(inputs)} input section(s)")
     n, m = S.n, S.m
-    fixed = _fixed_coefficients(S, Gm)
+    fixed, table = _connection(S, Gm)
     stacked = None
-    if fixed:
+    if fixed is not None:
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
-        minus_gamma = -christoffel_field(S, Gm)(np.zeros(n))
+        minus_gamma = -fixed
 
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
             return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
     else:
-        table, metric_at, koszul_at = _koszul_values(S, Gm), n * m, n * m + m * m
+        metric_at, koszul_at = n * m, n * m + m * m
 
         def spray(x, y):
             # gamma(y, y) = G^-1 (K(y, y) / 2) from the lowered Koszul tensor

@@ -1,17 +1,19 @@
 """Bundle metric, Levi-Civita connection and symmetric product.
 
 The connection is computed from the Koszul formula in an arbitrary basis,
-the lowered tensor ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``, which comes
-from one of two sources per pair.  For a pair whose fields are all
-expression tables (every loaded document) it is one compiled table of the
-anchor, the metric and ``K`` (:func:`_koszul_table`), built from their
-derivative trees; a pair with an opaque callable assembles it numerically
-(:func:`_koszul`) by transposed sums from the anchored metric derivatives
-``rho(e_A)(G)`` and the lowered structure functions ``G(e_A, [e_B,
-e_C])``, laid out the same way (:func:`_koszul_values`).  The geodesic
-spray and the :func:`christoffel_field` evaluator read those values: the
-spray contracts ``K`` with the velocity and makes one solve, so it builds
-no Christoffel tensor, and the evaluator makes one stacked inversion and
+the lowered tensor ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``.  Each
+structure and metric pair has one source of connection values, decided on
+its first use and kept on the structure (:func:`_connection`): the fixed
+tensor of a pair whose coefficients do not move with the point; for a pair
+whose fields are all expression tables (every loaded document), one
+compiled table of the anchor, the metric and ``K`` (:func:`_koszul_table`),
+built from their derivative trees; for a pair with an opaque callable, the
+numeric assembly (:func:`_koszul`) by transposed sums from the anchored
+metric derivatives ``rho(e_A)(G)`` and the lowered structure functions
+``G(e_A, [e_B, e_C])``, laid out as the table is.  The geodesic spray and
+the :func:`christoffel_field` evaluator read that source: the spray
+contracts ``K`` with the velocity and makes one solve, so it builds no
+Christoffel tensor, and the evaluator makes one stacked inversion and
 contraction for a point or a stack.  :func:`christoffel` at one point
 assembles numerically and builds no table.  Every derivative of a field
 here (metric, section, potential) is taken by ``algebroid._differential``:
@@ -394,14 +396,8 @@ def _symbolic_terms(S: AlgebroidStructure, Gm: BundleMetric):
 def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
     """The pair's ``(A, G, K)`` of :func:`_koszul` as one expression table
     over the base point, its flat entries the anchor, the metric and ``K``;
-    None when a field of the pair is an opaque callable.
-
-    Built and compiled on the first call for a pair, and kept on the
-    structure with the metric it was built for.
-    """
-    kept = S._koszul_table
-    if kept is not None and kept[0] is Gm:
-        return kept[1]
+    None when a field of the pair is an opaque callable.  Built and compiled
+    on every call: :func:`_connection` keeps the one a pair reads."""
     terms = _symbolic_terms(S, Gm)
     if terms is None:
         return None
@@ -415,26 +411,40 @@ def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
     entries = [e for row in A for e in row] + [e for row in G for e in row] + K
     table = _ExprTable(entries, (len(entries),), S.coords, S._anchor_fn.params, "Koszul table")
     table._compile(False)
-    # Threads racing here each build an equal table and store it; the last
-    # store wins and no caller sees a partial one.
-    S._koszul_table = (Gm, table)
     return table
 
 
-def _koszul_values(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
-    """``x ->`` the pair's ``(A, G, K)`` at ``x`` as one flat array, the
-    anchor, the metric and ``K`` raveled in turn: the compiled Koszul table
-    (:func:`_koszul_table`), or for a pair with an opaque callable the terms
-    of :func:`_koszul` laid out the same way."""
-    table = _koszul_table(S, Gm)
-    if table is not None:
-        return table
+def _connection(S: AlgebroidStructure, Gm: BundleMetric):
+    """``(gamma, values)``: the pair's one source of connection values,
+    decided on the first call for the pair and kept on the structure with
+    the metric it was built for.
 
-    def values(x):
-        A, G, K = _koszul(S, Gm, x)
-        return np.concatenate([(S.anchor(x) if A is None else A).ravel(), G.ravel(), K.ravel()])
+    A pair whose coefficients do not depend on the point (a coordinate-free
+    metric and structure, or a point base) gets ``gamma``, the read-only
+    tensor of :func:`christoffel`, and ``values`` None.  Every other pair
+    gets ``gamma`` None and ``values``, ``x ->`` its ``(A, G, K)`` at ``x``
+    as one flat array, the anchor, the metric and ``K`` raveled in turn:
+    the compiled Koszul table, or for a pair with an opaque callable the
+    terms of :func:`_koszul` laid out the same way.
+    """
+    kept = S._connection
+    if kept is not None and kept[0] is Gm:
+        return kept[1]
+    if (Gm.is_constant and S.constant_structure) or S.n == 0:
+        gamma = christoffel(S, Gm, np.zeros(S.n)).gamma
+        gamma.flags.writeable = False
+        source = gamma, None
+    else:
+        def assembled(x):
+            A, G, K = _koszul(S, Gm, x)
+            return np.concatenate([(S.anchor(x) if A is None else A).ravel(), G.ravel(), K.ravel()])
 
-    return values
+        table = _koszul_table(S, Gm)
+        source = None, assembled if table is None else table
+    # Threads racing here each build an equal source and store it; the last
+    # store wins and no caller sees a partial one.
+    S._connection = (Gm, source)
+    return source
 
 
 def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor:
@@ -478,27 +488,19 @@ def _christoffel_stack(S: AlgebroidStructure, terms: Callable, points) -> np.nda
     return np.array([_christoffel_stack(S, terms, [p])[0] for p in points]).reshape(count, m, m, m)
 
 
-def _fixed_coefficients(S: AlgebroidStructure, Gm: BundleMetric) -> bool:
-    """True when the connection coefficients do not depend on the point."""
-    return (Gm.is_constant and S.constant_structure) or S.n == 0
-
-
 def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     """``p -> gamma`` evaluator: the ``(m, m, m)`` tensor at a point ``(n,)``,
     or the ``(N, m, m, m)`` stack of them at a stack ``(N, n)`` of points,
     bitwise the tensors of the points one at a time.
 
-    When both the metric and the structure functions are coordinate-free the
-    tensor is computed once by :func:`christoffel`.  Otherwise each call
-    reads the metric and ``K`` at each point from the flat values of
-    :func:`_koszul_values`, as the spray does, and contracts them by
-    :func:`_christoffel_stack`; a pair of expression tables compiles its
-    Koszul table here, on its first evaluator or spray.
+    It reads the pair's :func:`_connection`: a fixed pair's kept tensor, or
+    else the metric and ``K`` at each point from the flat values, as the
+    spray does, contracted by :func:`_christoffel_stack`.
     """
-    if _fixed_coefficients(S, Gm):
-        fixed = christoffel(S, Gm, np.zeros(S.n)).gamma
-        return lambda p: fixed if np.ndim(p) < 2 else np.broadcast_to(fixed, (len(p), *fixed.shape))
-    values, metric_at, koszul_at = _koszul_values(S, Gm), S.n * S.m, S.n * S.m + S.m * S.m
+    gamma, values = _connection(S, Gm)
+    if gamma is not None:
+        return lambda p: gamma if np.ndim(p) < 2 else np.broadcast_to(gamma, (len(p), *gamma.shape))
+    metric_at, koszul_at = S.n * S.m, S.n * S.m + S.m * S.m
 
     def terms(x):
         flat = values(x)

@@ -86,6 +86,12 @@ def _not_force_free(sysdef) -> str | None:
     return _no_controls(sysdef)
 
 
+def _force_unread(sysdef) -> str | None:
+    if sysdef.controls is not None and sysdef.force is not None:
+        return "the Hamilton-Jacobi and reparametrization checks do not read a declared force"
+    return _no_controls(sysdef)
+
+
 def _decoupling(sysdef, points, options, subject=None):
     force = sysdef.effective_force()
     for X in sysdef.controls.sections if subject is None else [subject]:
@@ -138,8 +144,8 @@ CHECKS = {
     "kinematic_reduction": (_no_controls, _kinematic_reduction),
     "geodesic_invariance": (_no_controls, _geodesic_invariance),
     "maximal_reducibility": (_not_force_free, _maximal_reducibility),
-    "hj": (_no_controls, _hj),
-    "reparam": (_no_controls, _reparam),
+    "hj": (_force_unread, _hj),
+    "reparam": (_force_unread, _reparam),
 }
 
 

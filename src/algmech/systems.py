@@ -408,7 +408,9 @@ def load_spec(document: dict) -> SystemDefinition:
 
 def load_spec_file(path, params=None) -> SystemDefinition:
     """Load the document at ``path``; the ``params`` dict, when given,
-    overrides entries of its ``parameters`` before the one load."""
+    overrides entries of its ``parameters`` before the one load, and a name
+    the document does not declare raises ``SpecError`` under
+    ``$.parameters``."""
     with open(path, "r", encoding="utf-8") as stream:
         try:
             document = json.load(stream)
@@ -416,6 +418,10 @@ def load_spec_file(path, params=None) -> SystemDefinition:
             raise SpecError("$", f"not valid JSON: {err}") from None
     if params and isinstance(document, dict):
         declared = _require(document, "parameters", dict, "$", optional=True) or {}
+        for key in params:
+            if key not in declared:
+                raise SpecError(f"$.parameters.{key}", "unknown parameter of the document; "
+                                f"it declares: {', '.join(declared) or 'none'}")
         document = {**document, "parameters": {**declared, **params}}
     return load_spec(document)
 

@@ -232,6 +232,24 @@ class TestBatteryAgreement:
         assert code == 2
         assert "force-free" in err
 
+    def test_a_declared_force_leaves_out_the_checks_that_do_not_read_it(self, capsys,
+                                                                        tmp_path):
+        """The Hamilton-Jacobi and reparametrization checks read a potential
+        but no declared force: under one the battery leaves them out and
+        their commands exit 2 with the reason, given a subject or not."""
+        doc = dump_spec(planar_body())
+        doc["force"] = ["100", "0", "0"]
+        path = tmp_path / "planar_forced.json"
+        path.write_text(json.dumps(doc))
+        verdicts = run_battery(load_spec(doc), samples=6)["verdicts"]
+        assert "decoupling:Y1" in verdicts
+        assert not any(label.startswith(("hj", "reparam")) for label in verdicts)
+        reason = "error: the Hamilton-Jacobi and reparametrization checks do not read a " \
+                 "declared force\n"
+        for argv in (("check-hj",), ("check-hj", "--section", "candidate:gY1"),
+                     ("check-reparam",), ("check-reparam", "--function", "candidate:g")):
+            assert run(capsys, *argv, "--system", str(path), "--samples", "6") == (2, "", reason)
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, capsys, tmp_path):
@@ -361,6 +379,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, "christoffel", "--system", "planar_body", "--params", "foo=1")
         assert code == 2
         assert err == "error: $.parameters.foo: unknown parameter of planar_body; it takes: m, J, h\n"
+
+    def test_unknown_document_parameter(self, capsys, tmp_path):
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(dump_spec(planar_body())))
+        code, _, err = run(capsys, "christoffel", "--system", str(path), "--params", "foo=1")
+        assert code == 2
+        assert err == ("error: $.parameters.foo: unknown parameter of the document; "
+                       "it declares: m, J, h\n")
+
+    def test_parameter_value_not_a_number(self, capsys, tmp_path):
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(dump_spec(planar_body())))
+        for system in ("planar_body", str(path)):
+            assert run(capsys, "christoffel", "--system", system, "--params", "m=abc") == \
+                (2, "", "error: $.parameters.m: expected a number\n")
 
     def test_non_finite_controls_name_the_block(self, capsys, tmp_path):
         """Not an SVD that did not converge: the path and the point."""

@@ -831,43 +831,66 @@ class TestKoszulTable:
         for document in (dump_spec(robotic_leg()), dump_spec(snakeboard())):
             sysdef = load_spec(document)
             report.christoffel_table(sysdef)
-            assert sysdef.structure._koszul_table is None
+            assert sysdef.structure._connection is None
             path = tmp_path / "system.json"
             path.write_text(json.dumps(document))
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["christoffel", "--system", str(path), "--format", "json"]) == 0
 
     def test_threads_racing_on_the_first_spray(self):
-        """More threads than cores that build the table of a fresh pair at
-        once, with a short switch interval, get equal fields, and the pair
-        keeps one table that gives the same."""
+        """More threads than cores that build the connection of a fresh pair
+        at once, with a short switch interval, get equal fields, and the
+        pair keeps one connection that gives the same: the compiled table
+        of the snakeboard, the fixed tensor of the planar body."""
         import os
         import sys
         import threading
 
-        from algmech import snakeboard
+        from algmech import planar_body, snakeboard
 
-        sysd = snakeboard()
-        z = np.array([0.1, -0.2, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05])
-        count = min((os.cpu_count() or 1) + 1, 16)
-        barrier = threading.Barrier(count, timeout=30)
-        out = [None] * count
+        for sysd, z in ((snakeboard(), np.array([0.1, -0.2, 0.2, 0.1, 0.3, 0.15, 0.1, 0.05])),
+                        (planar_body(), np.array([0.1, -0.2, 0.3, 0.3, 0.2, -0.1]))):
+            count = min((os.cpu_count() or 1) + 1, 16)
+            barrier = threading.Barrier(count, timeout=30)
+            out = [None] * count
 
-        def first_spray(k):
-            barrier.wait()
-            out[k] = spray_field(sysd.structure, sysd.metric)(0.0, z)
+            def first_spray(k):
+                barrier.wait()
+                out[k] = spray_field(sysd.structure, sysd.metric)(0.0, z)
 
-        threads = [threading.Thread(target=first_spray, args=(k,)) for k in range(count)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(np.array_equal(field, out[0]) for field in out)
-        assert sysd.structure._koszul_table[0] is sysd.metric
-        assert np.array_equal(out[0], spray_field(sysd.structure, sysd.metric)(0.0, z))
+            threads = [threading.Thread(target=first_spray, args=(k,)) for k in range(count)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(np.array_equal(field, out[0]) for field in out)
+            assert sysd.structure._connection[0] is sysd.metric
+            assert np.array_equal(out[0], spray_field(sysd.structure, sysd.metric)(0.0, z))
+
+    def test_a_fixed_pair_computes_its_tensor_once(self, monkeypatch):
+        """A planar_body battery calls ``christoffel`` twice, once for its
+        Christoffel table and once for the pair's fixed tensor, which every
+        check then reads; a second battery calls it for the table alone."""
+        from algmech import geometry, planar_body, report
+
+        calls = []
+        original = geometry.christoffel
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "christoffel", counted)
+        monkeypatch.setattr(report, "christoffel", counted)
+        sysd = planar_body()
+        report.run_battery(sysd, seed=0)
+        assert len(calls) == 2
+        calls.clear()
+        report.run_battery(sysd, seed=0)
+        assert len(calls) == 1
