@@ -55,13 +55,24 @@ class _ExprTable:
     metric, ambient metric, distribution, complement, force, controls,
     potential) is one table.  ``entries`` are expressions or strings, flat
     and row-major over ``shape``; an unknown variable is reported under the
-    label ``where``.  The table is compiled (:func:`expr._compile_table`) on
-    its first call: many tables, such as unused candidate sections, are
-    never evaluated.  :meth:`value_and_jacobian` compiles its function
-    beside the values one on its first call; a ``differentiable`` table,
-    one its consumers differentiate (a metric, an embedded frame), compiles
-    both on its first call of either kind, in one pass over the expressions.
+    label ``where``.
+
+    A call takes a point ``(n,)`` and returns the entries, ``shape``, or a
+    stack ``(N, n)`` of points and returns ``(N, *shape)``, each row bitwise
+    the call at its point; an entry that fails raises at the first failing
+    point, with the message of a call at that point.  The table is compiled
+    (:func:`expr._compile_table`) on its first call: many tables, such as
+    unused candidate sections, are never evaluated.  The stacked form is
+    compiled from the same code on the first call with a stack
+    (:func:`expr._compile_stack`), so a table never called with one pays
+    nothing for it.  :meth:`value_and_jacobian` takes a point; it compiles
+    its function beside the values one on its first call, and a
+    ``differentiable`` table, one its consumers differentiate (a metric, an
+    embedded frame), compiles both on its first call of either kind, in one
+    pass over the expressions.
     """
+
+    stacks = True  # a call takes a stack of points (see _at_points)
 
     def __init__(self, entries, shape, coords, params, where: str = "expression table",
                  differentiable: bool = False):
@@ -77,6 +88,7 @@ class _ExprTable:
         self.differentiable = differentiable
         self._compiled = None
         self._compiled_jacobian = None
+        self._compiled_stack = None
 
     def _compile(self, jacobian: bool) -> tuple:
         """Compile the values function, and the Jacobian's beside it when
@@ -98,9 +110,20 @@ class _ExprTable:
         # The check stays inline: this is the most frequent call in the package.
         point = np.asarray(x, dtype=float)
         if point.shape != (len(self.coords),):
-            self._reject(point)
+            return self._stack(point)
         compiled = self._compiled or self._compile(False)[0]
         return compiled(point.tolist()).reshape(self.shape)
+
+    def _stack(self, points) -> np.ndarray:
+        if points.ndim != 2 or points.shape[1] != len(self.coords):
+            self._reject(points)
+        stacked = self._compiled_stack
+        if stacked is None:
+            # Threads racing here each compile an equal function; the last
+            # store wins.
+            stacked = self._compiled_stack = ex._compile_stack(
+                self._compiled or self._compile(False)[0])
+        return stacked(points.tolist()).reshape(len(points), *self.shape)
 
     def value_and_jacobian(self, x) -> tuple:
         """The values at ``x``, bitwise those of a call, and their exact
@@ -116,6 +139,19 @@ class _ExprTable:
         return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
 
 
+def _at_points(fn: Callable, points, shape: tuple) -> np.ndarray:
+    """The ``(N, *shape)`` values of a field ``fn`` at each point of a
+    ``(N, n)`` stack: one call where ``fn`` takes a stack (marked
+    ``stacks``: an expression table, or a field wrapping one), one call per
+    point of any other callable.  One extent of ``shape`` may be -1, read
+    from the values (0 for an empty stack)."""
+    if not len(points):
+        return np.zeros((0, *(max(extent, 0) for extent in shape)))
+    if getattr(fn, "stacks", False):
+        return np.reshape(fn(points), (len(points), *shape))
+    return np.array([fn(p) for p in points], dtype=float).reshape(len(points), *shape)
+
+
 def _check_mirrors(pairs, sign: float, coords, params, points, where: str) -> None:
     """Reject mirror entries that are not one function written twice.
 
@@ -128,8 +164,8 @@ def _check_mirrors(pairs, sign: float, coords, params, points, where: str) -> No
         return
     table = _ExprTable([e for first, second, _ in pairs for e in (first, second)],
                        (len(pairs), 2), coords, params, where)
-    points = list(points)
-    values = np.array([table(p) for p in points]).reshape(len(points), len(pairs), 2)
+    points = np.asarray(points, dtype=float)
+    values = table(points).reshape(len(points), len(pairs), 2)
     first, second = values[..., 0], sign * values[..., 1]
     finite = np.isfinite(first) & np.isfinite(second)
     agree = np.abs(first - second) <= _MIRROR_RTOL * np.maximum(np.abs(first), np.abs(second))
@@ -217,6 +253,8 @@ class Section:
     """Fiber-coefficient functions ``X^A(x)`` over the base, evaluable at points;
     one wrapping an expression table carries its ``value_and_jacobian``."""
 
+    stacks = True  # a call takes a stack of points (see _at_points)
+
     def __init__(self, fn: Callable, rank: int, label: str = ""):
         self._fn = fn
         self.rank = int(rank)
@@ -242,7 +280,13 @@ class Section:
         return cls.constant(values, label=f"e{index + 1}")
 
     def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
+        """The coefficients at a point ``(n,)``, or their ``(N, rank)``
+        stack at a stack ``(N, n)`` of points: one call of a function that
+        takes a stack, such as an expression table, else one per point."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return _at_points(self._fn, x, (self.rank,))
+        out = np.asarray(self._fn(x), dtype=float)
         if out.shape != (self.rank,):
             raise ValueError(f"section returned shape {out.shape}, expected ({self.rank},)")
         return out
@@ -358,8 +402,13 @@ class AlgebroidStructure:
     # -- evaluation --------------------------------------------------------
 
     def anchor(self, x) -> np.ndarray:
-        """Anchor coefficients at ``x`` as an ``(m, n)`` array; row ``A`` is rho(e_A)."""
-        out = np.asarray(self._anchor_fn(np.asarray(x, dtype=float)), dtype=float)
+        """Anchor coefficients at ``x`` as an ``(m, n)`` array; row ``A`` is
+        rho(e_A).  At a stack ``(N, n)`` of points, their ``(N, m, n)`` stack
+        (see :func:`_at_points`)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return _at_points(self._anchor_fn, x, (self.m, self.n))
+        out = np.asarray(self._anchor_fn(x), dtype=float)
         if out.shape != (self.m, self.n):
             raise ValueError(f"anchor returned shape {out.shape}, expected ({self.m}, {self.n})")
         return out

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _ExprTable
+from .algebroid import (AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _at_points,
+                        _ExprTable)
 from .expr import EvalError
 from .geometry import (BundleMetric, ForceField, Potential, SingularMetricError, _connection,
                        _finite, _singular)
@@ -106,9 +107,12 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
 
     The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
     which it returns the ``(N, d)`` stack of the fields there, bitwise the
-    field at each state.  A stack without force or controls makes its
-    ``(A, G, K)`` evaluations per state and one stacked contraction, solve
-    and anchor product; every other stack is evaluated state by state, as
+    field at each state.  A stack without force or controls makes one
+    stacked evaluation: of a fixed pair, one anchor call at every state,
+    one contraction with the tensor and one anchor product; of any other
+    pair, one call of the compiled Koszul table at every state (or one
+    numeric assembly per state of an opaque pair), one contraction, solve
+    and anchor product.  Every other stack is evaluated state by state, as
     is a stack where an evaluation fails, so the error is the one its first
     failing state raises.
     """
@@ -119,7 +123,6 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
                          f"for {len(inputs)} input section(s)")
     n, m = S.n, S.m
     fixed, table = _connection(S, Gm)
-    stacked = None
     if fixed is not None:
         # Negation is exact, so this is bitwise -einsum(gamma, y, y).
         minus_gamma = -fixed
@@ -127,6 +130,13 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
             return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
+
+        def spray_stack(z):
+            # One stacked anchor call, contraction and anchor product, each
+            # bitwise the product of spray at every state
+            y = z[:, n:]
+            dx = (y[:, None, :] @ S.anchor(z[:, :n]))[:, 0] if n else np.zeros((len(z), 0))
+            return np.concatenate([dx, np.einsum("cab,na,nb->nc", minus_gamma, y, y)], axis=1)
     else:
         metric_at, koszul_at = n * m, n * m + m * m
 
@@ -143,11 +153,12 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             return values[:metric_at].reshape(m, n).T @ y, -acc
 
         def spray_stack(z):
-            # The field at a stack of states: the table calls per point, then
-            # one stacked contraction, solve and anchor product, each bitwise
-            # the product of spray at every point
+            # The field at a stack of states: one call of the table (one per
+            # state of an opaque assembly), then one stacked contraction,
+            # solve and anchor product, each bitwise the product of spray at
+            # every state
             count = len(z)
-            values = np.array([table(x) for x in z[:, :n]]).reshape(count, -1)
+            values = _at_points(table, z[:, :n], (koszul_at + m ** 3,))
             G = values[:, metric_at:koszul_at].reshape(count, m, m)
             if not np.isfinite(G).all():
                 raise SingularMetricError("metric is not finite at a stacked point")
@@ -158,8 +169,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             dx = (y[:, None, :] @ values[:, :metric_at].reshape(count, m, n))[:, 0]
             return np.concatenate([dx, -acc], axis=1)
 
-        if force is None and not inputs:
-            stacked = spray_stack
+    stacked = spray_stack if force is None and not inputs else None
 
     def field(t, z):
         if getattr(z, "ndim", 1) == 2:
@@ -335,9 +345,10 @@ def base_flow(S, X: Section, p0, t0: float, t1: float, step: float,
 
 
 def lift(X: Section, sigma: Trajectory) -> Trajectory:
-    """Compose a base trajectory with a section: admissible by construction."""
-    fiber = np.array([X(x) for x in sigma.base])
-    return replace(sigma, fiber=fiber)
+    """Compose a base trajectory with a section: admissible by construction.
+    The section is evaluated at the stack of base samples in one call (one
+    per sample of a section of an opaque function)."""
+    return replace(sigma, fiber=X(sigma.base))
 
 
 def energy(S, Gm, V: Optional[Potential], q) -> float:

@@ -14,6 +14,8 @@ of its partial derivative.  :func:`_compile_table` turns a table of
 expressions into one straight-line Python function with bitwise-equal
 results and, on request, a second one that also returns the table's
 Jacobian, emitted from the ``diff`` trees by the same code generator.
+:func:`_compile_stack` runs the same straight-line code in a loop over a
+stack of points.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ class EvalError(ExprError):
 
 
 class Expr:
-    """Abstract syntax tree node.  Subclasses are frozen dataclasses."""
+    """Abstract syntax tree node.  Subclasses are frozen dataclasses.
+
+    ``==`` and ``repr`` are those a dataclass generates, computed by loops
+    over the tree rather than one Python call per level, so they finish on
+    a tree as deep as ``str`` and ``hash`` do.
+    """
 
     __slots__ = ()
 
@@ -82,8 +89,89 @@ class Expr:
     def __str__(self) -> str:
         return _format(self)
 
+    def __eq__(self, other):
+        """Structural equality: the same node types, operators, names and
+        ``==`` values, compared field by field as a dataclass compares them
+        (so ``Num(0.0) == Num(-0.0)``); ``NotImplemented`` against an
+        object of another type."""
+        if type(other) is not type(self):
+            return NotImplemented
+        pending, seen = [(self, other)], set()  # every node is alive in the trees
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            kind = type(a)
+            if type(b) is not kind:
+                return False
+            if kind is Num or kind is Var:
+                x, y = (a.value, b.value) if kind is Num else (a.name, b.name)
+                if not (x is y or x == y):
+                    return False
+            elif kind is Neg:
+                pending.append((a.arg, b.arg))
+            elif kind is BinOp:
+                if a.op != b.op:
+                    return False
+                pending += [(a.right, b.right), (a.left, b.left)]
+            elif (a.func != b.func or type(a.args) is not type(b.args)
+                  or len(a.args) != len(b.args)):
+                return False
+            else:
+                pending += reversed(list(zip(a.args, b.args)))
+        return True
 
-@dataclass(frozen=True)
+    def __repr__(self) -> str:
+        """The dataclass form, such as ``BinOp(op='+', left=Var(name='x'),
+        right=Num(value=1.0))``; a subtree shared by several parents is
+        written at each."""
+        text = {}  # node -> its repr; every node is alive in the tree
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            if id(node) in text:
+                pending.pop()
+                continue
+            children = _children(node)
+            missing = [child for child in children if id(child) not in text]
+            if missing:
+                pending += reversed(missing)
+                continue
+            pending.pop()
+            parts = [text[id(child)] for child in children]
+            kind = type(node)
+            if kind is Num:
+                text[id(node)] = f"Num(value={node.value!r})"
+            elif kind is Var:
+                text[id(node)] = f"Var(name={node.name!r})"
+            elif kind is Neg:
+                text[id(node)] = f"Neg(arg={parts[0]})"
+            elif kind is BinOp:
+                text[id(node)] = f"BinOp(op={node.op!r}, left={parts[0]}, right={parts[1]})"
+            else:
+                args = ", ".join(parts)
+                if isinstance(node.args, list):
+                    args = f"[{args}]"
+                else:
+                    args = f"({args}{',' if len(parts) == 1 else ''})"
+                text[id(node)] = f"Call(func={node.func!r}, args={args})"
+        return text[id(self)]
+
+
+def _children(node: Expr) -> tuple:
+    """The operands of a node, left to right."""
+    kind = type(node)
+    if kind is BinOp:
+        return node.left, node.right
+    if kind is Neg:
+        return (node.arg,)
+    return tuple(node.args) if kind is Call else ()
+
+
+# Each node keeps Expr's == and repr; its hash is the one a frozen dataclass
+# generates from its fields, which agrees with that ==.
+@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Num(Expr):
     value: float
 
@@ -91,7 +179,7 @@ class Num(Expr):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Var(Expr):
     name: str
 
@@ -102,7 +190,7 @@ class Var(Expr):
             raise EvalError(f"unbound variable '{self.name}'") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Neg(Expr):
     arg: Expr
 
@@ -110,7 +198,7 @@ class Neg(Expr):
         return -self.arg.eval(bindings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -133,7 +221,7 @@ class BinOp(Expr):
         raise AssertionError(f"unknown operator {op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Call(Expr):
     func: str
     args: tuple
@@ -556,7 +644,8 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     * division, ``^`` and the functions call the tree-walk's helpers.
 
     When every entry folds, no code is generated and the function returns
-    a copy of the folded values.
+    a copy of the folded values.  Otherwise the function keeps its code,
+    from which :func:`_compile_stack` compiles its stacked form on request.
 
     With ``jacobian`` a second function is compiled beside the first, and
     the pair ``(values, value_and_jacobian)`` is returned; ``values`` is the
@@ -655,12 +744,22 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
         # calls constant tables about 3.0k / 1.9k / 2.6k times (planar body /
         # robotic leg / snakeboard), and their Jacobian form 406 times more.
         stored = np.array([namespace[name] for name in results])
+        # The recursive emitters refer to themselves through their closures.
+        # Unbound, they and what they hold (the namespace, the lines, the
+        # node maps) are freed on return, not at the next full garbage
+        # collection: with the stacked forms compiled as well, a loop that
+        # loads documents otherwise peaked ~2.5 MB higher.
+        emit = emit_value = reads_coords = None
         if not jacobian:
             return lambda point: stored.copy()
         # No entry reads a coordinate, so every partial vanishes.
         return (lambda point: stored.copy()), (lambda point: (stored.copy(), np.zeros(size)))
-    unpack = [f"    {', '.join(coord_names.values())}, = point"] if coord_names else []
+    # The coordinates unpacked from a point: the target of the assignment
+    # here and of the loop of the stacked form (_compile_stack).
+    targets = f"{', '.join(coord_names.values())}," if coord_names else "_"
+    unpack = [f"    {targets} = point"] if coord_names else []
     source = ["def _table(point):", *unpack, *lines, f"    return _array([{', '.join(results)}])"]
+    kept = (targets, "\n".join(lines), ", ".join(results))  # the Jacobian's lines follow
     if jacobian:
         # Only the entries that are not structurally zero are listed; the rest
         # of the Jacobian stays zero.
@@ -683,8 +782,34 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                    f"    _jacobian = _zeros({size})",
                    f"    _jacobian[_nonzero] = [{', '.join(nonzero.values())}]",
                    f"    return _array([{', '.join(results)}]), _jacobian"]
+    emit = emit_value = reads_coords = None  # freed on return, as above
     exec(compile("\n".join(source), "<expression table>", "exec"), namespace)
+    namespace["_table"].kept = kept
     return (namespace["_table"], namespace["_table_jacobian"]) if jacobian else namespace["_table"]
+
+
+def _compile_stack(table: Callable) -> Callable:
+    """The stacked form of a values function of :func:`_compile_table`.
+
+    It takes a list of points, each a list of one value per coordinate, and
+    returns the entries at every point in point order as one flat array.
+    It runs the values function's straight-line code, kept with it, in a
+    loop over the points, so each entry is bitwise the values function's at
+    that point, and the first point where an entry fails raises what the
+    values function raises there.  Compiled on request: a table that is
+    never called with a stack never compiles one.  A table whose entries
+    all fold has no code, and its stack repeats the folded values.
+    """
+    if not hasattr(table, "kept"):
+        folded = table(None)
+        return lambda points: np.tile(folded, len(points))
+    targets, lines, results = table.kept
+    source = ["def _table_stack(points):", "    _out = []", "    _extend = _out.extend",
+              f"    for {targets} in points:", "    " + lines.replace("\n", "\n    "),
+              f"        _extend(({results},))", "    return _array(_out)"]
+    scope = {}
+    exec(compile("\n".join(source), "<stacked expression table>", "exec"), table.__globals__, scope)
+    return scope["_table_stack"]
 
 
 # --- finite differences -------------------------------------------------------

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebroid import (AlgebroidStructure, Num0, Section, Trajectory, _as_scalar_field,
-                        _check_mirrors, _differential, _ExprTable, _probe_points, d_function)
+                        _at_points, _check_mirrors, _differential, _ExprTable, _probe_points,
+                        d_function)
 from . import expr as ex
 from .expr import _finite, fd_directional
 
@@ -60,9 +61,12 @@ class SingularMetricError(ValueError):
 class BundleMetric:
     """Symmetric fiber metric ``G_AB(x)`` on the algebroid.
 
-    Calling it is :meth:`matrix`.  A metric wrapping an expression table or
-    the induced Gram matrix carries their ``value_and_jacobian``.
+    Calling it is :meth:`matrix`, at a point or at a stack of points.  A
+    metric wrapping an expression table or the induced Gram matrix carries
+    their ``value_and_jacobian``.
     """
+
+    stacks = True  # a call takes a stack of points (see algebroid._at_points)
 
     def __init__(self, fn: Callable, rank: int):
         self._fn = fn
@@ -105,7 +109,14 @@ class BundleMetric:
         return cls(table, m)
 
     def matrix(self, x) -> np.ndarray:
-        out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
+        """The ``(m, m)`` matrix at a point ``(n,)``, or their ``(N, m, m)``
+        stack at a stack ``(N, n)`` of points: one call of a function that
+        takes a stack (an expression table, the induced Gram matrix), else
+        one per point."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return _at_points(self._fn, x, (self.m, self.m))
+        out = np.asarray(self._fn(x), dtype=float)
         if out.shape != (self.m, self.m):
             raise ValueError(f"metric returned shape {out.shape}")
         return out
@@ -133,7 +144,7 @@ class BundleMetric:
         positive.  ``SingularMetricError`` names the first point where the
         metric is not finite, tested before the eigenvalues."""
         points = np.atleast_2d(points)
-        matrices = np.array([self.matrix(p) for p in points]).reshape(-1, self.m, self.m)
+        matrices = self.matrix(points)
         finite = np.isfinite(matrices).all(axis=(1, 2))
         if not finite.all():
             raise _not_finite(points[np.argmin(finite)])
@@ -452,23 +463,26 @@ def christoffel(S: AlgebroidStructure, Gm: BundleMetric, p) -> ChristoffelTensor
     one-point stack of :func:`_christoffel_stack` over :func:`_koszul`,
     which builds no table."""
     p = S.check_point(p)
-    return ChristoffelTensor(_christoffel_stack(S, lambda x: _koszul(S, Gm, x)[1:], [p])[0], p)
+    gamma = _christoffel_stack(S, lambda points: _koszul(S, Gm, points[0])[1:], p[None])
+    return ChristoffelTensor(gamma[0], p)
 
 
 def _christoffel_stack(S: AlgebroidStructure, terms: Callable, points) -> np.ndarray:
     """The ``(N, m, m, m)`` stack of Christoffel tensors at a ``(N, n)``
-    stack of points, where ``terms(p)`` gives the metric and the lowered
-    Koszul tensor at ``p``, in any layout of their entries: one stacked
-    inversion and contraction.  A one-point stack raises
+    stack of points, where ``terms(points)`` gives the metrics and the
+    lowered Koszul tensors there, in any layout of their entries: one
+    stacked inversion and contraction.  A one-point stack raises
     ``SingularMetricError`` naming its point, tested before the arithmetic,
     or ``ValueError`` for non-finite coefficients; a larger stack that
     fails is re-run as one-point stacks, so the error is the first failing
     point's.
     """
-    points = [S.check_point(p) for p in points]
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != S.n:
+        raise ValueError(f"base points have shape {points.shape}, chart has dimension {S.n}")
     m, count = S.m, len(points)
     try:
-        G, K = zip(*[terms(p) for p in points])
+        G, K = terms(points)
         G, K = np.reshape(G, (count, m, m)), np.reshape(K, (count, m * m, m))
         if not np.isfinite(G).all():
             raise _singular(points[0])
@@ -485,7 +499,8 @@ def _christoffel_stack(S: AlgebroidStructure, terms: Callable, points) -> np.nda
     except Exception:
         if count == 1:
             raise
-    return np.array([_christoffel_stack(S, terms, [p])[0] for p in points]).reshape(count, m, m, m)
+    return np.array([_christoffel_stack(S, terms, points[k:k + 1])[0]
+                     for k in range(count)]).reshape(count, m, m, m)
 
 
 def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
@@ -494,19 +509,21 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     bitwise the tensors of the points one at a time.
 
     It reads the pair's :func:`_connection`: a fixed pair's kept tensor, or
-    else the metric and ``K`` at each point from the flat values, as the
-    spray does, contracted by :func:`_christoffel_stack`.
+    else the metric and ``K`` from the flat values, as the spray does, at
+    every point of the stack (a point is a stack of one) in one call of the
+    compiled Koszul table, or one call per point of the numeric assembly,
+    contracted by :func:`_christoffel_stack`.
     """
     gamma, values = _connection(S, Gm)
     if gamma is not None:
         return lambda p: gamma if np.ndim(p) < 2 else np.broadcast_to(gamma, (len(p), *gamma.shape))
     metric_at, koszul_at = S.n * S.m, S.n * S.m + S.m * S.m
 
-    def terms(x):
-        flat = values(x)
-        return flat[metric_at:koszul_at], flat[koszul_at:]
+    def terms(points):
+        flat = _at_points(values, points, (koszul_at + S.m ** 3,))
+        return flat[:, metric_at:koszul_at], flat[:, koszul_at:]
 
-    return lambda p: (_christoffel_stack(S, terms, [p])[0] if np.ndim(p) < 2
+    return lambda p: (_christoffel_stack(S, terms, S.check_point(p)[None])[0] if np.ndim(p) < 2
                       else _christoffel_stack(S, terms, p))
 
 
@@ -548,7 +565,7 @@ def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.
     if traj.fiber is None:
         raise ValueError("trajectory carries no fiber samples")
     if isinstance(W, Section):
-        W = np.array([W(x) for x in traj.base])
+        W = W(traj.base)
     W = np.asarray(W, dtype=float)
     k = np.atleast_1d(traj.index_of(t))
     if ((k == 0) | (k == len(traj) - 1)).any():

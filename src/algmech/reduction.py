@@ -79,12 +79,16 @@ class Subbundle:
         return self.sections[0].rank
 
     def matrix(self, p) -> np.ndarray:
-        """Evaluated span, one row per section."""
+        """Evaluated span, one row per section, ``(rank, m)`` at a point; at
+        a stack ``(N, n)`` of points their ``(N, rank, m)`` stack, from one
+        call of each section with the whole stack."""
+        if np.ndim(p) == 2:
+            return np.stack([X(p) for X in self.sections], axis=1)
         return np.array([X(p) for X in self.sections])
 
     def validate_rank(self, points) -> None:
         points = np.atleast_2d(points)
-        ranks = _span_ranks([self.matrix(p) for p in points], points)
+        ranks = _span_ranks(self.matrix(points), points)
         if np.any(ranks != self.rank):
             p = points[np.argmax(ranks != self.rank)]
             raise ValueError(f"subbundle {self.label or ''} drops rank at {p}")
@@ -103,16 +107,17 @@ class Projector:
         ``(N, m, m)`` stack of them at a stack ``(N, n)`` of points, a point
         being a stack of one: one stacked Gram solve over the points where
         the span and the metric are finite, NaN elsewhere, tested before the
-        arithmetic.  A degenerate span raises ``ValueError`` naming its
-        point; a larger stack that fails is re-run one point at a time, so
-        the error is the first failing point's.
+        arithmetic.  The span and the metric are each read in one call with
+        the stack (:meth:`Subbundle.matrix`, :meth:`BundleMetric.matrix`):
+        one call of each expression table, the induced Gram matrix's frame
+        and ambient tables included.  A degenerate span raises
+        ``ValueError`` naming its point; a larger stack that fails is re-run
+        one point at a time, so the error is the first failing point's.
         """
         points = np.atleast_2d(p)
         count, m = len(points), self.m
         try:
-            B = np.array([self.subbundle.matrix(x) for x in points])
-            B = B.reshape(count, self.subbundle.rank, m)
-            Gs = np.array([self.metric.matrix(x) for x in points]).reshape(count, m, m)
+            B, Gs = self.subbundle.matrix(points), self.metric.matrix(points)
             finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(Gs).all(axis=(1, 2))
             B, BG = B[finite], B[finite] @ Gs[finite]
             out = np.full((count, m, m), np.nan)
@@ -145,10 +150,9 @@ class Projector:
         depend on the scale, and a huge value's norm then cannot overflow.
         """
         points = np.atleast_2d(points)
-        count, m = len(points), self.m
         P = self.p_matrix(points)
-        G = np.array([self.metric.matrix(p) for p in points]).reshape(count, m, m)
-        W = np.array([[Wk(p) for Wk in declared] for p in points]).reshape(count, len(declared), m)
+        G = self.metric.matrix(points)
+        W = np.stack([Wk(points) for Wk in declared], axis=1)
         if not (np.isfinite(W).all() and np.isfinite(G).all()):
             return math.nan
         W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=2, keepdims=True))[1])

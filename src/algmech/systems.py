@@ -26,6 +26,7 @@ from .algebroid import (
     OneForm,
     Section,
     _as_expr,
+    _at_points,
     _differential,
     _ExprTable,
     _span_ranks,
@@ -209,7 +210,7 @@ class SystemDefinition:
             blocks = []
             for key in ("distribution", "complement"):
                 with _at(f"$.{key}"):
-                    blocks.append(np.array([self.embedded[key](p) for p in points]))
+                    blocks.append(self.embedded[key](points))
             rows = np.concatenate(blocks, axis=1)
             with _at("$.distribution"):
                 dropped = _span_ranks(rows, points) != min(rows.shape[1], self.n)
@@ -261,7 +262,9 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     exact for an expression table, ``m`` directional differences of an
     opaque callable).  Returns ``(structure_fn, gram_fn)`` as pointwise
     callables; when both the frame and the ambient metric carry
-    ``value_and_jacobian``, so does ``gram_fn``, by the product rule.  A
+    ``value_and_jacobian``, so does ``gram_fn``, by the product rule.
+    ``gram_fn`` takes a point or a stack of points, and reads the frame and
+    the ambient metric once each for a stack where they take one.  A
     frame or ambient value that is not finite, tested before the products,
     gives a NaN Gram matrix and Jacobian and a ``SingularMetricError`` of the
     structure functions.
@@ -276,6 +279,17 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     ambient_moves = not getattr(metric_fn, "is_constant", False)
 
     def gram_fn(x):
+        if np.ndim(x) == 2:
+            # A stack: each field read at every point in one call where it
+            # takes a stack, then the products of the points where both
+            # values are finite, each bitwise the product at its point.
+            n = np.shape(x)[1]
+            B, g = _at_points(frame_fn, x, (-1, n)), _at_points(metric_fn, x, (n, n))
+            finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
+            out = np.full((len(B), B.shape[1], B.shape[1]), np.nan)
+            B = B[finite]
+            out[finite] = B @ g[finite] @ B.transpose(0, 2, 1)
+            return out
         B, g = frame_fn(x), np.asarray(metric_fn(x))
         # Tested first: a value that is not finite would only warn in the products.
         if not _finite(B, g):
@@ -315,6 +329,7 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
     if hasattr(frame_fn, "value_and_jacobian") and hasattr(metric_fn, "value_and_jacobian"):
         gram_fn.value_and_jacobian = gram_value_and_jacobian
     structure_fn.induced = gram_fn.induced = (frame_fn, metric_fn)
+    gram_fn.stacks = True  # a call takes a stack of points (see algebroid._at_points)
     return structure_fn, gram_fn
 
 

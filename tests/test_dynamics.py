@@ -448,15 +448,33 @@ def assert_members_alone(field, starts, t1, step, chart=None):
 class TestEnsemble:
     """``integrate`` of a stack of states against each state on its own."""
 
-    def test_stacks_of_every_builtin(self, all_builtins, rng):
+    def test_stacks_of_every_builtin(self, all_builtins, rng, monkeypatch):
+        from algmech.geometry import _connection
+
+        fixed = set()
         for sysd in all_builtins:
-            field = spray_field(sysd.structure, sysd.metric)
+            S = sysd.structure
+            field = spray_field(S, sysd.metric)
             # The starts of TestLeanStep, then stacks of three seeded starts.
             lean = [TotalPoint(p, rng.uniform(-0.5, 0.5, size=sysd.m))
                     for p in sysd.sample(2, seed=41)]
             for starts in [lean] + [seeded_starts(sysd, seed) for seed in range(3)]:
                 alone = assert_members_alone(field, starts, 0.3, 1e-3, chart=sysd.chart)
                 assert all(len(traj) == 301 or traj.truncated for traj in alone)
+            if _connection(S, sysd.metric)[0] is None:
+                continue
+            # The fixed branch: a stack of states is one anchor call, and
+            # its rows are bitwise the field at each state.
+            fixed.add(sysd.name)
+            Z = np.array([q.packed() for q in seeded_starts(sysd, 4, count=5)])
+            one_by_one = np.array([field(0.0, z) for z in Z])
+            anchors = []
+            monkeypatch.setattr(S, "anchor", lambda x, at=S.anchor: anchors.append(x) or at(x))
+            stacked = field(0.0, Z)
+            monkeypatch.undo()
+            assert len(anchors) == (1 if sysd.n else 0), sysd.name
+            assert stacked.tobytes() == one_by_one.tobytes(), sysd.name
+        assert fixed == {"planar_body", "euclidean2", "suslov"}
 
     def test_compiled_tables_beside_the_builtins(self):
         from algmech import load_spec

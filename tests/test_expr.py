@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 
@@ -167,6 +168,67 @@ class TestEval:
         assert tree.eval(env) == 3.0
         assert env == {"x": 1.0, "y": 2.0}
         assert tree.variables() == frozenset({"x", "y"})
+
+
+def _tower(levels, wrap):
+    """A tree of ``levels`` applications of ``wrap`` around ``x``."""
+    tree = Var("x")
+    for _ in range(levels):
+        tree = wrap(tree)
+    return tree
+
+
+def _frames_down(depth, thunk):
+    """``thunk()`` called ``depth`` Python frames below this one."""
+    return thunk() if depth == 0 else _frames_down(depth - 1, thunk)
+
+
+class TestTreeComparison:
+    """``==``, ``hash`` and ``repr`` of trees: the dataclass semantics, also
+    on trees as deep as the parser admits."""
+
+    WRAPS = {
+        "sum": lambda t: BinOp("+", t, Num(1.0)),
+        "sin": lambda t: Call("sin", (t,)),
+        "neg": lambda t: Neg(t),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(WRAPS))
+    def test_deep_trees_compare_and_print_from_100_frames_down(self, shape):
+        first, second = (_tower(ex._MAX_DEPTH - 1, self.WRAPS[shape]) for _ in range(2))
+        other = self.WRAPS[shape](_tower(ex._MAX_DEPTH - 2, self.WRAPS["sum" if shape != "sum" else "neg"]))
+        assert _frames_down(100, lambda: first == second)
+        assert _frames_down(100, lambda: first != other)
+        assert _frames_down(100, lambda: hash(first) == hash(second))
+        text = _frames_down(100, lambda: repr(first))
+        assert text == _frames_down(100, lambda: repr(second))
+        assert text.count("(") == text.count(")")
+
+    def test_dataclass_semantics(self):
+        assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+        assert Num(1.0).__eq__(1.0) is NotImplemented and Num(1.0) != 1.0
+        assert Var("x").__eq__(Num(1.0)) is NotImplemented and Var("x") != Num(1.0)
+        nan = math.nan
+        assert Num(nan) == Num(nan) and Num(nan) != Num(float("nan"))
+        assert Call("sin", (Var("x"),)) != Call("sin", [Var("x")])
+        assert Call("atan2", (Var("x"), Var("y"))) != Call("atan2", (Var("x"),))
+        assert BinOp("+", Var("x"), Num(1.0)) != BinOp("-", Var("x"), Num(1.0))
+        for source in CORPUS:
+            assert parse(source) == parse(source) and hash(parse(source)) == hash(parse(source))
+            assert parse(source) != parse(f"({source}) + 0")
+        assert len({parse("x*y"), parse("x*y"), parse("y*x")}) == 2
+
+    def test_repr_is_the_dataclass_form(self):
+        tree = parse("-sin(x)^atan2(a, 2) / y")
+        assert repr(tree) == (
+            "BinOp(op='/', left=Neg(arg=BinOp(op='^', left=Call(func='sin', "
+            "args=(Var(name='x'),)), right=Call(func='atan2', args=(Var(name='a'), "
+            "Num(value=2.0))))), right=Var(name='y'))")
+        shared = Var("u")
+        assert repr(BinOp("*", shared, shared)) == (
+            "BinOp(op='*', left=Var(name='u'), right=Var(name='u'))")
+        assert repr(Call("f", [Num(1.0)])) == "Call(func='f', args=[Num(value=1.0)])"
+        assert repr(Call("f", ())) == "Call(func='f', args=())"
 
 
 class TestPartial:
@@ -390,6 +452,62 @@ class TestCompiledTable:
         with pytest.raises(ValueError, match=r"2 coordinate.*\(1,\)"):
             table([1.0])
 
+    def test_stacks_match_the_points_on_random_tables(self):
+        """A stack gives each point's values, or raises what the first
+        failing point raises."""
+        rng = random.Random(20261020)
+        for case in range(500):
+            shared = []
+            exprs = [_random_expr(rng, 4, shared) for _ in range(rng.randint(1, 4))]
+            points = [[_random_value(rng) for _ in COORDS] for _ in range(rng.randint(1, 6))]
+            params = {name: _random_value(rng) for name in PARAMS}
+            values = ex._compile_table(exprs, COORDS, params)
+            want = _outcome(lambda: np.concatenate([values(p) for p in points]))
+            stacked = ex._compile_stack(values)
+            assert _outcome(lambda: stacked(points)) == want, (case, exprs, points, params)
+
+    def test_a_stack_raises_at_its_first_failing_point(self):
+        table = _ExprTable([parse("1/x"), parse("sqrt(x)")], (2,), ("x",), {})
+        fine = [[1.0], [2.0], [3.0]]
+        for failing, message in (([[0.0]], "division by zero"),
+                                 ([[-1.0]], "sqrt of a negative value")):
+            with pytest.raises(EvalError, match=message):
+                table(failing[0])
+            for later in ([[0.0]], [[-1.0]]):
+                with pytest.raises(EvalError, match=f"^{message}$"):
+                    table(np.array(fine + failing + [[4.0]] + later))
+
+    def test_stack_shapes(self):
+        table = _ExprTable([parse("x + y"), parse("x*y"), parse("2"), parse("a")], (2, 2),
+                           ("x", "y"), {"a": 3.0})
+        points = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+        assert table(points).shape == (3, 2, 2)
+        assert table(points).tobytes() == np.array([table(p) for p in points]).tobytes()
+        assert table(points[:0]).shape == (0, 2, 2)
+        for bad in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((2, 3, 2)), np.zeros(())):
+            with pytest.raises(ValueError, match=rf"2 coordinate.*{re.escape(str(bad.shape))}"):
+                table(bad)
+        # Folded entries, and a table over no coordinates.
+        folded = _ExprTable([parse("a + 1"), parse("3*a")], (2,), ("x",), {"a": 1.0})
+        assert folded(points[:, :1]).tolist() == [[2.0, 3.0]] * 3
+        constant = _ExprTable([parse("a + 1"), parse("w")], (2,), (), {"a": 1.0, "w": 2.0})
+        assert constant(np.zeros((2, 0))).tolist() == [[2.0, 2.0]] * 2
+        failing = _ExprTable([parse("1/a")], (), (), {"a": 0.0})
+        with pytest.raises(EvalError, match="division by zero"):
+            failing(np.zeros((2, 0)))
+
+    def test_a_table_never_stacked_compiles_no_stacked_function(self, monkeypatch):
+        compiled = []
+        compile_stack = ex._compile_stack
+        monkeypatch.setattr(ex, "_compile_stack", lambda f: compiled.append(f) or compile_stack(f))
+        table = _ExprTable([parse("sin(x)*y"), parse("x - y")], (2,), ("x", "y"), {})
+        table([0.1, 0.2])
+        table.value_and_jacobian([0.1, 0.2])
+        assert table._compiled_stack is None and not compiled
+        table(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        table(np.array([[0.5, 0.6]]))
+        assert table._compiled_stack is not None and len(compiled) == 1
+
     def test_first_call_from_many_threads(self):
         exprs = [parse("sin(x)*y/(1 + x^2)"), parse("atan2(y, x) - ln(1 + y^2)")]
         points = [np.array([0.1 * k, 1.0 - 0.05 * k]) for k in range(8)]
@@ -446,6 +564,35 @@ class TestCompiledTable:
         for (values, jac), (want_values, want_jac) in zip(results, expected):
             assert values.tobytes() == want_values.tobytes()
             assert jac.tobytes() == want_jac.tobytes()
+
+    def test_first_stacked_calls_from_many_threads(self):
+        """Threads racing on the first calls of a table, half of them with a
+        stack, all get the single-threaded results."""
+        exprs = [parse("sin(x)*y/(1 + x^2)"), parse("atan2(y, x) - ln(1 + y^2)")]
+        stacks = [np.array([[0.1 * k, 1.0 - 0.05 * k], [0.2, 0.1 * k]]) for k in range(8)]
+        expected = [np.array([_tree_walk(exprs, p, {}, ("x", "y")) for p in stack])
+                    for stack in stacks]
+        table = _ExprTable(exprs, (2,), ("x", "y"), {})
+        results = [None] * len(stacks)
+
+        def work(k):
+            for _ in range(50):
+                stack = stacks[k]
+                results[k] = table(stack) if k % 2 else np.array([table(p) for p in stack])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(stacks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert got.tobytes() == want.tobytes()
 
     # --- Jacobians ------------------------------------------------------------
 

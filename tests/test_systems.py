@@ -489,6 +489,81 @@ class TestLoader:
         assert str(caught.value) == message
 
 
+def expression_tables(sysd) -> dict:
+    """Every expression table of a system by its role: the anchor, the
+    structure functions, the metric or the embedded frame and ambient
+    metric, the Koszul table of a pair that has one, and the tables of its
+    sections, candidates and scalar functions."""
+    from algmech.algebroid import _ExprTable
+    from algmech.geometry import _connection
+
+    S, Gm = sysd.structure, sysd.metric
+    frame, ambient = getattr(Gm._fn, "induced", (None, None))
+    found = {"anchor": S._anchor_fn, "structure": S._structure_fn, "metric": Gm._fn,
+             "frame": frame, "ambient": ambient, "koszul": _connection(S, Gm)[1],
+             "potential": getattr(sysd.potential, "_fn", None)}
+    sections = [*(sysd.controls.sections if sysd.controls else ()),
+                *(sysd.declared_complement or ()), *sysd.candidates.values()]
+    found.update((f"section {X.label}", X._fn) for X in sections)
+    found.update((f"reparam {name}", table) for name, table in sysd.reparam_candidates.items())
+    found.update((f"embedded {key}", table) for key, table in (sysd.embedded or {}).items())
+    return {role: table for role, table in found.items() if isinstance(table, _ExprTable)}
+
+
+class TestStackedTables:
+    """An expression table, and a metric, at a stack of points against the
+    same calls one point at a time, bitwise."""
+
+    def test_every_table_of_every_builtin_and_its_document(self, all_builtins):
+        rng = np.random.default_rng(2023)
+        roles = set()
+        for sysd in all_builtins + [load_spec(dump_spec(sysd)) for sysd in all_builtins]:
+            chart = sysd.chart
+            for role, table in expression_tables(sysd).items():
+                roles.add(role.split()[0])
+                for count in (1, 3, 20, 101):
+                    points = []
+                    while len(points) < count:  # uniform in the box, off the exclusions
+                        p = rng.uniform(chart.lower, chart.upper)
+                        if chart.contains(p):
+                            points.append(p)
+                    points = np.reshape(points, (count, sysd.n))
+                    stacked = table(points)
+                    assert stacked.shape == (count, *table.shape), (sysd.name, role)
+                    one_by_one = np.array([table(p) for p in points])
+                    assert stacked.tobytes() == one_by_one.tobytes(), (sysd.name, role, count)
+                    if role == "metric":
+                        assert (sysd.metric.matrix(points).tobytes()
+                                == np.array([sysd.metric(p) for p in points]).tobytes())
+            if sysd.embedded is not None:  # the induced Gram matrix
+                assert (sysd.metric.matrix(points).tobytes()
+                        == np.array([sysd.metric(p) for p in points]).tobytes()), sysd.name
+        assert {"anchor", "structure", "metric", "frame", "ambient", "koszul", "section",
+                "embedded"} <= roles
+
+    def test_induced_gram_matrix_of_a_stack_is_nan_where_a_value_is_not(self, board):
+        """A frame or ambient value that is not finite gives a NaN Gram
+        matrix at its point only, as at that point alone."""
+        from algmech.algebroid import _ExprTable
+
+        doc = dump_spec(board)
+        n = board.n
+        ambient = _ExprTable([e for row in doc["ambient"]["metric"] for e in row], (n, n),
+                             board.coords, board.params, differentiable=True)
+        # x^32, which overflows to inf, not an EvalError, at x = 1e10
+        big = "*".join(["(x*x*x*x*x*x*x*x)"] * 4)
+        frame = _ExprTable([e for row in doc["distribution"] for e in row] + [big] + ["0"] * (n - 1),
+                           (board.m + 1, n), board.coords, board.params)
+        _, gram_fn = induced_algebroid(ambient, frame)
+        points = board.sample(4, seed=3)
+        points[2, 0] = 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = gram_fn(points)
+        assert stacked.tobytes() == np.array([gram_fn(p) for p in points]).tobytes()
+        assert np.isnan(stacked[2]).all() and np.isfinite(np.delete(stacked, 2, axis=0)).all()
+
+
 class TestLoaderFuzz:
     """Seeded fuzz of the loader: the builtin documents with one or two
     values replaced by a value from a fixed bad pool, or deleted."""
