@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,9 +85,13 @@ def _load_system(args) -> SystemDefinition:
 
 
 def _parse_point(text, size, what) -> np.ndarray:
-    values = [float(v) for v in text.split(",")] if text else []
-    if len(values) != size:
-        raise UsageError(f"{what} needs {size} comma-separated values")
+    """The ``size`` comma-separated finite numbers given to option ``what``."""
+    try:
+        values = [float(v) for v in text.split(",")] if text else []
+    except ValueError:
+        values = []
+    if len(values) != size or not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} needs {size} comma-separated finite numbers, got {text!r}")
     return np.array(values)
 
 

@@ -5,10 +5,12 @@ Expressions are immutable trees over real literals, named variables, the
 arithmetic operators ``+ - * / ^`` (with ``^`` right-associative), unary
 negation and a fixed catalogue of functions.  Evaluation is pure: given a
 binding for every free variable it touches nothing else, so expressions can
-be shared freely across threads.  ``Expr.eval`` walks the tree and is the
-reference semantics.  :func:`parse` climbs the printer's precedence table, so
-a printed tree parses back to itself, and it rejects a tree of more than
-``_MAX_DEPTH`` levels, which the recursive walks could not finish.
+be shared freely across threads.  ``Expr.eval`` is the reference semantics.
+Every pass over a tree (evaluation, printing, derivatives, compilation) is a
+loop over one walk with its own stack, :func:`_postorder`, so no pass depends
+on the depth of the tree or of the Python stack.  :func:`parse` climbs the
+printer's precedence table, so a printed tree parses back to itself, and as
+a policy on documents it rejects a tree of more than ``_MAX_DEPTH`` levels.
 :func:`diff` is the one derivative mechanism: it turns a tree into the tree
 of its partial derivative.  :func:`_compile_table` turns a table of
 expressions into one straight-line Python function with bitwise-equal
@@ -72,15 +74,21 @@ class EvalError(ExprError):
 class Expr:
     """Abstract syntax tree node.  Subclasses are frozen dataclasses.
 
-    ``==`` and ``repr`` are those a dataclass generates, computed by loops
-    over the tree rather than one Python call per level, so they finish on
-    a tree as deep as ``str`` and ``hash`` do.
+    ``==`` and ``repr`` are those a dataclass generates.  They, ``eval``,
+    ``str`` and ``variables`` are loops over the tree rather than one Python
+    call per level, so they finish on a tree of any depth, called from any
+    depth of the Python stack.
     """
 
     __slots__ = ()
 
     def eval(self, bindings: Bindings) -> float:
-        raise NotImplementedError
+        """The value with the free variables bound by ``bindings``; raises
+        ``EvalError`` at the first node, in post-order, that fails."""
+        values = {}  # node -> its value; every node is alive in the tree
+        for node in _postorder((self,)):
+            values[id(node)] = _evaluate(node, values, bindings)
+        return values[id(self)]
 
     def variables(self) -> frozenset:
         """Free variables of the expression."""
@@ -127,19 +135,8 @@ class Expr:
         right=Num(value=1.0))``; a subtree shared by several parents is
         written at each."""
         text = {}  # node -> its repr; every node is alive in the tree
-        pending = [self]
-        while pending:
-            node = pending[-1]
-            if id(node) in text:
-                pending.pop()
-                continue
-            children = _children(node)
-            missing = [child for child in children if id(child) not in text]
-            if missing:
-                pending += reversed(missing)
-                continue
-            pending.pop()
-            parts = [text[id(child)] for child in children]
+        for node in _postorder((self,)):
+            parts = [text[id(child)] for child in _children(node)]
             kind = type(node)
             if kind is Num:
                 text[id(node)] = f"Num(value={node.value!r})"
@@ -151,10 +148,8 @@ class Expr:
                 text[id(node)] = f"BinOp(op={node.op!r}, left={parts[0]}, right={parts[1]})"
             else:
                 args = ", ".join(parts)
-                if isinstance(node.args, list):
-                    args = f"[{args}]"
-                else:
-                    args = f"({args}{',' if len(parts) == 1 else ''})"
+                tail = "," if len(parts) == 1 else ""
+                args = f"[{args}]" if isinstance(node.args, list) else f"({args}{tail})"
                 text[id(node)] = f"Call(func={node.func!r}, args={args})"
         return text[id(self)]
 
@@ -169,33 +164,43 @@ def _children(node: Expr) -> tuple:
     return tuple(node.args) if kind is Call else ()
 
 
+def _postorder(roots: Sequence[Expr], operands: Callable = _children) -> list:
+    """The nodes of the trees under ``roots``, each once (by identity) and
+    after its operands, left to right, a shared subtree at its first place:
+    the order of a recursive walk, on a stack of its own.  ``operands(node)``
+    are the operands walked under a node (by default all of them); a node
+    with none is a leaf."""
+    order, seen = [], set()  # every node is alive in `roots`
+    pending = list(roots)[::-1]
+    while pending:
+        node = pending.pop()
+        if node is None:  # marks that the node below it has its operands done
+            order.append(pending.pop())
+        elif id(node) not in seen:
+            seen.add(id(node))
+            below = operands(node)
+            if below:
+                pending += (node, None, *below[::-1])
+            else:
+                order.append(node)
+    return order
+
+
 # Each node keeps Expr's == and repr; its hash is the one a frozen dataclass
 # generates from its fields, which agrees with that ==.
 @dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Num(Expr):
     value: float
 
-    def eval(self, bindings):
-        return self.value
-
 
 @dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Var(Expr):
     name: str
 
-    def eval(self, bindings):
-        try:
-            return float(bindings[self.name])
-        except KeyError:
-            raise EvalError(f"unbound variable '{self.name}'") from None
-
 
 @dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Neg(Expr):
     arg: Expr
-
-    def eval(self, bindings):
-        return -self.arg.eval(bindings)
 
 
 @dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
@@ -204,52 +209,35 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, bindings):
-        a = self.left.eval(bindings)
-        b = self.right.eval(bindings)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _div(a, b)
-        if op == "^":
-            return _power(a, b)
-        raise AssertionError(f"unknown operator {op!r}")
-
 
 @dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 class Call(Expr):
     func: str
     args: tuple
 
-    def eval(self, bindings):
-        values = [arg.eval(bindings) for arg in self.args]
-        return (_FUNCTIONS.get(self.func) or _DERIVATIVE_FUNCTIONS[self.func])[1](*values)
-
 
 def _free_variables(exprs: Sequence[Expr]) -> set:
-    """The free variables of a table of expressions, each shared subtree
-    walked once."""
-    names, seen = set(), set()
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            names.add(node.name)
-        elif kind is not Num and id(node) not in seen:  # every node is alive in `exprs`
-            seen.add(id(node))
-            if kind is BinOp:
-                stack += (node.left, node.right)
-            elif kind is Neg:
-                stack.append(node.arg)
-            else:
-                stack += node.args
-    return names
+    """The free variables of a table of expressions."""
+    return {node.name for node in _postorder(exprs) if type(node) is Var}
+
+
+def _evaluate(node: Expr, values: dict, bindings: Bindings):
+    """One step of ``Expr.eval`` and of the compiler's folding: the value of
+    ``node`` from its operands' in ``values``, by identity, or ``bindings``."""
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise EvalError(f"unbound variable '{node.name}'") from None
+    if kind is Neg:
+        return -values[id(node.arg)]
+    if kind is BinOp:
+        return _OPERATORS[node.op][0](values[id(node.left)], values[id(node.right)])
+    fn = (_FUNCTIONS.get(node.func) or _DERIVATIVE_FUNCTIONS[node.func])[1]
+    return fn(*[values[id(arg)] for arg in node.args])
 
 
 def _div(a: float, b: float) -> float:
@@ -287,6 +275,16 @@ def _exp(x: float) -> float:
     except OverflowError:
         raise EvalError("overflow in exp") from None
 
+
+# Each binary operator as a function of two values and as code over two names;
+# division and powers call the same helpers in both, which raise EvalError.
+_OPERATORS = {
+    "+": (lambda a, b: a + b, "{} + {}"),
+    "-": (lambda a, b: a - b, "{} - {}"),
+    "*": (lambda a, b: a * b, "{} * {}"),
+    "/": (_div, "_div({}, {})"),
+    "^": (_power, "_power({}, {})"),
+}
 
 _FUNCTIONS = {
     "sin": (1, math.sin),
@@ -331,9 +329,8 @@ def _tokenize(source: str):
 _PRECEDENCE = {"+": (1, "left"), "-": (1, "left"), "*": (2, "left"), "/": (2, "left"),
                "neg": (3, "right"), "^": (4, "right")}
 
-# The most levels a parsed tree may have.  The walks of a tree recurse, two
-# Python frames a level, so a tree this deep stays within the default
-# recursion limit of 1000 when the walk starts a few hundred frames down.
+# The most levels a parsed tree may have: a bound on the documents the
+# loader accepts, not on what the walks of a tree can finish.
 _MAX_DEPTH = 300
 
 
@@ -428,22 +425,31 @@ def parse(source: str) -> Expr:
 # --- printing ----------------------------------------------------------------
 
 
-def _format(expr: Expr, parent: int = 0) -> str:
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(map(_format, expr.args))})"
-    if isinstance(expr, Neg):
-        text = "-" + _format(expr.arg, _floor("neg", "right"))
-        return f"({text})" if parent > _PRECEDENCE["neg"][0] else text
-    if isinstance(expr, BinOp):
-        left = _format(expr.left, _floor(expr.op, "left"))
-        right = _format(expr.right, _floor(expr.op, "right"))
-        text = f"{left}^{right}" if expr.op == "^" else f"{left} {expr.op} {right}"
-        return f"({text})" if parent > _PRECEDENCE[expr.op][0] else text
-    raise AssertionError(f"unknown node {expr!r}")
+def _format(expr: Expr) -> str:
+    text = {}  # node -> its text; every node is alive in `expr`
+    for node in _postorder((expr,)):
+        kind = type(node)
+        if kind is Num:
+            text[id(node)] = repr(node.value)
+        elif kind is Var:
+            text[id(node)] = node.name
+        elif kind is Call:
+            text[id(node)] = f"{node.func}({', '.join([text[id(arg)] for arg in node.args])})"
+        elif kind is Neg:
+            text[id(node)] = "-" + _operand_text(node.arg, text, _floor("neg", "right"))
+        else:
+            left = _operand_text(node.left, text, _floor(node.op, "left"))
+            right = _operand_text(node.right, text, _floor(node.op, "right"))
+            text[id(node)] = f"{left}^{right}" if node.op == "^" else f"{left} {node.op} {right}"
+    return text[id(expr)]
+
+
+def _operand_text(node: Expr, text: dict, floor: int) -> str:
+    """The text of an operand, parenthesized where its operator binds less
+    tightly than ``floor``."""
+    kind = type(node)
+    op = node.op if kind is BinOp else "neg" if kind is Neg else None
+    return f"({text[id(node)]})" if op and floor > _PRECEDENCE[op][0] else text[id(node)]
 
 
 # --- derivatives ----------------------------------------------------------------
@@ -536,68 +542,73 @@ def diff(node: Expr, var: str, constant: Callable[[Expr], object] = _literal) ->
     have no rule themselves), a constant exponent below one at a zero base,
     and an exponent that reads ``var`` at a base ``<= 0`` (``ln`` of it).
     """
-    memo = {}  # keyed by node identity; every node is alive in `node`
+    def operands(sub: Expr) -> tuple:
+        # What the rule below reads: no operand of a constant, and of a call
+        # only its argument, or both of atan2.
+        if constant(sub) is not None:
+            return ()
+        if type(sub) is Call and sub.func != "atan2":
+            return sub.args[:1]
+        return _children(sub)
 
-    def d(sub: Expr) -> Expr:
-        key = id(sub)
-        if key not in memo:
-            memo[key] = _ZERO if constant(sub) is not None else rule(sub)
-        return memo[key]
+    derivatives = {}  # node -> its derivative; every node is alive in `node`
+    for sub in _postorder((node,), operands):
+        derivatives[id(sub)] = (_ZERO if constant(sub) is not None
+                                else _rule(sub, var, constant, derivatives))
+    return derivatives[id(node)]
 
-    def rule(sub: Expr) -> Expr:
-        kind = type(sub)
-        if kind is BinOp:
-            a, b = sub.left, sub.right
-            da, db = d(a), d(b)
-            if da is _ZERO and db is _ZERO:
-                return _ZERO
-            if sub.op == "+":
-                return _plus(da, db)
-            if sub.op == "-":
-                return _minus(da, db)
-            if sub.op == "*":
-                return _plus(_times(da, b), _times(db, a))
-            if sub.op == "/":
-                # b != 0 wherever the value exists
-                return BinOp("/", _minus(da, _times(db, sub)), b)
-            if db is not _ZERO:
-                # ln raises for a base <= 0
-                return _times(_plus(_times(db, Call("ln", (a,))), _times(da, BinOp("/", b, a))), sub)
-            c = constant(b)
-            if c is None:
-                return _times(da, BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))))
-            if c == 0.0:
-                return _ZERO
-            if c == 1.0:
-                return da
-            if c == 2.0:
-                return _times(da, BinOp("*", b, a))
-            return _times(da, BinOp("*", b, BinOp("^", a, Num(c - 1.0))))
-        if kind is Var:
-            return _ONE if sub.name == var else _ZERO
-        if kind is Num:
+
+def _rule(sub: Expr, var: str, constant: Callable, derivatives: dict) -> Expr:
+    """The derivative of a non-constant node from its operands' (see :func:`diff`)."""
+    kind = type(sub)
+    if kind is BinOp:
+        a, b = sub.left, sub.right
+        da, db = derivatives[id(a)], derivatives[id(b)]
+        if da is _ZERO and db is _ZERO:
             return _ZERO
-        if kind is Neg:
-            return _minus(_ZERO, d(sub.arg))
-        if kind is Call:
-            u, du = sub.args[0], d(sub.args[0])
-            if sub.func == "atan2":
-                # d atan2(y, x) = (x dy - y dx) / (y^2 + x^2)
-                x, dx = sub.args[1], d(sub.args[1])
-                if du is _ZERO and dx is _ZERO:
-                    return _ZERO
-                norm = Call("_sqnorm", (u, x))
-                return _plus(_times(du, BinOp("/", x, norm)), _times(dx, BinOp("/", Neg(u), norm)))
-            if du is _ZERO:
-                return _ZERO
-            if sub.func == "ln":
-                return BinOp("/", du, u)
-            if sub.func not in _WEIGHTS:
-                raise ExprError(f"no derivative rule for '{sub.func}'")
-            return _times(du, _WEIGHTS[sub.func](u, sub))
-        raise AssertionError(f"unknown node {sub!r}")
-
-    return d(node)
+        if sub.op == "+":
+            return _plus(da, db)
+        if sub.op == "-":
+            return _minus(da, db)
+        if sub.op == "*":
+            return _plus(_times(da, b), _times(db, a))
+        if sub.op == "/":
+            # b != 0 wherever the value exists
+            return BinOp("/", _minus(da, _times(db, sub)), b)
+        if db is not _ZERO:
+            # ln raises for a base <= 0
+            return _times(_plus(_times(db, Call("ln", (a,))), _times(da, BinOp("/", b, a))), sub)
+        c = constant(b)
+        if c is None:
+            return _times(da, BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))))
+        if c == 0.0:
+            return _ZERO
+        if c == 1.0:
+            return da
+        if c == 2.0:
+            return _times(da, BinOp("*", b, a))
+        return _times(da, BinOp("*", b, BinOp("^", a, Num(c - 1.0))))
+    if kind is Var:
+        return _ONE if sub.name == var else _ZERO
+    if kind is Num:
+        return _ZERO
+    if kind is Neg:
+        return _minus(_ZERO, derivatives[id(sub.arg)])
+    u, du = sub.args[0], derivatives[id(sub.args[0])]
+    if sub.func == "atan2":
+        # d atan2(y, x) = (x dy - y dx) / (y^2 + x^2)
+        x, dx = sub.args[1], derivatives[id(sub.args[1])]
+        if du is _ZERO and dx is _ZERO:
+            return _ZERO
+        norm = Call("_sqnorm", (u, x))
+        return _plus(_times(du, BinOp("/", x, norm)), _times(dx, BinOp("/", Neg(u), norm)))
+    if du is _ZERO:
+        return _ZERO
+    if sub.func == "ln":
+        return BinOp("/", du, u)
+    if sub.func not in _WEIGHTS:
+        raise ExprError(f"no derivative rule for '{sub.func}'")
+    return _times(du, _WEIGHTS[sub.func](u, sub))
 
 
 def partial(expr: Union[Expr, str], var: str, bindings: Bindings) -> float:
@@ -617,17 +628,6 @@ def partial(expr: Union[Expr, str], var: str, bindings: Bindings) -> float:
 
 # --- compiled tables ----------------------------------------------------------
 
-# Binary operators as code over two operand names; division and powers go
-# through the tree-walk's helpers, so they raise the same EvalError.
-_OPERATOR_CODE = {
-    "+": "{} + {}",
-    "-": "{} - {}",
-    "*": "{} * {}",
-    "/": "_div({}, {})",
-    "^": "_power({}, {})",
-}
-
-
 def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings,
                    jacobian: bool = False):
     """Compile a table of expressions into one function of a point.
@@ -638,8 +638,9 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     entry that fails raises what the tree-walk raises, at the same entry.
     The generated code is straight-line, one assignment per distinct node:
 
-    * each subtree free of coordinates is evaluated here, once, with
-      ``Expr.eval``; one that raises stays in the code and raises per call;
+    * each subtree free of coordinates is evaluated here, once, by the
+      steps of ``Expr.eval``; one that raises stays in the code and raises
+      per call;
     * a repeated subtree is computed once;
     * division, ``^`` and the functions call the tree-walk's helpers.
 
@@ -659,6 +660,8 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     first failing entry in row-major order.
     """
     coord_names = {name: f"c{i}" for i, name in enumerate(coords)}
+    bits = {name: 1 << i for i, name in enumerate(coords)}
+    fails = 1 << len(coords)
     env = dict(params)
     namespace = {"_div": _div, "_power": _power, "_array": np.array, "_params": env,
                  "_zeros": np.zeros}
@@ -667,11 +670,11 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     constants = {}  # exact key of a value -> its name in `namespace`
     temporaries = {}  # right-hand side -> the local assigned it
     lines = []
-    # Keyed by node identity; every node is alive in `exprs` or `derivatives`
-    # while this runs.
-    reads = {}  # node -> whether it reads a coordinate
-    names = {}  # node -> the name holding its value
-    derivatives = []
+    # Keyed by node identity; every node is alive in `exprs` or `derivatives`.
+    masks = {}  # node -> the bits of the coordinates it reads, and `fails` if it does not fold
+    values = {}  # node -> its value, for a node that folds (a mask of 0)
+    names = {}  # node -> the name holding its value in the code
+    derivatives = {}  # flat index of a Jacobian entry, in row-major order -> its tree
 
     def constant(value) -> str:
         # Bits, not ==, so that 0.0 and -0.0 stay apart (atan2 tells them apart).
@@ -687,73 +690,65 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             lines.append(f"    {temporaries[rhs]} = {rhs}")
         return temporaries[rhs]
 
-    def reads_coords(node: Expr) -> bool:
-        key = id(node)
-        if key not in reads:
+    def fold(walk):
+        """Pass 1: the mask of each node of ``walk`` not seen before, and the
+        value of each that reads no coordinate and evaluates here."""
+        for node in walk:
+            key = id(node)
+            if key in masks:
+                continue
+            mask = bits.get(node.name, 0) if type(node) is Var else 0
+            for operand in _children(node):
+                mask |= masks[id(operand)]
+            if not mask:
+                try:
+                    values[key] = _evaluate(node, values, env)
+                except (ArithmeticError, TypeError, ValueError):
+                    mask = fails  # raises at call time, as in the tree-walk
+            masks[key] = mask
+
+    def emit(roots) -> list:
+        """Pass 2: the names holding the values of ``roots``, emitting code
+        for each node not named before; a node that folds is a constant."""
+        walk = _postorder(roots, lambda node: _children(node)
+                          if masks[id(node)] and id(node) not in names else ())
+        for node in walk:
+            key = id(node)
+            if key in names:
+                continue
             kind = type(node)
-            if kind is Var:
-                reads[key] = node.name in coord_names
-            elif kind is Num:
-                reads[key] = False
-            elif kind is BinOp:
-                reads[key] = reads_coords(node.left) | reads_coords(node.right)
+            if not masks[key]:
+                names[key] = constant(values[key])
+            elif kind is Var:
+                # A coordinate shadows a parameter of the same name; any other
+                # is unbound, or a parameter float() rejects: raise per call.
+                names[key] = (coord_names[node.name] if node.name in coord_names
+                              else assign(f"{constant(node)}.eval(_params)"))
             elif kind is Neg:
-                reads[key] = reads_coords(node.arg)
+                names[key] = assign(f"-{names[id(node.arg)]}")
+            elif kind is BinOp:
+                names[key] = assign(_OPERATORS[node.op][1].format(
+                    names[id(node.left)], names[id(node.right)]))
             else:
-                reads[key] = any([reads_coords(arg) for arg in node.args])
-        return reads[key]
+                args = ", ".join([names[id(arg)] for arg in node.args])
+                names[key] = assign(f"_f_{node.func}({args})")
+        return [names[id(root)] for root in roots]
 
-    def emit(node: Expr) -> str:
-        """The name that holds the value of ``node``, emitting code for it."""
-        key = id(node)
-        if key not in names:
-            names[key] = emit_value(node)
-        return names[key]
-
-    def emit_value(node: Expr) -> str:
-        if not reads_coords(node):
-            try:
-                return constant(node.eval(env))
-            except (ArithmeticError, TypeError, ValueError):
-                pass  # raises at call time, as in the tree-walk
-        if isinstance(node, Var):
-            # A coordinate shadows a parameter of the same name.
-            if node.name in coord_names:
-                return coord_names[node.name]
-            # Unbound, or a parameter float() rejects: raise per call, as the tree-walk does.
-            return assign(f"{constant(node)}.eval(_params)")
-        if isinstance(node, Neg):
-            return assign(f"-{emit(node.arg)}")
-        if isinstance(node, BinOp):
-            left = emit(node.left)
-            return assign(_OPERATOR_CODE[node.op].format(left, emit(node.right)))
-        if isinstance(node, Call):
-            args = []
-            for arg in node.args:  # two frames a level; a comprehension or map takes three
-                args.append(emit(arg))
-            return assign(f"_f_{node.func}({', '.join(args)})")
-        raise AssertionError(f"unknown node {node!r}")
-
-    results = [emit(e) for e in exprs]
+    fold(_postorder(exprs))
     size = len(exprs) * len(coords)
-    if set(results) <= set(constants.values()):
+    if not any([masks[id(e)] for e in exprs]):
         # Copying a stored array is about twice as fast as building one from
         # the constants (3 entries: 0.20 against 0.44 us, timeit minima on
         # CPython 3.11, numpy 2.4, a shared 2-core Xeon).  Control sections
         # and constant metrics make these calls: one run_battery at seed 1
         # calls constant tables about 3.0k / 1.9k / 2.6k times (planar body /
         # robotic leg / snakeboard), and their Jacobian form 406 times more.
-        stored = np.array([namespace[name] for name in results])
-        # The recursive emitters refer to themselves through their closures.
-        # Unbound, they and what they hold (the namespace, the lines, the
-        # node maps) are freed on return, not at the next full garbage
-        # collection: with the stacked forms compiled as well, a loop that
-        # loads documents otherwise peaked ~2.5 MB higher.
-        emit = emit_value = reads_coords = None
+        stored = np.array([values[id(e)] for e in exprs])
         if not jacobian:
             return lambda point: stored.copy()
         # No entry reads a coordinate, so every partial vanishes.
         return (lambda point: stored.copy()), (lambda point: (stored.copy(), np.zeros(size)))
+    results = emit(exprs)
     # The coordinates unpacked from a point: the target of the assignment
     # here and of the loop of the stacked form (_compile_stack).
     targets = f"{', '.join(coord_names.values())}," if coord_names else "_"
@@ -761,31 +756,31 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     source = ["def _table(point):", *unpack, *lines, f"    return _array([{', '.join(results)}])"]
     kept = (targets, "\n".join(lines), ", ".join(results))  # the Jacobian's lines follow
     if jacobian:
-        # Only the entries that are not structurally zero are listed; the rest
-        # of the Jacobian stays zero.
-        nonzero = {}  # flat index, in row-major order -> the name holding the entry
-
+        # diff walks no subtree that folds here; only the entries that are not
+        # structurally zero are listed, and the rest of the Jacobian stays zero.
         def folded(node: Expr):
-            # diff asks only about nodes emitted with the values, since it
-            # walks no folded subtree; a folded node is named by a constant.
-            return namespace.get(names[id(node)])
+            return values.get(id(node))
 
         for row, e in enumerate(exprs):
-            free = e.variables()
             for i, name in enumerate(coords):
-                if name in free:
-                    derivatives.append(diff(e, name, folded))
-                    if derivatives[-1] is not _ZERO:
-                        nonzero[row * len(coords) + i] = emit(derivatives[-1])
-        namespace["_nonzero"] = np.array(list(nonzero), dtype=int)
+                if masks[id(e)] & bits[name]:
+                    tree = diff(e, name, folded)
+                    if tree is not _ZERO:
+                        derivatives[row * len(coords) + i] = tree
+        fold(_postorder(derivatives.values(),
+                        lambda node: () if id(node) in masks else _children(node)))
+        entries = emit(list(derivatives.values()))
+        namespace["_nonzero"] = np.array(list(derivatives), dtype=int)
         source += ["def _table_jacobian(point):", *unpack, *lines,
                    f"    _jacobian = _zeros({size})",
-                   f"    _jacobian[_nonzero] = [{', '.join(nonzero.values())}]",
+                   f"    _jacobian[_nonzero] = [{', '.join(entries)}]",
                    f"    return _array([{', '.join(results)}]), _jacobian"]
-    emit = emit_value = reads_coords = None  # freed on return, as above
-    exec(compile("\n".join(source), "<expression table>", "exec"), namespace)
-    namespace["_table"].kept = kept
-    return (namespace["_table"], namespace["_table_jacobian"]) if jacobian else namespace["_table"]
+    # Defined outside their globals, so a function and its namespace form no
+    # reference cycle and are freed as soon as the table is dropped.
+    scope = {}
+    exec(compile("\n".join(source), "<expression table>", "exec"), namespace, scope)
+    scope["_table"].kept = kept
+    return (scope["_table"], scope["_table_jacobian"]) if jacobian else scope["_table"]
 
 
 def _compile_stack(table: Callable) -> Callable:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,8 +7,8 @@ import numpy as np
 
 from algmech import TotalPoint, builtin, dump_spec, integrate, load_spec, planar_body, spray_field
 from algmech.cli import build_parser, main
-from algmech.reduction import hj_trajectory_equivalence
-from algmech.report import render_text, run_battery
+from algmech.reduction import VerificationReport, hj_trajectory_equivalence
+from algmech.report import check_line, render_text, run_battery
 
 
 def run(capsys, *argv):
@@ -324,6 +325,19 @@ class TestUsageErrors:
                            "--at", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("christoffel", "--at", "nan,0,0"),
+        ("christoffel", "--at", "1,abc,0"),
+        ("closure", "--at", "inf,0,0"),
+        ("simulate", "--initial-base", "0,0,-inf"),
+        ("simulate", "--initial-fiber", "nan,0,0"),
+        ("check-hj", "--section", "candidate:gY1", "--p0", "nan,0,0"),
+    ])
+    def test_point_options_take_finite_numbers(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--system", "planar_body", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-2]} needs 3 comma-separated finite numbers, got {argv[-1]!r}\n"
+
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -493,6 +507,22 @@ class TestNonFiniteResidualOutput:
             assert report["verdicts"]["hj:nanY"] == "inconclusive"
             (entry,) = [check for check in report["checks"] if check["label"] == "hj:nanY"]
             assert entry["worst_residual"] is None
+
+
+    def test_non_finite_witness_coordinate(self):
+        """The entry writes the coordinate as None; the text reads it as the
+        residual's word."""
+        report = VerificationReport("hj", "inconclusive", math.nan,
+                                    np.array([math.nan, 0.25, 0.0]), 4, 1e-8)
+        entry = {**report.to_dict(), "label": "hj:gY1"}
+        assert entry["witness_point"] == [None, 0.25, 0.0]
+        line = ("[????] hj:gY1: worst residual non-finite (tol 1e-08)\n"
+                "       witness: [non-finite, 0.25, 0.0]")
+        assert check_line(entry) == line
+        text = render_text({"system": "planar_body", "parameters": {}, "seed": 0,
+                            "tolerances": {"algebraic": 1e-8, "trajectory": 1e-6},
+                            "checks": [entry]})
+        assert text.endswith("\n" + line)
 
 
 class TestReportModule:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -229,6 +230,52 @@ class TestTreeComparison:
             "BinOp(op='*', left=Var(name='u'), right=Var(name='u'))")
         assert repr(Call("f", [Num(1.0)])) == "Call(func='f', args=[Num(value=1.0)])"
         assert repr(Call("f", ())) == "Call(func='f', args=())"
+
+
+class TestDeepTrees:
+    """Every pass over a tree, on a tree as deep as the parser admits,
+    called from deep in the Python stack."""
+
+    WRAPS = {
+        **TestTreeComparison.WRAPS,
+        # The derivative tree of a power whose exponent reads x is three
+        # levels deeper per level.
+        "power": lambda t: BinOp("^", Var("x"), t),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(WRAPS))
+    def test_every_pass_from_100_frames_down(self, shape):
+        tree = _tower(ex._MAX_DEPTH - 1, self.WRAPS[shape])
+        value = _frames_down(100, lambda: tree.eval({"x": 0.5}))
+        assert parse(_frames_down(100, lambda: str(tree))) == tree
+        derivative = _frames_down(100, lambda: ex.diff(tree, "x"))
+        slope = _frames_down(100, lambda: derivative.eval({"x": 0.5}))
+        values, value_and_jacobian = _frames_down(
+            100, lambda: ex._compile_table([tree], ("x",), {}, jacobian=True))
+        assert values([0.5]).tobytes() == np.array([value]).tobytes()
+        out, jacobian = value_and_jacobian([0.5])
+        assert (out.tobytes(), jacobian.tobytes()) == (np.array([value]).tobytes(),
+                                                       np.array([slope]).tobytes())
+
+    def test_derivatives_and_tables_leave_no_cyclic_garbage(self):
+        """A derivative is built by a loop over the tree, not by nested
+        functions that refer to each other, and a compiled table's functions
+        are not kept in their own globals, so both are freed when dropped."""
+        tree = parse("a*sin(x)^2/(1 + a*sin(x)^y) + atan2(x, y) - sqrt(abs(x))")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                ex.diff(tree, "x")
+            assert gc.collect() == 0
+            for _ in range(10):
+                values, _ = ex._compile_table([tree, parse("x*y")], ("x", "y"), {"a": 2.0},
+                                              jacobian=True)
+                ex._compile_stack(values)
+            del values
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPartial:

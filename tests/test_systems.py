@@ -24,6 +24,13 @@ from algmech.report import christoffel_table, run_battery
 from algmech.systems import induced_algebroid
 
 
+def _leg_tower(entry: str, levels: int) -> str:
+    """A metric entry of the robotic leg plus a zero term of ``levels``
+    nested powers of ``sin(r)``, whose derivative trees are three levels
+    deeper per level."""
+    return entry + " + 0*" + "(sin(r)^" * levels + "r" + ")" * levels
+
+
 class TestBuiltins:
     def test_every_builtin_loads_and_validates(self, all_builtins):
         for sysd in all_builtins:
@@ -239,6 +246,16 @@ class TestLoader:
         doc["metric"][0][0] = nest(entry, ex._MAX_DEPTH - 4)
         with pytest.raises(SpecError, match=r"^\$\.metric\[0\]\[0\]: syntax error .* deeper than"):
             load_spec(doc)
+
+    def test_power_tower_runs_the_battery(self, leg):
+        """A 200-level power tower in a metric entry loads, and the battery
+        gives the builtin's verdicts and closure ranks at the same seed."""
+        doc = dump_spec(leg)
+        doc["metric"][0][0] = _leg_tower(doc["metric"][0][0], 200)
+        deep, plain = run_battery(load_spec(doc), seed=0), run_battery(leg, seed=0)
+        assert deep["verdicts"] == plain["verdicts"]
+        assert ({kind: info["rank"] for kind, info in deep["ranks"].items()}
+                == {kind: info["rank"] for kind, info in plain["ranks"].items()})
 
     def test_force_dimension_checked(self, planar):
         doc = dump_spec(planar)
@@ -572,7 +589,8 @@ class TestLoaderFuzz:
     POOL = (math.nan, math.inf, -math.inf, 1e308, "1e308", True, None, [], {}, 7, "x",
             "1/0", "sqrt(-1)", "ln(0)", "zz", "1e308*3", DELETE,
             "+".join(["1"] * (ex._MAX_DEPTH + 1)),
-            "sin(" * (ex._MAX_DEPTH + 1) + "1" + ")" * (ex._MAX_DEPTH + 1))
+            "sin(" * (ex._MAX_DEPTH + 1) + "1" + ")" * (ex._MAX_DEPTH + 1),
+            _leg_tower("(J+m*r^2)/(J*m*r^2)", 200))
     TRIALS = 1000
 
     @staticmethod
