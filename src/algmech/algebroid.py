@@ -41,6 +41,9 @@ _SV_THRESHOLD = 1e-8
 # written twice; at a probe point they may differ only by the rounding of a
 # different operation order.
 _MIRROR_RTOL = 1e-9
+# A point's values are checked on every field call: a float array passes
+# these two identity tests and skips np.asarray.
+_ARRAY, _FLOAT = np.ndarray, np.dtype(float)
 
 
 def _as_expr(entry) -> Expr:
@@ -139,17 +142,29 @@ class _ExprTable:
         return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
 
 
-def _at_points(fn: Callable, points, shape: tuple) -> np.ndarray:
-    """The ``(N, *shape)`` values of a field ``fn`` at each point of a
-    ``(N, n)`` stack: one call where ``fn`` takes a stack (marked
-    ``stacks``: an expression table, or a field wrapping one), one call per
-    point of any other callable.  One extent of ``shape`` may be -1, read
-    from the values (0 for an empty stack)."""
-    if not len(points):
-        return np.zeros((0, *(max(extent, 0) for extent in shape)))
-    if getattr(fn, "stacks", False):
-        return np.reshape(fn(points), (len(points), *shape))
-    return np.array([fn(p) for p in points], dtype=float).reshape(len(points), *shape)
+def _at_points(fn: Callable, x, shape: tuple, what: str) -> np.ndarray:
+    """The rule that evaluates every field ``fn`` (a section, the anchor, the
+    structure functions, a metric, a force): one call at a point ``(n,)``,
+    whose value of any shape but ``shape`` raises ``ValueError("<what>
+    returned shape ...")``; at a stack ``(N, n)``, the ``(N, *shape)``
+    values, from one call where ``fn`` takes a stack (marked ``stacks``),
+    else from one call per point, each checked as at a point.  One extent of
+    ``shape`` may be -1, any extent (0 for an empty stack)."""
+    if type(x) is not _ARRAY or x.dtype is not _FLOAT:
+        x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        if not len(x):
+            return np.zeros((0, *(max(extent, 0) for extent in shape)))
+        if getattr(fn, "stacks", False):
+            return np.reshape(fn(x), (len(x), *shape))
+        return np.array([_at_points(fn, p, shape, what) for p in x]).reshape(len(x), *shape)
+    out = fn(x)
+    if type(out) is not _ARRAY or out.dtype is not _FLOAT:
+        out = np.asarray(out, dtype=float)
+    if out.shape != shape and (len(out.shape) != len(shape) or any(
+            extent not in (got, -1) for got, extent in zip(out.shape, shape))):
+        raise ValueError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
 
 
 def _check_mirrors(pairs, sign: float, coords, params, points, where: str) -> None:
@@ -258,6 +273,7 @@ class Section:
     def __init__(self, fn: Callable, rank: int, label: str = ""):
         self._fn = fn
         self.rank = int(rank)
+        self._shape = (self.rank,)  # built once, not at every call
         self.label = label
         if hasattr(fn, "value_and_jacobian"):
             self.value_and_jacobian = fn.value_and_jacobian
@@ -281,15 +297,8 @@ class Section:
 
     def __call__(self, x) -> np.ndarray:
         """The coefficients at a point ``(n,)``, or their ``(N, rank)``
-        stack at a stack ``(N, n)`` of points: one call of a function that
-        takes a stack, such as an expression table, else one per point."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return _at_points(self._fn, x, (self.rank,))
-        out = np.asarray(self._fn(x), dtype=float)
-        if out.shape != (self.rank,):
-            raise ValueError(f"section returned shape {out.shape}, expected ({self.rank},)")
-        return out
+        stack at a stack ``(N, n)`` of points, by :func:`_at_points`."""
+        return _at_points(self._fn, x, self._shape, "section")
 
     def scaled_by(self, factor, label: str = "") -> "Section":
         """Pointwise product ``f * X`` with a scalar field (callable or constant)."""
@@ -333,6 +342,7 @@ class AlgebroidStructure:
         self.params = dict(params or {})
         self._anchor_fn = anchor_fn
         self._structure_fn = structure_fn
+        self._anchor_shape, self._structure_shape = (self.m, self.n), (self.m,) * 3
         # Only an expression table knows it is coordinate-free.
         self.constant_structure = getattr(structure_fn, "is_constant", False)
         # (metric, source): the connection of the spray and the Christoffel
@@ -402,23 +412,16 @@ class AlgebroidStructure:
     # -- evaluation --------------------------------------------------------
 
     def anchor(self, x) -> np.ndarray:
-        """Anchor coefficients at ``x`` as an ``(m, n)`` array; row ``A`` is
-        rho(e_A).  At a stack ``(N, n)`` of points, their ``(N, m, n)`` stack
-        (see :func:`_at_points`)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return _at_points(self._anchor_fn, x, (self.m, self.n))
-        out = np.asarray(self._anchor_fn(x), dtype=float)
-        if out.shape != (self.m, self.n):
-            raise ValueError(f"anchor returned shape {out.shape}, expected ({self.m}, {self.n})")
-        return out
+        """Anchor coefficients at a point ``(n,)`` as an ``(m, n)`` array,
+        row ``A`` being rho(e_A), or their ``(N, m, n)`` stack at a stack
+        ``(N, n)`` of points, by :func:`_at_points`."""
+        return _at_points(self._anchor_fn, x, self._anchor_shape, "anchor")
 
     def structure(self, x) -> np.ndarray:
-        """Structure functions at ``x`` as ``C[c, a, b]``."""
-        out = np.asarray(self._structure_fn(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.m, self.m, self.m):
-            raise ValueError(f"structure returned shape {out.shape}")
-        return out
+        """Structure functions ``C[c, a, b]`` at a point ``(n,)``, or their
+        ``(N, m, m, m)`` stack at a stack ``(N, n)`` of points, by
+        :func:`_at_points`."""
+        return _at_points(self._structure_fn, x, self._structure_shape, "structure")
 
     def basis_section(self, index: int) -> Section:
         return Section.basis(index, self.m)

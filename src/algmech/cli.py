@@ -62,7 +62,8 @@ def _add_common(parser, *options, formats=("json", "text")):
         parser.add_argument("--format", default="text", choices=formats)
     for name in options:
         default = _BATTERY_DEFAULTS[name].default
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=_finite if isinstance(default, float) else type(default),
                             default=default, help=_OPTION_HELP[name])
 
 
@@ -93,6 +94,14 @@ def _parse_point(text, size, what) -> np.ndarray:
     if len(values) != size or not all(map(math.isfinite, values)):
         raise UsageError(f"{what} needs {size} comma-separated finite numbers, got {text!r}")
     return np.array(values)
+
+
+def _finite(text) -> float:
+    """The argparse type of a time or tolerance option: one finite number."""
+    try:
+        return float(_parse_point(text, 1, "")[0])
+    except UsageError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _position(ref: str, count: int) -> int:
@@ -271,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=())
     p.add_argument("--initial-base", default=None)
     p.add_argument("--initial-fiber", default=None)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, default=1.0)
+    p.add_argument("--step", type=_finite, default=1e-3)
     p.add_argument("--controls", default=None, help="';'-separated control expressions")
     p.add_argument("--control-mode", default=ControlSignal.STATE_FEEDBACK,
                    choices=(ControlSignal.STATE_FEEDBACK, ControlSignal.TIME_DRIVEN))

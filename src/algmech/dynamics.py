@@ -158,7 +158,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             # solve and anchor product, each bitwise the product of spray at
             # every state
             count = len(z)
-            values = _at_points(table, z[:, :n], (koszul_at + m ** 3,))
+            values = _at_points(table, z[:, :n], (koszul_at + m ** 3,), "Koszul values")
             G = values[:, metric_at:koszul_at].reshape(count, m, m)
             if not np.isfinite(G).all():
                 raise SingularMetricError("metric is not finite at a stacked point")
@@ -194,6 +194,8 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
 def _steps(t0: float, t1: float, step: float):
     """``(count, h)``: the number of uniform RK4 steps from ``t0`` to ``t1``
     nearest to ``step`` in size, and their size."""
+    if not all(map(math.isfinite, (t0, t1, step))):
+        raise ValueError(f"t0, t1 and step must be finite, got {t0}, {t1}, {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 <= t0:

@@ -74,10 +74,10 @@ class EvalError(ExprError):
 class Expr:
     """Abstract syntax tree node.  Subclasses are frozen dataclasses.
 
-    ``==`` and ``repr`` are those a dataclass generates.  They, ``eval``,
-    ``str`` and ``variables`` are loops over the tree rather than one Python
-    call per level, so they finish on a tree of any depth, called from any
-    depth of the Python stack.
+    ``==`` and ``repr`` are those a dataclass generates, and ``hash`` agrees
+    with that ``==``.  They, ``eval``, ``str`` and ``variables`` are loops
+    over the tree rather than one Python call per level, so they finish on a
+    tree of any depth, called from any depth of the Python stack.
     """
 
     __slots__ = ()
@@ -129,6 +129,17 @@ class Expr:
             else:
                 pending += reversed(list(zip(a.args, b.args)))
         return True
+
+    def __hash__(self) -> int:
+        """A hash that agrees with ``==``: of the node types, operators,
+        names and values (``hash(0.0) == hash(-0.0)``)."""
+        hashes = {}  # node -> its hash; every node is alive in the tree
+        for node in _postorder((self,)):
+            kind = type(node)
+            own = (node.value if kind is Num else node.name if kind is Var
+                   else node.op if kind is BinOp else node.func if kind is Call else None)
+            hashes[id(node)] = hash((kind, own, *[hashes[id(child)] for child in _children(node)]))
+        return hashes[id(self)]
 
     def __repr__(self) -> str:
         """The dataclass form, such as ``BinOp(op='+', left=Var(name='x'),
@@ -186,31 +197,30 @@ def _postorder(roots: Sequence[Expr], operands: Callable = _children) -> list:
     return order
 
 
-# Each node keeps Expr's == and repr; its hash is the one a frozen dataclass
-# generates from its fields, which agrees with that ==.
-@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
+# Each node keeps Expr's ==, hash and repr.
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     func: str
     args: tuple

@@ -71,6 +71,7 @@ class BundleMetric:
     def __init__(self, fn: Callable, rank: int):
         self._fn = fn
         self.m = int(rank)
+        self._shape = (self.m, self.m)
         # Only an expression table knows it is coordinate-free.
         self.is_constant = getattr(fn, "is_constant", False)
         if hasattr(fn, "value_and_jacobian"):
@@ -110,16 +111,10 @@ class BundleMetric:
 
     def matrix(self, x) -> np.ndarray:
         """The ``(m, m)`` matrix at a point ``(n,)``, or their ``(N, m, m)``
-        stack at a stack ``(N, n)`` of points: one call of a function that
-        takes a stack (an expression table, the induced Gram matrix), else
-        one per point."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return _at_points(self._fn, x, (self.m, self.m))
-        out = np.asarray(self._fn(x), dtype=float)
-        if out.shape != (self.m, self.m):
-            raise ValueError(f"metric returned shape {out.shape}")
-        return out
+        stack at a stack ``(N, n)`` of points, by ``algebroid._at_points``:
+        one call with the stack of a function that takes one (an expression
+        table, the induced Gram matrix)."""
+        return _at_points(self._fn, x, self._shape, "metric")
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix(x)
@@ -223,10 +218,8 @@ class ForceField:
         return cls(lambda x, y: X(x), X.rank)
 
     def __call__(self, x, y) -> np.ndarray:
-        out = np.asarray(self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
-        if out.shape != (self.m,):
-            raise ValueError(f"force returned shape {out.shape}")
-        return out
+        y = np.asarray(y, dtype=float)
+        return _at_points(lambda point: self._fn(point, y), x, (self.m,), "force")
 
 
 # --- metric operations ---------------------------------------------------------
@@ -520,7 +513,7 @@ def christoffel_field(S: AlgebroidStructure, Gm: BundleMetric) -> Callable:
     metric_at, koszul_at = S.n * S.m, S.n * S.m + S.m * S.m
 
     def terms(points):
-        flat = _at_points(values, points, (koszul_at + S.m ** 3,))
+        flat = _at_points(values, points, (koszul_at + S.m ** 3,), "Koszul values")
         return flat[:, metric_at:koszul_at], flat[:, koszul_at:]
 
     return lambda p: (_christoffel_stack(S, terms, S.check_point(p)[None])[0] if np.ndim(p) < 2

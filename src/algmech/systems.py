@@ -284,7 +284,8 @@ def induced_algebroid(metric_fn: Callable, frame_fn: Callable):
             # takes a stack, then the products of the points where both
             # values are finite, each bitwise the product at its point.
             n = np.shape(x)[1]
-            B, g = _at_points(frame_fn, x, (-1, n)), _at_points(metric_fn, x, (n, n))
+            B = _at_points(frame_fn, x, (-1, n), "frame")
+            g = _at_points(metric_fn, x, (n, n), "ambient metric")
             finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
             out = np.full((len(B), B.shape[1], B.shape[1]), np.nan)
             B = B[finite]

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from algmech import (
     AlgebroidStructure,
+    BundleMetric,
     ChartDomain,
     Exclusion,
     OneForm,
@@ -14,6 +17,8 @@ from algmech import (
     d_oneform,
     jacobiator,
     lie_closure_rank,
+    Projector,
+    Subbundle,
     parse,
 )
 from algmech.algebroid import span_rank
@@ -130,6 +135,45 @@ class TestAnchor:
         zero = Section.constant([0.0, 0.0, 0.0])
         out = anchor_apply(planar.structure, zero, np.array([0.1, 0.2, 0.3]))
         assert out == pytest.approx([0.0, 0.0, 0.0])
+
+
+def _misshapen_fields() -> dict:
+    """Per field wrapper over a base of two coordinates: the field around an
+    opaque callable whose value has the right size but the wrong shape, a
+    projector that reads it (None for the anchor and the structure
+    functions, which no projector reads), and the error at a point."""
+    bad_section = Section(lambda x: np.array([[1.0, 0.0]]), 2)
+    bad_metric = BundleMetric(lambda x: np.eye(2).ravel(), 2)
+    good_metric = BundleMetric(lambda x: np.eye(2), 2)
+    S = AlgebroidStructure(("x", "y"), 2, lambda x: np.zeros(4), lambda x: np.zeros(8))
+    span = Subbundle((Section.basis(1, 2), bad_section))
+    section_error = "section returned shape (1, 2), expected (2,)"
+    return {
+        "section": (bad_section, Projector(Subbundle((bad_section,)), good_metric), section_error),
+        "metric": (bad_metric.matrix, Projector(Subbundle((Section.basis(0, 2),)), bad_metric),
+                   "metric returned shape (4,), expected (2, 2)"),
+        "anchor": (S.anchor, None, "anchor returned shape (4,), expected (2, 2)"),
+        "structure": (S.structure, None, "structure returned shape (8,), expected (2, 2, 2)"),
+        "subbundle": (span.matrix, Projector(span, good_metric), section_error),
+    }
+
+
+@pytest.mark.parametrize("field, where", [
+    (field, where) for field in ("section", "metric", "anchor", "structure", "subbundle")
+    for where in ("point", "stack", "p_matrix")
+    if where != "p_matrix" or field not in ("anchor", "structure")])
+def test_misshapen_values_raise_the_points_error(field, where):
+    """Every field is evaluated by one rule (``algebroid._at_points``): an
+    opaque callable's value is checked at every point of a stack as at a
+    point, and so through ``p_matrix``, which runs a point as a stack of
+    one.  Only the point raised before; a stack took the values reshaped."""
+    evaluate, projector, error = _misshapen_fields()[field]
+    p = np.array([0.3, -0.2])
+    call = {"point": lambda: evaluate(p),
+            "stack": lambda: evaluate(np.stack([p, 2 * p, -p])),
+            "p_matrix": lambda: projector.p_matrix(p)}[where]
+    with pytest.raises(ValueError, match=re.escape(error)):
+        call()
 
 
 class TestAlmostDifferential:

@@ -338,6 +338,25 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {argv[-2]} needs 3 comma-separated finite numbers, got {argv[-1]!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--t0", "nan"),
+        ("simulate", "--t1", "inf"),
+        ("simulate", "--step", "abc"),
+        ("check-decoupling", "--tol", "nan"),
+        ("check-geoinv", "--traj-tol", "inf"),
+        ("check-geoinv", "--horizon", "inf"),
+        ("check-hj", "--traj-step", "nan"),
+        ("report", "--horizon", "nan"),
+    ])
+    def test_time_and_tolerance_options_take_finite_numbers(self, capsys, argv):
+        """An infinite --t1 or --horizon escaped as an OverflowError
+        traceback, a NaN --traj-step failed converting NaN to an integer and
+        a NaN --tol was held to the verdict checks."""
+        code, out, err = run(capsys, argv[0], "--system", "planar_body", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[1]}: expected a finite number, "
+                            f"got {argv[2]!r}\n")
+
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

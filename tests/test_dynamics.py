@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from algmech import (
     lift,
     spray_field,
 )
+from algmech.reduction import hj_trajectory_equivalence
 
 
 def planar_exact_fiber(t, y0):
@@ -324,6 +327,23 @@ class TestIntegrate:
             integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), 0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), 1.0, 0.5, 0.1)
+
+
+    @pytest.mark.parametrize("t0, t1, step", [
+        (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (0.0, 1.0, math.inf),
+        (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1)])
+    def test_non_finite_times_rejected(self, flat2, t0, t1, step):
+        """An infinite span or step escaped as an OverflowError, and a NaN
+        one as a ValueError about converting NaN to an integer."""
+        field = spray_field(flat2.structure, flat2.metric)
+        with pytest.raises(ValueError, match="t0, t1 and step must be finite"):
+            integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), t0, t1, step)
+
+    def test_non_finite_horizon_rejected(self, planar):
+        with pytest.raises(ValueError, match="t0, t1 and step must be finite"):
+            hj_trajectory_equivalence(planar.structure, planar.metric, planar.potential,
+                                      planar.controls, planar.candidates["xY1"],
+                                      planar.center(), math.inf, 0.01)
 
 
 class TestLeanStep:

@@ -257,6 +257,17 @@ class TestDeepTrees:
         assert (out.tobytes(), jacobian.tobytes()) == (np.array([value]).tobytes(),
                                                        np.array([slope]).tobytes())
 
+    @pytest.mark.parametrize("frames", [0, 100])
+    def test_hash_of_a_deep_derivative(self, frames):
+        """The derivative of a power tower, three levels deeper per level,
+        hashes by a loop: equal trees built apart hash alike and find each
+        other's entries in a dict."""
+        first, second = (ex.diff(_tower(ex._MAX_DEPTH - 1, self.WRAPS["power"]), "x")
+                         for _ in range(2))
+        assert first is not second
+        assert _frames_down(frames, lambda: hash(first)) == _frames_down(frames, lambda: hash(second))
+        assert _frames_down(frames, lambda: {first: "entry"}[second]) == "entry"
+
     def test_derivatives_and_tables_leave_no_cyclic_garbage(self):
         """A derivative is built by a loop over the tree, not by nested
         functions that refer to each other, and a compiled table's functions
