@@ -142,14 +142,15 @@ class _ExprTable:
         return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
 
 
-def _at_points(fn: Callable, x, shape: tuple, what: str) -> np.ndarray:
+def _at_points(fn: Callable, x, shape: tuple, what: str, y=None) -> np.ndarray:
     """The rule that evaluates every field ``fn`` (a section, the anchor, the
     structure functions, a metric, a force): one call at a point ``(n,)``,
     whose value of any shape but ``shape`` raises ``ValueError("<what>
     returned shape ...")``; at a stack ``(N, n)``, the ``(N, *shape)``
     values, from one call where ``fn`` takes a stack (marked ``stacks``),
     else from one call per point, each checked as at a point.  One extent of
-    ``shape`` may be -1, any extent (0 for an empty stack)."""
+    ``shape`` may be -1, any extent (0 for an empty stack).  A force's rule
+    also reads the fiber value ``y``: it is called as ``fn(point, y)``."""
     if type(x) is not _ARRAY or x.dtype is not _FLOAT:
         x = np.asarray(x, dtype=float)
     if x.ndim == 2:
@@ -157,8 +158,8 @@ def _at_points(fn: Callable, x, shape: tuple, what: str) -> np.ndarray:
             return np.zeros((0, *(max(extent, 0) for extent in shape)))
         if getattr(fn, "stacks", False):
             return np.reshape(fn(x), (len(x), *shape))
-        return np.array([_at_points(fn, p, shape, what) for p in x]).reshape(len(x), *shape)
-    out = fn(x)
+        return np.array([_at_points(fn, p, shape, what, y) for p in x]).reshape(len(x), *shape)
+    out = fn(x) if y is None else fn(x, y)
     if type(out) is not _ARRAY or out.dtype is not _FLOAT:
         out = np.asarray(out, dtype=float)
     if out.shape != shape and (len(out.shape) != len(shape) or any(
@@ -307,11 +308,6 @@ class Section:
                            label=label or f"{factor}*{self.label}")
         return Section(lambda x: float(factor(x)) * self(x), self.rank,
                        label=label or f"f*{self.label}")
-
-    def plus(self, other: "Section", label: str = "") -> "Section":
-        if other.rank != self.rank:
-            raise ValueError("section ranks differ")
-        return Section(lambda x: self(x) + other(x), self.rank, label=label)
 
     def __repr__(self):
         tag = self.label or "callable"

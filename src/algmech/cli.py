@@ -63,7 +63,8 @@ def _add_common(parser, *options, formats=("json", "text")):
     for name in options:
         default = _BATTERY_DEFAULTS[name].default
         parser.add_argument("--" + name.replace("_", "-"),
-                            type=_finite if isinstance(default, float) else type(default),
+                            type=_tolerance if name.endswith("tol")
+                            else _finite if isinstance(default, float) else type(default),
                             default=default, help=_OPTION_HELP[name])
 
 
@@ -97,11 +98,19 @@ def _parse_point(text, size, what) -> np.ndarray:
 
 
 def _finite(text) -> float:
-    """The argparse type of a time or tolerance option: one finite number."""
+    """The argparse type of a time option: one finite number."""
     try:
         return float(_parse_point(text, 1, "")[0])
     except UsageError:
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+def _tolerance(text) -> float:
+    """The argparse type of a tolerance option: one finite number, at least 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return value
 
 
 def _position(ref: str, count: int) -> int:

@@ -646,10 +646,12 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     entries as a flat array.  The values are bitwise those of
     :meth:`Expr.eval` with the coordinates bound over ``params``, and an
     entry that fails raises what the tree-walk raises, at the same entry.
-    The generated code is straight-line, one assignment per distinct node:
+    The generated code is straight-line, one assignment per distinct node,
+    written by one post-order pass over the entries:
 
     * each subtree free of coordinates is evaluated here, once, by the
-      steps of ``Expr.eval``; one that raises stays in the code and raises
+      steps of ``Expr.eval``, and named as a constant when a parent or an
+      entry first reads it; one that raises stays in the code and raises
       per call;
     * a repeated subtree is computed once;
     * division, ``^`` and the functions call the tree-walk's helpers.
@@ -664,7 +666,8 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     code and returns the values with the flat row-major
     ``(len(exprs), len(coords))`` Jacobian.  Its entries are the :func:`diff`
     trees of each entry by the coordinates it reads, told which subtrees
-    fold to constants here, and emitted like the values: each is bitwise its
+    fold to constants here, and emitted like the values by one more pass,
+    which stops at the nodes the first one handled: each is bitwise its
     tree's ``Expr.eval``.  A value that fails raises as above; otherwise the
     Jacobian raises ``EvalError`` at a kink (listed at :func:`diff`), at the
     first failing entry in row-major order.
@@ -700,14 +703,23 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             lines.append(f"    {temporaries[rhs]} = {rhs}")
         return temporaries[rhs]
 
-    def fold(walk):
-        """Pass 1: the mask of each node of ``walk`` not seen before, and the
-        value of each that reads no coordinate and evaluates here."""
-        for node in walk:
+    def named(node) -> str:
+        # A node that folds is named as a constant when first needed.
+        key = id(node)
+        if key not in names:
+            names[key] = constant(values[key])
+        return names[key]
+
+    def walk(roots, operands=_children):
+        """One pass over the nodes under ``roots`` not seen before: the mask
+        of each, the value of one that reads no coordinate and evaluates
+        here, and the line of every other."""
+        for node in _postorder(roots, operands):
             key = id(node)
             if key in masks:
                 continue
-            mask = bits.get(node.name, 0) if type(node) is Var else 0
+            kind = type(node)
+            mask = bits.get(node.name, 0) if kind is Var else 0
             for operand in _children(node):
                 mask |= masks[id(operand)]
             if not mask:
@@ -716,35 +728,23 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                 except (ArithmeticError, TypeError, ValueError):
                     mask = fails  # raises at call time, as in the tree-walk
             masks[key] = mask
-
-    def emit(roots) -> list:
-        """Pass 2: the names holding the values of ``roots``, emitting code
-        for each node not named before; a node that folds is a constant."""
-        walk = _postorder(roots, lambda node: _children(node)
-                          if masks[id(node)] and id(node) not in names else ())
-        for node in walk:
-            key = id(node)
-            if key in names:
+            if not mask:
                 continue
-            kind = type(node)
-            if not masks[key]:
-                names[key] = constant(values[key])
-            elif kind is Var:
+            if kind is Var:
                 # A coordinate shadows a parameter of the same name; any other
                 # is unbound, or a parameter float() rejects: raise per call.
                 names[key] = (coord_names[node.name] if node.name in coord_names
                               else assign(f"{constant(node)}.eval(_params)"))
             elif kind is Neg:
-                names[key] = assign(f"-{names[id(node.arg)]}")
+                names[key] = assign(f"-{named(node.arg)}")
             elif kind is BinOp:
-                names[key] = assign(_OPERATORS[node.op][1].format(
-                    names[id(node.left)], names[id(node.right)]))
+                names[key] = assign(_OPERATORS[node.op][1].format(named(node.left),
+                                                                  named(node.right)))
             else:
-                args = ", ".join([names[id(arg)] for arg in node.args])
+                args = ", ".join([named(arg) for arg in node.args])
                 names[key] = assign(f"_f_{node.func}({args})")
-        return [names[id(root)] for root in roots]
 
-    fold(_postorder(exprs))
+    walk(exprs)
     size = len(exprs) * len(coords)
     if not any([masks[id(e)] for e in exprs]):
         # Copying a stored array is about twice as fast as building one from
@@ -758,7 +758,7 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             return lambda point: stored.copy()
         # No entry reads a coordinate, so every partial vanishes.
         return (lambda point: stored.copy()), (lambda point: (stored.copy(), np.zeros(size)))
-    results = emit(exprs)
+    results = [named(e) for e in exprs]
     # The coordinates unpacked from a point: the target of the assignment
     # here and of the loop of the stacked form (_compile_stack).
     targets = f"{', '.join(coord_names.values())}," if coord_names else "_"
@@ -777,9 +777,8 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                     tree = diff(e, name, folded)
                     if tree is not _ZERO:
                         derivatives[row * len(coords) + i] = tree
-        fold(_postorder(derivatives.values(),
-                        lambda node: () if id(node) in masks else _children(node)))
-        entries = emit(list(derivatives.values()))
+        walk(derivatives.values(), lambda node: () if id(node) in masks else _children(node))
+        entries = [named(tree) for tree in derivatives.values()]
         namespace["_nonzero"] = np.array(list(derivatives), dtype=int)
         source += ["def _table_jacobian(point):", *unpack, *lines,
                    f"    _jacobian = _zeros({size})",

@@ -218,8 +218,7 @@ class ForceField:
         return cls(lambda x, y: X(x), X.rank)
 
     def __call__(self, x, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return _at_points(lambda point: self._fn(point, y), x, (self.m,), "force")
+        return _at_points(self._fn, x, (self.m,), "force", np.asarray(y, dtype=float))
 
 
 # --- metric operations ---------------------------------------------------------

@@ -297,6 +297,16 @@ def _sweep(points, residual, *stacked):
     return _stacked_sweep(points, residuals)
 
 
+def _check_tolerances(**tolerances) -> None:
+    """Reject, before any sweep, a tolerance no verdict can be judged by:
+    each must be finite and at least 0, else ``ValueError`` names its
+    argument.  An infinite one would pass any finite residual, a negative
+    one fail a zero residual, and NaN pass nothing."""
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def _report(predicate, worst, witness, count, tol, details=None, hypothesis=None,
             route=None) -> VerificationReport:
     """The one verdict rule: the report of ``worst``, found at ``witness``,
@@ -368,6 +378,7 @@ def _containment(predicate, S, Gm, Dc: Subbundle, points, tol, force, probes, re
     sections; where it does not, the predicate's hypothesis fails and the
     report, of that force residual, is inconclusive.
     """
+    _check_tolerances(tol=tol)
     q_at = Projector(Dc, Gm).q_matrix
     points = np.atleast_2d(points)
     if force is not None:
@@ -468,6 +479,7 @@ def geodesic_invariance_check(S, Gm, candidate: Subbundle, points,
     """
     if traj_tol is None:
         traj_tol = max(tol, DEFAULT_TRAJECTORY_TOL)
+    _check_tolerances(tol=tol, traj_tol=traj_tol)
     P = Projector(candidate, Gm)
     points = np.atleast_2d(points)
     spans = candidate.sections
@@ -513,6 +525,7 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
     """
     if force is not None:
         raise ValueError("maximal reducibility requires a force-free system")
+    _check_tolerances(tol=tol)
 
     def residual(p, Qc, gamma, Qd):
         inside = _outside(Qc, chain((X(p) for X in candidate.sections),
@@ -563,6 +576,7 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
     direction and the spread of the conserved quantity over the samples is
     reported as well.
     """
+    _check_tolerances(tol=tol)
     S, Gm, V, Dc = sysdef.structure, sysdef.metric, sysdef.potential, sysdef.controls
     points = np.atleast_2d(points)
     closedness = []
@@ -596,6 +610,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
     theorem is silent, so a large residual yields ``inconclusive`` rather
     than ``fail``.
     """
+    _check_tolerances(tol=tol)
     p0 = S.check_point(p0)
     sigma = base_flow(S, X, p0, 0.0, horizon, step, chart=chart)
     gamma_traj = lift(X, sigma)
@@ -637,6 +652,7 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
 def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
     """Reparametrization admissibility: the factor must be annihilated by every
     anchored complement direction."""
+    _check_tolerances(tol=tol)
     fn = _as_scalar_field(f, S)
     P = Projector(Dc, Gm)
     points = np.atleast_2d(points)

@@ -10,6 +10,7 @@ from .geometry import christoffel
 from .reduction import (
     DEFAULT_ALGEBRAIC_TOL,
     DEFAULT_TRAJECTORY_TOL,
+    _check_tolerances,
     geodesic_invariance_check,
     hj_algebraic_check,
     hj_trajectory_equivalence,
@@ -163,8 +164,10 @@ def run_battery(sysdef: SystemDefinition, tol=DEFAULT_ALGEBRAIC_TOL,
     """Run every registry check that applies to the system and aggregate.
 
     Returns a JSON-serializable document embedding the package version, the
-    seed and the tolerances.
+    seed and the tolerances.  A tolerance that is not finite or is below 0
+    raises ``ValueError`` naming it, before any check runs.
     """
+    _check_tolerances(tol=tol, traj_tol=traj_tol)
     points = sysdef.sample(samples, seed)
     options = {"tol": tol, "traj_tol": traj_tol, "seed": seed,
                "horizon": horizon, "traj_step": traj_step}

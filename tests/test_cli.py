@@ -357,6 +357,22 @@ class TestUsageErrors:
         assert err.endswith(f"error: argument {argv[1]}: expected a finite number, "
                             f"got {argv[2]!r}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("check-decoupling", "--tol", "-1"),
+        ("check-geoinv", "--traj-tol", "-0.001"),
+        ("report", "--tol", "-0.5"),
+    ])
+    def test_tolerance_options_are_non_negative(self, capsys, argv):
+        """A negative --tol failed a zero residual and exited 1; the time
+        options still take negative values."""
+        code, out, err = run(capsys, argv[0], "--system", "planar_body", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[1]}: expected a non-negative number, "
+                            f"got {argv[2]!r}\n")
+        args = build_parser().parse_args(["simulate", "--system", "planar_body", "--t0", "-1",
+                                          "--t1", "-0.5", "--step", "-0.001"])
+        assert (args.t0, args.t1, args.step) == (-1.0, -0.5, -0.001)
+
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -471,12 +471,36 @@ class TestCompiledTable:
             calls.append(v)
             return math.sin(v)
 
+        # The compiler walks each root set once, apart from diff's own walks:
+        # the entries, then the Jacobian trees.
+        walks, in_diff = [], []
+        postorder, diff = ex._postorder, ex.diff
+
+        def counted_postorder(roots, *operands):
+            if not in_diff:
+                walks.append(roots)
+            return postorder(roots, *operands)
+
+        def uncounted_diff(*args):
+            in_diff.append(True)
+            try:
+                return diff(*args)
+            finally:
+                in_diff.pop()
+
+        monkeypatch.setattr(ex, "_postorder", counted_postorder)
+        monkeypatch.setattr(ex, "diff", uncounted_diff)
         monkeypatch.setitem(ex._FUNCTIONS, "sin", (1, counted_sin))
         table = [parse("a*sin(x)^2/(1 + a*sin(x)^2)"), parse("cos(x)/(1 + a*sin(x)^2)")]
         compiled = ex._compile_table(table, ("x",), {"a": 2.0})
+        assert len(walks) == 1
         out = compiled([0.3])
         assert len(calls) == 1
         assert out.tobytes() == _tree_walk(table, [0.3], {"a": 2.0}, ("x",)).tobytes()
+        walks.clear()
+        both = ex._compile_table(table, ("x",), {"a": 2.0}, jacobian=True)[1]
+        assert len(walks) == 2
+        assert both([0.3])[0].tobytes() == out.tobytes()
 
     def test_coordinate_shadows_parameter(self):
         assert ex._compile_table([parse("x*a")], ("x",), {"x": 5.0, "a": 2.0})([1.0]).tolist() == [2.0]

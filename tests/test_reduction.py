@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from algmech import (
     symmetric_closure,
     symmetric_product,
 )
-from algmech.report import hj_algebraic_check
+from algmech.report import hj_algebraic_check, run_battery
 
 
 def basis(i, m=3):
@@ -66,7 +68,7 @@ class TestProjector:
     def test_projection_fixes_members(self, planar, rng):
         P = Projector(planar.controls, planar.metric)
         p = np.array([0.4, -0.3, 1.0])
-        X = basis(0).plus(basis(1))
+        X = Section.constant([1.0, 1.0, 0.0])
         assert np.max(np.abs(P.p_matrix(p) @ X(p) - X(p))) < 1e-9
 
     def test_reconstruction_on_random_vectors(self, board, rng):
@@ -345,6 +347,36 @@ class TestVerificationReport:
     def test_pass_requires_a_finite_residual(self):
         with pytest.raises(ValueError, match="not finite"):
             VerificationReport("x", "pass", float("nan"), None, 5, 1e-3)
+
+    @pytest.mark.parametrize("value", [math.inf, -1.0, math.nan], ids=["inf", "-1", "nan"])
+    @pytest.mark.parametrize("check", [
+        "is_decoupling", "kinematic_reduction", "geodesic_invariance",
+        "geodesic_invariance:traj_tol", "maximal_reducibility", "hj_residual",
+        "hj_trajectory_equivalence", "reparam_admissible", "run_battery",
+        "run_battery:traj_tol"])
+    def test_a_tolerance_no_verdict_can_be_judged_by_raises(self, planar, check, value):
+        """An infinite tolerance passed any finite residual, -1 failed a zero
+        residual and NaN raised the report's own invariant: each now raises
+        ValueError naming the argument, before any sweep."""
+        S, Gm, Dc, X = planar.structure, planar.metric, planar.controls, basis(0)
+        points = planar.sample(4, seed=0)
+        calls = {
+            "is_decoupling": lambda tol: is_decoupling(S, Gm, Dc, X, points, tol),
+            "kinematic_reduction": lambda tol: kinematic_reduction_check(S, Gm, Dc, Dc, points, tol),
+            "geodesic_invariance": lambda tol: geodesic_invariance_check(S, Gm, Dc, points, tol),
+            "geodesic_invariance:traj_tol":
+                lambda tol: geodesic_invariance_check(S, Gm, Dc, points, traj_tol=tol),
+            "maximal_reducibility": lambda tol: maximal_reducibility_check(S, Gm, Dc, Dc, points, tol),
+            "hj_residual": lambda tol: hj_algebraic_check(planar, X, points, tol),
+            "hj_trajectory_equivalence": lambda tol: hj_trajectory_equivalence(
+                S, Gm, None, Dc, X, points[0], 0.5, 0.05, tol),
+            "reparam_admissible": lambda tol: reparam_admissible(S, Gm, Dc, "x", points, tol),
+            "run_battery": lambda tol: run_battery(planar, tol=tol, samples=2),
+            "run_battery:traj_tol": lambda tol: run_battery(planar, traj_tol=tol, samples=2),
+        }
+        name = check.split(":")[1] if ":" in check else "tol"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+            calls[check](value)
 
     def test_serialization_keys(self):
         rep = VerificationReport("x", "fail", 1.0, np.array([0.0, 1.0]), 5, 1e-3)
