@@ -68,11 +68,12 @@ class _ExprTable:
     unused candidate sections, are never evaluated.  The stacked form is
     compiled from the same code on the first call with a stack
     (:func:`expr._compile_stack`), so a table never called with one pays
-    nothing for it.  :meth:`value_and_jacobian` takes a point; it compiles
-    its function beside the values one on its first call, and a
-    ``differentiable`` table, one its consumers differentiate (a metric, an
-    embedded frame), compiles both on its first call of either kind, in one
-    pass over the expressions.
+    nothing for it.  :meth:`value_and_jacobian` compiles its function
+    beside the values one on its first call, and a ``differentiable``
+    table, one its consumers differentiate (a metric, an embedded frame),
+    compiles both on its first call of either kind, in one pass over the
+    expressions; it too takes a point or a stack, its stacked form compiled
+    on its first call with a stack.
     """
 
     stacks = True  # a call takes a stack of points (see _at_points)
@@ -92,6 +93,7 @@ class _ExprTable:
         self._compiled = None
         self._compiled_jacobian = None
         self._compiled_stack = None
+        self._compiled_jacobian_stack = None
 
     def _compile(self, jacobian: bool) -> tuple:
         """Compile the values function, and the Jacobian's beside it when
@@ -117,13 +119,21 @@ class _ExprTable:
         compiled = self._compiled or self._compile(False)[0]
         return compiled(point.tolist()).reshape(self.shape)
 
-    def _stack(self, points) -> np.ndarray:
+    def _stack(self, points, jacobian: bool = False):
         if points.ndim != 2 or points.shape[1] != len(self.coords):
             self._reject(points)
+        # Threads racing here each compile an equal function; the last store
+        # wins.
+        if jacobian:
+            stacked = self._compiled_jacobian_stack
+            if stacked is None:
+                stacked = self._compiled_jacobian_stack = ex._compile_stack(
+                    self._compiled_jacobian or self._compile(True)[1])
+            values, rows = stacked(points.tolist())
+            return (values.reshape(len(points), *self.shape),
+                    rows.reshape(len(points), *self.shape, len(self.coords)))
         stacked = self._compiled_stack
         if stacked is None:
-            # Threads racing here each compile an equal function; the last
-            # store wins.
             stacked = self._compiled_stack = ex._compile_stack(
                 self._compiled or self._compile(False)[0])
         return stacked(points.tolist()).reshape(len(points), *self.shape)
@@ -133,13 +143,18 @@ class _ExprTable:
         coordinate Jacobian of shape ``(*shape, n)``, compiled from the
         :func:`expr.diff` trees of the entries; at a kink, such as ``abs`` at
         0, it raises ``EvalError`` (the kinks are listed at :func:`expr.diff`).
+        At a stack ``(N, n)`` of points, the ``(N, *shape)`` values and the
+        ``(N, *shape, n)`` Jacobians, each row bitwise the call at its point,
+        raising at the first failing point.
         """
         point = np.asarray(x, dtype=float)
         if point.shape != (len(self.coords),):
-            self._reject(point)
+            return self._stack(point, jacobian=True)
         compiled = self._compiled_jacobian or self._compile(True)[1]
         values, jacobian = compiled(point.tolist())
         return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
+
+    value_and_jacobian.stacks = True  # it takes a stack of points (see _differential)
 
 
 def _at_points(fn: Callable, x, shape: tuple, what: str, y=None) -> np.ndarray:
@@ -440,6 +455,16 @@ class AlgebroidStructure:
             raise ValueError(f"base point has dimension {x.size}, chart has {self.n}")
         return x
 
+    def check_points(self, x) -> np.ndarray:
+        """A stack ``(N, n)`` of base points as a float array, or a point as
+        the stack of one."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            return self.check_point(x)[None]
+        if x.shape[1] != self.n:
+            raise ValueError(f"base points have shape {x.shape}, chart has dimension {self.n}")
+        return x
+
     def check_fiber(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.size != self.m:
@@ -534,19 +559,50 @@ def _differential(f, x, step=None, value=True) -> tuple:
     otherwise one :func:`expr.fd_directional` per row, and with
     ``value=False`` the difference path skips ``f(x)`` and returns None in
     its place.  This is the only place that chooses between the two.
+
+    At a stack ``(N, n)`` of points, ``f(x)`` is the ``(N, *shape)`` stack
+    (so ``f`` must take one, as a section or a metric does), and
+    ``along(directions, where)`` takes one ``(k, n)`` block of directions
+    per point of the mask ``where`` (every point when omitted) and returns
+    their ``(count, k, *shape)`` derivatives, each block bitwise its point's;
+    the differences are taken only at those points.  The Jacobians are read
+    in one call of ``value_and_jacobian`` with the stack where it takes one
+    (marked ``stacks``, as a table's is), else in one call per point.
     """
     exact = getattr(f, "value_and_jacobian", None)
+    stacked = np.ndim(x) == 2
     if exact is None:
-        return f(x) if value else None, lambda directions: np.array(
-            [fd_directional(f, x, v, step) for v in directions])
-    fx, jacobian = exact(x)
-    return fx, lambda directions: _along(jacobian, directions)
+        if not stacked:
+            return f(x) if value else None, lambda directions: np.array(
+                [fd_directional(f, x, v, step) for v in directions])
+
+        def along(directions, where=slice(None)):
+            return np.array([[fd_directional(f, p, v, step) for v in block]
+                             for p, block in zip(x[where], directions)])
+
+        return f(x) if value else None, along
+    if not stacked or getattr(exact, "stacks", False):
+        fx, jacobian = exact(x)
+    else:
+        fx, jacobian = (np.array(parts) for parts in zip(*map(exact, x)))
+    if not stacked:
+        return fx, lambda directions: _along(jacobian, directions)
+    return fx, lambda directions, where=slice(None): _along(jacobian[where], directions)
 
 
 def _along(jacobian, directions) -> np.ndarray:
     """Derivatives of a field with Jacobian ``(*shape, n)`` along the rows
-    of ``directions``, stacked as ``(k, *shape)``."""
-    out = jacobian @ np.asarray(directions).T
+    of ``directions``, stacked as ``(k, *shape)``; at a stack, Jacobians
+    ``(N, *shape, n)`` along one ``(k, n)`` block of ``directions`` per
+    point, ``(N, k, *shape)``, each block by the product of its point."""
+    directions = np.asarray(directions)
+    if directions.ndim == 3:
+        across = directions.transpose(0, 2, 1)
+        if jacobian.ndim == 2:  # a scalar field: a row vector per point
+            return (jacobian[:, None] @ across)[:, 0]
+        out = jacobian @ np.expand_dims(across, tuple(range(1, jacobian.ndim - 2)))
+        return out.transpose(0, out.ndim - 1, *range(1, out.ndim - 1))
+    out = jacobian @ directions.T
     # The last axis to the front; np.moveaxis costs more than the product here.
     return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
@@ -588,10 +644,13 @@ def d_function(S: AlgebroidStructure, f, p, step=None) -> np.ndarray:
     ``rho(p) . J(p)``; an opaque callable by one directional difference per
     row, along the anchor image of ``e_A`` (see :func:`_differential`).  An
     expression ``f`` is compiled on every call; to evaluate one at many
-    points, build its field once (``Potential.from_expr``) and pass that.
+    points, build its field once (``Potential.from_expr``) or pass a stack.
+    At a stack ``(N, n)`` of points, their ``(N, m, ...)`` stack, each row
+    bitwise its point's, from one call each of the anchor and of an exact
+    field's Jacobian.
     """
-    p = S.check_point(p)
-    return _differential(_as_scalar_field(f, S), p, step, value=False)[1](S.anchor(p))
+    x = S.check_points(p) if np.ndim(p) == 2 else S.check_point(p)
+    return _differential(_as_scalar_field(f, S), x, step, value=False)[1](S.anchor(x))
 
 
 def d_oneform(S: AlgebroidStructure, kappa: OneForm, X: Section, Y: Section, p, step=None) -> float:

@@ -271,10 +271,38 @@ _CHECK_COMMANDS = {
 }
 
 
+def _is_number(text: str) -> bool:
+    """Whether ``text`` reads as one or more comma-separated numbers."""
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number after a long option
+    as the option's value.  argparse takes ``-1e-3`` or ``-1,0,0`` for an
+    option, as it looks like none of the negative numbers it knows; each is
+    joined to the option before it, ``--t0 -1e-3`` becoming ``--t0=-1e-3``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            # Up to a bare "--", after which every argument is positional.
+            if (arg.startswith("-") and _is_number(arg) and "--" not in joined and joined
+                    and joined[-1].startswith("--") and "=" not in joined[-1]):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 # One parser per process: parse_args reads the parser and never mutates it.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algmech",
         description="Mechanics on skew-symmetric algebroids: connection tables, "
                     "simulation, and the kinematic-reduction verification battery.")

@@ -657,7 +657,7 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     * division, ``^`` and the functions call the tree-walk's helpers.
 
     When every entry folds, no code is generated and the function returns
-    a copy of the folded values.  Otherwise the function keeps its code,
+    a copy of the folded values.  Otherwise each function keeps its code,
     from which :func:`_compile_stack` compiles its stacked form on request.
 
     With ``jacobian`` a second function is compiled beside the first, and
@@ -789,28 +789,50 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     scope = {}
     exec(compile("\n".join(source), "<expression table>", "exec"), namespace, scope)
     scope["_table"].kept = kept
-    return (scope["_table"], scope["_table_jacobian"]) if jacobian else scope["_table"]
+    if not jacobian:
+        return scope["_table"]
+    scope["_table_jacobian"].kept = kept[:1] + ("\n".join(lines), kept[2], ", ".join(entries), size)
+    return scope["_table"], scope["_table_jacobian"]
 
 
 def _compile_stack(table: Callable) -> Callable:
-    """The stacked form of a values function of :func:`_compile_table`.
+    """The stacked form of a values or ``value_and_jacobian`` function of
+    :func:`_compile_table`.
 
     It takes a list of points, each a list of one value per coordinate, and
-    returns the entries at every point in point order as one flat array.
-    It runs the values function's straight-line code, kept with it, in a
-    loop over the points, so each entry is bitwise the values function's at
-    that point, and the first point where an entry fails raises what the
-    values function raises there.  Compiled on request: a table that is
-    never called with a stack never compiles one.  A table whose entries
-    all fold has no code, and its stack repeats the folded values.
+    returns the entries at every point in point order as one flat array;
+    the stacked ``value_and_jacobian`` returns that array and the
+    ``(N, len(exprs) * len(coords))`` Jacobians, one row per point.  It
+    runs the function's straight-line code, kept with it, in a loop over
+    the points, so each entry is bitwise the function's at that point, and
+    the first point where an entry fails raises what the function raises
+    there.  Compiled on request: a table that is never called with a stack
+    never compiles one.  A table whose entries all fold has no code, and its
+    stack repeats the folded values (and the zero Jacobian).
     """
     if not hasattr(table, "kept"):
         folded = table(None)
+        if isinstance(folded, tuple):
+            values, jacobian = folded
+            return lambda points: (np.tile(values, len(points)),
+                                   np.tile(jacobian, (len(points), 1)))
         return lambda points: np.tile(folded, len(points))
-    targets, lines, results = table.kept
-    source = ["def _table_stack(points):", "    _out = []", "    _extend = _out.extend",
-              f"    for {targets} in points:", "    " + lines.replace("\n", "\n    "),
-              f"        _extend(({results},))", "    return _array(_out)"]
+    targets, lines, results, *derivative = table.kept
+    source = ["def _table_stack(points):", "    _out = []", "    _extend = _out.extend"]
+    if derivative:
+        entries, size = derivative
+        source += ["    _rows = []", "    _extend_rows = _rows.extend"]
+    source += [f"    for {targets} in points:", "    " + lines.replace("\n", "\n    "),
+               f"        _extend(({results},))"]
+    if not derivative:
+        source.append("    return _array(_out)")
+    else:
+        if entries:
+            source.append(f"        _extend_rows(({entries},))")
+        source += [f"    _jacobian = _zeros((len(points), {size}))"]
+        if entries:
+            source.append("    _jacobian[:, _nonzero] = _array(_rows).reshape(-1, len(_nonzero))")
+        source.append("    return _array(_out), _jacobian")
     scope = {}
     exec(compile("\n".join(source), "<stacked expression table>", "exec"), table.__globals__, scope)
     return scope["_table_stack"]

@@ -120,19 +120,28 @@ class BundleMetric:
         return self.matrix(x)
 
     def inverse(self, x) -> np.ndarray:
-        """The inverse metric matrix at ``x``; ``SingularMetricError`` when
-        the metric is not finite or singular there."""
+        """The inverse metric matrix at ``x``, or their ``(N, m, m)`` stack
+        at a stack ``(N, n)`` of points, each bitwise its point's;
+        ``SingularMetricError`` when the metric is not finite or singular
+        there.  A larger stack that fails is re-run one point at a time, so
+        the error is the first failing point's."""
         G = self.matrix(x)
-        # An infinite entry can have a finite inverse.
-        if not np.isfinite(G).all():
-            raise _not_finite(x)
+        at = x if np.ndim(x) < 2 else x[0]
         try:
-            inv = np.linalg.inv(G)
-        except np.linalg.LinAlgError:
-            raise _singular(x) from None
-        if not np.isfinite(inv).all():
-            raise _singular(x)
-        return inv
+            # An infinite entry can have a finite inverse.
+            if not np.isfinite(G).all():
+                raise _not_finite(at)
+            try:
+                inv = np.linalg.inv(G)
+            except np.linalg.LinAlgError:
+                raise _singular(at) from None
+            if not np.isfinite(inv).all():
+                raise _singular(at)
+            return inv
+        except SingularMetricError:
+            if np.ndim(x) < 2 or len(x) == 1:
+                raise
+        return np.array([self.inverse(p) for p in x])
 
     def positive_definite_on(self, points) -> bool:
         """Sampled diagnostic: True when every eigenvalue at every point is
@@ -234,8 +243,11 @@ def flat(Gm: BundleMetric, X, p) -> np.ndarray:
 
 
 def sharp(Gm: BundleMetric, kappa, p) -> np.ndarray:
-    """Musical isomorphism covector -> fiber at ``p`` (inverse of ``flat``)."""
-    return Gm.inverse(p) @ _coeffs(kappa, p)
+    """Musical isomorphism covector -> fiber at ``p`` (inverse of ``flat``);
+    at a stack ``(N, n)`` of points, the ``(N, m)`` covectors row by row,
+    each bitwise its point's."""
+    inverse, coeffs = Gm.inverse(p), _coeffs(kappa, p)
+    return inverse @ coeffs if inverse.ndim == 2 else (inverse @ coeffs[:, :, None])[:, :, 0]
 
 
 # --- connection ------------------------------------------------------------------
@@ -528,17 +540,37 @@ def covariant_derivative(S, Gm, X, Y: Section, p, gamma=None) -> np.ndarray:
     ``Y``).  Local form: derivative of the target coefficients along the
     anchored direction plus the Christoffel contraction; NaN where a value
     of ``X`` or ``Y`` is not finite.
+
+    At a stack ``(N, n)`` of points, with ``gamma`` their stack of tensors,
+    the ``(N, m)`` or ``(N, k, m)`` stack of the results at each point,
+    each bitwise its point's: ``Y``, its Jacobian, the anchor and a section
+    ``X`` are read in one call each, and the coefficients of a vector or
+    rows ``X`` are taken at every point.
     """
-    p = S.check_point(p)
+    stacked = np.ndim(p) == 2
+    p = S.check_points(p) if stacked else S.check_point(p)
     if gamma is None:
-        gamma = christoffel(S, Gm, p).gamma
+        gamma = (np.array([christoffel(S, Gm, x).gamma for x in p]) if stacked
+                 else christoffel(S, Gm, p).gamma)
     Xp, (Yp, dY) = _coeffs(X, p), _differential(Y, p)
-    rows = np.atleast_2d(Xp)
-    if _finite(rows, Yp):
-        out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
-    else:
-        out = np.full(rows.shape, np.nan)
-    return out if Xp.ndim == 2 else out[0]
+    if not stacked:
+        rows = np.atleast_2d(Xp)
+        if _finite(rows, Yp):
+            out = rows @ (gamma @ Yp).T + dY(rows @ S.anchor(p))
+        else:
+            out = np.full(rows.shape, np.nan)
+        return out if Xp.ndim == 2 else out[0]
+    # A section's value is one row per point; coefficients are the rows of
+    # every point.  Each product has the shapes of its point's.
+    one = isinstance(X, Section) or Xp.ndim == 1  # one nabla_X Y per point
+    rows = Xp[:, None] if isinstance(X, Section) else np.atleast_2d(Xp)
+    finite = np.isfinite(Yp).all(axis=1) & np.isfinite(rows).all(axis=(-2, -1))
+    out = np.full((len(p), *rows.shape[-2:]), np.nan)
+    if finite.any():
+        at = rows[finite] if rows.ndim == 3 else rows
+        contracted = (gamma[finite] @ Yp[finite][:, None, :, None])[..., 0]
+        out[finite] = at @ contracted.transpose(0, 2, 1) + dY(at @ S.anchor(p[finite]), finite)
+    return out[:, 0] if one else out
 
 
 def covariant_derivative_along(S, Gm, traj: Trajectory, W, t, gamma=None) -> np.ndarray:
@@ -629,13 +661,14 @@ def symprod_via_lifts(S, Gm, X: Section, Y: Section, p, y0, step: float = 1e-4) 
 
 
 def gradient(S, Gm, V, p) -> np.ndarray:
-    """Metric gradient of a potential: sharp of its almost differential.
+    """Metric gradient of a potential: sharp of its almost differential, at
+    a point or, row by row, at a stack ``(N, n)`` of points.
 
     An expression ``V`` is compiled on every call; to evaluate one at many
-    points, pass a ``Potential`` or use :func:`gradient_section`.
+    points, pass a ``Potential``, a stack, or use :func:`gradient_section`.
     """
-    p = S.check_point(p)
-    return sharp(Gm, d_function(S, V, p), p)
+    x = S.check_points(p) if np.ndim(p) == 2 else S.check_point(p)
+    return sharp(Gm, d_function(S, V, x), x)
 
 
 def gradient_section(S, Gm, V) -> Section:

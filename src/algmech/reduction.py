@@ -135,9 +135,12 @@ class Projector:
         at a point or a stack of points (see :meth:`p_matrix`)."""
         return np.eye(self.m) - self.p_matrix(p)
 
-    def complement_basis(self, p) -> np.ndarray:
-        """Metric-orthonormal basis of the complement at ``p`` (deterministic);
-        NaN rows where the span or the metric is not finite there."""
+    def complement_basis(self, p):
+        """Metric-orthonormal basis of the complement at ``p`` (deterministic),
+        ``(k, m)``; NaN rows where the span or the metric is not finite
+        there.  At a stack ``(N, n)`` of points, the ``(rows, counts)`` of
+        :func:`_orthonormal_complement`, from one call each of the metric
+        and the span."""
         return _orthonormal_complement(self.metric.matrix(p), self.subbundle.matrix(p), p)
 
     def declared_complement_residual(self, declared: Sequence[Section], points) -> float:
@@ -159,36 +162,58 @@ class Projector:
         return float(np.max(np.abs(W @ P.transpose(0, 2, 1)).max(axis=2) / norms, initial=0.0))
 
 
-def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p) -> np.ndarray:
+def _orthonormal_complement(G: np.ndarray, span: np.ndarray, p):
     """Rows of a ``G``-orthonormal basis of the ``G``-orthogonal complement of
-    the rows of ``span`` (``(0, m)`` for all directions).
+    the rows of ``span`` (``(0, m)`` for all directions), ``(k, m)`` at a
+    point ``p``.  At a stack (``G`` of shape ``(N, m, m)``, ``span`` of shape
+    ``(N, r, m)``, ``p`` the ``(N, n)`` points), the pair ``(rows, counts)``
+    of ``(N, m, m)`` slots and ``(N,)`` counts: point ``i``'s basis is
+    ``rows[i, :counts[i]]``, and the slots after it are zero.  A point is a
+    stack of one.
 
     Gram-Schmidt under ``G`` seeded with the span, then extended by the
-    canonical fiber directions; the span part is discarded.  Where ``G`` or
-    the span is not finite, tested before the arithmetic, the rows are NaN,
-    one per complement direction.
+    canonical fiber directions; the span part is discarded.  Every point
+    pushes the same vectors in turn, into a basis slot per point, and counts
+    the pushes it accepts.  Each product is a stacked ``matmul`` of the
+    shapes a single point's products have, so every row is bitwise that
+    point's.  Where ``G`` or the span is not finite, tested before the
+    arithmetic, the rows are NaN, one per complement direction.  A
+    degenerate span raises ``ValueError`` naming the first point where it is.
     """
-    m = len(G)
-    if not _finite(G, span):
-        return np.full((max(m - len(span), 0), m), np.nan)
-    basis = []
+    if np.ndim(G) == 2:
+        rows, counts = _orthonormal_complement(G[None], span[None], np.asarray(p)[None])
+        return rows[0, :counts[0]]
+    count, r, m = np.shape(span)
+    k = max(m - r, 0)
+    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(span).all(axis=(1, 2))
+    rows, counts = np.zeros((count, m, m)), np.full(count, k)
+    rows[~finite, :k] = np.nan
+    G, span = G[finite], span[finite]
+    basis, size = np.zeros((len(G), r + m, m)), np.zeros(len(G), dtype=int)
 
     def push(v):
-        v = v.astype(float).copy()
-        for b in basis:
-            v -= (b @ G @ v) * b
-        norm_sq = float(v @ G @ v)
-        if norm_sq > _RANK_EPS ** 2:
-            basis.append(v / np.sqrt(norm_sq))
-            return True
-        return False
+        v = v.astype(float)
+        # Every point has its first size.min() slots; only the later ones
+        # need the mask (a point, a stack of one, never does).
+        every = size.min(initial=0)
+        for j in range(size.max(initial=0)):
+            b = basis[:, j]
+            projected = v - (b[:, None] @ G @ v[:, :, None])[:, 0] * b
+            v = projected if j < every else np.where((size > j)[:, None], projected, v)
+        norm_sq = (v[:, None] @ G @ v[:, :, None])[:, 0, 0]
+        accept = norm_sq > _RANK_EPS ** 2
+        basis[accept, size[accept]] = v[accept] / np.sqrt(norm_sq[accept])[:, None]
+        size[accept] += 1
 
-    for row in span:
-        push(row)
-    if len(basis) != len(span):
-        raise ValueError(f"subbundle span is degenerate at {np.asarray(p)}")
-    complement = [basis[-1] for unit in np.eye(m) if push(unit)]
-    return np.array(complement) if complement else np.zeros((0, m))
+    for i in range(r):
+        push(span[:, i])
+    if (size != r).any():
+        at = np.flatnonzero(finite)[np.argmax(size != r)]
+        raise ValueError(f"subbundle span is degenerate at {np.asarray(p)[at]}")
+    for unit in np.eye(m):
+        push(np.broadcast_to(unit, (len(G), m)))
+    rows[finite], counts[finite] = basis[:, r:], size - r
+    return rows, counts
 
 
 @dataclass
@@ -265,8 +290,9 @@ def _worst_of(pairs):
 def _stacked_sweep(points, residuals):
     """Worst residual and its witness over a point sweep (see :func:`_worst_of`),
     where ``residuals(ks)`` evaluates its stacked terms (projectors,
-    Christoffel tensors) at the points ``points[ks]`` of an index array in
-    one call each and returns the residuals there, as an array or lazily.
+    Christoffel tensors, Hamilton-Jacobi residuals) at the points
+    ``points[ks]`` of an index array in one call each and returns the
+    residuals there, as an array or lazily.
 
     Where that evaluation raises, the sweep takes one point at a time, as a
     pointwise sweep does: it stops at its first non-finite residual and
@@ -543,28 +569,55 @@ def maximal_reducibility_check(S, Gm, Dc: Subbundle, candidate: Subbundle, point
 
 def hj_residual(S, Gm, V: Optional[Potential], Dc: Optional[Subbundle], X: Section, p,
                 gamma=None):
-    """Pointwise Hamilton-Jacobi diagnostics for a candidate section.
+    """Hamilton-Jacobi diagnostics for a candidate section at a point, or at
+    each point of a stack ``(N, n)`` of points.
 
     Returns ``(closedness, hj)``: the closedness hypothesis residual
     ``|G(nabla_X X, Y) - G(nabla_Y X, X)|`` and the Hamilton-Jacobi residual
     ``|d(G(X,X)/2 + V)(Y)|``, both maximized over a metric-orthonormal basis
-    of the control complement (all directions when ``Dc`` is omitted).
-    Everything comes from one derivative of ``X``: the rows ``nabla_{e_A} X``.
+    of the control complement (all directions when ``Dc`` is omitted); two
+    floats at a point, two ``(N,)`` arrays at a stack, each entry bitwise
+    the pair at its point.  Everything comes from one derivative of ``X``:
+    the rows ``nabla_{e_A} X`` (:func:`covariant_derivative` at the
+    stack).  ``gamma`` is the Christoffel tensor at the point, or their
+    stack; when omitted, :func:`christoffel`'s is taken at each point with
+    a complement.
+
+    A point is a stack of one: the metric, the control span, the
+    candidate's value and Jacobian, the anchor and the potential's Jacobian
+    are each read in one call per stack (the candidate's value and the
+    anchor once more), and every product is a stacked ``matmul`` of the
+    shapes a single point's products have.  The rows of points whose
+    complements have equal sizes are multiplied together: one row takes
+    another BLAS routine than several, which rounds differently.
     """
-    p = S.check_point(p)
-    G = Gm.matrix(p)
-    rows = _orthonormal_complement(G, np.zeros((0, S.m)) if Dc is None else Dc.matrix(p), p)
-    if rows.size == 0:
-        return 0.0, 0.0
-    if gamma is None:
-        gamma = christoffel(S, Gm, p).gamma
-    N = covariant_derivative(S, Gm, np.eye(S.m), X, p, gamma=gamma)  # N[A] = nabla_{e_A} X
-    Xp = X(p)
-    # G(nabla_{e_A} X, X), which is rho(e_A)(G(X, X)/2) as the connection is metric
-    pairing = N @ G @ Xp
-    rho_E = pairing if V is None else pairing + d_function(S, V, p)
-    closedness = np.max(np.abs(rows @ G @ (Xp @ N) - rows @ pairing))
-    return float(closedness), float(np.max(np.abs(rows @ rho_E)))
+    points = S.check_points(p)
+    count, m = len(points), S.m
+    G = Gm.matrix(points)
+    rows, counts = _orthonormal_complement(
+        G, np.zeros((count, 0, m)) if Dc is None else Dc.matrix(points), points)
+    closedness, hj = np.zeros(count), np.zeros(count)
+    live = np.flatnonzero(counts)
+    if len(live):
+        x, G, rows, counts = points[live], G[live], rows[live], counts[live]
+        if gamma is None:
+            gamma = np.array([christoffel(S, Gm, xi).gamma for xi in x])
+        else:
+            gamma = (gamma if np.ndim(p) == 2 else gamma[None])[live]
+        # N[i, A] = nabla_{e_A} X at x[i]
+        N = covariant_derivative(S, Gm, np.eye(m), X, x, gamma=gamma)
+        Xp = X(x)
+        # G(nabla_{e_A} X, X), which is rho(e_A)(G(X, X)/2) as the connection is metric
+        pairing = (N @ G @ Xp[:, :, None])[:, :, 0]
+        rho_E = pairing if V is None else pairing + d_function(S, V, x)
+        flow = (Xp[:, None] @ N).transpose(0, 2, 1)  # nabla_X X, as a column per point
+        for k in np.unique(counts):
+            at = counts == k
+            Y = rows[at, :k]
+            closed = Y @ G[at] @ flow[at] - Y @ pairing[at][:, :, None]
+            closedness[live[at]] = np.abs(closed).max(axis=(1, 2))
+            hj[live[at]] = np.abs(Y @ rho_E[at][:, :, None]).max(axis=(1, 2))
+    return (closedness, hj) if np.ndim(p) == 2 else (float(closedness[0]), float(hj[0]))
 
 
 def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) -> VerificationReport:
@@ -578,19 +631,24 @@ def hj_algebraic_check(sysdef, X: Section, points, tol=DEFAULT_ALGEBRAIC_TOL) ->
     """
     _check_tolerances(tol=tol)
     S, Gm, V, Dc = sysdef.structure, sysdef.metric, sysdef.potential, sysdef.controls
-    points = np.atleast_2d(points)
-    closedness = []
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     # Controls that span the fiber leave no complement: hj_residual then
     # needs no tensor, and none is computed.
-    stacked = () if Dc is not None and Dc.rank == S.m else (christoffel_field(S, Gm),)
+    gamma_at = None if Dc is not None and Dc.rank == S.m else christoffel_field(S, Gm)
+    # NaN until computed: a sweep that stops early computes no later point.
+    closedness, hjs = np.full(len(points), np.nan), np.full(len(points), np.nan)
 
-    def residual(p, gamma=None):
-        closed, hj = hj_residual(S, Gm, V, Dc, X, p, gamma=gamma)
-        closedness.append(closed)
-        return hj
+    def residuals(ks):
+        x = points[ks]
+        closedness[ks], hjs[ks] = hj_residual(S, Gm, V, Dc, X, x,
+                                              gamma=None if gamma_at is None else gamma_at(x))
+        return hjs[ks]
 
-    worst, witness = _sweep(points, residual, *stacked)
-    details = {"closedness_residual": reduce(_max, closedness, 0.0),
+    worst, witness = _stacked_sweep(points, residuals)
+    # The closedness of the points a pointwise sweep visits: up to its first
+    # non-finite residual, where it stops.
+    visited = len(points) if np.isfinite(hjs).all() else int(np.argmin(np.isfinite(hjs))) + 1
+    details = {"closedness_residual": reduce(_max, closedness[:visited].tolist(), 0.0),
                "section": getattr(X, "label", "")}
     if Dc is None:
         energies = [energy(S, Gm, V, (p, X(p))) for p in points]
@@ -628,16 +686,15 @@ def hj_trajectory_equivalence(S, Gm, V: Optional[Potential], Dc: Optional[Subbun
         x = base[k]
         value = covariant_derivative_along(S, Gm, gamma_traj, fiber, times[k], gamma=gammas[k])
         if V is not None:
-            value = value + np.array([gradient(S, Gm, V, xi) for xi in x]).reshape(len(x), m)
+            value = value + gradient(S, Gm, V, x)
         return _outside_each(q_at(x), value)
 
     worst, witness = _stacked_sweep(base[1:count - 1], residuals)
     worst = _max(worst, 0.0)  # 0 when there is no interior sample
 
-    stride = max(1, count // 16)
-    closedness, closed_witness = _worst_of(
-        (hj_residual(S, Gm, V, Dc, X, gamma_traj.base[k], gamma=gammas[k])[0], gamma_traj.base[k])
-        for k in range(0, count, stride))
+    scanned = np.arange(0, count, max(1, count // 16))
+    closedness, closed_witness = _stacked_sweep(base[scanned], lambda ks: hj_residual(
+        S, Gm, V, Dc, X, base[scanned[ks]], gamma=gammas[scanned[ks]])[0])
 
     details = {"closedness_residual": closedness, "horizon": horizon,
                "truncated": gamma_traj.truncated}
@@ -655,14 +712,21 @@ def reparam_admissible(S, Gm, Dc: Subbundle, f, points, tol=DEFAULT_ALGEBRAIC_TO
     _check_tolerances(tol=tol)
     fn = _as_scalar_field(f, S)
     P = Projector(Dc, Gm)
-    points = np.atleast_2d(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    def residual(p):
-        rho_f = d_function(S, fn, p)
-        # Tested before the products, where 0 * inf would only warn.
-        if not _finite(rho_f):
-            return math.nan
-        return reduce(_max, (abs(float(y @ rho_f)) for y in P.complement_basis(p)), 0.0)
+    def residuals(ks):
+        x = points[ks]
+        rho_f = d_function(S, fn, x)
+        out = np.full(len(x), np.nan)
+        # Tested before the products, where 0 * inf would only warn; the
+        # complement is read only where the derivative is finite.
+        finite = np.isfinite(rho_f).all(axis=1)
+        if finite.any():
+            rows, counts = P.complement_basis(x[finite])
+            # One dot product per row, as at a point.
+            pairings = np.abs(rows[:, :, None] @ rho_f[finite][:, None, :, None])[:, :, 0, 0]
+            out[finite] = np.where(np.arange(S.m) < counts[:, None], pairings, 0.0).max(axis=1)
+        return out
 
-    worst, witness = _sweep(points, residual)
+    worst, witness = _stacked_sweep(points, residuals)
     return _report("reparam_admissible", worst, witness, len(points), tol)

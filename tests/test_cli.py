@@ -373,6 +373,32 @@ class TestUsageErrors:
                                           "--t1", "-0.5", "--step", "-0.001"])
         assert (args.t0, args.t1, args.step) == (-1.0, -0.5, -0.001)
 
+    @pytest.mark.parametrize("command, option", [
+        ("check-hj", "--tol"), ("check-geoinv", "--traj-tol"), ("report", "--tol")])
+    def test_negative_exponent_is_a_value(self, capsys, tmp_path, command, option):
+        """argparse read -1e-3 as an option, so a negative number written
+        with an exponent exited 2 with "expected one argument": a time takes
+        it as written with "=", and a tolerance rejects it as negative."""
+        args = build_parser().parse_args(["simulate", "--system", "planar_body", "--t0", "-1e-3",
+                                          "--t1", "-5e-4", "--step", "-1E-5"])
+        joined = build_parser().parse_args(["simulate", "--system", "planar_body", "--t0=-1e-3",
+                                            "--t1=-5e-4", "--step=-1E-5"])
+        assert vars(args) == vars(joined) and (args.t0, args.t1) == (-1e-3, -5e-4)
+        out = tmp_path / "run.csv"
+        assert run(capsys, "simulate", "--system", "planar_body", "--t0", "-1e-3",
+                   "--t1", "0.01", "--out", str(out))[0] == 0
+        assert out.read_text().splitlines()[1].startswith("-0.001,")
+        code, out, err = run(capsys, command, "--system", "planar_body", option, "-1e-3")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: expected a non-negative number, "
+                            "got '-1e-3'\n")
+
+    def test_negative_point_coordinates(self, capsys):
+        """A point whose first coordinate is negative is the option's value."""
+        code, out, _ = run(capsys, "christoffel", "--system", "planar_body", "--at", "-1e-3,0,0",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["point"] == [-0.001, 0.0, 0.0]
+
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -101,6 +101,23 @@ class TestMetricOps:
         with pytest.raises(SingularMetricError, match=r"^metric is singular at \[0\.\]$"):
             christoffel(S, Gm, np.zeros(1))
 
+    def test_stacked_sharp_is_the_per_point_one(self, planar, board):
+        """At a stack, each row is bitwise its point's, and a metric that is
+        singular or not finite at a point of the stack raises naming the
+        first such point."""
+        for sysd in (planar, board):
+            points = sysd.sample(12, seed=11)
+            kappa = np.linspace(-1.0, 1.0, 12 * sysd.m).reshape(12, sysd.m)
+            stacked = sharp(sysd.metric, kappa, points)
+            for p, k, row in zip(points, kappa, stacked):
+                assert row.tobytes() == sharp(sysd.metric, k, p).tobytes()
+        bad = np.array([[0.5], [0.0], [-1.0], [0.0]])
+        Gm = BundleMetric(lambda x: np.eye(2) * x[0] if x[0] > -0.5 else np.full((2, 2), np.inf), 2)
+        with pytest.raises(SingularMetricError, match=r"^metric is singular at \[0\.\]$"):
+            Gm.inverse(bad)
+        with pytest.raises(SingularMetricError, match=r"^metric is not finite at \[-1\.\]$"):
+            Gm.inverse(bad[2:])
+
     def test_christoffel_evaluates_the_metric_once_at_the_point(self, planar):
         """One evaluation at p, plus two per anchored frame direction for rho(e_A)(G)."""
         points = []

@@ -9,6 +9,8 @@ from algmech import (
     Section,
     Subbundle,
     VerificationReport,
+    christoffel,
+    christoffel_field,
     covariant_derivative,
     dump_spec,
     geodesic_invariance_check,
@@ -22,6 +24,7 @@ from algmech import (
     symmetric_closure,
     symmetric_product,
 )
+from algmech.reduction import _orthonormal_complement
 from algmech.report import hj_algebraic_check, run_battery
 
 
@@ -296,6 +299,368 @@ class TestStackedPasses:
         monkeypatch.setattr(reduction, "christoffel_field", refuse)
         rep = hj_algebraic_check(spanning, planar.candidates["gY1"], planar.sample(6, seed=1))
         assert rep.verdict == "pass" and rep.worst_residual == 0.0
+
+
+BUILTIN_FIXTURES = ["planar", "leg", "board", "flat2", "top"]
+
+
+def hj_sections(sysd):
+    """The candidate sections of a builtin, or one section over its coordinates."""
+    if sysd.candidates:
+        return list(sysd.candidates.values())
+    coords = sysd.coords or ("1",)
+    return [sysd.section_from_exprs([f"{k + 1}*{coords[k % len(coords)]}^2 + 0.5"
+                                     for k in range(sysd.m)], label="quadratic")]
+
+
+def gram_schmidt(G, span):
+    """The complement rows of one point, one vector at a time: the
+    arithmetic that the stacked Gram-Schmidt must reproduce bit for bit."""
+    from algmech.reduction import _RANK_EPS
+
+    m = len(G)
+    if not (np.isfinite(G).all() and np.isfinite(span).all()):
+        return np.full((max(m - len(span), 0), m), np.nan)
+    basis = []
+
+    def push(v):
+        v = v.astype(float).copy()
+        for b in basis:
+            v -= (b @ G @ v) * b
+        norm_sq = float(v @ G @ v)
+        if norm_sq > _RANK_EPS ** 2:
+            basis.append(v / np.sqrt(norm_sq))
+            return True
+        return False
+
+    for row in span:
+        push(row)
+    assert len(basis) == len(span)
+    complement = [basis[-1] for unit in np.eye(m) if push(unit)]
+    return np.array(complement) if complement else np.zeros((0, m))
+
+
+def hj_pointwise(S, Gm, V, Dc, X, p, gamma):
+    """The residual pair of ``hj_residual`` at one point, by the per-point
+    products: one covariant derivative call, then matrix-vector products."""
+    from algmech import d_function
+
+    G = Gm.matrix(p)
+    rows = gram_schmidt(G, np.zeros((0, S.m)) if Dc is None else Dc.matrix(p))
+    if rows.size == 0:
+        return 0.0, 0.0
+    N = covariant_derivative(S, Gm, np.eye(S.m), X, p, gamma=gamma)
+    Xp = X(p)
+    pairing = N @ G @ Xp
+    rho_E = pairing if V is None else pairing + d_function(S, V, p)
+    return (float(np.max(np.abs(rows @ G @ (Xp @ N) - rows @ pairing))),
+            float(np.max(np.abs(rows @ rho_E))))
+
+
+def equal_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def zero_at(section, point):
+    """``section`` with the value zero at ``point``."""
+    return Section(lambda x: np.zeros(section.rank) if np.array_equal(x, point) else section(x),
+                   section.rank)
+
+
+class TestStackedRows:
+    """Each row of a stacked derivative, complement or Hamilton-Jacobi pair
+    is bitwise its point's, on every builtin; a stacked sweep reports what
+    the per-point sweep reports, witness, reason and closedness included,
+    and raises the error of the first failing point it reaches."""
+
+    @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
+    def test_value_and_jacobian(self, fixture, request):
+        from algmech import Potential, d_function
+        from algmech.algebroid import _ExprTable
+
+        sysd = request.getfixturevalue(fixture)
+        S, Gm = sysd.structure, sysd.metric
+        sections = (sysd.controls.sections if sysd.controls else ()) + tuple(hj_sections(sysd))
+        fields = [S._anchor_fn, S._structure_fn, Gm._fn, *getattr(Gm._fn, "induced", ()),
+                  *(X._fn for X in sections)]
+        tables = [f for f in fields if isinstance(f, _ExprTable)]
+        assert tables
+        points = sysd.sample(12, seed=9)
+        for table in tables:
+            values, jacobians = table.value_and_jacobian(points)
+            for p, value, jacobian in zip(points, values, jacobians):
+                expected = table.value_and_jacobian(p)
+                assert equal_bits(value, expected[0]) and equal_bits(jacobian, expected[1])
+        # d_function at a stack: exact for a table, a difference per row of
+        # an opaque callable.
+        scalar = "*".join(f"cos({c})" for c in sysd.coords) or "2"
+        V = Potential.from_expr(scalar, sysd.coords, sysd.params)
+        for f in (V, lambda x: V(x)):
+            stacked = d_function(S, f, points)
+            assert stacked.shape == (12, sysd.m)
+            for p, row in zip(points, stacked):
+                assert equal_bits(row, d_function(S, f, p)), sysd.name
+
+    def test_stacked_jacobian_compiles_on_its_first_stacked_call(self):
+        from algmech.algebroid import _ExprTable
+
+        table = _ExprTable(["x*y", "sin(x)", "3"], (3,), ("x", "y"), {})
+        points = np.array([[0.1, 0.2], [0.3, -0.4]])
+        table.value_and_jacobian(points[0])
+        assert table._compiled_jacobian_stack is None
+        values, jacobians = table.value_and_jacobian(points)
+        assert table._compiled_jacobian_stack is not None
+        assert jacobians.shape == (2, 3, 2) and not jacobians[:, 2].any()
+        assert equal_bits(jacobians[1], table.value_and_jacobian(points[1])[1])
+        folded = _ExprTable(["2", "k"], (2,), ("x",), {"k": 3.0})
+        values, jacobians = folded.value_and_jacobian(np.zeros((4, 1)))
+        assert equal_bits(values, np.tile([2.0, 3.0], (4, 1))) and jacobians.shape == (4, 2, 1)
+        assert table.value_and_jacobian(np.zeros((0, 2)))[1].shape == (0, 3, 2)
+
+    @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
+    def test_complement_basis(self, fixture, request):
+        """With controls, and without: all directions, as ``hj_residual``
+        takes them when ``Dc`` is None."""
+        sysd = request.getfixturevalue(fixture)
+        span = sysd.controls or Subbundle((Section.basis(0, sysd.m),))
+        points = sysd.sample(12, seed=9)
+        G = sysd.metric.matrix(points)
+        stacks = [(Projector(span, sysd.metric).complement_basis(points), span.matrix(points)),
+                  (_orthonormal_complement(G, np.zeros((12, 0, sysd.m)), points),
+                   np.zeros((12, 0, sysd.m)))]
+        for (rows, counts), spans in stacks:
+            for Gp, spanp, row, count in zip(G, spans, rows, counts):
+                expected = gram_schmidt(Gp, spanp)
+                assert equal_bits(row[:count], expected) and not row[count:].any(), sysd.name
+
+    def test_complement_of_random_metrics(self, rng):
+        """Dense random metrics and spans, where any other order of the sums
+        would round differently: every row is the per-point Gram-Schmidt's."""
+        for m, r in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (5, 0)):
+            A = rng.uniform(-1.0, 1.0, size=(40, m, m))
+            G = A @ A.transpose(0, 2, 1) + m * np.eye(m)
+            if r == 0:
+                # A direction of negligible length at every third point: its
+                # push is rejected there, so the complements differ in size.
+                G[::3, 1] *= 1e-10
+                G[::3, :, 1] *= 1e-10
+            span = rng.uniform(-1.0, 1.0, size=(40, r, m))
+            rows, counts = _orthonormal_complement(G, span, np.zeros((40, 1)))
+            assert len(set(counts)) == (2 if r == 0 else 1)
+            for Gp, spanp, row, count in zip(G, span, rows, counts):
+                assert equal_bits(row[:count], gram_schmidt(Gp, spanp)), (m, r)
+
+    def test_hj_pair_of_complements_of_different_sizes(self):
+        """Points whose complements differ in size are multiplied apart, each
+        with its own row count, as at the point: a single row takes another
+        BLAS routine than several, which rounds differently at m = 4."""
+        sysd = load_spec({
+            "name": "thin", "base": ["x", "y"], "fiber": 4, "mode": "intrinsic",
+            "anchor": [["1", "0"], ["0", "1"], ["x", "y"], ["y", "1"]], "structure": {},
+            # The last direction has negligible length where x = 0.
+            "metric": [["3 + x", "0.5*sin(x)", "0.3*cos(y)", "0.1*x*sin(y)"],
+                       ["", "3 + y", "0.2*x*y", "0.2*x"],
+                       ["", "", "2 + x*y", "0.1*x*cos(y)"],
+                       ["", "", "", "1e-18 + x^2"]],
+            "chart": {"box": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}},
+        })
+        S, Gm = sysd.structure, sysd.metric
+        Dc = Subbundle((Section.basis(0, 4), Section.basis(1, 4)))
+        X = sysd.section_from_exprs(["x*y + 1", "sin(y)", "x - y^2", "cos(x*y)"])
+        points = np.array([[0.5, 0.1], [0.0, 0.3], [0.7, -0.2], [0.0, -0.9], [-0.6, 0.4],
+                           [0.3, 0.8], [0.0, 0.5]])
+        assert Projector(Dc, Gm).complement_basis(points)[1].tolist() == [2, 1, 2, 1, 2, 2, 1]
+        gammas = christoffel_field(S, Gm)(points)
+        closed, hj = hj_residual(S, Gm, None, Dc, X, points, gamma=gammas)
+        pairs = [hj_pointwise(S, Gm, None, Dc, X, p, g) for p, g in zip(points, gammas)]
+        assert equal_bits(closed, [c for c, _ in pairs]) and equal_bits(hj, [h for _, h in pairs])
+
+    @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
+    def test_hj_residual_pair(self, fixture, request):
+        """Candidates with controls and without, each also as an opaque
+        callable, whose derivative takes the difference path."""
+        sysd = request.getfixturevalue(fixture)
+        S, Gm, V = sysd.structure, sysd.metric, sysd.potential
+        points = sysd.sample(12, seed=9)
+        gammas = christoffel_field(S, Gm)(points)
+        for X in hj_sections(sysd):
+            opaque = Section(lambda x, X=X: X(x), X.rank, label="opaque")
+            for Y in (X, opaque):
+                for Dc in (sysd.controls, None):
+                    closed, hj = hj_residual(S, Gm, V, Dc, Y, points, gamma=gammas)
+                    pairs = [hj_pointwise(S, Gm, V, Dc, Y, p, g) for p, g in zip(points, gammas)]
+                    assert equal_bits(closed, [c for c, _ in pairs]), (sysd.name, Y.label)
+                    assert equal_bits(hj, [h for _, h in pairs]), (sysd.name, Y.label)
+                    # Without a tensor: christoffel's at each point.
+                    for p, c, h in zip(points[:3], *hj_residual(S, Gm, V, Dc, Y, points[:3])):
+                        assert hj_residual(S, Gm, V, Dc, Y, p) == (c, h)
+                        assert (c, h) == hj_pointwise(S, Gm, V, Dc, Y, p, christoffel(S, Gm, p).gamma)
+
+    @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
+    def test_covariant_derivative(self, fixture, request):
+        """Rows, a vector and a section as ``X``, against a table section,
+        an opaque one and one that is not finite at one point."""
+        sysd = request.getfixturevalue(fixture)
+        S, Gm, m = sysd.structure, sysd.metric, sysd.m
+        points = sysd.sample(12, seed=9)
+        gammas = christoffel_field(S, Gm)(points)
+        X = hj_sections(sysd)[0]
+        opaque = Section(lambda x: X(x), m)
+        nan_at_4 = Section(lambda x: np.full(m, np.nan) if np.array_equal(x, points[4]) else X(x), m)
+        for Y in (X, opaque, nan_at_4):
+            for Z in (np.eye(m), np.eye(m)[-1], X, Y):
+                stacked = covariant_derivative(S, Gm, Z, Y, points, gamma=gammas)
+                singles = [covariant_derivative(S, Gm, Z, Y, p, gamma=g)
+                           for p, g in zip(points, gammas)]
+                assert stacked.shape == (12, *np.shape(singles[0]))
+                assert equal_bits(stacked, singles), sysd.name
+        # Without tensors: christoffel's at each point.
+        assert equal_bits(covariant_derivative(S, Gm, np.eye(m), X, points[:3]),
+                          [covariant_derivative(S, Gm, np.eye(m), X, p) for p in points[:3]])
+
+    @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
+    def test_jacobian_that_takes_only_a_point(self, fixture, request):
+        """A field whose ``value_and_jacobian`` takes only a point, as the
+        induced Gram matrix of an embedded metric (the snakeboard's) does,
+        is read once per point of a stack: the rows are its points'."""
+        from algmech import Potential, d_function
+        from algmech.algebroid import _differential
+
+        class PointOnly:
+            def __init__(self, fn):
+                self.fn = fn
+
+            def __call__(self, x):
+                return self.fn(x)
+
+            def value_and_jacobian(self, x):
+                assert np.ndim(x) == 1
+                return self.fn.value_and_jacobian(x)
+
+        sysd = request.getfixturevalue(fixture)
+        S, Gm, m = sysd.structure, sysd.metric, sysd.m
+        points = sysd.sample(12, seed=9)
+        directions = np.broadcast_to(S.anchor(points[0]), (12, m, sysd.n))
+        values, along = _differential(Gm, points)
+        for p, value, row in zip(points, values, along(directions)):
+            single, along_at = _differential(Gm, p)
+            assert equal_bits(value, single) and equal_bits(row, along_at(directions[0]))
+        scalar = "*".join(f"cos({c})" for c in sysd.coords) or "2"
+        V = Potential(PointOnly(Potential.from_expr(scalar, sysd.coords, sysd.params)._fn))
+        assert equal_bits(d_function(S, V, points), [d_function(S, V, p) for p in points])
+        X = hj_sections(sysd)[0]
+        Y = Section(PointOnly(X._fn), m)
+        gammas = christoffel_field(S, Gm)(points)
+        closed, hj = hj_residual(S, Gm, V, sysd.controls, Y, points, gamma=gammas)
+        pairs = [hj_residual(S, Gm, V, sysd.controls, X, p, gamma=g)
+                 for p, g in zip(points, gammas)]
+        assert equal_bits(closed, [c for c, _ in pairs]) and equal_bits(hj, [h for _, h in pairs])
+
+    @pytest.mark.parametrize("fixture", ["planar", "leg", "board", "flat2"])
+    def test_non_finite_at_one_point_of_twelve(self, fixture, request):
+        """A section that is NaN at one point of 12, and a potential that is
+        infinite around it (the difference of its derivative reads it
+        there): the sweep stops at that point, with the witness, the reason
+        and the closedness of the points it visited, as the per-point sweep.
+        The closedness is NaN with the section and finite with the
+        potential, which it does not read."""
+        import dataclasses
+        from functools import reduce
+
+        from algmech import Potential
+        from algmech.reduction import _max
+
+        sysd = request.getfixturevalue(fixture)
+        S, Gm, m = sysd.structure, sysd.metric, sysd.m
+        points = sysd.sample(12, seed=9)
+        bad = points[4]
+        X = hj_sections(sysd)[-1]
+        nan_section = Section(lambda x: np.full(m, np.nan) if np.array_equal(x, bad) else X(x), m)
+        infinite = Potential(lambda x: np.inf if np.max(np.abs(x - bad)) < 1e-3 else float(x @ x))
+        gammas = christoffel_field(S, Gm)(points)
+        for Y, V in ((nan_section, None), (X, infinite)):
+            rep = hj_algebraic_check(dataclasses.replace(sysd, potential=V), Y, points)
+            pairs = [hj_pointwise(S, Gm, V, sysd.controls, Y, p, g) for p, g in zip(points, gammas)]
+            worst, witness = pointwise_worst([h for _, h in pairs], points)
+            assert not np.isfinite(worst) and np.array_equal(witness, bad)
+            assert_non_finite(rep, bad)
+            assert np.array_equal(rep.witness_point, bad)
+            assert rep.details["inconclusive_reason"] == f"non-finite residual ({worst})"
+            closedness = reduce(_max, [c for c, _ in pairs[:5]], 0.0)
+            assert math.isfinite(closedness) == (V is not None)
+            got = rep.details["closedness_residual"]
+            assert got == closedness or math.isnan(got) and math.isnan(closedness), sysd.name
+
+    @pytest.mark.parametrize("fixture", ["planar", "leg", "board", "flat2"])
+    def test_degenerate_span_at_one_point(self, fixture, request):
+        """A span that drops rank at points 6 and 9 of 12 raises at point 6,
+        in the complement, the Hamilton-Jacobi sweep and the
+        reparametrization sweep; a non-finite residual at point 2 stops the
+        sweep before it gets there."""
+        import dataclasses
+        import re
+
+        sysd = request.getfixturevalue(fixture)
+        S, Gm, m = sysd.structure, sysd.metric, sysd.m
+        points = sysd.sample(12, seed=9)
+        span = sysd.controls or Subbundle((Section.basis(0, m),))
+        first = zero_at(zero_at(span.sections[0], points[9]), points[6])
+        Dc = Subbundle((first, *span.sections[1:]))
+        message = re.escape(f"subbundle span is degenerate at {points[6]}")
+        X = hj_sections(sysd)[0]
+        with pytest.raises(ValueError, match=message):
+            Projector(Dc, Gm).complement_basis(points)
+        with pytest.raises(ValueError, match=message):
+            hj_algebraic_check(dataclasses.replace(sysd, controls=Dc), X, points)
+        with pytest.raises(ValueError, match=message):
+            reparam_admissible(S, Gm, Dc, "1", points)
+        nan_at_2 = Section(lambda x: np.full(m, np.nan) if np.array_equal(x, points[2]) else X(x), m)
+        assert_non_finite(hj_algebraic_check(dataclasses.replace(sysd, controls=Dc), nan_at_2,
+                                             points), points[2])
+
+    def test_one_candidate_jacobian_per_stack(self, planar, board, flat2, monkeypatch):
+        """A stack reads the candidate's value and Jacobian in one call, and
+        so does a sweep of the algebraic check."""
+        for sysd in (planar, board, flat2):
+            X = hj_sections(sysd)[0]
+            calls = []
+            original = X.value_and_jacobian
+
+            def counted(x, original=original):
+                calls.append(np.shape(x))
+                return original(x)
+
+            counted.stacks = original.stacks  # it takes a stack, as the table's does
+            monkeypatch.setattr(X, "value_and_jacobian", counted)
+            points = sysd.sample(12, seed=6)
+            hj_residual(sysd.structure, sysd.metric, sysd.potential, sysd.controls, X, points)
+            hj_algebraic_check(sysd, X, points)
+            monkeypatch.undo()
+            assert calls == [(12, sysd.n)] * 2, sysd.name
+
+    def test_potential_gradient_along_the_flow(self, planar):
+        """A document with a potential: the stacked gradient and the
+        closedness scan of the trajectory check are the per-point ones."""
+        from algmech import base_flow, gradient, lift, sharp
+        from algmech.algebroid import d_function
+
+        doc = dump_spec(planar)
+        doc["potential"] = "0.1*x^2 + cos(theta)"
+        sysd = load_spec(doc)
+        S, Gm, V, Dc = sysd.structure, sysd.metric, sysd.potential, sysd.controls
+        points = sysd.sample(12, seed=9)
+        kappa = d_function(S, V, points)
+        for p, row, k, up in zip(points, gradient(S, Gm, V, points), kappa, sharp(Gm, kappa, points)):
+            assert equal_bits(row, gradient(S, Gm, V, p)) and equal_bits(up, sharp(Gm, k, p))
+        for name in ("gY2", "xY1"):
+            X = sysd.candidates[name]
+            p0 = points[1]
+            rep = hj_trajectory_equivalence(S, Gm, V, Dc, X, p0, 1.0, 1e-2)
+            base = lift(X, base_flow(S, X, p0, 0.0, 1.0, 1e-2)).base
+            scanned = base[::max(1, len(base) // 16)]
+            gammas = christoffel_field(S, Gm)(scanned)
+            closed = [hj_pointwise(S, Gm, V, Dc, X, x, g)[0] for x, g in zip(scanned, gammas)]
+            assert rep.details["closedness_residual"] == pointwise_worst(closed, scanned)[0], name
 
 
 class TestTruncationDetails:
@@ -766,6 +1131,20 @@ class TestHamiltonJacobi:
         assert rep.verdict == "fail"
         assert rep.witness_point is not None
         assert rep.worst_residual > 0.1
+
+    def test_non_finite_christoffel_is_rejected_without_a_tensor(self, planar):
+        """Given no tensor, the residual takes ``christoffel``'s, which
+        rejects a non-finite one, at a point and at a stack."""
+        from algmech import AlgebroidStructure
+
+        S = AlgebroidStructure(planar.coords, planar.m, planar.structure.anchor,
+                               lambda x: np.full((3, 3, 3), np.nan))
+        X = planar.candidates["gY1"]
+        for p in (np.array([0.2, -0.1, 0.4]), planar.sample(3, seed=1)):
+            with pytest.raises(ValueError, match="non-finite Christoffel entries"):
+                hj_residual(S, planar.metric, planar.potential, planar.controls, X, p)
+            with pytest.raises(ValueError, match="non-finite Christoffel entries"):
+                covariant_derivative(S, planar.metric, np.eye(3), X, p)
 
     def test_pointwise_residual_pair(self, planar):
         closed, hj = hj_residual(planar.structure, planar.metric, planar.potential,
