@@ -10,6 +10,7 @@ point, which is how subbundle-induced structures are realized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,6 +45,13 @@ _MIRROR_RTOL = 1e-9
 # A point's values are checked on every field call: a float array passes
 # these two identity tests and skips np.asarray.
 _ARRAY, _FLOAT = np.ndarray, np.dtype(float)
+# A table compiles the loop of a stacked form once its stacks of that form
+# have brought it more points than this.  The loop saves about 1 us a point
+# against a call per point and costs 0.15-1.1 ms to compile, so it pays
+# after about 150-1200 points.  The loader's sampled checks stack a table at
+# most 4 times at the same 16 points; a battery stacks each of its busiest
+# tables at 700-1600 points.
+_STACK_COMPILE_POINTS = 256
 
 
 def _as_expr(entry) -> Expr:
@@ -65,15 +73,16 @@ class _ExprTable:
     the call at its point; an entry that fails raises at the first failing
     point, with the message of a call at that point.  The table is compiled
     (:func:`expr._compile_table`) on its first call: many tables, such as
-    unused candidate sections, are never evaluated.  The stacked form is
-    compiled from the same code on the first call with a stack
-    (:func:`expr._compile_stack`), so a table never called with one pays
-    nothing for it.  :meth:`value_and_jacobian` compiles its function
-    beside the values one on its first call, and a ``differentiable``
-    table, one its consumers differentiate (a metric, an embedded frame),
-    compiles both on its first call of either kind, in one pass over the
-    expressions; it too takes a point or a stack, its stacked form compiled
-    on its first call with a stack.
+    unused candidate sections, are never evaluated.  A stack is evaluated
+    by a call per point until the table's stacks have brought it more than
+    ``_STACK_COMPILE_POINTS`` points; then the loop over a stack is compiled
+    from the same code (:func:`expr._compile_stack`), so a table stacked
+    only by the loader's sampled checks compiles none.
+    :meth:`value_and_jacobian` compiles its function beside the values one
+    on its first call, and a ``differentiable`` table, one its consumers
+    differentiate (a metric, an embedded frame), compiles both on its first
+    call of either kind, in one pass over the expressions; it too takes a
+    point or a stack, with its own count of stacked points.
     """
 
     stacks = True  # a call takes a stack of points (see _at_points)
@@ -92,8 +101,10 @@ class _ExprTable:
         self.differentiable = differentiable
         self._compiled = None
         self._compiled_jacobian = None
-        self._compiled_stack = None
-        self._compiled_jacobian_stack = None
+        # The stacked form of the values and of value_and_jacobian, and the
+        # points stacked so far in each (see _stack).
+        self._stacked = [None, None]
+        self._stacked_points = [0, 0]
 
     def _compile(self, jacobian: bool) -> tuple:
         """Compile the values function, and the Jacobian's beside it when
@@ -122,21 +133,27 @@ class _ExprTable:
     def _stack(self, points, jacobian: bool = False):
         if points.ndim != 2 or points.shape[1] != len(self.coords):
             self._reject(points)
-        # Threads racing here each compile an equal function; the last store
-        # wins.
-        if jacobian:
-            stacked = self._compiled_jacobian_stack
-            if stacked is None:
-                stacked = self._compiled_jacobian_stack = ex._compile_stack(
-                    self._compiled_jacobian or self._compile(True)[1])
-            values, rows = stacked(points.tolist())
-            return (values.reshape(len(points), *self.shape),
-                    rows.reshape(len(points), *self.shape, len(self.coords)))
-        stacked = self._compiled_stack
+        stacked = self._stacked[jacobian]
         if stacked is None:
-            stacked = self._compiled_stack = ex._compile_stack(
-                self._compiled or self._compile(False)[0])
-        return stacked(points.tolist()).reshape(len(points), *self.shape)
+            # Threads racing here may lose an update of the count, which only
+            # delays the compile, or each compile an equal function, of which
+            # the last store wins.
+            self._stacked_points[jacobian] += len(points)
+            point_fn = (self._compiled_jacobian or self._compile(True)[1] if jacobian
+                        else self._compiled or self._compile(False)[0])
+            if self._stacked_points[jacobian] > _STACK_COMPILE_POINTS:
+                stacked = self._stacked[jacobian] = ex._compile_stack(point_fn)
+        rows = points.tolist()
+        if not jacobian:
+            values = stacked(rows) if stacked else np.array([point_fn(p) for p in rows])
+            return values.reshape(len(points), *self.shape)
+        if stacked:
+            values, jacobians = stacked(rows)
+        else:
+            pairs = [point_fn(p) for p in rows]
+            values, jacobians = np.array([v for v, _ in pairs]), np.array([j for _, j in pairs])
+        return (values.reshape(len(points), *self.shape),
+                jacobians.reshape(len(points), *self.shape, len(self.coords)))
 
     def value_and_jacobian(self, x) -> tuple:
         """The values at ``x``, bitwise those of a call, and their exact
@@ -259,16 +276,20 @@ class ChartDomain:
         return 0.5 * (self.lower + self.upper)
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
-        """Deterministic low-discrepancy points inside the box, avoiding exclusions."""
+        """Deterministic low-discrepancy points inside the box, avoiding
+        exclusions; ``count`` is an integer (``TypeError`` otherwise)."""
+        count = operator.index(count)
         if count < 1:
             raise ValueError(f"sample count must be at least 1, got {count}")
         if self.dim == 0:
             return np.zeros((count, 0))
         sampler = qmc.Halton(d=self.dim, scramble=True, seed=seed)
+        extent = self.upper - self.lower
         points = []
         attempts = 0
         while len(points) < count:
-            batch = qmc.scale(sampler.random(max(count, 8)), self.lower, self.upper)
+            # qmc.scale's arithmetic, without its checks of the unit sample.
+            batch = sampler.random(max(count, 8)) * extent + self.lower
             for row in batch:
                 if not any(exc.violated(row) for exc in self.exclusions):
                     points.append(row)

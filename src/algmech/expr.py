@@ -17,7 +17,8 @@ expressions into one straight-line Python function with bitwise-equal
 results and, on request, a second one that also returns the table's
 Jacobian, emitted from the ``diff`` trees by the same code generator.
 :func:`_compile_stack` runs the same straight-line code in a loop over a
-stack of points.
+stack of points; a table compiles that loop only once its stacks have
+brought it enough points to pay for the compile.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ class Expr:
             kind = type(node)
             own = (node.value if kind is Num else node.name if kind is Var
                    else node.op if kind is BinOp else node.func if kind is Call else None)
-            hashes[id(node)] = hash((kind, own, *[hashes[id(child)] for child in _children(node)]))
+            below = ((node.left, node.right) if kind is BinOp else (node.arg,) if kind is Neg
+                     else node.args if kind is Call else ())
+            hashes[id(node)] = hash((kind, own, *[hashes[id(child)] for child in below]))
         return hashes[id(self)]
 
     def __repr__(self) -> str:
@@ -147,40 +150,30 @@ class Expr:
         written at each."""
         text = {}  # node -> its repr; every node is alive in the tree
         for node in _postorder((self,)):
-            parts = [text[id(child)] for child in _children(node)]
             kind = type(node)
             if kind is Num:
                 text[id(node)] = f"Num(value={node.value!r})"
             elif kind is Var:
                 text[id(node)] = f"Var(name={node.name!r})"
             elif kind is Neg:
-                text[id(node)] = f"Neg(arg={parts[0]})"
+                text[id(node)] = f"Neg(arg={text[id(node.arg)]})"
             elif kind is BinOp:
-                text[id(node)] = f"BinOp(op={node.op!r}, left={parts[0]}, right={parts[1]})"
+                left, right = text[id(node.left)], text[id(node.right)]
+                text[id(node)] = f"BinOp(op={node.op!r}, left={left}, right={right})"
             else:
-                args = ", ".join(parts)
-                tail = "," if len(parts) == 1 else ""
+                args = ", ".join([text[id(arg)] for arg in node.args])
+                tail = "," if len(node.args) == 1 else ""
                 args = f"[{args}]" if isinstance(node.args, list) else f"({args}{tail})"
                 text[id(node)] = f"Call(func={node.func!r}, args={args})"
         return text[id(self)]
 
 
-def _children(node: Expr) -> tuple:
-    """The operands of a node, left to right."""
-    kind = type(node)
-    if kind is BinOp:
-        return node.left, node.right
-    if kind is Neg:
-        return (node.arg,)
-    return tuple(node.args) if kind is Call else ()
-
-
-def _postorder(roots: Sequence[Expr], operands: Callable = _children) -> list:
+def _postorder(roots: Sequence[Expr], operands: Callable = None) -> list:
     """The nodes of the trees under ``roots``, each once (by identity) and
     after its operands, left to right, a shared subtree at its first place:
     the order of a recursive walk, on a stack of its own.  ``operands(node)``
-    are the operands walked under a node (by default all of them); a node
-    with none is a leaf."""
+    are the operands walked under a node, all of them where it returns None
+    (by default); a node with none is a leaf."""
     order, seen = [], set()  # every node is alive in `roots`
     pending = list(roots)[::-1]
     while pending:
@@ -189,11 +182,18 @@ def _postorder(roots: Sequence[Expr], operands: Callable = _children) -> list:
             order.append(pending.pop())
         elif id(node) not in seen:
             seen.add(id(node))
-            below = operands(node)
+            kind = type(node)
+            below = operands(node) if operands else None
             if below:
                 pending += (node, None, *below[::-1])
-            else:
+            elif below is not None or kind is Num or kind is Var:
                 order.append(node)
+            elif kind is BinOp:
+                pending += (node, None, node.right, node.left)
+            elif kind is Neg:
+                pending += (node, None, node.arg)
+            else:
+                pending += (node, None, *node.args[::-1])
     return order
 
 
@@ -552,14 +552,12 @@ def diff(node: Expr, var: str, constant: Callable[[Expr], object] = _literal) ->
     have no rule themselves), a constant exponent below one at a zero base,
     and an exponent that reads ``var`` at a base ``<= 0`` (``ln`` of it).
     """
-    def operands(sub: Expr) -> tuple:
-        # What the rule below reads: no operand of a constant, and of a call
-        # only its argument, or both of atan2.
+    def operands(sub: Expr):
+        # What the rule below reads: no operand of a constant, of a call only
+        # its argument, or both of atan2, and all of any other node (None).
         if constant(sub) is not None:
             return ()
-        if type(sub) is Call and sub.func != "atan2":
-            return sub.args[:1]
-        return _children(sub)
+        return sub.args[:1] if type(sub) is Call and sub.func != "atan2" else None
 
     derivatives = {}  # node -> its derivative; every node is alive in `node`
     for sub in _postorder((node,), operands):
@@ -710,7 +708,7 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
             names[key] = constant(values[key])
         return names[key]
 
-    def walk(roots, operands=_children):
+    def walk(roots, operands=None):
         """One pass over the nodes under ``roots`` not seen before: the mask
         of each, the value of one that reads no coordinate and evaluates
         here, and the line of every other."""
@@ -720,8 +718,13 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                 continue
             kind = type(node)
             mask = bits.get(node.name, 0) if kind is Var else 0
-            for operand in _children(node):
-                mask |= masks[id(operand)]
+            if kind is BinOp:
+                mask = masks[id(node.left)] | masks[id(node.right)]
+            elif kind is Neg:
+                mask = masks[id(node.arg)]
+            elif kind is Call:
+                for arg in node.args:
+                    mask |= masks[id(arg)]
             if not mask:
                 try:
                     values[key] = _evaluate(node, values, env)
@@ -747,12 +750,9 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     walk(exprs)
     size = len(exprs) * len(coords)
     if not any([masks[id(e)] for e in exprs]):
-        # Copying a stored array is about twice as fast as building one from
-        # the constants (3 entries: 0.20 against 0.44 us, timeit minima on
-        # CPython 3.11, numpy 2.4, a shared 2-core Xeon).  Control sections
-        # and constant metrics make these calls: one run_battery at seed 1
-        # calls constant tables about 3.0k / 1.9k / 2.6k times (planar body /
-        # robotic leg / snakeboard), and their Jacobian form 406 times more.
+        # Copying a stored array is about twice as fast as building one (3
+        # entries: 0.20 against 0.44 us, CPython 3.11, numpy 2.4); a battery
+        # makes thousands of calls of constant control sections and metrics.
         stored = np.array([values[id(e)] for e in exprs])
         if not jacobian:
             return lambda point: stored.copy()
@@ -777,7 +777,7 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                     tree = diff(e, name, folded)
                     if tree is not _ZERO:
                         derivatives[row * len(coords) + i] = tree
-        walk(derivatives.values(), lambda node: () if id(node) in masks else _children(node))
+        walk(derivatives.values(), lambda node: () if id(node) in masks else None)
         entries = [named(tree) for tree in derivatives.values()]
         namespace["_nonzero"] = np.array(list(derivatives), dtype=int)
         source += ["def _table_jacobian(point):", *unpack, *lines,
@@ -806,9 +806,9 @@ def _compile_stack(table: Callable) -> Callable:
     runs the function's straight-line code, kept with it, in a loop over
     the points, so each entry is bitwise the function's at that point, and
     the first point where an entry fails raises what the function raises
-    there.  Compiled on request: a table that is never called with a stack
-    never compiles one.  A table whose entries all fold has no code, and its
-    stack repeats the folded values (and the zero Jacobian).
+    there.  ``algebroid._ExprTable`` compiles it once a table's stacks pay
+    for it.  A table whose entries all fold has no code, and its stack
+    repeats the folded values (and the zero Jacobian).
     """
     if not hasattr(table, "kept"):
         folded = table(None)

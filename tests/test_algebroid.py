@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from algmech import (
     AlgebroidStructure,
@@ -19,9 +20,12 @@ from algmech import (
     lie_closure_rank,
     Projector,
     Subbundle,
+    dump_spec,
+    load_spec,
     parse,
 )
 from algmech.algebroid import span_rank
+from algmech.report import run_battery
 
 
 def basis(i, m=3):
@@ -373,6 +377,50 @@ class TestChartDomain:
         with pytest.raises(ValueError, match="at least 1"):
             chart.sample(0)
         assert chart.sample(2).shape == (2, len(lower))
+
+    @pytest.mark.parametrize("lower", [[0.0], []])
+    def test_sample_count_is_an_integer(self, lower, planar):
+        """A count that is not an integer raises rather than draw another
+        number of points, and so does a battery given one."""
+        chart = ChartDomain(lower, [1.0] if lower else [])
+        for count in (2.5, 3.0, "3", None):
+            with pytest.raises(TypeError):
+                chart.sample(count)
+        assert chart.sample(np.int64(3)).shape == (3, len(lower))
+        with pytest.raises(TypeError):
+            run_battery(planar, samples=2.5)
+
+    @staticmethod
+    def _qmc_scale_sample(chart, count, seed):
+        """The sampling loop with qmc.scale, and the number of draws it took."""
+        sampler = qmc.Halton(d=chart.dim, scramble=True, seed=seed)
+        points, draws = [], 0
+        while len(points) < count:
+            draws += 1
+            for row in qmc.scale(sampler.random(max(count, 8)), chart.lower, chart.upper):
+                if not any(exc.violated(row) for exc in chart.exclusions) and len(points) < count:
+                    points.append(row)
+        return np.array(points), draws
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_sample_scales_as_qmc_scale(self, dim):
+        rng = np.random.default_rng(dim)
+        lower = rng.uniform(-5.0, 1.0, dim)
+        chart = ChartDomain(lower, lower + rng.uniform(0.1, 7.0, dim))
+        for seed in range(6):
+            for count in (1, 5, 8, 20, 33):
+                expected, _ = self._qmc_scale_sample(chart, count, seed)
+                assert chart.sample(count, seed).tobytes() == expected.tobytes()
+
+    def test_sample_draws_again_as_qmc_scale(self, board):
+        """A snakeboard chart whose steering box reaches its exclusions: 2
+        of the first 16 points are excluded, so the sample draws again."""
+        doc = dump_spec(board)
+        doc["chart"]["box"]["phi"] = [-3.0, 3.0]
+        chart = load_spec(doc).chart
+        expected, draws = self._qmc_scale_sample(chart, 16, 3)
+        assert draws == 2
+        assert chart.sample(16, 3).tobytes() == expected.tobytes()
 
     def test_contains(self):
         chart = ChartDomain([0.0], [1.0], (Exclusion(0, 0.5, margin=0.1),))

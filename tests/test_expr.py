@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from algmech import algebroid
 from algmech import expr as ex
 from algmech.algebroid import _ExprTable
 from algmech.expr import (
@@ -578,28 +579,73 @@ class TestCompiledTable:
         with pytest.raises(EvalError, match="division by zero"):
             failing(np.zeros((2, 0)))
 
-    def test_a_table_never_stacked_compiles_no_stacked_function(self, monkeypatch):
+    @pytest.mark.parametrize("jacobian", [False, True], ids=["values", "jacobian"])
+    def test_a_stacked_loop_compiles_once_its_stacks_pass_the_threshold(self, monkeypatch,
+                                                                        jacobian):
+        """Stacks of one form bringing a table up to _STACK_COMPILE_POINTS
+        points are a call per point and compile no loop; the stack that
+        passes it compiles exactly one, and the other form keeps its own
+        count.  On both sides each row is bitwise its point's call, a failing
+        stack raises its first failing point's error, and an empty stack has
+        the stacked shape."""
         compiled = []
         compile_stack = ex._compile_stack
         monkeypatch.setattr(ex, "_compile_stack", lambda f: compiled.append(f) or compile_stack(f))
-        table = _ExprTable([parse("sin(x)*y"), parse("x - y")], (2,), ("x", "y"), {})
-        table([0.1, 0.2])
-        table.value_and_jacobian([0.1, 0.2])
-        assert table._compiled_stack is None and not compiled
-        table(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        table(np.array([[0.5, 0.6]]))
-        assert table._compiled_stack is not None and len(compiled) == 1
+        table = _ExprTable([parse("sin(x)*y"), parse("1/(x - y)"), parse("sqrt(x)")], (3,),
+                           ("x", "y"), {})
+        call, other = ((table.value_and_jacobian, table) if jacobian
+                       else (table, table.value_and_jacobian))
+        limit = algebroid._STACK_COMPILE_POINTS
+        points = np.random.default_rng(28).uniform(0.1, 2.0, size=(limit, 2))
+        # sqrt fails at the second point, the division at the third.
+        failing = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, 1.0]])
+
+        def check(stack):
+            got = call(stack)
+            want = [call(p) for p in stack]
+            if jacobian:
+                assert got[0].tobytes() == np.array([v for v, _ in want]).tobytes()
+                assert got[1].tobytes() == np.array([j for _, j in want]).tobytes()
+                assert got[1].shape == (len(stack), 3, 2)
+            else:
+                assert got.tobytes() == np.array(want).tobytes() and got.shape == (len(stack), 3)
+            with pytest.raises(EvalError, match="^sqrt of a negative value$"):
+                call(failing)
+            empty = call(np.zeros((0, 2)))
+            assert (empty[1].shape == (0, 3, 2)) if jacobian else (empty.shape == (0, 3))
+
+        check(points[:limit - len(failing)])  # up to the threshold, not past it
+        assert not compiled
+        other(points)  # the other form's count is its own
+        assert not compiled
+        check(points[:2])
+        assert len(compiled) == 1
+        check(points)
+        assert len(compiled) == 1
 
     def test_first_call_from_many_threads(self):
+        """Threads racing on a table's first call, and on its stacks across
+        the compile threshold, all get the single-threaded rows, and none
+        raises."""
         exprs = [parse("sin(x)*y/(1 + x^2)"), parse("atan2(y, x) - ln(1 + y^2)")]
         points = [np.array([0.1 * k, 1.0 - 0.05 * k]) for k in range(8)]
         expected = [_tree_walk(exprs, p, {}, ("x", "y")) for p in points]
         table = _ExprTable(exprs, (2,), ("x", "y"), {})
         results = [None] * len(points)
+        stacks = [[] for _ in points]
+        errors = []
+        # One thread per point stacks all the points 50 times, so the stacks
+        # cross the compile threshold while the threads race.  A lost update
+        # of the table's count of stacked points only delays the compile.
+        assert 50 * len(points) ** 2 > 10 * algebroid._STACK_COMPILE_POINTS
 
         def work(k):
-            for _ in range(50):
-                results[k] = table(points[k])
+            try:
+                for _ in range(50):
+                    results[k] = table(points[k])
+                    stacks[k].append(table(np.roll(points, k, axis=0)))
+            except Exception as exc:
+                errors.append(exc)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -611,9 +657,13 @@ class TestCompiledTable:
                 t.join(timeout=30)
         finally:
             sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in threads) and not errors
         for got, want in zip(results, expected):
             assert got.tobytes() == want.tobytes()
+        for k, stacked in enumerate(stacks):
+            want = np.roll(expected, k, axis=0).tobytes()
+            assert len(stacked) == 50 and all(rows.tobytes() == want for rows in stacked)
+        assert table._stacked[False] is not None
 
     def test_first_calls_of_both_kinds_from_many_threads(self):
         """Threads racing on the first values and Jacobian calls of a

@@ -401,21 +401,33 @@ class TestStackedRows:
             for p, row in zip(points, stacked):
                 assert equal_bits(row, d_function(S, f, p)), sysd.name
 
-    def test_stacked_jacobian_compiles_on_its_first_stacked_call(self):
+    def test_stacked_jacobian_on_both_sides_of_the_compile_threshold(self, monkeypatch):
+        """The stacked value_and_jacobian, a call per point up to
+        _STACK_COMPILE_POINTS stacked points and one compiled loop after:
+        the same rows, structurally zero columns, folded tables and empty
+        stacks on both sides."""
+        from algmech import algebroid
+        from algmech import expr as ex
         from algmech.algebroid import _ExprTable
 
+        compiled = []
+        compile_stack = ex._compile_stack
+        monkeypatch.setattr(ex, "_compile_stack", lambda f: compiled.append(f) or compile_stack(f))
         table = _ExprTable(["x*y", "sin(x)", "3"], (3,), ("x", "y"), {})
-        points = np.array([[0.1, 0.2], [0.3, -0.4]])
-        table.value_and_jacobian(points[0])
-        assert table._compiled_jacobian_stack is None
-        values, jacobians = table.value_and_jacobian(points)
-        assert table._compiled_jacobian_stack is not None
-        assert jacobians.shape == (2, 3, 2) and not jacobians[:, 2].any()
-        assert equal_bits(jacobians[1], table.value_and_jacobian(points[1])[1])
         folded = _ExprTable(["2", "k"], (2,), ("x",), {"k": 3.0})
-        values, jacobians = folded.value_and_jacobian(np.zeros((4, 1)))
-        assert equal_bits(values, np.tile([2.0, 3.0], (4, 1))) and jacobians.shape == (4, 2, 1)
-        assert table.value_and_jacobian(np.zeros((0, 2)))[1].shape == (0, 3, 2)
+        limit = algebroid._STACK_COMPILE_POINTS
+        points = np.random.default_rng(404).uniform(-1.0, 1.0, size=(limit, 2))
+        for stack, compiles in ((points[:2], 0), (points[2:], 0), (points[:3], 2), (points, 2)):
+            values, jacobians = table.value_and_jacobian(stack)
+            assert jacobians.shape == (len(stack), 3, 2) and not jacobians[:, 2].any()
+            for p, value, jacobian in zip(stack, values, jacobians):
+                expected = table.value_and_jacobian(p)
+                assert equal_bits(value, expected[0]) and equal_bits(jacobian, expected[1])
+            values, jacobians = folded.value_and_jacobian(np.zeros((len(stack), 1)))
+            assert equal_bits(values, np.tile([2.0, 3.0], (len(stack), 1)))
+            assert equal_bits(jacobians, np.zeros((len(stack), 2, 1)))
+            assert table.value_and_jacobian(np.zeros((0, 2)))[1].shape == (0, 3, 2)
+            assert len(compiled) == compiles
 
     @pytest.mark.parametrize("fixture", BUILTIN_FIXTURES)
     def test_complement_basis(self, fixture, request):

@@ -20,6 +20,7 @@ from algmech import (
     suslov,
 )
 from algmech import expr as ex
+from algmech.algebroid import _STACK_COMPILE_POINTS
 from algmech.report import christoffel_table, run_battery
 from algmech.systems import induced_algebroid
 
@@ -538,7 +539,9 @@ class TestStackedTables:
             chart = sysd.chart
             for role, table in expression_tables(sysd).items():
                 roles.add(role.split()[0])
-                for count in (1, 3, 20, 101):
+                # The last stack takes every table past the compile threshold, so
+                # both the calls per point and the compiled loop are checked.
+                for count in (1, 3, 20, 101, _STACK_COMPILE_POINTS):
                     points = []
                     while len(points) < count:  # uniform in the box, off the exclusions
                         p = rng.uniform(chart.lower, chart.upper)
@@ -557,6 +560,18 @@ class TestStackedTables:
                         == np.array([sysd.metric(p) for p in points]).tobytes()), sysd.name
         assert {"anchor", "structure", "metric", "frame", "ambient", "koszul", "section",
                 "embedded"} <= roles
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_a_document_load_compiles_no_stacked_loop(self, name, monkeypatch):
+        """The loader's sampled checks stack each table a few times at the
+        same points, too few for a compiled loop to pay for itself: loading
+        a builtin's document and taking its Christoffel table compiles none."""
+        doc = dump_spec(builtin(name))
+        compiled = []
+        compile_stack = ex._compile_stack
+        monkeypatch.setattr(ex, "_compile_stack", lambda f: compiled.append(f) or compile_stack(f))
+        christoffel_table(load_spec(doc))
+        assert not compiled
 
     def test_induced_gram_matrix_of_a_stack_is_nan_where_a_value_is_not(self, board):
         """A frame or ambient value that is not finite gives a NaN Gram
