@@ -596,7 +596,7 @@ class TestCompiledTable:
         call, other = ((table.value_and_jacobian, table) if jacobian
                        else (table, table.value_and_jacobian))
         limit = algebroid._STACK_COMPILE_POINTS
-        points = np.random.default_rng(28).uniform(0.1, 2.0, size=(limit, 2))
+        points = np.random.default_rng(7).uniform(0.1, 2.0, size=(limit, 2))
         # sqrt fails at the second point, the division at the third.
         failing = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, 1.0]])
 
