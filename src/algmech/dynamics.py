@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .algebroid import (AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _at_points,
                         _ExprTable)
@@ -89,6 +90,21 @@ class ControlSignal:
         return self._table(x)
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(G, b):
+    """``np.linalg.solve(G, b)`` of float arrays, bitwise: its LAPACK gufunc
+    under its error state, without its checks and conversions, which cost
+    several times the solve of a spray's small metric.  A singular ``G``
+    raises ``LinAlgError``; no warning escapes."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gufunc(G, b, signature="dd->d")
+
+
 def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceField] = None,
                 inputs: Sequence[Section] = (), signal: Optional[ControlSignal] = None) -> Callable:
     """Packed field ``(t, z) -> dz`` on the total space.
@@ -146,11 +162,14 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             G, K = values[metric_at:koszul_at], values[koszul_at:].reshape(m * m, m)
             if not _finite(G):
                 raise _singular(x)
+            # The solve is odd in its right-hand side, so solving with
+            # -K(y, y) / 2 is -solve(G, K(y, y) / 2), bitwise but for the
+            # sign of an exact zero.
             try:
-                acc = np.linalg.solve(G.reshape(m, m), 0.5 * ((y[:, None] * y).ravel() @ K))
+                dy = _solve(G.reshape(m, m), -0.5 * ((y[:, None] * y).ravel() @ K))
             except np.linalg.LinAlgError:
                 raise _singular(x) from None
-            return values[:metric_at].reshape(m, n).T @ y, -acc
+            return values[:metric_at].reshape(m, n).T @ y, dy
 
         def spray_stack(z):
             # The field at a stack of states: one call of the table (one per
@@ -160,14 +179,14 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             count = len(z)
             values = _at_points(table, z[:, :n], (koszul_at + m ** 3,), "Koszul values")
             G = values[:, metric_at:koszul_at].reshape(count, m, m)
-            if not np.isfinite(G).all():
+            if not _finite(G):
                 raise SingularMetricError("metric is not finite at a stacked point")
             y = z[:, n:]
             yy = (y[:, :, None] * y[:, None, :]).reshape(count, 1, m * m)
             K = values[:, koszul_at:].reshape(count, m * m, m)
-            acc = np.linalg.solve(G, (0.5 * (yy @ K)).transpose(0, 2, 1))[:, :, 0]
+            dy = _solve(G, (-0.5 * (yy @ K)).transpose(0, 2, 1))[:, :, 0]
             dx = (y[:, None, :] @ values[:, :metric_at].reshape(count, m, n))[:, 0]
-            return np.concatenate([dx, -acc], axis=1)
+            return np.concatenate([dx, dy], axis=1)
 
     stacked = spray_stack if force is None and not inputs else None
 

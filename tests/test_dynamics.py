@@ -643,6 +643,59 @@ class TestStackedSpray:
             field(0.0, np.array([[0.5, 1.0], [-0.5, 1.0], [0.2, 1.0]]))
 
 
+    def test_the_direct_solve_is_numpys_solve(self, leg, board):
+        """The spray solves with LAPACK's gufunc directly: its acceleration is
+        -np.linalg.solve(G, K(y, y) / 2) built from the Koszul table's own
+        values, at states and in stacks of 1, 3 and 8, bitwise but for the
+        sign of an exact zero (the snakeboard's rotor accelerates by 0)."""
+        from algmech import load_spec
+        from algmech.geometry import _connection
+
+        def unsigned(a):
+            return (a + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
+
+        for sysd in (leg, board, load_spec(LEG_EMBEDDED), load_spec(BOARD_INTRINSIC)):
+            n, m = sysd.n, sysd.m
+            fixed, table = _connection(sysd.structure, sysd.metric)
+            assert fixed is None, sysd.name
+            field = spray_field(sysd.structure, sysd.metric)
+            rng = np.random.default_rng(17)
+            for count in (1, 3, 8):
+                Z = np.array([np.concatenate([p, rng.uniform(-2.0, 2.0, size=m)])
+                              for p in sysd.sample(count, seed=count)])
+                expected = []
+                for z in Z:
+                    values = table(z[:n])
+                    G = values[n * m:n * m + m * m].reshape(m, m)
+                    K = values[n * m + m * m:].reshape(m * m, m)
+                    yy = (z[n:, None] * z[n:]).ravel()
+                    expected.append(-np.linalg.solve(G, 0.5 * (yy @ K)))
+                expected = np.array(expected)
+                assert unsigned(field(0.3, Z)[:, n:]) == unsigned(expected), sysd.name
+                for z, row in zip(Z, expected):
+                    assert unsigned(field(0.3, z)[n:]) == unsigned(row), sysd.name
+
+    def test_a_singular_metric_through_the_compiled_table(self):
+        """A metric of the compiled Koszul table whose LU pivot is exactly 0
+        at x = 0.5: the state, a stack holding it second and an integration
+        from it all name the point."""
+        from algmech import SingularMetricError, load_spec
+        from algmech.algebroid import _ExprTable
+        from algmech.geometry import _connection
+
+        sysd = load_spec(SINGULAR_AT_HALF)
+        assert isinstance(_connection(sysd.structure, sysd.metric)[1], _ExprTable)
+        field = spray_field(sysd.structure, sysd.metric)
+        message = r"^metric is singular at \[0\.5\]$"
+        with pytest.raises(SingularMetricError, match=message):
+            field(0.0, np.array([0.5, 1.0, 1.0]))
+        with pytest.raises(SingularMetricError, match=message):
+            field(0.0, np.array([[0.2, 1.0, 1.0], [0.5, 1.0, 1.0], [0.7, 1.0, -1.0]]))
+        traj = integrate(field, TotalPoint([0.5], [1.0, 1.0]), 0.0, 0.1, 1e-2, chart=sysd.chart)
+        assert len(traj) == 1 and traj.truncated
+        assert traj.reason == "field evaluation failed: metric is singular at [0.5]"
+
+
 class TestBaseFlowAndLift:
     def test_first_control_flow_moves_straight(self, planar):
         sigma = base_flow(planar.structure, Section.basis(0, 3), [0.0, 0.0, 0.0],
@@ -759,6 +812,14 @@ BOARD_INTRINSIC = {
                ["0", "0", "2"]],
     "chart": {"box": {"x": [-5.0, 5.0], "y": [-5.0, 5.0], "theta": [-3.15, 3.15],
                       "psi": [-3.15, 3.15], "phi": [-1.4, 1.4]}},
+}
+
+# A metric whose LU factorisation has an exact zero pivot at x = 0.5:
+# G = [[1, x], [x, x^2 + (x - 0.5)^2]] is [[1, 0.5], [0.5, 0.25]] there.
+SINGULAR_AT_HALF = {
+    "name": "singular_at_half", "mode": "intrinsic", "base": ["x"], "fiber": 2,
+    "anchor": [["1"], ["0"]], "metric": [["1", "x"], ["x", "x^2 + (x - 0.5)^2"]],
+    "chart": {"box": {"x": [-1, 2]}},
 }
 
 
