@@ -848,7 +848,7 @@ def _finite(*arrays) -> bool:
     result is undefined, and 0 * inf would only warn on its way to NaN.
     """
     # Python floats: up to a few dozen entries a fraction of the cost of
-    # np.isfinite, which costs the same up to hundreds (~1.5 us each here).
+    # np.isfinite, whose cost barely grows with the size.
     for a in arrays:
         if a.size > 36:
             if not np.isfinite(a).all():
