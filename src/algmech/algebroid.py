@@ -238,20 +238,6 @@ class Exclusion:
         return abs(float(x[self.index]) - self.value) < self.margin
 
 
-def _reaches(exc, bounds) -> bool:
-    """Whether the exclusion ``exc`` rejects some point of the closed box
-    ``bounds``.  Its test ``|x_i - value| < margin`` is least at the box
-    point nearest ``value``, as ``x_i - value`` rounds monotonically in
-    ``x_i``.  Any other kind of exclusion, or one whose index is outside the
-    box, counts as reaching it."""
-    if type(exc) is not Exclusion or not -len(bounds) <= exc.index < len(bounds):
-        return True
-    lo, hi = bounds[exc.index]
-    nearest = [0.0] * len(bounds)
-    nearest[exc.index] = min(max(exc.value, lo), hi)
-    return exc.violated(nearest)
-
-
 @dataclass(frozen=True)
 class ChartDomain:
     """Coordinate box with optional excluded hypersurfaces."""
@@ -268,12 +254,7 @@ class ChartDomain:
         if np.any(self.lower >= self.upper) and self.lower.size:
             raise ValueError("chart box must have positive extent")
         # The bounds as Python floats: contains runs once per RK4 step.
-        bounds = tuple(zip(self.lower.tolist(), self.upper.tolist()))
-        object.__setattr__(self, "_bounds", bounds)
-        # The exclusions that can reject a point of the box; exclusions stays
-        # whole, for documents.
-        object.__setattr__(self, "_reachable",
-                           tuple(exc for exc in self.exclusions if _reaches(exc, bounds)))
+        object.__setattr__(self, "_bounds", tuple(zip(self.lower.tolist(), self.upper.tolist())))
 
     @property
     def dim(self) -> int:
@@ -282,18 +263,14 @@ class ChartDomain:
     def contains(self, x, pad: float = 0.0) -> bool:
         """Whether the point ``x`` lies in the box widened by ``pad`` (a
         negative ``pad`` shrinks it) and off every exclusion.  A NaN
-        coordinate compares false, so it counts as inside.  Unless ``pad``
-        widens the box, the exclusions that cannot reject a point of the
-        box are not tested."""
+        coordinate compares false, so it counts as inside."""
         values = x.tolist() if isinstance(x, np.ndarray) else x
         if len(values) != len(self._bounds):
             raise ValueError(f"point has dimension {len(values)}, chart has {len(self._bounds)}")
         for v, (lo, hi) in zip(values, self._bounds):
             if v < lo - pad or v > hi + pad:
                 return False
-        # Unpadded or shrunk, the box holds every coordinate tested here.
-        exclusions = self._reachable if pad <= 0 else self.exclusions
-        return not any(exc.violated(values) for exc in exclusions)
+        return not any(exc.violated(values) for exc in self.exclusions)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+# Private: the spray's solve calls its gufuncs solve and solve1 directly.
+# pyproject bounds numpy below 3, and tests/test_dynamics.py checks them
+# bitwise against np.linalg.solve.
 from numpy.linalg import _umath_linalg
 
 from .algebroid import (AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _at_points,
@@ -179,7 +182,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
             count = len(z)
             values = _at_points(table, z[:, :n], (koszul_at + m ** 3,), "Koszul values")
             G = values[:, metric_at:koszul_at].reshape(count, m, m)
-            if not _finite(G):
+            if not np.isfinite(G).all():
                 raise SingularMetricError("metric is not finite at a stacked point")
             y = z[:, n:]
             yy = (y[:, :, None] * y[:, None, :]).reshape(count, 1, m * m)

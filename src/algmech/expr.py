@@ -847,13 +847,9 @@ def _finite(*arrays) -> bool:
     Tested before arithmetic on a value that may not be finite: there the
     result is undefined, and 0 * inf would only warn on its way to NaN.
     """
-    # Python floats: up to a few dozen entries a fraction of the cost of
-    # np.isfinite, whose cost barely grows with the size.
+    # Python floats: at these sizes a fraction of the cost of np.isfinite.
     for a in arrays:
-        if a.size > 36:
-            if not np.isfinite(a).all():
-                return False
-        elif not all(map(math.isfinite, a.ravel().tolist())):
+        if not all(map(math.isfinite, a.ravel().tolist())):
             return False
     return True
 

@@ -436,46 +436,6 @@ class TestChartDomain:
         assert not edge.contains([0.7]) and not edge.contains([0.3])
         assert edge.contains([0.0]) and edge.contains([1.0])
 
-    def test_contains_tests_only_the_exclusions_its_box_reaches(self, board):
-        """Unpadded or shrunk, contains skips the exclusions whose open band
-        misses the closed box, and agrees with the rule that tests every
-        exclusion on a grid with NaN coordinates and edge values (all exact
-        in binary), at negative, zero and positive pads."""
-        reaching = (Exclusion(0, 1.5, margin=0.5 + 2.0 ** -50),  # just reaches x0 = 1
-                    Exclusion(1, 0.5, margin=0.25))
-        missing = (Exclusion(0, 1.25, margin=0.25),  # band (1, 1.5)
-                   Exclusion(0, -0.5, margin=0.5),  # band (-1, 0)
-                   Exclusion(1, 5.0, margin=1.0), Exclusion(1, np.nan, margin=1.0))
-        exclusions = missing[:2] + reaching[:1] + missing[2:] + reaching[1:]
-        chart = ChartDomain([0.0, -1.0], [1.0, 2.0], exclusions)
-        assert chart._reachable == (reaching[0], reaching[1])
-        assert chart.exclusions == exclusions
-
-        def every_exclusion(x, pad):
-            inside = all(not (v < lo - pad or v > hi + pad)
-                         for v, lo, hi in zip(x, chart.lower, chart.upper))
-            return inside and not any(exc.violated(x) for exc in exclusions)
-
-        grid = [-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.25, 1.5, 2.0, 4.5, np.nan]
-        for pad in (-0.25, -0.0, 0.0, 0.25, 1.0, 3.0):
-            for x0 in grid:
-                for x1 in grid:
-                    expected = every_exclusion([x0, x1], pad)
-                    assert chart.contains([x0, x1], pad) == expected, (x0, x1, pad)
-                    assert chart.contains(np.array([x0, x1]), pad) == expected, (x0, x1, pad)
-        assert not chart.contains([1.0, 0.0]) and not chart.contains([0.2, 0.5])
-        assert chart.contains([0.2, 0.0]) and not chart.contains([1.2, 0.0], pad=0.25)
-        # The builtin snakeboard's bands |phi -+ pi/2| < 0.1 miss its steering
-        # box [-1.4, 1.4]; its document keeps them, and a box that reaches
-        # them tests them again.
-        assert len(board.chart.exclusions) == 2 and board.chart._reachable == ()
-        doc = dump_spec(board)
-        assert len(doc["chart"]["exclusions"]) == 2
-        doc["chart"]["box"]["phi"] = [-3.0, 3.0]
-        wide = load_spec(doc).chart
-        assert wide._reachable == wide.exclusions and len(wide.exclusions) == 2
-        assert not wide.contains([0.0, 0.0, 0.0, 0.0, np.pi / 2])
-
     def test_contains_with_pad(self):
         """A positive pad widens the box; a negative one shrinks it."""
         chart = ChartDomain([-1.0, -2.0], [1.0, 2.0])
