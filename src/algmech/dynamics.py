@@ -12,9 +12,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-# Private: the spray's solve calls its gufuncs solve and solve1 directly.
-# pyproject bounds numpy below 3, and tests/test_dynamics.py checks them
-# bitwise against np.linalg.solve.
+# Private: the spray's solve calls the gufuncs solve and solve1 directly,
+# under an error state built once and set in numpy 2's context variable, as
+# np.errstate sets it.  pyproject asks for numpy>=2.0,<3, and
+# tests/test_dynamics.py checks the solve bitwise against np.linalg.solve
+# and the caller's error state after it.
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .algebroid import (AlgebroidStructure, ChartDomain, Section, Trajectory, _as_expr, _at_points,
@@ -97,15 +100,26 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# The error state of np.linalg.solve, built once: np.errstate builds it anew
+# on every entry, which costs more than the gufunc.  Setting it binds it to
+# the current context only, as np.errstate does, so threads do not share it.
+# Its buffer size, which the solve does not read, is the one at import.
+_SOLVE_ERRORS = _make_extobj(call=_raise_singular, invalid="call", over="ignore",
+                             divide="ignore", under="ignore")
+
+
 def _solve(G, b):
     """``np.linalg.solve(G, b)`` of float arrays, bitwise: its LAPACK gufunc
     under its error state, without its checks and conversions, which cost
     several times the solve of a spray's small metric.  A singular ``G``
-    raises ``LinAlgError``; no warning escapes."""
+    raises ``LinAlgError``; no warning escapes, and the caller's error state
+    is back in place on return."""
     gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    token = _extobj_contextvar.set(_SOLVE_ERRORS)
+    try:
         return gufunc(G, b, signature="dd->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceField] = None,
