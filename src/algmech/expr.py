@@ -787,10 +787,9 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
         namespace["_nonzero"] = np.array(list(derivatives), dtype=int)
         namespace["_pack_nonzero"] = struct.Struct(f"{len(entries)}d").pack
         source += ["def _table_jacobian(point):", *unpack, *lines,
-                   f"    _jacobian = _zeros({size})"]
-        if entries:
-            source.append(f"    _jacobian[_nonzero] = _frombuffer(_pack_nonzero({', '.join(entries)}))")
-        source.append(f"    return {result}, _jacobian")
+                   f"    _jacobian = _zeros({size})",
+                   f"    _jacobian[_nonzero] = _frombuffer(_pack_nonzero({', '.join(entries)}))",
+                   f"    return {result}, _jacobian"]
     # Defined outside their globals, so a function and its namespace form no
     # reference cycle and are freed as soon as the table is dropped.
     scope = {}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -694,6 +695,100 @@ class TestStackedSpray:
         traj = integrate(field, TotalPoint([0.5], [1.0, 1.0]), 0.0, 0.1, 1e-2, chart=sysd.chart)
         assert len(traj) == 1 and traj.truncated
         assert traj.reason == "field evaluation failed: metric is singular at [0.5]"
+
+
+    def test_the_solve_restores_the_callers_error_state(self):
+        """The solve sets its own error state and puts the caller's back, on
+        a return and on a singular raise, under numpy's default state and
+        inside a caller's np.errstate, which still acts after it."""
+        from algmech import SingularMetricError, load_spec
+        from algmech.dynamics import _solve
+
+        G = np.array([[2.0, 1.0], [1.0, 3.0]])
+        singular = np.array([[1.0, 0.5], [0.5, 0.25]])  # an exact zero pivot
+        b = np.array([1.0, -1.0])
+        sysd = load_spec(SINGULAR_AT_HALF)
+        field = spray_field(sysd.structure, sysd.metric)
+
+        def handler(kind, flag):
+            raise AssertionError("the caller's handler was called")
+
+        for caller in ({}, {"all": "raise"}, {"all": "call", "call": handler}):
+            with np.errstate(**caller):
+                state = np.geterr(), np.geterrcall()
+                _solve(G, b)
+                _solve(G[None], b[None, :, None])
+                field(0.0, np.array([0.2, 1.0, 1.0]))
+                assert (np.geterr(), np.geterrcall()) == state
+                with pytest.raises(np.linalg.LinAlgError):
+                    _solve(singular, b)
+                with pytest.raises(np.linalg.LinAlgError):
+                    _solve(np.array([G, singular]), np.array([b, b])[:, :, None])
+                with pytest.raises(SingularMetricError):
+                    field(0.0, np.array([0.5, 1.0, 1.0]))
+                assert (np.geterr(), np.geterrcall()) == state
+                if caller.get("all") == "raise":
+                    with pytest.raises(FloatingPointError):
+                        np.divide(1.0, np.zeros(1))
+
+    def test_the_solve_keeps_its_error_state_to_its_thread(self):
+        """One thread integrates toward the singular point of
+        SINGULAR_AT_HALF and from it, while another holds its own
+        np.errstate: neither sees the other's state, and the solve's never
+        escapes."""
+        import threading
+
+        from algmech import load_spec
+
+        sysd = load_spec(SINGULAR_AT_HALF)
+        field = spray_field(sysd.structure, sysd.metric)
+        done, errors = threading.Event(), []
+
+        def integrating():
+            try:
+                state = np.geterr(), np.geterrcall()
+                for _ in range(40):
+                    near = integrate(field, TotalPoint([0.2], [0.5, 0.5]), 0.0, 0.25, 1e-2,
+                                     chart=sysd.chart)
+                    at = integrate(field, TotalPoint([0.5], [1.0, 1.0]), 0.0, 0.1, 1e-2,
+                                   chart=sysd.chart)
+                    assert not near.truncated and at.truncated
+                    assert (np.geterr(), np.geterrcall()) == state
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def holding():
+            try:
+                default = np.geterr(), np.geterrcall()
+                checks = 0
+                while not done.is_set() or not checks:
+                    with np.errstate(all="raise"):
+                        assert np.geterr() == dict.fromkeys(default[0], "raise")
+                        assert np.geterrcall() is None
+                        try:
+                            np.divide(1.0, np.zeros(1))
+                        except FloatingPointError:
+                            pass
+                        else:
+                            raise AssertionError("the thread's errstate did not hold")
+                    assert (np.geterr(), np.geterrcall()) == default
+                    checks += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=integrating), threading.Thread(target=holding)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
 
 
 class TestBaseFlowAndLift:

@@ -623,6 +623,72 @@ class TestCompiledTable:
         check(points)
         assert len(compiled) == 1
 
+    @pytest.mark.parametrize("which", ["three_entries", "snakeboard_koszul", "zero_jacobian"])
+    def test_results_are_fresh_float_arrays_bitwise_the_tree_walk(self, board, which):
+        """Values and Jacobians at a point and at stacks of 0, 1, 3 and
+        _STACK_COMPILE_POINTS + 1 points, called one at a time and through
+        the compiled stacked loop, are fresh, writable, C-contiguous float64
+        arrays, bitwise the tree-walk, and writing into one leaves the next
+        call's unchanged.  The last table reads its coordinate, but no entry
+        of its Jacobian is structurally nonzero."""
+        from algmech.geometry import _koszul_table
+
+        if which == "snakeboard_koszul":
+            table = _koszul_table(board.structure, board.metric)
+            assert len(table.exprs) == 51
+            distinct = board.sample(7, seed=3)
+        else:
+            entries = (["sin(x)*y + a", "x^2 - y/3", "atan2(y, x)"] if which == "three_entries"
+                       else ["x^0", "a + 1"])
+            coords = ("x", "y") if which == "three_entries" else ("x",)
+            table = _ExprTable(entries, (len(entries),), coords, {"a": 0.5})
+            distinct = np.random.default_rng(5).uniform(0.1, 2.0, size=(7, len(coords)))
+        exprs, coords, params = table.exprs, table.coords, table.params
+
+        def constant(node):
+            # What the table folds, as in test_jacobian_is_the_diff_tree_walk.
+            if node.variables().isdisjoint(coords):
+                try:
+                    return node.eval(params)
+                except (ArithmeticError, TypeError, ValueError):
+                    pass
+            return None
+
+        trees = [ex.diff(e, name, constant) for e in exprs for name in coords]
+        if which == "zero_jacobian":
+            assert all(t is ex._ZERO for t in trees)
+        want_values = np.array([_tree_walk(exprs, p, params, coords) for p in distinct])
+        want_jacobians = np.array([[t.eval({**params, **dict(zip(coords, p))}) for t in trees]
+                                   for p in distinct]).reshape(len(distinct), len(exprs),
+                                                               len(coords))
+
+        def fresh(got, previous):
+            assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
+            assert previous is None or not np.shares_memory(got, previous)
+
+        rows = {"point": None, 0: [], 1: [0], 3: [4, 1, 6],
+                "past": [k % len(distinct) for k in range(algebroid._STACK_COMPILE_POINTS + 1)]}
+        last_values = last_jacobian = None
+        for _ in ("one at a time", "through the compiled loop"):
+            for rows_of in rows.values():
+                x = distinct[2] if rows_of is None else distinct[rows_of].reshape(-1, len(coords))
+                expected = (want_values[2], want_jacobians[2]) if rows_of is None else (
+                    want_values[rows_of], want_jacobians[rows_of])
+                for call in (table, table.value_and_jacobian):
+                    got = call(x)
+                    values, jacobian = got if call is not table else (got, None)
+                    fresh(values, last_values)
+                    assert values.tobytes() == expected[0].tobytes()
+                    last_values = values
+                    if jacobian is not None:
+                        fresh(jacobian, last_jacobian)
+                        assert jacobian.tobytes() == expected[1].tobytes()
+                        assert jacobian.shape == expected[1].shape
+                        last_jacobian = jacobian
+                        jacobian[...] = np.nan
+                    values[...] = np.nan
+        assert table._stacked[0] is not None and table._stacked[1] is not None
+
     def test_first_call_from_many_threads(self):
         """Threads racing on a table's first call, and on its stacks across
         the compile threshold, all get the single-threaded rows, and none
