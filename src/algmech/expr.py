@@ -641,9 +641,10 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     """Compile a table of expressions into one function of a point.
 
     The function takes one value per name in ``coords`` and returns the
-    entries as a fresh, writable flat float64 array, built from their bytes.  The values are bitwise those of
-    :meth:`Expr.eval` with the coordinates bound over ``params``, and an
-    entry that fails raises what the tree-walk raises, at the same entry.
+    entries as a fresh, writable flat float64 array, built from their
+    bytes.  The values are bitwise those of :meth:`Expr.eval` with the
+    coordinates bound over ``params``, and an entry that fails raises what
+    the tree-walk raises, at the same entry.
     The generated code is straight-line, one assignment per distinct node,
     written by one post-order pass over the entries:
 
