@@ -71,7 +71,10 @@ class _ExprTable:
     A call takes a point ``(n,)`` and returns the entries, ``shape``, or a
     stack ``(N, n)`` of points and returns ``(N, *shape)``, each row bitwise
     the call at its point; an entry that fails raises at the first failing
-    point, with the message of a call at that point.  The table is compiled
+    point, with the message of a call at that point.  Either result is a
+    fresh, writable, C-contiguous float64 array: at a point, the compiled
+    function's own, built in the table's shape, so :func:`_at_points` hands
+    it on unchecked.  The table is compiled
     (:func:`expr._compile_table`) on its first call: many tables, such as
     unused candidate sections, are never evaluated.  A stack is evaluated
     by a call per point until the table's stacks have brought it more than
@@ -92,6 +95,7 @@ class _ExprTable:
         self.exprs = [_as_expr(e) for e in entries]
         self.shape = shape
         self.coords = tuple(coords)
+        self._point_shape = (len(self.coords),)  # built once, not at every call
         self.params = dict(params)
         free = ex._free_variables(self.exprs)
         extra = free - set(self.coords) - set(self.params)
@@ -112,10 +116,11 @@ class _ExprTable:
         # Threads racing here each compile equal functions and store them;
         # the last store wins and no caller sees a partial one.
         if jacobian or self.differentiable:
-            out = ex._compile_table(self.exprs, self.coords, self.params, jacobian=True)
+            out = ex._compile_table(self.exprs, self.coords, self.params, jacobian=True,
+                                    shape=self.shape)
             self._compiled, self._compiled_jacobian = out
             return out
-        self._compiled = ex._compile_table(self.exprs, self.coords, self.params)
+        self._compiled = ex._compile_table(self.exprs, self.coords, self.params, shape=self.shape)
         return self._compiled, None
 
     def _reject(self, point):
@@ -123,12 +128,11 @@ class _ExprTable:
                          f"got a point of shape {point.shape}")
 
     def __call__(self, x) -> np.ndarray:
-        # The check stays inline: this is the most frequent call in the package.
-        point = np.asarray(x, dtype=float)
-        if point.shape != (len(self.coords),):
+        # The checks stay inline: this is the most frequent call in the package.
+        point = x if type(x) is _ARRAY and x.dtype is _FLOAT else np.asarray(x, dtype=float)
+        if point.shape != self._point_shape:
             return self._stack(point)
-        compiled = self._compiled or self._compile(False)[0]
-        return compiled(point.tolist()).reshape(self.shape)
+        return (self._compiled or self._compile(False)[0])(point.tolist())
 
     def _stack(self, points, jacobian: bool = False):
         if points.ndim != 2 or points.shape[1] != len(self.coords):
@@ -165,11 +169,9 @@ class _ExprTable:
         raising at the first failing point.
         """
         point = np.asarray(x, dtype=float)
-        if point.shape != (len(self.coords),):
+        if point.shape != self._point_shape:
             return self._stack(point, jacobian=True)
-        compiled = self._compiled_jacobian or self._compile(True)[1]
-        values, jacobian = compiled(point.tolist())
-        return values.reshape(self.shape), jacobian.reshape(*self.shape, len(self.coords))
+        return (self._compiled_jacobian or self._compile(True)[1])(point.tolist())
 
     value_and_jacobian.stacks = True  # it takes a stack of points (see _differential)
 
@@ -182,7 +184,14 @@ def _at_points(fn: Callable, x, shape: tuple, what: str, y=None) -> np.ndarray:
     values, from one call where ``fn`` takes a stack (marked ``stacks``),
     else from one call per point, each checked as at a point.  One extent of
     ``shape`` may be -1, any extent (0 for an empty stack).  A force's rule
-    also reads the fiber value ``y``: it is called as ``fn(point, y)``."""
+    also reads the fiber value ``y``: it is called as ``fn(point, y)``.
+
+    An expression table of shape ``shape`` is called directly, before any
+    conversion: it takes a point or a stack and returns fresh float64
+    values of that shape, so no check here can fail for it (a point of
+    the wrong length raises the table's own ``ValueError``)."""
+    if type(fn) is _ExprTable and y is None and fn.shape == shape:
+        return fn(x)
     if type(x) is not _ARRAY or x.dtype is not _FLOAT:
         x = np.asarray(x, dtype=float)
     if x.ndim == 2:
@@ -312,6 +321,9 @@ class Section:
         self.rank = int(rank)
         self._shape = (self.rank,)  # built once, not at every call
         self.label = label
+        # (anchor, table): the table of an anchored field of this section
+        # (AlgebroidStructure._anchored_table).
+        self._anchored = None
         if hasattr(fn, "value_and_jacobian"):
             self.value_and_jacobian = fn.value_and_jacobian
 
@@ -463,12 +475,52 @@ class AlgebroidStructure:
 
     def anchored_field(self, X: Section) -> Callable:
         """The vector field rho(X) on the base, as a callable of the point;
-        NaN where a value of ``X`` is not finite."""
-        def field(x):
-            R, Xp = self.anchor(x), X(x)
-            return R.T @ Xp if _finite(Xp) else np.full(self.n, np.nan)
+        NaN where a value of ``X`` is not finite.
 
-        return field
+        Where the anchor and ``X`` are expression tables over the same
+        coordinates and parameters, the field makes one call, of a table of
+        the anchor's entries followed by those of ``X`` (see
+        :meth:`_anchored_table`); every value is bitwise that of the anchor
+        and ``X`` called apart, and an anchor entry that fails still raises
+        before one of ``X``."""
+        m, n = self.m, self.n
+        table = self._anchored_table(X)
+        if table is None:
+            def field(x):
+                R, Xp = self.anchor(x), X(x)
+                return R.T @ Xp if _finite(Xp) else np.full(n, np.nan)
+
+            return field
+        split = m * n
+
+        def fused(x):
+            values = table(x)
+            Xp = values[split:]
+            return values[:split].reshape(m, n).T @ Xp if _finite(Xp) else np.full(n, np.nan)
+
+        return fused
+
+    def _anchored_table(self, X: Section) -> Optional[_ExprTable]:
+        """The one table of the anchor's entries and those of ``X``, or None
+        unless both are expression tables of their shapes over the same
+        coordinates and parameters.
+
+        It is kept on ``X`` with the anchor it was built for, as a table
+        keeps its code, so a battery compiles each once; ``X`` used with
+        another structure gets that structure's table.  Threads racing here
+        each build an equal table, and the last store wins."""
+        anchor, section = self._anchor_fn, getattr(X, "_fn", None)
+        if not (type(anchor) is _ExprTable and type(section) is _ExprTable
+                and anchor.shape == self._anchor_shape and section.shape == (self.m,) == X._shape
+                and section.coords == anchor.coords and section.params == anchor.params):
+            return None
+        kept = X._anchored
+        if kept is not None and kept[0] is anchor:
+            return kept[1]
+        exprs = anchor.exprs + section.exprs
+        table = _ExprTable(exprs, (len(exprs),), anchor.coords, anchor.params, "anchored field")
+        X._anchored = (anchor, table)
+        return table
 
     def check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)

@@ -630,21 +630,22 @@ def partial(expr: Union[Expr, str], var: str, bindings: Bindings) -> float:
         expr = parse(expr)
     if var not in bindings:
         raise EvalError(f"unbound variable '{var}'")
-    value_and_jacobian = _compile_table([expr], (var,), bindings, jacobian=True)[1]
+    value_and_jacobian = _compile_table([expr], (var,), bindings, jacobian=True, shape=())[1]
     return float(value_and_jacobian([float(bindings[var])])[1][0])
 
 
 # --- compiled tables ----------------------------------------------------------
 
 def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Bindings,
-                   jacobian: bool = False):
+                   jacobian: bool = False, shape: tuple = None):
     """Compile a table of expressions into one function of a point.
 
     The function takes one value per name in ``coords`` and returns the
-    entries as a fresh, writable flat float64 array, built from their
-    bytes.  The values are bitwise those of :meth:`Expr.eval` with the
-    coordinates bound over ``params``, and an entry that fails raises what
-    the tree-walk raises, at the same entry.
+    entries, row-major, as a fresh, writable, C-contiguous float64 array of
+    the table's ``shape`` (flat when it is omitted), built on their bytes,
+    so no caller reshapes it.  The values are bitwise those of
+    :meth:`Expr.eval` with the coordinates bound over ``params``, and an
+    entry that fails raises what the tree-walk raises, at the same entry.
     The generated code is straight-line, one assignment per distinct node,
     written by one post-order pass over the entries:
 
@@ -662,20 +663,24 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
     With ``jacobian`` a second function is compiled beside the first, and
     the pair ``(values, value_and_jacobian)`` is returned; ``values`` is the
     function above, unchanged.  ``value_and_jacobian`` runs the same value
-    code and returns the values with the flat row-major
-    ``(len(exprs), len(coords))`` Jacobian.  Its entries are the :func:`diff`
-    trees of each entry by the coordinates it reads, told which subtrees
-    fold to constants here, and emitted like the values by one more pass,
-    which stops at the nodes the first one handled: each is bitwise its
-    tree's ``Expr.eval``.  A value that fails raises as above; otherwise the
-    Jacobian raises ``EvalError`` at a kink (listed at :func:`diff`), at the
-    first failing entry in row-major order.
+    code and returns the values with their ``(*shape, len(coords))``
+    Jacobian.  Its entries are the :func:`diff` trees of each entry by the
+    coordinates it reads, told which subtrees fold to constants here, and
+    emitted like the values by one more pass, which stops at the nodes the
+    first one handled: each is bitwise its tree's ``Expr.eval``.  A value
+    that fails raises as above; otherwise the Jacobian raises ``EvalError``
+    at a kink (listed at :func:`diff`), at the first failing entry in
+    row-major order.
     """
     coord_names = {name: f"c{i}" for i, name in enumerate(coords)}
     bits = {name: 1 << i for i, name in enumerate(coords)}
     fails = 1 << len(coords)
+    size = len(exprs) * len(coords)
+    shape = (len(exprs),) if shape is None else tuple(map(int, shape))
+    jacobian_shape = (*shape, len(coords))
     env = dict(params)
     namespace = {"_div": _div, "_power": _power, "_params": env, "_zeros": np.zeros,
+                 "_ndarray": np.ndarray, "_float": np.dtype(float),
                  "_frombuffer": np.frombuffer,
                  "_pack": struct.Struct(f"{len(exprs)}d").pack}
     namespace.update((f"_f_{name}", fn)
@@ -750,25 +755,27 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
                 names[key] = assign(f"_f_{node.func}({args})")
 
     walk(exprs)
-    size = len(exprs) * len(coords)
     if not any([masks[id(e)] for e in exprs]):
         # Copying a stored array is about twice as fast as building one (3
         # entries: 0.20 against 0.44 us, CPython 3.11, numpy 2.4); a battery
         # makes thousands of calls of constant control sections and metrics.
-        stored = np.array([values[id(e)] for e in exprs])
+        stored = np.array([values[id(e)] for e in exprs]).reshape(shape)
         if not jacobian:
             return lambda point: stored.copy()
         # No entry reads a coordinate, so every partial vanishes.
-        return (lambda point: stored.copy()), (lambda point: (stored.copy(), np.zeros(size)))
+        return ((lambda point: stored.copy()),
+                (lambda point: (stored.copy(), np.zeros(jacobian_shape))))
     results = [named(e) for e in exprs]
     # The coordinates unpacked from a point: the target of the assignment
     # here and of the loop of the stacked form (_compile_stack).
     targets = f"{', '.join(coord_names.values())}," if coord_names else "_"
     unpack = [f"    {targets} = point"] if coord_names else []
-    # The entries packed into the bytes of a fresh array: for the 45-51 of a
-    # Koszul table half the cost of an array built from a list; of 1-3
-    # entries, ~0.05-0.1 us more (CPython 3.11, numpy 2.4).
-    result = f"_frombuffer(bytearray(_pack({', '.join(results)})))"
+    # The entries packed into the bytes of a fresh array of the table's
+    # shape: for the 45-51 of a Koszul table half the cost of an array built
+    # from a list; of 1-3 entries, ~0.05-0.1 us more.  Built in its shape,
+    # it costs ~0.5 us for 9 entries against ~0.7 us for frombuffer and a
+    # reshape (CPython 3.11, numpy 2.4).
+    result = f"_ndarray({shape!r}, _float, bytearray(_pack({', '.join(results)})))"
     source = ["def _table(point):", *unpack, *lines, f"    return {result}"]
     kept = (targets, "\n".join(lines), ", ".join(results))  # the Jacobian's lines follow
     if jacobian:
@@ -788,8 +795,9 @@ def _compile_table(exprs: Sequence[Expr], coords: Sequence[str], params: Binding
         namespace["_nonzero"] = np.array(list(derivatives), dtype=int)
         namespace["_pack_nonzero"] = struct.Struct(f"{len(entries)}d").pack
         source += ["def _table_jacobian(point):", *unpack, *lines,
-                   f"    _jacobian = _zeros({size})",
-                   f"    _jacobian[_nonzero] = _frombuffer(_pack_nonzero({', '.join(entries)}))",
+                   f"    _jacobian = _zeros({jacobian_shape!r})",
+                   "    _jacobian.ravel()[_nonzero] = "
+                   f"_frombuffer(_pack_nonzero({', '.join(entries)}))",
                    f"    return {result}, _jacobian"]
     # Defined outside their globals, so a function and its namespace form no
     # reference cycle and are freed as soon as the table is dropped.
@@ -815,15 +823,15 @@ def _compile_stack(table: Callable) -> Callable:
     the first point where an entry fails raises what the function raises
     there.  ``algebroid._ExprTable`` compiles it once a table's stacks pay
     for it.  A table whose entries all fold has no code, and its stack
-    repeats the folded values (and the zero Jacobian).
+    repeats the folded values (and the zero Jacobian), flattened.
     """
     if not hasattr(table, "kept"):
         folded = table(None)
         if isinstance(folded, tuple):
             values, jacobian = folded
-            return lambda points: (np.tile(values, len(points)),
-                                   np.tile(jacobian, (len(points), 1)))
-        return lambda points: np.tile(folded, len(points))
+            return lambda points: (np.tile(values.ravel(), len(points)),
+                                   np.tile(jacobian.ravel(), (len(points), 1)))
+        return lambda points: np.tile(folded.ravel(), len(points))
     targets, lines, results, *derivative = table.kept
     # Each point's entries packed into bytes, the rows joined: an array of a
     # few bytes objects costs a fraction of one of as many floats.

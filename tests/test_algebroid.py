@@ -180,6 +180,64 @@ def test_misshapen_values_raise_the_points_error(field, where):
         call()
 
 
+def _table_fields(kind: str) -> dict:
+    """The fields that wrap an expression table of their own shape, over
+    ``(x, y)`` with rank 2: each a compiled table, or one whose entries all
+    fold.  Maps a field to its evaluation and its shape."""
+    coords, params = ("x", "y"), {"a": 2.0}
+    if kind == "compiled":
+        anchor, structure = [["cos(y)", "x*y"], ["a", "sin(x)"]], {"1,1,2": "x - y", "2,1,2": "a*y"}
+        section, metric = ["x*y", "sin(x) + a"], [["1 + x^2", "x*y"], [None, "2 + y^2"]]
+    else:
+        anchor, structure = [["1", "0"], ["a", "2*a"]], {"1,1,2": "a", "2,1,2": "-3"}
+        section, metric = ["a", "a/4"], [["a", "1"], [None, "3"]]
+    S = AlgebroidStructure.from_exprs(coords, 2, anchor, structure, params)
+    return {"anchor": (S.anchor, (2, 2)), "structure": (S.structure, (2, 2, 2)),
+            "section": (Section.from_exprs(section, coords, params), (2,)),
+            "metric": (BundleMetric.from_exprs(metric, coords, params).matrix, (2, 2))}
+
+
+@pytest.mark.parametrize("kind", ["compiled", "folded"])
+@pytest.mark.parametrize("field", ["anchor", "structure", "section", "metric"])
+class TestTableFieldsAtPoints:
+    """``_at_points`` calls a table of the field's own shape directly; what
+    its conversions and checks gave before still holds."""
+
+    def test_a_point_given_as_a_list(self, field, kind):
+        evaluate, shape = _table_fields(kind)[field]
+        want = evaluate(np.array([0.3, -0.2]))
+        got = evaluate([0.3, -0.2])
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert evaluate([[0.3, -0.2]]).tobytes() == want.tobytes()
+
+    def test_an_empty_stack(self, field, kind):
+        evaluate, shape = _table_fields(kind)[field]
+        out = evaluate(np.zeros((0, 2)))
+        assert out.shape == (0, *shape) and out.dtype == np.float64
+
+    def test_a_point_of_the_wrong_length_raises_the_tables_error(self, field, kind):
+        evaluate, _ = _table_fields(kind)[field]
+        for point in (np.zeros(3), [0.1], np.zeros((2, 3))):
+            error = f"expression table over 2 coordinate(s) got a point of shape {np.shape(point)}"
+            with pytest.raises(ValueError, match=re.escape(error)):
+                evaluate(point)
+
+    def test_results_are_fresh_writable_arrays_of_the_shape(self, field, kind):
+        evaluate, shape = _table_fields(kind)[field]
+        p = np.array([0.3, -0.2])
+        stack = np.stack([p, -p, 2 * p])
+        want = evaluate(p).tobytes(), evaluate(stack).tobytes()
+        for x, expected, before in ((p, shape, want[0]), (stack, (3, *shape), want[1])):
+            first = evaluate(x)
+            assert first.shape == expected and first.dtype == np.float64
+            assert first.flags.writeable and first.flags.c_contiguous
+            first[...] = np.nan
+            second = evaluate(x)
+            assert second.tobytes() == before
+            assert not np.shares_memory(first, second)
+
+
 class TestAlmostDifferential:
     def test_identity_anchor_coordinate_function(self, flat2):
         out = d_function(flat2.structure, parse("x1"), np.array([0.7, -0.3]))

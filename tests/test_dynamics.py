@@ -817,6 +817,119 @@ class TestBaseFlowAndLift:
         traj = lift(zero, sigma)
         assert np.max(np.abs(traj.fiber)) == 0.0
 
+    def test_anchored_field_is_bitwise_the_anchor_and_section_apart(self, all_builtins):
+        """Every candidate, control and basis section of every builtin, at
+        chart samples: a section given as a table gets the one table of the
+        anchor's entries and its own, and every value is bitwise the product
+        of the anchor and the section called apart."""
+        from algmech.algebroid import _ExprTable
+
+        fused = 0
+        for sysd in all_builtins:
+            S = sysd.structure
+            sections = [*sysd.candidates.values(), *sysd.basis_sections(),
+                        *(sysd.controls.sections if sysd.controls is not None else ())]
+            for X in sections:
+                field = S.anchored_field(X)
+                for p in sysd.sample(8, seed=3):
+                    got = field(p)
+                    assert got.shape == (S.n,) and got.dtype == np.float64
+                    assert got.tobytes() == (S.anchor(p).T @ X(p)).tobytes(), (sysd.name, X, p)
+                assert (X._anchored is not None) == isinstance(X._fn, _ExprTable)
+                fused += X._anchored is not None
+        assert fused >= 13  # the candidates and controls of the three control systems
+
+    def test_anchored_field_is_nan_where_the_section_is_not_finite(self):
+        import warnings
+
+        from algmech import AlgebroidStructure
+
+        params = {"a": math.inf}
+        S = AlgebroidStructure.from_exprs(("x", "y"), 2, [["1", "x"], ["0", "cos(y)"]], {}, params)
+        X = Section.from_exprs(["y*a", "x"], ("x", "y"), params)
+        field = S.anchored_field(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ([0.4, 0.0], [0.4, 0.5], [0.4, -0.5]):  # nan, inf and -inf
+                out = field(np.array(p))
+                assert out.shape == (2,) and np.isnan(out).all()
+        assert X._anchored[0] is S._anchor_fn
+
+    def test_the_anchors_error_comes_before_the_sections(self):
+        from algmech import AlgebroidStructure, EvalError
+
+        coords = ("x", "y")
+        S = AlgebroidStructure.from_exprs(coords, 2, [["1/x", "0"], ["y", "1"]], {})
+        X = Section.from_exprs(["sqrt(x - 1)", "ln(x)"], coords)
+        field = S.anchored_field(X)
+        assert X._anchored is not None
+        both, section_only = np.array([0.0, 0.2]), np.array([0.5, 0.2])
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
+            X(both)
+        with pytest.raises(EvalError, match="division by zero"):
+            S.anchor(both)
+        with pytest.raises(EvalError, match="division by zero"):
+            field(both)
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
+            field(section_only)
+
+    def test_a_section_used_with_a_second_structure_gets_its_field(self, planar):
+        from algmech import AlgebroidStructure
+
+        first = planar.structure
+        second = AlgebroidStructure.from_exprs(
+            planar.coords, 3, [["1", "0", "0"], ["0", "cos(theta)", "x"], ["y", "0", "1"]], {},
+            planar.params)
+        X = planar.section_from_exprs(["sin(theta)", "x*y", "1"])
+        p = np.array([0.3, -0.2, 0.7])
+        fields = []
+        for S in (first, second, first, second):
+            field = S.anchored_field(X)
+            assert X._anchored[0] is S._anchor_fn
+            fields.append((S, field))
+        kept = X._anchored[1]
+        second.anchored_field(X)
+        assert X._anchored[1] is kept  # kept, not rebuilt
+        for S, field in fields:
+            assert field(p).tobytes() == (S.anchor(p).T @ X(p)).tobytes()
+        assert not np.array_equal(fields[0][1](p), fields[1][1](p))
+
+    def test_threads_racing_on_a_fresh_sections_first_base_flow(self):
+        """More threads than cores that integrate the base flow of a fresh
+        section at once, with a short switch interval, get equal
+        trajectories, and the section keeps one table that gives the same."""
+        import os
+        import threading
+
+        from algmech import planar_body, snakeboard
+
+        for sysd, p0 in ((planar_body(), [0.1, -0.2, 0.3]),
+                         (snakeboard(), [0.1, -0.2, 0.2, 0.1, 0.3])):
+            X = next(iter(sysd.candidates.values()))
+            count = min((os.cpu_count() or 1) + 1, 16)
+            barrier = threading.Barrier(count, timeout=30)
+            out = [None] * count
+
+            def first_flow(k):
+                barrier.wait()
+                out[k] = base_flow(sysd.structure, X, p0, 0.0, 0.2, 1e-2)
+
+            threads = [threading.Thread(target=first_flow, args=(k,)) for k in range(count)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(len(traj) == 21 and np.array_equal(traj.base, out[0].base) for traj in out)
+            assert X._anchored[0] is sysd.structure._anchor_fn
+            assert np.array_equal(base_flow(sysd.structure, X, p0, 0.0, 0.2, 1e-2).base,
+                                  out[0].base)
+
     def test_forced_equation_equivalence_for_sections(self, planar):
         """A section whose self covariant derivative matches the force lifts to
         a solution of the forced equation; dropping the force breaks it."""

@@ -842,8 +842,8 @@ class TestCompiledTable:
 
             def reference():
                 _tree_walk(exprs, point, params)
-                return np.array([ex.diff(e, name, constant).eval(env)
-                                 for e in exprs for name in COORDS])
+                flat = [ex.diff(e, name, constant).eval(env) for e in exprs for name in COORDS]
+                return np.array(flat).reshape(len(exprs), len(COORDS))
 
             want = _outcome(reference)
             assert _outcome(lambda: both(point)[1]) == want, (case, exprs, point, params)
