@@ -133,21 +133,25 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     input section.
 
     The connection is the pair's one source, ``geometry._connection``: a
-    fixed tensor, or the flat anchor, metric and lowered Koszul tensor
-    ``K`` at ``x``, from which each evaluation solves ``G a = K(y, y) / 2``
-    for the quadratic form ``a = gamma(y, y)``, with no Christoffel tensor;
-    a singular or non-finite metric raises ``SingularMetricError``.
+    fixed tensor, whose quadratic form ``-gamma(y, y)`` is a compiled
+    expression table over the fiber, kept with the tensor and bitwise
+    ``np.einsum("cab,a,b->c", -gamma, y, y)``; or the flat anchor, metric
+    and lowered Koszul tensor ``K`` at ``x``, from which each evaluation
+    solves ``G a = K(y, y) / 2`` for the quadratic form ``a = gamma(y, y)``,
+    with no Christoffel tensor; a singular or non-finite metric raises
+    ``SingularMetricError``.
 
     The field takes a state ``(d,)`` or a stack ``(N, d)`` of states, for
     which it returns the ``(N, d)`` stack of the fields there, bitwise the
     field at each state.  A stack without force or controls makes one
     stacked evaluation: of a fixed pair, one anchor call at every state,
-    one contraction with the tensor and one anchor product; of any other
+    one call of the form's table and one anchor product; of any other
     pair, one call of the compiled Koszul table at every state (or one
     numeric assembly per state of an opaque pair), one contraction, solve
     and anchor product.  Every other stack is evaluated state by state, as
     is a stack where an evaluation fails, so the error is the one its first
-    failing state raises.
+    failing state raises.  The field's ``fiber_rank`` is ``S.m``; it is
+    integrated only with that rank.
     """
     inputs = tuple(inputs)
     coefficients = signal.k if signal is not None else 0
@@ -157,19 +161,17 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
     n, m = S.n, S.m
     fixed, table = _connection(S, Gm)
     if fixed is not None:
-        # Negation is exact, so this is bitwise -einsum(gamma, y, y).
-        minus_gamma = -fixed
-
+        # table is y -> -gamma(y, y), bitwise -einsum(gamma, y, y)
         def spray(x, y):
             dx = S.anchor(x).T @ y if n else np.zeros(0)
-            return dx, np.einsum("cab,a,b->c", minus_gamma, y, y)
+            return dx, table(y)
 
         def spray_stack(z):
-            # One stacked anchor call, contraction and anchor product, each
+            # One stacked anchor call, table call and anchor product, each
             # bitwise the product of spray at every state
             y = z[:, n:]
             dx = (y[:, None, :] @ S.anchor(z[:, :n]))[:, 0] if n else np.zeros((len(z), 0))
-            return np.concatenate([dx, np.einsum("cab,na,nb->nc", minus_gamma, y, y)], axis=1)
+            return np.concatenate([dx, table(y)], axis=1)
     else:
         metric_at, koszul_at = n * m, n * m + m * m
 
@@ -224,6 +226,7 @@ def spray_field(S: AlgebroidStructure, Gm: BundleMetric, force: Optional[ForceFi
                 dy += c * Y(x)
         return np.concatenate([dx, dy])
 
+    field.fiber_rank = m  # integrate rejects a state split another way
     return field
 
 
@@ -291,7 +294,7 @@ def integrate(field: Callable, q0, t0: float, t1: float, step: float,
     else:
         if fiber_rank is None:
             raise ValueError("fiber_rank is required for packed initial states")
-        z, m = q0, int(fiber_rank)
+        z, m = q0, fiber_rank
     return _ensemble(field, z, m, t0, t1, step, chart)
 
 
@@ -299,7 +302,10 @@ def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float
               chart: Optional[ChartDomain] = None):
     """The RK4 loop of :func:`integrate`: a packed state ``(d,)`` or a stack
     ``(N, d)`` of them with fiber rank ``m``, integrated to the state's
-    ``Trajectory`` or to the list of the members' trajectories.
+    ``Trajectory`` or to the list of the members' trajectories.  A fiber
+    rank that is not an integer in ``[0, d]``, or not the ``fiber_rank`` of
+    a field that declares one (every :func:`spray_field` does), and a step
+    count whose samples cannot be allocated, raise ``ValueError``.
 
     A state's field is called with ``(d,)`` arrays only, so a field that
     takes one state serves.  Each RK4 stage of a stack calls ``field`` once
@@ -317,12 +323,22 @@ def _ensemble(field: Callable, states, m: int, t0: float, t1: float, step: float
     single = z.ndim != 2
     z = z.reshape(-1) if single else z
     members, d = (1, z.size) if single else z.shape
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= d:
+        raise ValueError(f"fiber_rank must be an integer in [0, {d}], got {m!r}")
+    if m != getattr(field, "fiber_rank", m):
+        raise ValueError(f"fiber_rank {m} does not match the field's fiber rank "
+                         f"{field.fiber_rank}")
     if not members:
         return []
-    n = d - m
+    n = d - int(m)
     # Step-major, so a step of every running member is one write, by a basic
     # index until a member stops.
-    samples = np.empty((count + 1,) + z.shape)
+    try:
+        samples = np.empty((count + 1,) + z.shape)
+    except (MemoryError, ValueError):  # numpy's ValueError: more than an index can address
+        raise ValueError(f"{count} steps of {z.size} value(s) need "
+                         f"{(count + 1) * z.size * 8:.3g} bytes of samples, more than "
+                         "can be allocated") from None
     samples[0] = z
     live, rows = np.arange(members), Ellipsis  # the members still running, their rows
     kept, reasons = [count + 1] * members, [""] * members

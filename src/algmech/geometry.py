@@ -4,7 +4,8 @@ The connection is computed from the Koszul formula in an arbitrary basis,
 the lowered tensor ``K[B, C, E] = 2 G(nabla_{e_B} e_C, e_E)``.  Each
 structure and metric pair has one source of connection values, decided on
 its first use and kept on the structure (:func:`_connection`): the fixed
-tensor of a pair whose coefficients do not move with the point; for a pair
+tensor of a pair whose coefficients do not move with the point, with the
+compiled table of its quadratic form (:func:`_quadratic_form`); for a pair
 whose fields are all expression tables (every loaded document), one
 compiled table of the anchor, the metric and ``K`` (:func:`_koszul_table`),
 built from their derivative trees; for a pair with an opaque callable, the
@@ -429,6 +430,35 @@ def _koszul_table(S: AlgebroidStructure, Gm: BundleMetric):
     return table
 
 
+def _quadratic_form(gamma: np.ndarray) -> _ExprTable:
+    """Minus the quadratic form of a fixed tensor, ``y -> -gamma(y, y)``, as
+    an expression table of shape ``(m,)`` over the fiber names ``_y0`` ..
+    ``_y{m-1}``, with no parameters.
+
+    Entry ``c`` is ``0.0 + sum (-gamma[c, a, b] * y_a) * y_b``, summed left
+    to right over ``(a, b)`` in C order without its zero terms.  That is
+    how ``np.einsum("cab,a,b->c", -gamma, y, y)`` (no ``optimize``) sums,
+    so the compiled values are bitwise its own at a point and at every row
+    of a stack.  The running sum starts at +0.0 and so is never -0.0, which
+    makes leaving out a zero term exact for a finite ``y``; at a fiber
+    holding inf or NaN an entry without the terms that read it stays finite
+    where ``einsum`` gives NaN.
+    """
+    m = len(gamma)
+    fiber = [ex.Var(f"_y{a}") for a in range(m)]
+    entries = []
+    for c in range(m):
+        entry = Num0
+        for a in range(m):
+            for b in range(m):
+                coefficient = -float(gamma[c, a, b])
+                if coefficient:
+                    term = ex.BinOp("*", ex.BinOp("*", ex.Num(coefficient), fiber[a]), fiber[b])
+                    entry = ex.BinOp("+", entry, term)
+        entries.append(entry)
+    return _ExprTable(entries, (m,), [v.name for v in fiber], {}, "quadratic form")
+
+
 def _connection(S: AlgebroidStructure, Gm: BundleMetric):
     """``(gamma, values)``: the pair's one source of connection values,
     decided on the first call for the pair and kept on the structure with
@@ -436,7 +466,9 @@ def _connection(S: AlgebroidStructure, Gm: BundleMetric):
 
     A pair whose coefficients do not depend on the point (a coordinate-free
     metric and structure, or a point base) gets ``gamma``, the read-only
-    tensor of :func:`christoffel`, and ``values`` None.  Every other pair
+    tensor of :func:`christoffel`, and ``values``, ``y ->`` minus its
+    quadratic form at the fiber value ``y``: the table of
+    :func:`_quadratic_form`, compiled on its first call.  Every other pair
     gets ``gamma`` None and ``values``, ``x ->`` its ``(A, G, K)`` at ``x``
     as one flat array, the anchor, the metric and ``K`` raveled in turn:
     the compiled Koszul table, or for a pair with an opaque callable the
@@ -448,7 +480,7 @@ def _connection(S: AlgebroidStructure, Gm: BundleMetric):
     if (Gm.is_constant and S.constant_structure) or S.n == 0:
         gamma = christoffel(S, Gm, np.zeros(S.n)).gamma
         gamma.flags.writeable = False
-        source = gamma, None
+        source = gamma, _quadratic_form(gamma)
     else:
         def assembled(x):
             A, G, K = _koszul(S, Gm, x)

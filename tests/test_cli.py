@@ -429,6 +429,17 @@ class TestUsageErrors:
         code, out, _ = run(capsys, command, "--system", "planar_body", "--format", "csv")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("step, size", [("1e-15", "4.8e+16"), ("1e-30", "4.8e+31")])
+    def test_a_step_count_past_memory_is_a_usage_error(self, capsys, step, size):
+        """The samples of ~1e15 steps cannot be allocated; numpy's
+        MemoryError escaped as a traceback.  Only counts whose allocation
+        fails at once are tried."""
+        code, out, err = run(capsys, "simulate", "--system", "planar_body", "--t1", "1",
+                             "--step", step)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {round(1.0 / float(step))} steps of 6 value(s) need {size} bytes of samples, "
+                       "more than can be allocated\n")
+
     def test_controls_required(self, capsys):
         code, _, err = run(capsys, "check-maxred", "--system", "euclidean")
         assert code == 2

@@ -177,6 +177,147 @@ class TestSprayContraction:
                 spray_field(S, Gm)(0.0, np.array([0.2, 1.0]))
 
 
+def random_fixed_tensor(rng, m):
+    """A tensor ``(m, m, m)`` of mixed magnitudes, about half of it +0.0 or -0.0."""
+    gamma = rng.normal(size=(m, m, m)) * 10.0 ** rng.integers(-6, 6, size=(m, m, m))
+    gamma[rng.random((m, m, m)) < 0.35] = 0.0
+    gamma[rng.random((m, m, m)) < 0.15] = -0.0
+    return gamma
+
+
+def random_fibers(rng, count, m):
+    """``(count, m)`` fiber values from 1e-300 to 1e200 in size, about a third
+    of them +0.0 or -0.0; the products overflow, underflow and go subnormal."""
+    y = rng.normal(size=(count, m)) * 10.0 ** rng.integers(-300, 200, size=(count, m))
+    y[rng.random((count, m)) < 0.2] = 0.0
+    y[rng.random((count, m)) < 0.15] = -0.0
+    return y
+
+
+class TestQuadraticForm:
+    """A fixed pair's spray reads ``y -> -gamma(y, y)`` from the compiled
+    table of ``geometry._quadratic_form``, bitwise ``np.einsum`` over
+    ``-gamma`` at a point and at every row of a stack."""
+
+    def test_random_tensors_are_bitwise_einsum(self):
+        from algmech.algebroid import _STACK_COMPILE_POINTS
+        from algmech.geometry import _quadratic_form
+
+        rng = np.random.default_rng(3201)
+        for m in range(6):
+            for _ in range(12):
+                gamma = random_fixed_tensor(rng, m)
+                form = _quadratic_form(gamma)
+                # Calls per point first, then the compiled loop of a stack.
+                for count in (1, 3, _STACK_COMPILE_POINTS + 1):
+                    Y = random_fibers(rng, count, m)
+                    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                        expected = np.einsum("cab,na,nb->nc", -gamma, Y, Y)
+                        for y, row in zip(Y[:8], expected):
+                            assert (np.einsum("cab,a,b->c", -gamma, y, y).tobytes()
+                                    == row.tobytes())
+                            assert form(y).tobytes() == row.tobytes(), (m, gamma, y)
+                    assert form(Y).tobytes() == expected.tobytes(), (m, count)
+
+    def test_the_summation_order_shows(self):
+        """Such data tell the orders apart: Python sums over ``(b, a)``, a
+        mutation of the table, miss einsum's bits in some cases, and sums
+        over ``(a, b)`` match it in all."""
+        rng = np.random.default_rng(3202)
+        matched = missed = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 6))
+            gamma = -random_fixed_tensor(rng, m)
+            y = rng.normal(size=m)
+
+            def summed(order):
+                return np.array([sum([gamma[c, a, b] * y[a] * y[b] for a, b in order], 0.0)
+                                 for c in range(m)])
+
+            pairs = [(a, b) for a in range(m) for b in range(m)]
+            expected = np.einsum("cab,a,b->c", gamma, y, y).tobytes()
+            matched += summed(pairs).tobytes() == expected
+            missed += summed([(a, b) for b in range(m) for a in range(m)]).tobytes() != expected
+        assert matched == 400
+        assert missed > 0
+
+    def test_an_all_zero_tensor_folds(self, flat2):
+        """euclidean2's tensor is zero: every entry folds to +0.0, which is
+        einsum's sum at a finite fiber, at a point and in a stack."""
+        from algmech.expr import Num
+        from algmech.geometry import _connection
+
+        gamma, form = _connection(flat2.structure, flat2.metric)
+        assert not gamma.any() and all(type(e) is Num for e in form.exprs)
+        Y = random_fibers(np.random.default_rng(3203), 5, 2)
+        expected = np.einsum("cab,na,nb->nc", -gamma, Y, Y)
+        assert form(Y).tobytes() == expected.tobytes() == np.zeros((5, 2)).tobytes()
+        field = spray_field(flat2.structure, flat2.metric)
+        Z = np.concatenate([np.zeros((5, 2)), Y], axis=1)
+        assert field(0.0, Z)[:, 2:].tobytes() == expected.tobytes()
+        assert field(0.0, Z[0])[2:].tobytes() == expected[0].tobytes()
+
+    def test_the_fixed_spray_is_bitwise_einsum(self, all_builtins):
+        """The fiber part of every fixed builtin's field, at states and in
+        stacks of 1, 3 and ``_STACK_COMPILE_POINTS + 1``, is the einsum the
+        spray called before the table."""
+        from algmech.algebroid import _STACK_COMPILE_POINTS
+        from algmech.geometry import _connection
+
+        rng = np.random.default_rng(3204)
+        fixed = set()
+        for sysd in all_builtins:
+            gamma, _ = _connection(sysd.structure, sysd.metric)
+            if gamma is None:
+                continue
+            fixed.add(sysd.name)
+            field, n = spray_field(sysd.structure, sysd.metric), sysd.n
+            for count in (1, 3, _STACK_COMPILE_POINTS + 1):
+                points = sysd.sample(count, seed=count) if n else np.zeros((count, 0))
+                Z = np.concatenate([points, rng.uniform(-2.0, 2.0, size=(count, sysd.m))], axis=1)
+                expected = np.einsum("cab,na,nb->nc", -gamma, Z[:, n:], Z[:, n:])
+                assert field(0.0, Z)[:, n:].tobytes() == expected.tobytes(), sysd.name
+                for z, row in zip(Z[:3], expected):
+                    assert field(0.0, z)[n:].tobytes() == row.tobytes(), sysd.name
+        assert fixed == {"planar_body", "euclidean2", "suslov"}
+
+    def test_a_non_finite_fiber_gives_a_non_finite_row(self, planar, flat2, top):
+        """inf, -inf or NaN in any fiber slot of a fixed builtin's state
+        gives a field row, at the state and in a stack, that is not finite."""
+        for sysd in (planar, flat2, top):
+            field = spray_field(sysd.structure, sysd.metric)
+            for bad in (np.inf, -np.inf, np.nan):
+                for k in range(sysd.m):
+                    z = np.concatenate([sysd.center(), np.full(sysd.m, 0.5)])
+                    z[sysd.n + k] = bad
+                    with np.errstate(invalid="ignore"):  # the anchor product's 0 * inf
+                        assert not np.isfinite(field(0.0, z)).all(), (sysd.name, bad, k)
+                        rows = field(0.0, np.array([z, z]))
+                        assert (~np.isfinite(rows)).any(axis=1).all(), (sysd.name, bad, k)
+
+    def test_a_second_spray_compiles_nothing(self, monkeypatch):
+        """The form is kept with the pair's tensor: a second field of the
+        pair, at a state and at stacks past the compile threshold, compiles
+        no table and no stacked loop."""
+        from algmech import expr as ex
+        from algmech import planar_body
+        from algmech.algebroid import _STACK_COMPILE_POINTS
+
+        sysd = planar_body()
+        Z = np.concatenate([sysd.sample(_STACK_COMPILE_POINTS + 1, seed=5),
+                            np.full((_STACK_COMPILE_POINTS + 1, 3), 0.25)], axis=1)
+        first = spray_field(sysd.structure, sysd.metric)
+        expected = first(0.0, Z[0]), first(0.0, Z)
+        compiles = []
+        for name in ("_compile_table", "_compile_stack"):
+            monkeypatch.setattr(ex, name, lambda *args, _fn=getattr(ex, name), **kwargs:
+                                compiles.append(args) or _fn(*args, **kwargs))
+        second = spray_field(sysd.structure, sysd.metric)
+        assert second(0.0, Z[0]).tobytes() == expected[0].tobytes()
+        assert second(0.0, Z).tobytes() == expected[1].tobytes()
+        assert compiles == []
+
+
 class TestForcedField:
     def test_zero_force_reduces_to_spray(self, planar, rng):
         q = TotalPoint([0.1, 0.2, 0.3], rng.uniform(-1, 1, size=3))
@@ -339,6 +480,42 @@ class TestIntegrate:
         field = spray_field(flat2.structure, flat2.metric)
         with pytest.raises(ValueError, match="t0, t1 and step must be finite"):
             integrate(field, TotalPoint([0.0, 0.0], [1.0, 0.0]), t0, t1, step)
+
+    @pytest.mark.parametrize("rank", [5, -1, 2.5])
+    def test_a_fiber_rank_that_does_not_split_the_state_is_rejected(self, planar, rank):
+        """A packed planar state (d = 6) was split silently: fiber rank 5
+        gave a base (11, 1) and a fiber (11, 5), -1 a fiber (11, 0), and 2.5
+        became 2.  Each names fiber_rank, for a state and for a stack."""
+        field = spray_field(planar.structure, planar.metric)
+        z = np.concatenate([planar.center(), [0.3, 0.2, -0.1]])
+        message = ("fiber_rank 5 does not match the field's fiber rank 3" if rank == 5
+                   else rf"fiber_rank must be an integer in \[0, 6\], got {rank}")
+        for states in (z, z[None]):
+            with pytest.raises(ValueError, match=message):
+                integrate(field, states, 0.0, 0.1, 0.01, fiber_rank=rank)
+
+    def test_a_field_without_a_fiber_rank_takes_any_rank_in_range(self, planar):
+        """A field that declares no fiber rank is trusted with one in [0, d]
+        (a base flow's is 0); one outside is still rejected."""
+        field = spray_field(planar.structure, planar.metric)
+        z = np.concatenate([planar.center(), [0.3, 0.2, -0.1]])
+        bare = lambda t, state: field(t, state)
+        traj = integrate(bare, z, 0.0, 0.1, 0.01, fiber_rank=np.int64(3))
+        assert traj.base.shape == traj.fiber.shape == (11, 3)
+        with pytest.raises(ValueError, match=r"fiber_rank must be an integer in \[0, 6\], got 7"):
+            integrate(bare, z, 0.0, 0.1, 0.01, fiber_rank=7)
+
+    def test_a_step_count_past_memory_is_a_value_error(self, planar):
+        """Only counts whose allocation fails at once are tried: numpy's
+        MemoryError (1e15 steps) and its ValueError past an index (1e30)."""
+        field = spray_field(planar.structure, planar.metric)
+        q0 = TotalPoint(planar.center(), [0.3, 0.2, -0.1])
+        for step in (1e-15, 1e-30):
+            count = round(1.0 / step)
+            with pytest.raises(ValueError, match=rf"^{count} steps of 6 value\(s\) need "):
+                integrate(field, q0, 0.0, 1.0, step)
+            with pytest.raises(ValueError, match=rf"^{count} steps of 12 value\(s\) need "):
+                integrate(field, [q0, q0], 0.0, 1.0, step)
 
     def test_non_finite_horizon_rejected(self, planar):
         with pytest.raises(ValueError, match="t0, t1 and step must be finite"):

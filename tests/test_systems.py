@@ -517,8 +517,11 @@ def expression_tables(sysd) -> dict:
 
     S, Gm = sysd.structure, sysd.metric
     frame, ambient = getattr(Gm._fn, "induced", (None, None))
+    # A fixed pair's values are its quadratic form, a table over the fiber
+    # (tests/test_dynamics.py::TestQuadraticForm), not a Koszul table.
+    fixed, values = _connection(S, Gm)
     found = {"anchor": S._anchor_fn, "structure": S._structure_fn, "metric": Gm._fn,
-             "frame": frame, "ambient": ambient, "koszul": _connection(S, Gm)[1],
+             "frame": frame, "ambient": ambient, "koszul": values if fixed is None else None,
              "potential": getattr(sysd.potential, "_fn", None)}
     sections = [*(sysd.controls.sections if sysd.controls else ()),
                 *(sysd.declared_complement or ()), *sysd.candidates.values()]
